@@ -23,6 +23,8 @@ if __name__ == "__main__":
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import time
+
 import pytest
 
 from repro.core.dominance import DominanceStore
@@ -215,13 +217,23 @@ def _edge_arrival_op():
     return lambda: edge_arrival_function(3.0, pattern, cal, 360.0, 720.0)
 
 
+def time_op(fn, reps: int) -> float:
+    """Best-of-3 mean ns per call."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / reps)
+    return best * 1e9
+
+
 def main(argv: list | None = None) -> int:
     import argparse
     import sys
     from pathlib import Path
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from bench_kernel import time_op
     from emit_json import emit_bench_json
 
     from repro.func import kernel

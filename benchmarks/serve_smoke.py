@@ -173,7 +173,7 @@ def main() -> int:
         assert len(body["result"]["items"]) == 3, body
         assert body["result"]["groups"] == 1, body["result"]
         backend = body["result"]["stats"]["kernel_backend"]
-        assert backend in ("array", "numpy", "legacy"), backend
+        assert backend == "array", backend
         print(f"batch ok: 2 forms answered on backend {backend!r}")
     finally:
         network.gate.set()

@@ -37,6 +37,7 @@ from .core.engine import IntAllFastestPaths
 from .estimators.boundary import BoundaryNodeEstimator
 from .estimators.naive import NaiveEstimator
 from .exceptions import ReproError
+from .func import kernel
 from .network.generator import MetroConfig, make_metro_network
 from .network.io import load_network, save_network
 from .storage.ccam import CCAMStore
@@ -504,7 +505,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _print_kernel_stats(stats) -> None:
-    """One line of kernel-work counters (silent when the kernel was off)."""
+    """One line of kernel-work counters (silent when the query did none)."""
     lookups = stats.edge_cache_hits + stats.edge_cache_misses
     if stats.breakpoints_allocated == 0 and lookups == 0:
         return
@@ -766,8 +767,6 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
             f"{update_stats['max_staleness_seconds'] * 1e3:.1f}ms"
         )
     if args.json:
-        from .func import kernel
-
         shards = getattr(args, "shards", 0)
         payload = {
             **summary,
@@ -1401,6 +1400,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        kernel.configure_from_env()
         return args.func(args)
     except (ReproError, OSError, ValueError) as exc:
         # Deliberate failure modes (bad inputs, missing files, unknown

@@ -247,15 +247,12 @@ class ArrivalIntAllFastestPaths:
         # departure function D(a): travel = a − D(a) = −(D − identity), so
         # minus_identity() . scale(−1) gives the travel function.
         def make_label(path, departure_fn, estimate):
-            if kernel.KERNEL_ENABLED:
-                # Lazy ranking: travel = a − D(a) shares D's breakpoints, so
-                # its minimum is read directly off the arrays.
-                t_min = min(
-                    x - y for x, y in zip(departure_fn._xs, departure_fn._ys)
-                )
-                return PathLabel(path, departure_fn, estimate, t_min + estimate)
-            travel = departure_fn.minus_identity().scale(-1.0)
-            return PathLabel(path, departure_fn, estimate, travel.min_value() + estimate)
+            # Lazy ranking: travel = a − D(a) shares D's breakpoints, so
+            # its minimum is read directly off the arrays.
+            t_min = min(
+                x - y for x, y in zip(departure_fn._xs, departure_fn._ys)
+            )
+            return PathLabel(path, departure_fn, estimate, t_min + estimate)
 
         queue.push(make_label((target,), identity(lo, hi), est(target)))
         stats.labels_generated += 1

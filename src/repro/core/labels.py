@@ -53,13 +53,10 @@ class PathLabel:
         the breakpoint abscissae is exact, since ``A(l) − l`` is piecewise
         linear with the same breakpoints.
         """
-        if kernel.KERNEL_ENABLED:
-            # Lazy ranking: min(A(l) − l) read straight off the breakpoint
-            # arrays — no travel-time function object is allocated.
-            f_min = kernel.min_travel(arrival._xs, arrival._ys) + estimate
-            return cls(path, arrival, estimate, f_min)
-        travel = arrival.minus_identity()
-        return cls(path, arrival, estimate, travel.min_value() + estimate)
+        # Lazy ranking: min(A(l) − l) read straight off the breakpoint
+        # arrays — no travel-time function object is allocated.
+        f_min = kernel.min_travel(arrival._xs, arrival._ys) + estimate
+        return cls(path, arrival, estimate, f_min)
 
 
 class LabelQueue:

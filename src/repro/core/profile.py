@@ -12,25 +12,20 @@ Used by the hierarchical subsystem (S15 in DESIGN.md) to materialise
 boundary-to-boundary shortcut functions inside a network fragment, by the
 time-interval kNN feature, and by the ``/v1/profile`` service endpoint.
 
-Two implementations share the loop structure:
+Per-node profiles are kept as raw breakpoint arrays and updated with the
+fused flat-array operators of :mod:`repro.func.kernel` — ``compose`` to
+extend along an edge, ``lt_somewhere`` as an O(n) improvement test that
+skips the merge entirely when a candidate is nowhere better, and
+``merge_min`` + ``simplify`` when it is.  Function objects are only
+materialised once at the end, via
+``MonotonePiecewiseLinear._trusted_monotone``.
 
-* the **kernel-native** path (default): per-node profiles are kept as raw
-  breakpoint arrays and updated with the fused flat-array operators of
-  :mod:`repro.func.kernel` — ``compose`` to extend along an edge,
-  ``lt_somewhere`` as an O(n) improvement test that skips the merge
-  entirely when a candidate is nowhere better, and ``merge_min`` +
-  ``simplify`` when it is.  Function objects are only materialised once at
-  the end, via ``MonotonePiecewiseLinear._trusted_monotone``.
-* the **legacy object** path (``REPRO_FUNC_KERNEL=0``): the original
-  per-update ``pointwise_minimum`` over function objects, retained as the
-  parity oracle and benchmark baseline.
-
-Both run on the shared :mod:`repro.core.runtime`: edge arrival functions
-come from the context's LRU :class:`~repro.core.runtime.EdgeFunctionCache`
-(shared with every other engine on the same context, and provider-aware for
-hierarchy shortcut edges), ``max_pops``/``deadline`` are enforced per node
-pop, and a finalized :class:`~repro.core.results.SearchStats` is attached
-to every exit.
+The search runs on the shared :mod:`repro.core.runtime`: edge arrival
+functions come from the context's LRU
+:class:`~repro.core.runtime.EdgeFunctionCache` (shared with every other
+engine on the same context, and provider-aware for hierarchy shortcut
+edges), ``max_pops``/``deadline`` are enforced per node pop, and a finalized
+:class:`~repro.core.results.SearchStats` is attached to every exit.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from typing import Callable, Iterable, Mapping
 
 from ..func import kernel
 from ..func.monotone import MonotonePiecewiseLinear, identity
-from ..func.piecewise import pointwise_minimum
 from ..timeutil import TimeInterval
 from .results import SearchStats
 from .runtime import SearchContext
@@ -134,14 +128,7 @@ def profile_search(
         1, getattr(network, "node_count", 1000)
     )
 
-    if kernel.KERNEL_ENABLED:
-        profiles = _search_kernel(
-            network, source, lo, hi, node_filter, run, budget
-        )
-    else:
-        profiles = _search_legacy(
-            network, source, lo, hi, node_filter, run, budget
-        )
+    profiles = _search(network, source, lo, hi, node_filter, run, budget)
     run.finalize()
 
     if targets is not None:
@@ -150,7 +137,7 @@ def profile_search(
     return ProfileResult(source, interval, profiles, stats)
 
 
-def _search_kernel(
+def _search(
     network, source, lo, hi, node_filter, run, budget
 ) -> dict[int, MonotonePiecewiseLinear]:
     """Flat-array loop: profiles live as (xs, ys) arrays until the end."""
@@ -202,52 +189,6 @@ def _search_kernel(
         n: MonotonePiecewiseLinear._trusted_monotone(list(xs), list(ys))
         for n, (xs, ys) in prof.items()
     }
-
-
-def _search_legacy(
-    network, source, lo, hi, node_filter, run, budget
-) -> dict[int, MonotonePiecewiseLinear]:
-    """Object-path loop (``REPRO_FUNC_KERNEL=0``): the parity oracle."""
-    profiles: dict[int, MonotonePiecewiseLinear] = {source: identity(lo, hi)}
-    run.exit_hook = lambda s: setattr(s, "distinct_nodes", len(profiles))
-    stats = run.stats
-    queue: deque[int] = deque([source])
-    queued = {source}
-    relaxations = 0
-
-    while queue:
-        stats.max_queue_size = max(stats.max_queue_size, len(queue))
-        u = queue.popleft()
-        queued.discard(u)
-        profile_u = profiles[u]
-        arr_lo, arr_hi = profile_u.value_range
-        stats.expanded_paths += 1
-        run.tick()
-        for edge in network.outgoing(u):
-            v = edge.target
-            if node_filter is not None and v != source and not node_filter(v):
-                continue
-            relaxations += 1
-            if relaxations > budget:
-                raise run.over_budget(budget, "relaxations")
-            stats.labels_generated += 1
-            edge_fn = run.edge_arrival(edge, arr_lo, arr_hi)
-            candidate = edge_fn.compose(profile_u).simplify()
-            incumbent = profiles.get(v)
-            if incumbent is None:
-                profiles[v] = candidate
-            else:
-                merged = pointwise_minimum(incumbent, candidate)
-                if incumbent.equals_approx(merged, tol=_IMPROVE_TOL):
-                    continue
-                profiles[v] = MonotonePiecewiseLinear(
-                    merged.breakpoints
-                ).simplify()
-            if v not in queued:
-                queue.append(v)
-                queued.add(v)
-
-    return profiles
 
 
 def arrival_profile(

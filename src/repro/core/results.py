@@ -22,7 +22,7 @@ class SearchStats:
     ``breakpoints_allocated`` (output breakpoints written by kernel
     operators), ``envelope_merges`` (fused envelope/dominance folds), and
     ``edge_cache_hits`` / ``edge_cache_misses`` for the engine's cross-query
-    edge-function cache.  All four stay 0 when the kernel is disabled.
+    edge-function cache.
 
     ``bound_evaluations`` counts calls into the estimator's ``bound()``
     (the engines memoize per node, so this equals the number of distinct
@@ -32,9 +32,9 @@ class SearchStats:
     ``timed_out`` is set when the search was cut short by a query deadline
     (see :class:`~repro.core.engine.QueryTimeout`).
 
-    ``kernel_backend`` names the function-algebra backend the query ran on
-    (``array``, ``numpy``, or ``legacy``), stamped at construction so
-    trajectories across backends stay distinguishable.
+    ``kernel_backend`` names the function algebra the query ran on — always
+    ``array``, the one kernel; the field stays so responses and stored
+    trajectories keep their shape.
     """
 
     expanded_paths: int = 0

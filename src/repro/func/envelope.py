@@ -8,8 +8,7 @@ into sub-intervals, each labelled with its fastest path.
 
 Internally the envelope is stored kernel-style: a flat boundary array plus
 per-piece slope/intercept/tag arrays, so each fold is one fused merge sweep
-(:func:`repro.func.kernel.envelope_fold`) instead of a rebuild that rescans
-every piece per elementary interval.  :class:`EnvelopePiece` objects are
+(:func:`repro.func.kernel.envelope_fold`).  :class:`EnvelopePiece` objects are
 materialised lazily for callers that want the piece view.
 """
 
@@ -18,11 +17,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 from ..exceptions import FunctionDomainError
 from . import kernel
-from .piecewise import XTOL, YTOL, LinearPiece, PiecewiseLinearFunction
+from .piecewise import XTOL, PiecewiseLinearFunction
 
 
 @dataclass(frozen=True)
@@ -187,8 +186,8 @@ class AnnotatedEnvelope:
                 f"function domain {fn.domain} does not cover "
                 f"envelope domain [{self._lo}, {self._hi}]"
             )
-        if kernel.KERNEL_ENABLED:
-            bx, slope, icept, tags, improved = kernel.envelope_fold(
+        self._bx, self._slope, self._icept, self._tags, improved = (
+            kernel.envelope_fold(
                 self._bx,
                 self._slope,
                 self._icept,
@@ -199,130 +198,9 @@ class AnnotatedEnvelope:
                 self._lo,
                 self._hi,
             )
-            self._bx, self._slope, self._icept, self._tags = (
-                bx,
-                slope,
-                icept,
-                tags,
-            )
-        else:
-            improved = self._add_legacy(fn, tag)
+        )
         self._invalidate()
         return improved
-
-    # -- legacy rebuild (kept callable for the kernel A/B benchmarks) ---
-    def _boundaries(self, fn: PiecewiseLinearFunction) -> list[float]:
-        xs = {self._lo, self._hi}
-        xs.update(self._bx)
-        for x, _y in fn.breakpoints:
-            if self._lo - XTOL <= x <= self._hi + XTOL:
-                xs.add(min(max(x, self._lo), self._hi))
-        ordered = sorted(xs)
-        merged: list[float] = []
-        for x in ordered:
-            if not merged or x > merged[-1] + XTOL:
-                merged.append(x)
-        if len(merged) == 1:
-            merged.append(merged[0])
-        return merged
-
-    def _line_of_env(self, x0: float, x1: float) -> LinearPiece | None:
-        """Current envelope line covering the elementary interval [x0, x1]."""
-        if not self._slope:
-            return None
-        mid = 0.5 * (x0 + x1)
-        for piece in self.pieces():
-            if mid <= piece.x_end + XTOL:
-                return LinearPiece(x0, x1, piece.slope, piece.intercept)
-        return LinearPiece(x0, x1, self._slope[-1], self._icept[-1])
-
-    def _add_legacy(self, fn: PiecewiseLinearFunction, tag: Hashable) -> bool:
-        boundaries = self._boundaries(fn)
-        new_pieces: list[EnvelopePiece] = []
-        improved = False
-
-        def emit(x0: float, x1: float, line: LinearPiece, the_tag: Hashable) -> None:
-            if x1 - x0 <= XTOL and new_pieces:
-                return
-            if (
-                new_pieces
-                and new_pieces[-1].tag == the_tag
-                and abs(new_pieces[-1].slope - line.slope) <= 1e-9
-                and abs(new_pieces[-1].intercept - line.intercept) <= 1e-6
-            ):
-                prev = new_pieces[-1]
-                new_pieces[-1] = EnvelopePiece(
-                    prev.x_start, x1, prev.slope, prev.intercept, the_tag
-                )
-                return
-            new_pieces.append(
-                EnvelopePiece(x0, x1, line.slope, line.intercept, the_tag)
-            )
-
-        for i in range(len(boundaries) - 1):
-            x0, x1 = boundaries[i], boundaries[i + 1]
-            mid = 0.5 * (x0 + x1)
-            fn_piece = fn.piece_at(min(max(mid, fn.x_min), fn.x_max))
-            env_piece = self._line_of_env(x0, x1)
-            if env_piece is None:
-                emit(x0, x1, fn_piece, tag)
-                improved = True
-                continue
-            d0 = fn_piece.value_at(x0) - env_piece.value_at(x0)
-            d1 = fn_piece.value_at(x1) - env_piece.value_at(x1)
-            if d0 >= -YTOL and d1 >= -YTOL:
-                emit(x0, x1, env_piece, self._tag_for_interval(x0, x1))
-            elif d0 <= YTOL and d1 <= YTOL:
-                # New function at or below incumbent: only claim the piece
-                # when strictly better somewhere on it.
-                if d0 < -YTOL or d1 < -YTOL:
-                    emit(x0, x1, fn_piece, tag)
-                    improved = True
-                else:
-                    emit(x0, x1, env_piece, self._tag_for_interval(x0, x1))
-            else:
-                denom = fn_piece.slope - env_piece.slope
-                x_cross = (
-                    (env_piece.intercept - fn_piece.intercept) / denom
-                    if abs(denom) > 1e-15
-                    else mid
-                )
-                x_cross = min(max(x_cross, x0), x1)
-                env_tag = self._tag_for_interval(x0, x1)
-                if d0 < 0:
-                    emit(x0, x_cross, fn_piece, tag)
-                    emit(x_cross, x1, env_piece, env_tag)
-                else:
-                    emit(x0, x_cross, env_piece, env_tag)
-                    emit(x_cross, x1, fn_piece, tag)
-                improved = True
-        if len(boundaries) == 2 and boundaries[1] - boundaries[0] <= XTOL:
-            # Degenerate single-instant domain.
-            x = boundaries[0]
-            new_val = fn(min(max(x, fn.x_min), fn.x_max))
-            old_val = self.value_at(x)
-            if new_val < old_val - YTOL:
-                new_pieces = [EnvelopePiece(x, x, 0.0, new_val, tag)]
-                improved = True
-            elif not self._slope:
-                new_pieces = [EnvelopePiece(x, x, 0.0, new_val, tag)]
-                improved = True
-            else:
-                new_pieces = list(self.pieces())
-        self._set_pieces(new_pieces)
-        return improved
-
-    def _set_pieces(self, pieces: Sequence[EnvelopePiece]) -> None:
-        self._bx = (
-            [pieces[0].x_start] + [p.x_end for p in pieces] if pieces else []
-        )
-        self._slope = [p.slope for p in pieces]
-        self._icept = [p.intercept for p in pieces]
-        self._tags = [p.tag for p in pieces]
-
-    def _tag_for_interval(self, x0: float, x1: float) -> Hashable:
-        mid = 0.5 * (x0 + x1)
-        return self.tag_at(min(max(mid, self._lo), self._hi))
 
     # ------------------------------------------------------------------
     def as_function(self) -> PiecewiseLinearFunction:

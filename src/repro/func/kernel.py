@@ -2,12 +2,9 @@
 
 Every inner-loop operation of IntAllFastestPaths — edge-function composition,
 ranking-function addition, lower-envelope/border maintenance — reduces to a
-handful of primitives over breakpoint sequences.  The legacy implementations
-in :mod:`repro.func.piecewise` / :mod:`repro.func.monotone` /
-:mod:`repro.func.envelope` re-evaluate one input per output breakpoint with a
-bisect each (``O(n log n)`` per op, plus a fresh object per intermediate).
-This module provides **fused single-pass merge-sweep** implementations that
-walk both inputs once with two pointers (``O(n + m)``), allocate exactly one
+handful of primitives over breakpoint sequences.  This module is the one
+implementation of that algebra: **fused single-pass merge-sweeps** that walk
+both inputs once with two pointers (``O(n + m)``), allocate exactly one
 output array pair, and never build intermediate function objects.
 
 Representation
@@ -15,39 +12,23 @@ Representation
 A function is two parallel sequences ``xs`` / ``ys`` (any indexable float
 sequence; the classes store tuples, the kernel returns plain lists).  The
 invariants are the same as :class:`~repro.func.piecewise.PiecewiseLinearFunction`:
-``xs`` strictly increasing beyond :data:`~repro.func.piecewise.XTOL`, linear
-interpolation between breakpoints, closed domain ``[xs[0], xs[-1]]``.
+``xs`` strictly increasing beyond :data:`XTOL`, linear interpolation between
+breakpoints, closed domain ``[xs[0], xs[-1]]``.
 
-The classes remain the public API — they are thin views over this kernel.
-Set :envvar:`REPRO_FUNC_KERNEL` to ``0`` (or call :func:`set_kernel_enabled`)
-to route the classes through the legacy implementations instead; the A/B is
-what ``benchmarks/bench_kernel.py`` measures.
-
-Backends
---------
-The kernel itself has two interchangeable implementations:
-
-``array`` (default)
-    The pure-Python merge sweeps defined in this module.
-``numpy``
-    The vectorized twins in :mod:`repro.func.kernel_np`, producing
-    *identical* answers (same breakpoints, bit for bit).  Selected with
-    ``REPRO_FUNC_KERNEL=numpy`` or :func:`set_backend`.  numpy is an
-    optional dependency: when it cannot be imported the request falls back
-    to ``array`` with a one-line stderr note.
-
-Dispatch is by module-global rebinding: every call site already looks the
-operator up as ``kernel.<op>(...)``, so :func:`set_backend` just swaps the
-function objects.  :func:`active_backend` reports the name recorded in
-:class:`~repro.core.results.SearchStats` (``legacy`` when the kernel is
-disabled entirely).
+The classes in :mod:`repro.func.piecewise` / :mod:`repro.func.monotone` /
+:mod:`repro.func.envelope` remain the public API — they are thin views over
+this kernel, and the engines call it directly on raw arrays where no object
+is needed.  Every caller resolves operators as module attributes
+(``kernel.<op>(...)``), so a tracer can time them by rebinding the
+attribute (``benchmarks/e2e/ladder.py`` does).
 
 Guard rails
 -----------
 Operations that would produce more than :func:`get_max_breakpoints`
 breakpoints raise :class:`~repro.exceptions.FunctionShapeError` instead of
 silently degrading into an ever-fatter function (configurable via
-:func:`set_max_breakpoints` or :envvar:`REPRO_MAX_BREAKPOINTS`).
+:func:`set_max_breakpoints`; the CLI applies :envvar:`REPRO_MAX_BREAKPOINTS`
+through :func:`configure_from_env` when it starts).
 
 Counters
 --------
@@ -58,60 +39,35 @@ so :class:`~repro.core.results.SearchStats` can report per-query totals.
 from __future__ import annotations
 
 import os
-import sys
 from bisect import bisect_left, bisect_right
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from ..exceptions import FunctionShapeError, NotMonotoneError
 
-#: Tolerance for comparing abscissae; kept numerically identical to
-#: :data:`repro.func.piecewise.XTOL` (duplicated to avoid a circular import).
+#: Tolerance for comparing abscissae (times, in minutes).  The one
+#: definition; :mod:`repro.func.piecewise` re-exports it.
 XTOL = 1e-9
-#: Tolerance for comparing ordinates.
+#: Tolerance for comparing ordinates (travel times, in minutes).
 YTOL = 1e-9
 
 # ----------------------------------------------------------------------
-# Configuration: kernel on/off switch and breakpoint-count guard.
+# Configuration: breakpoint-count guard.
 # ----------------------------------------------------------------------
-
-#: Raw REPRO_FUNC_KERNEL value: ``0``/``legacy`` disable the kernel,
-#: ``numpy``/``np`` request the vectorized backend, anything else (default
-#: ``1``) selects the array backend.
-_RAW_KERNEL_ENV = os.environ.get("REPRO_FUNC_KERNEL", "1").strip().lower()
-
-#: When False, the function classes fall back to the legacy per-point
-#: implementations.  Benchmarks toggle this for the A/B comparison.
-KERNEL_ENABLED = _RAW_KERNEL_ENV not in ("0", "legacy")
 
 #: Default ceiling on the breakpoint count of any kernel-produced function.
 DEFAULT_MAX_BREAKPOINTS = 100_000
 
-def _max_breakpoints_from_env() -> int:
-    raw = os.environ.get("REPRO_MAX_BREAKPOINTS")
-    if raw is None:
-        return DEFAULT_MAX_BREAKPOINTS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_MAX_BREAKPOINTS={raw!r} is not an integer"
-        ) from None
-    if value < 2:
-        raise ValueError(
-            f"REPRO_MAX_BREAKPOINTS={value} must be at least 2"
-        )
-    return value
+_max_breakpoints = DEFAULT_MAX_BREAKPOINTS
 
 
-_max_breakpoints = _max_breakpoints_from_env()
+def active_backend() -> str:
+    """Name of the function algebra answering queries: always ``array``.
 
-
-def set_kernel_enabled(flag: bool) -> bool:
-    """Enable/disable the kernel globally; returns the previous setting."""
-    global KERNEL_ENABLED
-    previous = KERNEL_ENABLED
-    KERNEL_ENABLED = bool(flag)
-    return previous
+    Recorded in :class:`~repro.core.results.SearchStats` and on every
+    ``/metrics`` sample, so stored results stay comparable with the ones
+    written when other backends existed.
+    """
+    return "array"
 
 
 def get_max_breakpoints() -> int:
@@ -127,6 +83,24 @@ def set_max_breakpoints(limit: int) -> int:
     previous = _max_breakpoints
     _max_breakpoints = int(limit)
     return previous
+
+
+def configure_from_env() -> None:
+    """Apply :envvar:`REPRO_MAX_BREAKPOINTS` when it is set.
+
+    Called by the CLI entry point, not at import, so a bad value is an
+    ordinary ``ValueError`` the caller can report.
+    """
+    raw = os.environ.get("REPRO_MAX_BREAKPOINTS")
+    if raw is None:
+        return
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_MAX_BREAKPOINTS={raw!r} is not an integer"
+        ) from None
+    set_max_breakpoints(limit)
 
 
 def _guard_size(n: int, op: str) -> None:
@@ -302,7 +276,7 @@ def merge_min(
     """
     na, nb = len(axs), len(bxs)
     _guard_size(2 * (na + nb), "merge_min")
-    # Deduped union of abscissae (evaluation clamps, matching legacy).
+    # Deduped union of abscissae (evaluation clamps outside a domain).
     union: list[float] = []
     ia = ib = 0
     while ia < na or ib < nb:
@@ -373,8 +347,8 @@ def le_everywhere(
     """``a(x) <= b(x) + tol`` for every x — the dominance test, fused.
 
     Both functions are linear between union abscissae, so checking the union
-    breakpoints is exact (matching the legacy ``dominates``).  The test fails
-    exactly when ``b(x) < a(x) - tol`` somewhere.
+    breakpoints is exact.  The test fails exactly when
+    ``b(x) < a(x) - tol`` somewhere.
     """
     return not lt_somewhere(bxs, bys, axs, ays, tol)
 
@@ -595,9 +569,8 @@ def envelope_fold(
     incumbent piece (the paper's first-identified-path convention); the
     ``improved`` flag reports whether the new function won anywhere.
 
-    Replaces the legacy rebuild that rescanned every envelope piece per
-    elementary interval (quadratic in piece count) with two forward-only
-    cursors over the envelope and the new function.
+    Two forward-only cursors walk the envelope and the new function, so a
+    fold is linear in their piece counts.
     """
     COUNTERS.envelope_merges += 1
     np_env = len(slope)
@@ -746,150 +719,3 @@ def lower_envelope(
             bx, slope, icept, tags, fxs, fys, tag, lo, hi
         )
     return bx, slope, icept, tags
-
-
-# ----------------------------------------------------------------------
-# Batched entry points.  These reference definitions simply loop over the
-# single-function operators (which dispatch per backend); the numpy backend
-# overrides compose_many / merge_min_many with versions that amortize the
-# ndarray conversions across the whole set.
-# ----------------------------------------------------------------------
-
-def compose_many(
-    oxs: Sequence[float],
-    oys: Sequence[float],
-    inners: Iterable[tuple[Sequence[float], Sequence[float]]],
-) -> list[tuple[list[float], list[float]]]:
-    """Compose one outer function with many inners (ragged sizes fine)."""
-    return [compose(oxs, oys, ixs, iys) for ixs, iys in inners]
-
-
-def merge_min_many(
-    functions: Iterable[tuple[Sequence[float], Sequence[float]]],
-) -> tuple[list[float], list[float]]:
-    """Left-fold pointwise minimum over a stacked function set."""
-    it = iter(functions)
-    try:
-        fxs, fys = next(it)
-    except StopIteration:
-        raise ValueError("merge_min_many requires at least one function")
-    xs, ys = list(fxs), list(fys)
-    for gxs, gys in it:
-        xs, ys = merge_min(xs, ys, gxs, gys)
-    return xs, ys
-
-
-def envelope_fold_many(
-    bx: Sequence[float],
-    slope: Sequence[float],
-    icept: Sequence[float],
-    tags: Sequence[Hashable],
-    functions: Iterable[tuple[Sequence[float], Sequence[float], Hashable]],
-    lo: float,
-    hi: float,
-) -> tuple[list[float], list[float], list[float], list[Hashable], bool]:
-    """Fold a stacked function set into an annotated envelope.
-
-    Generalizes :func:`lower_envelope` to start from an existing envelope
-    and to report whether any function improved it anywhere.
-    """
-    out = (list(bx), list(slope), list(icept), list(tags))
-    improved_any = False
-    for fxs, fys, tag in functions:
-        *out, improved = envelope_fold(*out, fxs, fys, tag, lo, hi)
-        improved_any = improved_any or improved
-    return out[0], out[1], out[2], out[3], improved_any
-
-
-# ----------------------------------------------------------------------
-# Backend dispatch.  All call sites resolve operators as module attributes
-# (``kernel.<op>(...)``), so switching backends is a module-global rebind.
-# ----------------------------------------------------------------------
-
-#: Operators swapped when the backend changes.  Everything else
-#: (eval_at, min_travel, snap_monotone, lower_envelope, envelope_fold_many)
-#: is either scalar or defined in terms of these.
-_DISPATCHED_OPS = (
-    "merge_add",
-    "merge_min",
-    "lt_somewhere",
-    "le_everywhere",
-    "compose",
-    "inverse",
-    "simplify",
-    "restrict",
-    "envelope_fold",
-    "compose_many",
-    "merge_min_many",
-)
-
-#: The array implementations, captured before any rebinding so the numpy
-#: backend's rare sequential fallbacks (and tests) can reach them.
-_ARRAY_IMPLS = {name: globals()[name] for name in _DISPATCHED_OPS}
-
-_BACKEND = "array"
-
-
-def _load_numpy_backend():
-    """Import :mod:`repro.func.kernel_np`, or None when numpy is absent."""
-    try:
-        import numpy  # noqa: F401
-
-        from . import kernel_np
-    except ImportError:
-        return None
-    return kernel_np
-
-
-def numpy_available() -> bool:
-    """Whether the numpy backend can be loaded in this environment."""
-    return _load_numpy_backend() is not None
-
-
-def get_backend() -> str:
-    """The currently installed kernel backend: ``array`` or ``numpy``."""
-    return _BACKEND
-
-
-def active_backend() -> str:
-    """The backend actually answering queries (``legacy`` when disabled)."""
-    return _BACKEND if KERNEL_ENABLED else "legacy"
-
-
-def set_backend(name: str) -> str:
-    """Install a kernel backend by name; returns the previous name.
-
-    ``numpy`` requires numpy to be importable; when it is not, the request
-    degrades to ``array`` with a one-line stderr note instead of raising —
-    numpy is an optional dependency everywhere in this codebase.
-    """
-    global _BACKEND
-    previous = _BACKEND
-    requested = name.strip().lower()
-    if requested == "array":
-        impls = _ARRAY_IMPLS
-        installed = "array"
-    elif requested in ("numpy", "np"):
-        module = _load_numpy_backend()
-        if module is None:
-            print(
-                "repro: numpy is unavailable; kernel backend 'numpy' "
-                "falls back to 'array'",
-                file=sys.stderr,
-            )
-            impls = _ARRAY_IMPLS
-            installed = "array"
-        else:
-            impls = {op: getattr(module, op) for op in _DISPATCHED_OPS}
-            installed = "numpy"
-    else:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected 'array' or 'numpy'"
-        )
-    globals().update(impls)
-    _BACKEND = installed
-    return previous
-
-
-if _RAW_KERNEL_ENV in ("numpy", "np"):
-    set_backend("numpy")

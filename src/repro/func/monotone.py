@@ -129,18 +129,8 @@ class MonotonePiecewiseLinear(PiecewiseLinearFunction):
         increasing, so the inverse is well defined; a flat segment would make
         the inverse discontinuous and raises.
         """
-        if kernel.KERNEL_ENABLED:
-            xs, ys = kernel.inverse(self._xs, self._ys)
-            return MonotonePiecewiseLinear._trusted_monotone(xs, ys)
-        for i in range(len(self._xs) - 1):
-            if self._ys[i + 1] - self._ys[i] <= XTOL and (
-                self._xs[i + 1] - self._xs[i] > XTOL
-            ):
-                raise NotMonotoneError(
-                    "cannot invert: function is flat on "
-                    f"[{self._xs[i]}, {self._xs[i + 1]}]"
-                )
-        return MonotonePiecewiseLinear(list(zip(self._ys, self._xs)))
+        xs, ys = kernel.inverse(self._xs, self._ys)
+        return MonotonePiecewiseLinear._trusted_monotone(xs, ys)
 
     def compose(self, inner: "MonotonePiecewiseLinear") -> "MonotonePiecewiseLinear":
         """Return ``self ∘ inner`` — the §4.4 path-expansion combine step.
@@ -155,53 +145,26 @@ class MonotonePiecewiseLinear(PiecewiseLinearFunction):
             raise FunctionDomainError(
                 f"inner range [{lo}, {hi}] not within outer domain {self.domain}"
             )
-        if kernel.KERNEL_ENABLED:
-            xs, ys = kernel.compose(self._xs, self._ys, inner._xs, inner._ys)
-            return MonotonePiecewiseLinear._trusted_monotone(xs, ys)
-        xs = list(inner._xs)
-        for by, _bx in zip(self._xs, self._ys):
-            # by is a breakpoint abscissa of the outer function; find the
-            # departure times at which the prefix path delivers us there.
-            if by <= lo + XTOL or by >= hi - XTOL:
-                continue
-            xs.extend(inner.preimage_points(by))
-        xs.sort()
-        merged: list[float] = []
-        for x in xs:
-            if not merged or x > merged[-1] + XTOL:
-                merged.append(x)
-        pts = []
-        for x in merged:
-            mid = inner(x)
-            mid = min(max(mid, self.x_min), self.x_max)
-            pts.append((x, self(mid)))
-        return MonotonePiecewiseLinear(pts)
+        xs, ys = kernel.compose(self._xs, self._ys, inner._xs, inner._ys)
+        return MonotonePiecewiseLinear._trusted_monotone(xs, ys)
 
     # ------------------------------------------------------------------
     # Overrides returning the monotone type where closure holds.
     # ------------------------------------------------------------------
     def restrict(self, lo: float, hi: float) -> "MonotonePiecewiseLinear":
         base = super().restrict(lo, hi)
-        if kernel.KERNEL_ENABLED:
-            return MonotonePiecewiseLinear._trusted_monotone(
-                list(base._xs), list(base._ys)
-            )
-        return MonotonePiecewiseLinear(base.breakpoints)
+        return MonotonePiecewiseLinear._trusted_monotone(
+            list(base._xs), list(base._ys)
+        )
 
     def simplify(self, tol: float = 1e-9) -> "MonotonePiecewiseLinear":
+        # Simplify keeps a subset of already-monotone values.
         base = super().simplify(tol)
-        if kernel.KERNEL_ENABLED:
-            # Simplify keeps a subset of already-monotone values.
-            return MonotonePiecewiseLinear._trusted(base._xs, base._ys)
-        return MonotonePiecewiseLinear(base.breakpoints)
+        return MonotonePiecewiseLinear._trusted(base._xs, base._ys)
 
     def shift_x(self, dx: float) -> "MonotonePiecewiseLinear":
-        if kernel.KERNEL_ENABLED:
-            return MonotonePiecewiseLinear._trusted(
-                tuple(x + dx for x in self._xs), self._ys
-            )
-        return MonotonePiecewiseLinear(
-            [(x + dx, y) for x, y in self.breakpoints]
+        return MonotonePiecewiseLinear._trusted(
+            tuple(x + dx for x in self._xs), self._ys
         )
 
 

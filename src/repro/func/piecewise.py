@@ -26,18 +26,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from ..exceptions import FunctionDomainError, FunctionShapeError
 from . import kernel
+from .kernel import XTOL, YTOL  # defined once, in the kernel; public here too
 
-#: Tolerance for comparing abscissae (times, in minutes).
-XTOL = 1e-9
-#: Tolerance for comparing ordinates (travel times, in minutes).
-YTOL = 1e-9
 #: Tolerance for deciding that two breakpoints sharing (nearly) the same
 #: abscissa describe the *same* point rather than a jump discontinuity.
 #: Deliberately looser than :data:`YTOL`: merged breakpoints come from
 #: independently-computed operations whose values agree only up to
 #: accumulated rounding, whereas YTOL compares values produced by one
-#: computation.  The kernel and the legacy paths both use this constant, so
-#: the two implementations agree on equality.
+#: computation.
 CONTINUITY_TOL = 1e-6
 
 
@@ -318,19 +314,8 @@ class PiecewiseLinearFunction:
                 self._xs, tuple(y + other for y in self._ys)
             )
         self._check_same_domain(other)
-        if kernel.KERNEL_ENABLED:
-            xs, ys = kernel.merge_add(self._xs, self._ys, other._xs, other._ys)
-            return PiecewiseLinearFunction._trusted(tuple(xs), tuple(ys))
-        return self._add_legacy(other)
-
-    def _add_legacy(self, other: "PiecewiseLinearFunction") -> "PiecewiseLinearFunction":
-        xs = self._merged_xs(other)
-        xs[0] = max(xs[0], self.x_min, other.x_min)
-        xs[-1] = min(xs[-1], self.x_max, other.x_max)
-        return PiecewiseLinearFunction(
-            [(x, self(min(max(x, self.x_min), self.x_max))
-              + other(min(max(x, other.x_min), other.x_max))) for x in xs]
-        )
+        xs, ys = kernel.merge_add(self._xs, self._ys, other._xs, other._ys)
+        return PiecewiseLinearFunction._trusted(tuple(xs), tuple(ys))
 
     __radd__ = __add__
 
@@ -376,39 +361,15 @@ class PiecewiseLinearFunction:
         hi = min(hi, self.x_max)
         if hi < lo - XTOL:
             raise FunctionDomainError(f"empty restriction [{lo}, {hi}]")
-        if kernel.KERNEL_ENABLED:
-            xs, ys = kernel.restrict(self._xs, self._ys, lo, hi)
-            return PiecewiseLinearFunction._trusted(tuple(xs), tuple(ys))
-        if hi - lo <= XTOL:
-            return PiecewiseLinearFunction([(lo, self(lo))])
-        pts: list[tuple[float, float]] = [(lo, self(lo))]
-        for x, y in self.breakpoints:
-            if lo + XTOL < x < hi - XTOL:
-                pts.append((x, y))
-        pts.append((hi, self(hi)))
-        return PiecewiseLinearFunction(pts)
+        xs, ys = kernel.restrict(self._xs, self._ys, lo, hi)
+        return PiecewiseLinearFunction._trusted(tuple(xs), tuple(ys))
 
     def simplify(self, tol: float = YTOL) -> "PiecewiseLinearFunction":
         """Drop interior breakpoints that lie on the line through their neighbours."""
         if len(self._xs) <= 2:
             return self
-        if kernel.KERNEL_ENABLED:
-            xs, ys = kernel.simplify(self._xs, self._ys, tol)
-            return PiecewiseLinearFunction._trusted(tuple(xs), tuple(ys))
-        pts: list[tuple[float, float]] = [(self._xs[0], self._ys[0])]
-        for i in range(1, len(self._xs) - 1):
-            x0, y0 = pts[-1]
-            x1, y1 = self._xs[i], self._ys[i]
-            x2, y2 = self._xs[i + 1], self._ys[i + 1]
-            # Interpolate (x1) on the chord (x0,y0)-(x2,y2).
-            if x2 - x0 <= XTOL:
-                continue
-            t = (x1 - x0) / (x2 - x0)
-            y_chord = y0 + t * (y2 - y0)
-            if abs(y_chord - y1) > tol:
-                pts.append((x1, y1))
-        pts.append((self._xs[-1], self._ys[-1]))
-        return PiecewiseLinearFunction(pts)
+        xs, ys = kernel.simplify(self._xs, self._ys, tol)
+        return PiecewiseLinearFunction._trusted(tuple(xs), tuple(ys))
 
     def equals_approx(
         self, other: "PiecewiseLinearFunction", tol: float = 1e-6
@@ -432,15 +393,7 @@ class PiecewiseLinearFunction:
         Used for the label-dominance pruning described in DESIGN.md.
         """
         self._check_same_domain(other)
-        if kernel.KERNEL_ENABLED:
-            return kernel.le_everywhere(
-                self._xs, self._ys, other._xs, other._ys, tol
-            )
-        for x in self._merged_xs(other):
-            x_c = min(max(x, self.x_min, other.x_min), self.x_max, other.x_max)
-            if self(x_c) > other(x_c) + tol:
-                return False
-        return True
+        return kernel.le_everywhere(self._xs, self._ys, other._xs, other._ys, tol)
 
 
 def pointwise_minimum(
@@ -453,28 +406,5 @@ def pointwise_minimum(
     the result back into a monotone function.
     """
     a._check_same_domain(b)
-    if kernel.KERNEL_ENABLED:
-        xs, ys = kernel.merge_min(a._xs, a._ys, b._xs, b._ys)
-        return PiecewiseLinearFunction._trusted(tuple(xs), tuple(ys))
-    xs = a._merged_xs(b)
-
-    def val(fn: PiecewiseLinearFunction, x: float) -> float:
-        return fn(min(max(x, fn.x_min), fn.x_max))
-
-    points: list[tuple[float, float]] = []
-    for x0, x1 in zip(xs, xs[1:]):
-        d0 = val(a, x0) - val(b, x0)
-        d1 = val(a, x1) - val(b, x1)
-        points.append((x0, min(val(a, x0), val(b, x0))))
-        if (d0 > YTOL and d1 < -YTOL) or (d0 < -YTOL and d1 > YTOL):
-            # One crossing strictly inside the elementary interval.
-            pa = a.piece_at(min(max(0.5 * (x0 + x1), a.x_min), a.x_max))
-            pb = b.piece_at(min(max(0.5 * (x0 + x1), b.x_min), b.x_max))
-            denom = pa.slope - pb.slope
-            if abs(denom) > 1e-15:
-                x_cross = (pb.intercept - pa.intercept) / denom
-                if x0 + XTOL < x_cross < x1 - XTOL:
-                    points.append((x_cross, pa.value_at(x_cross)))
-    last = xs[-1]
-    points.append((last, min(val(a, last), val(b, last))))
-    return PiecewiseLinearFunction(points)
+    xs, ys = kernel.merge_min(a._xs, a._ys, b._xs, b._ys)
+    return PiecewiseLinearFunction._trusted(tuple(xs), tuple(ys))

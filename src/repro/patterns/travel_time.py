@@ -130,9 +130,7 @@ def cumulative_distance_function(
     if t_hi < t_lo - XTOL:
         raise PatternError(f"bad window [{t_lo}, {t_hi}]")
     xs, ys = _cumulative_arrays(pattern, calendar, t_lo, t_hi, extra_distance)
-    if kernel.KERNEL_ENABLED:
-        return MonotonePiecewiseLinear._trusted_monotone(xs, ys)
-    return MonotonePiecewiseLinear(list(zip(xs, ys)))
+    return MonotonePiecewiseLinear._trusted_monotone(xs, ys)
 
 
 def edge_arrival_function(
@@ -155,31 +153,19 @@ def edge_arrival_function(
         from ..func.monotone import identity
 
         return identity(depart_lo, depart_hi)
-    if kernel.KERNEL_ENABLED:
-        # Fused pipeline straight over breakpoint arrays: S → S⁻¹, the
-        # shifted window S(t)+d, their composition, simplification — one
-        # MonotonePiecewiseLinear allocated at the very end.
-        sxs, sys_ = _cumulative_arrays(
-            pattern, calendar, depart_lo, depart_hi, distance
-        )
-        inv_xs, inv_ys = kernel.inverse(sxs, sys_)
-        wxs, wys = kernel.restrict(
-            sxs, sys_, depart_lo, min(depart_hi, sxs[-1])
-        )
-        for i in range(len(wys)):
-            wys[i] += distance
-        cxs, cys = kernel.compose(inv_xs, inv_ys, wxs, wys)
-        cxs, cys = kernel.simplify(cxs, cys, 1e-9)
-        return MonotonePiecewiseLinear._trusted_monotone(cxs, cys)
-    s = cumulative_distance_function(
+    # Fused pipeline straight over breakpoint arrays: S → S⁻¹, the shifted
+    # window S(t)+d, their composition, simplification — one
+    # MonotonePiecewiseLinear allocated at the very end.
+    sxs, sys_ = _cumulative_arrays(
         pattern, calendar, depart_lo, depart_hi, distance
     )
-    s_inv = s.inverse()
-    window = s.restrict(depart_lo, min(depart_hi, s.x_max))
-    shifted = MonotonePiecewiseLinear(
-        [(x, y + distance) for x, y in window.breakpoints]
-    )
-    return s_inv.compose(shifted).simplify()
+    inv_xs, inv_ys = kernel.inverse(sxs, sys_)
+    wxs, wys = kernel.restrict(sxs, sys_, depart_lo, min(depart_hi, sxs[-1]))
+    for i in range(len(wys)):
+        wys[i] += distance
+    cxs, cys = kernel.compose(inv_xs, inv_ys, wxs, wys)
+    cxs, cys = kernel.simplify(cxs, cys, 1e-9)
+    return MonotonePiecewiseLinear._trusted_monotone(cxs, cys)
 
 
 def edge_travel_time_function(

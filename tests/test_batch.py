@@ -147,7 +147,7 @@ class TestBatchEngine:
     def test_stats_and_as_dict(self, metro_tiny, interval):
         result = batch_fastest_times(metro_tiny, [(0, 9), (3, 7)], interval)
         assert result.stats.expanded_paths > 0
-        assert result.stats.kernel_backend in ("array", "numpy", "legacy")
+        assert result.stats.kernel_backend == "array"
         blob = result.as_dict()
         assert blob["groups"] == 2
         assert len(blob["items"]) == 2
@@ -210,11 +210,7 @@ class TestBatchHTTP:
         assert [(i["source"], i["target"]) for i in items] == [(0, 9), (3, 7)]
         assert items[0]["reachable"] is True
         assert items[0]["optimal_travel_time"] > 0
-        assert body["result"]["stats"]["kernel_backend"] in (
-            "array",
-            "numpy",
-            "legacy",
-        )
+        assert body["result"]["stats"]["kernel_backend"] == "array"
 
     def test_one_to_many_form(self, http_service, interval):
         _, client = http_service

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -367,6 +371,26 @@ class TestErrorPaths:
             ]
         )
         self._assert_clean_error(code, capsys.readouterr(), "differ")
+
+    @pytest.mark.parametrize(
+        "value, fragment", [("abc", "not an integer"), ("1", ">= 2")]
+    )
+    def test_bad_max_breakpoints_env(self, value, fragment, tmp_path):
+        # A fresh interpreter: the variable must not break the import of
+        # repro before main() can report it.
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "generate",
+                "--out", str(tmp_path / "g.json"), "--width", "4", "--height", "4",
+            ],
+            env={**os.environ, "REPRO_MAX_BREAKPOINTS": value},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error:") and fragment in line
 
 
 class TestBenchLoad:

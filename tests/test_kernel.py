@@ -1,12 +1,13 @@
 """Property-based cross-checks of the array kernel.
 
-Every kernel operator is verified three ways on randomized piecewise-linear
-functions:
+Every kernel operator is verified on randomized piecewise-linear functions:
 
 * against a **dense-sampling oracle** (the mathematical definition evaluated
   pointwise),
-* against the **legacy implementation** (kernel disabled via
-  :func:`repro.func.kernel.set_kernel_enabled`),
+* for the boolean operators and envelope provenance, against the
+  **definition evaluated at the union of the inputs' breakpoints** — exact,
+  because the difference of two piecewise-linear functions is linear between
+  consecutive union abscissae,
 * on **degenerate inputs** — single-point domains and near-duplicate
   abscissae — that historically hide off-by-one sweeps.
 
@@ -37,20 +38,13 @@ LO, HI = 0.0, 10.0
 GRID = [LO + i * (HI - LO) / 97 for i in range(98)]
 
 
-@pytest.fixture
-def legacy_mode():
-    """Run the wrapped code with the kernel disabled; restore afterwards."""
-    previous = kernel.set_kernel_enabled(False)
-    yield
-    kernel.set_kernel_enabled(previous)
-
-
-def _with_kernel(flag: bool, fn):
-    previous = kernel.set_kernel_enabled(flag)
-    try:
-        return fn()
-    finally:
-        kernel.set_kernel_enabled(previous)
+def _union_xs(*fns: PiecewiseLinearFunction) -> list[float]:
+    """Breakpoint abscissae of all inputs; points within XTOL are one point."""
+    xs: list[float] = []
+    for x in sorted(x for fn in fns for x, _ in fn.breakpoints):
+        if not xs or x > xs[-1] + XTOL:
+            xs.append(x)
+    return xs
 
 
 # ----------------------------------------------------------------------
@@ -113,23 +107,17 @@ def monotone(draw, lo: float = LO, hi: float = HI) -> MonotonePiecewiseLinear:
 @settings(max_examples=60, deadline=None)
 @given(plf(), plf())
 def test_add_matches_oracle_and_legacy(a, b):
-    fused = _with_kernel(True, lambda: a + b)
-    legacy = _with_kernel(False, lambda: a + b)
+    fused = a + b
     for t in GRID:
-        want = a(t) + b(t)
-        assert fused(t) == pytest.approx(want, abs=1e-6)
-        assert legacy(t) == pytest.approx(fused(t), abs=1e-6)
+        assert fused(t) == pytest.approx(a(t) + b(t), abs=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
 @given(plf(), plf())
 def test_min_matches_oracle_and_legacy(a, b):
-    fused = _with_kernel(True, lambda: pointwise_minimum(a, b))
-    legacy = _with_kernel(False, lambda: pointwise_minimum(a, b))
+    fused = pointwise_minimum(a, b)
     for t in GRID:
-        want = min(a(t), b(t))
-        assert fused(t) == pytest.approx(want, abs=1e-6)
-        assert legacy(t) == pytest.approx(fused(t), abs=1e-6)
+        assert fused(t) == pytest.approx(min(a(t), b(t)), abs=1e-6)
     # min never exceeds either input anywhere (including crossing points).
     for x, y in fused.breakpoints:
         assert y <= a(x) + 1e-6
@@ -139,11 +127,17 @@ def test_min_matches_oracle_and_legacy(a, b):
 @settings(max_examples=60, deadline=None)
 @given(plf(), plf())
 def test_dominates_matches_legacy(a, b):
-    fused = _with_kernel(True, lambda: a.dominates(b))
-    legacy = _with_kernel(False, lambda: a.dominates(b))
-    assert fused == legacy
+    # ``a`` dominates ``b`` iff a(x) <= b(x) + tol at every union abscissa;
+    # ``lt_somewhere`` is the strict negation with the roles swapped.
+    worst = max(a(x) - b(x) for x in _union_xs(a, b))
+    if abs(worst - YTOL) > 1e-12:  # off the rounding edge of the tolerance
+        assert a.dominates(b) == (worst <= YTOL)
+        assert kernel.lt_somewhere(b._xs, b._ys, a._xs, a._ys, YTOL) == (
+            worst > YTOL
+        )
     # Self-dominance always holds (the tie case).
-    assert _with_kernel(True, lambda: a.dominates(a))
+    assert a.dominates(a)
+    assert not kernel.lt_somewhere(a._xs, a._ys, a._xs, a._ys, YTOL)
 
 
 # ----------------------------------------------------------------------
@@ -156,25 +150,20 @@ def test_compose_matches_oracle_and_legacy(data):
     inner = data.draw(monotone())
     lo, hi = inner.value_range
     outer = data.draw(monotone(lo - 1.0, hi + 1.0))
-    fused = _with_kernel(True, lambda: outer.compose(inner))
-    legacy = _with_kernel(False, lambda: outer.compose(inner))
+    fused = outer.compose(inner)
     assert fused.x_min == pytest.approx(inner.x_min)
     assert fused.x_max == pytest.approx(inner.x_max)
     for t in GRID:
         want = outer(min(max(inner(t), outer.x_min), outer.x_max))
         assert fused(t) == pytest.approx(want, abs=1e-6)
-        assert legacy(t) == pytest.approx(fused(t), abs=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
 @given(monotone())
 def test_inverse_roundtrip_and_legacy(f):
-    fused = _with_kernel(True, f.inverse)
-    legacy = _with_kernel(False, f.inverse)
+    fused = f.inverse()
     for t in GRID:
-        y = f(t)
-        assert fused(y) == pytest.approx(t, abs=1e-6)
-        assert legacy(y) == pytest.approx(fused(y), abs=1e-6)
+        assert fused(f(t)) == pytest.approx(t, abs=1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -184,10 +173,11 @@ def test_inverse_roundtrip_and_legacy(f):
 @settings(max_examples=60, deadline=None)
 @given(plf())
 def test_simplify_preserves_values(f):
-    fused = _with_kernel(True, lambda: f.simplify(1e-9))
-    legacy = _with_kernel(False, lambda: f.simplify(1e-9))
-    assert fused.breakpoints == legacy.breakpoints
-    for t in GRID:
+    fused = f.simplify(1e-9)
+    # Only interior breakpoints may go, and none of them may move the value.
+    assert set(fused.breakpoints) <= set(f.breakpoints)
+    assert fused.domain == f.domain
+    for t in [*GRID, *(x for x, _ in f.breakpoints)]:
         assert fused(t) == pytest.approx(f(t), abs=1e-6)
 
 
@@ -195,15 +185,14 @@ def test_simplify_preserves_values(f):
 @given(plf(), st.floats(min_value=LO, max_value=HI), st.floats(min_value=LO, max_value=HI))
 def test_restrict_matches_legacy(f, p, q):
     lo, hi = min(p, q), max(p, q)
-    fused = _with_kernel(True, lambda: f.restrict(lo, hi))
-    legacy = _with_kernel(False, lambda: f.restrict(lo, hi))
-    assert fused.x_min == pytest.approx(legacy.x_min)
-    assert fused.x_max == pytest.approx(legacy.x_max)
+    fused = f.restrict(lo, hi)
+    # A window narrower than XTOL collapses to the instant ``lo``.
+    assert fused.x_min == lo
+    assert fused.x_max == pytest.approx(hi, abs=XTOL)
     steps = 20
     for i in range(steps + 1):
         t = lo + (hi - lo) * i / steps
         assert fused(t) == pytest.approx(f(t), abs=1e-6)
-        assert legacy(t) == pytest.approx(fused(t), abs=1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -213,16 +202,22 @@ def test_restrict_matches_legacy(f, p, q):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(plf(), min_size=1, max_size=5))
 def test_envelope_fold_matches_oracle_and_legacy(fns):
-    def build():
-        env = AnnotatedEnvelope(LO, HI)
-        flags = [env.add(fn, tag=k) for k, fn in enumerate(fns)]
-        return env, flags
-
-    fused_env, fused_flags = _with_kernel(True, build)
-    legacy_env, legacy_flags = _with_kernel(False, build)
-    assert fused_flags == legacy_flags
-    # The first fold always improves an empty envelope.
-    assert fused_flags[0] is True
+    env = AnnotatedEnvelope(LO, HI)
+    for k, fn in enumerate(fns):
+        before = None if env.is_empty else env.as_function()
+        improved = env.add(fn, tag=k)
+        if before is None:
+            # The first fold always improves an empty envelope.
+            assert improved is True
+        elif improved:
+            # The newcomer owns a piece, so it was strictly lower somewhere.
+            assert k in env.tags()
+        else:
+            # Nowhere strictly lower: the envelope is untouched ...
+            assert k not in env.tags()
+            assert env.as_function().breakpoints == before.breakpoints
+            # ... and the dense oracle agrees the newcomer never won.
+            assert all(fn(t) >= before(t) - 1e-6 for t in GRID)
     for t in GRID:
         # The envelope dedupes abscissae within XTOL, so a crossing sliver
         # narrower than XTOL may legitimately be snapped away.  On functions
@@ -233,9 +228,10 @@ def test_envelope_fold_matches_oracle_and_legacy(fns):
         nbhd = [t, max(LO, t - 2e-9), min(HI, t + 2e-9)]
         want_lo = min(fn(s) for fn in fns for s in nbhd)
         want_hi = min(max(fn(s) for s in nbhd) for fn in fns)
-        got = fused_env.value_at(t)
-        assert want_lo - 1e-6 <= got <= want_hi + 1e-6
-        assert legacy_env.value_at(t) == pytest.approx(got, abs=1e-6)
+        assert want_lo - 1e-6 <= env.value_at(t) <= want_hi + 1e-6
+        # Provenance: the piece's owner attains that minimum there.
+        owner = fns[env.tag_at(t)]
+        assert min(owner(s) for s in nbhd) <= want_hi + 1e-6
 
 
 def test_envelope_fold_instant_domain():
@@ -288,7 +284,6 @@ def test_max_breakpoints_guard_via_repeated_composition():
         [(lo + i * ostep, lo + i * ostep) for i in range(n)]
     )
     previous = kernel.set_max_breakpoints(100)
-    prev_mode = kernel.set_kernel_enabled(True)  # the guard is a kernel feature
     try:
         with pytest.raises(FunctionShapeError, match="MAX_BREAKPOINTS"):
             g = f
@@ -296,7 +291,6 @@ def test_max_breakpoints_guard_via_repeated_composition():
                 g = outer.compose(g)  # breakpoints accumulate each round
     finally:
         kernel.set_max_breakpoints(previous)
-        kernel.set_kernel_enabled(prev_mode)
 
 
 def test_set_max_breakpoints_validates():
@@ -307,22 +301,11 @@ def test_set_max_breakpoints_validates():
     assert kernel.set_max_breakpoints(previous) == 500
 
 
-def test_set_kernel_enabled_returns_previous():
-    first = kernel.set_kernel_enabled(False)
-    try:
-        assert kernel.KERNEL_ENABLED is False
-        assert kernel.set_kernel_enabled(first) is False
-    finally:
-        kernel.set_kernel_enabled(first)
-
-
 def test_counters_delta():
     snap = kernel.COUNTERS.snapshot()
-    _with_kernel(
-        True,
-        lambda: PiecewiseLinearFunction([(0.0, 1.0), (1.0, 2.0)])
-        + PiecewiseLinearFunction([(0.0, 1.0), (1.0, 0.0)]),
-    )
+    up = PiecewiseLinearFunction([(0.0, 1.0), (1.0, 2.0)])
+    down = PiecewiseLinearFunction([(0.0, 1.0), (1.0, 0.0)])
+    up + down
     bp, _merges = kernel.COUNTERS.delta(snap)
     assert bp >= 2
 
@@ -340,247 +323,3 @@ def test_continuity_tolerance_is_named_and_consistent():
         PiecewiseLinearFunction(
             [(0.0, 1.0), (5.0, 2.0), (5.0 + 1e-10, 2.1), (10.0, 3.0)]
         )
-
-
-def test_legacy_mode_fixture_round_trips(legacy_mode):
-    """With the kernel off, class ops still work (A/B baseline path)."""
-    a = PiecewiseLinearFunction([(0.0, 1.0), (10.0, 3.0)])
-    b = PiecewiseLinearFunction([(0.0, 2.0), (10.0, 2.0)])
-    assert (a + b)(5.0) == pytest.approx(4.0)
-    assert pointwise_minimum(a, b)(0.0) == pytest.approx(1.0)
-
-
-# ----------------------------------------------------------------------
-# Numpy backend: bitwise parity with the array kernel.
-#
-# The numpy implementations replicate the array kernel's floating-point
-# operation order exactly, so every answer must be bitwise identical —
-# these tests compare with ``==``, not ``approx``.
-# ----------------------------------------------------------------------
-
-needs_numpy = pytest.mark.skipif(
-    not kernel.numpy_available(), reason="numpy is not installed"
-)
-
-
-def _xy(fn) -> tuple[list[float], list[float]]:
-    pts = fn.breakpoints
-    return [p[0] for p in pts], [p[1] for p in pts]
-
-
-def _np_op(name: str):
-    module = kernel._load_numpy_backend()
-    assert module is not None
-    return getattr(module, name)
-
-
-def _pair(name: str, *args):
-    """``(array_result, numpy_result)`` for one dispatched op."""
-    return kernel._ARRAY_IMPLS[name](*args), _np_op(name)(*args)
-
-
-def _assert_kernel_invariants(xs: list[float], ys: list[float]) -> None:
-    """Shape invariants every kernel output must satisfy (both backends)."""
-    assert len(xs) == len(ys) >= 1
-    for a, b in zip(xs, xs[1:]):
-        assert b > a  # strictly increasing abscissae
-    # Continuous by construction: materialising the pair must not trip the
-    # CONTINUITY_TOL discontinuity check.
-    PiecewiseLinearFunction(list(zip(xs, ys)))
-
-
-@needs_numpy
-class TestNumpyParity:
-    @settings(max_examples=60, deadline=None)
-    @given(plf(), plf())
-    def test_merge_add_bitwise(self, a, b):
-        want, got = _pair("merge_add", *_xy(a), *_xy(b))
-        assert got == want
-        _assert_kernel_invariants(*got)
-
-    @settings(max_examples=60, deadline=None)
-    @given(plf(), plf())
-    def test_merge_min_bitwise(self, a, b):
-        want, got = _pair("merge_min", *_xy(a), *_xy(b))
-        assert got == want
-        _assert_kernel_invariants(*got)
-
-    @settings(max_examples=60, deadline=None)
-    @given(plf(), plf())
-    def test_comparisons_bitwise(self, a, b):
-        axy, bxy = _xy(a), _xy(b)
-        for name in ("lt_somewhere", "le_everywhere"):
-            for left, right in ((axy, bxy), (bxy, axy), (axy, axy)):
-                want, got = _pair(name, *left, *right, YTOL)
-                assert got == want
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_compose_bitwise(self, data):
-        inner = data.draw(monotone())
-        lo, hi = inner.value_range
-        outer = data.draw(monotone(lo - 1.0, hi + 1.0))
-        want, got = _pair("compose", *_xy(outer), *_xy(inner))
-        assert got == want
-        _assert_kernel_invariants(*got)
-
-    @settings(max_examples=60, deadline=None)
-    @given(monotone())
-    def test_inverse_bitwise(self, f):
-        want, got = _pair("inverse", *_xy(f))
-        assert got == want
-        _assert_kernel_invariants(*got)
-
-    def test_inverse_flat_raises_identically(self):
-        xs, ys = [0.0, 4.0, 6.0, 10.0], [0.0, 1.0, 1.0, 2.0]
-        with pytest.raises(Exception) as array_err:
-            kernel._ARRAY_IMPLS["inverse"](xs, ys)
-        with pytest.raises(Exception) as np_err:
-            _np_op("inverse")(xs, ys)
-        assert type(np_err.value) is type(array_err.value)
-        assert str(np_err.value) == str(array_err.value)
-
-    @settings(max_examples=60, deadline=None)
-    @given(plf(), st.sampled_from([1e-9, 1e-3, 0.05]))
-    def test_simplify_bitwise(self, f, tol):
-        want, got = _pair("simplify", *_xy(f), tol)
-        assert got == want
-        _assert_kernel_invariants(*got)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        plf(),
-        st.floats(min_value=LO, max_value=HI),
-        st.floats(min_value=LO, max_value=HI),
-    )
-    def test_restrict_bitwise(self, f, p, q):
-        lo, hi = min(p, q), max(p, q)
-        want, got = _pair("restrict", *_xy(f), lo, hi)
-        assert got == want
-        _assert_kernel_invariants(*got)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(plf(), min_size=1, max_size=5))
-    def test_envelope_fold_bitwise(self, fns):
-        state_a: tuple = ([], [], [], [])
-        state_n: tuple = ([], [], [], [])
-        for tag, fn in enumerate(fns):
-            xs, ys = _xy(fn)
-            *state_a, improved_a = kernel._ARRAY_IMPLS["envelope_fold"](
-                *state_a, xs, ys, tag, LO, HI
-            )
-            *state_n, improved_n = _np_op("envelope_fold")(
-                *state_n, xs, ys, tag, LO, HI
-            )
-            assert improved_n == improved_a
-            assert state_n == state_a
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_compose_many_bitwise_ragged(self, data):
-        inners = data.draw(st.lists(monotone(), min_size=1, max_size=4))
-        lo = min(f.value_range[0] for f in inners)
-        hi = max(f.value_range[1] for f in inners)
-        outer = data.draw(monotone(lo - 1.0, hi + 1.0))
-        stacked = [_xy(f) for f in inners]
-        want, got = _pair("compose_many", *_xy(outer), stacked)
-        assert got == want
-        for xs, ys in got:
-            _assert_kernel_invariants(xs, ys)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(plf(), min_size=1, max_size=5))
-    def test_merge_min_many_bitwise_ragged(self, fns):
-        stacked = [_xy(f) for f in fns]
-        want, got = _pair("merge_min_many", stacked)
-        assert got == want
-        _assert_kernel_invariants(*got)
-
-    def test_merge_min_many_empty_raises_identically(self):
-        with pytest.raises(ValueError) as array_err:
-            kernel._ARRAY_IMPLS["merge_min_many"]([])
-        with pytest.raises(ValueError) as np_err:
-            _np_op("merge_min_many")([])
-        assert str(np_err.value) == str(array_err.value)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(plf(), min_size=1, max_size=4))
-    def test_envelope_fold_many_matches_loop(self, fns):
-        """The stacked fold equals folding one function at a time."""
-        stacked = [(*_xy(fn), tag) for tag, fn in enumerate(fns)]
-        previous = kernel.set_backend("numpy")
-        try:
-            many = kernel.envelope_fold_many([], [], [], [], stacked, LO, HI)
-            state: tuple = ([], [], [], [])
-            improved_any = False
-            for xs, ys, tag in stacked:
-                *state, improved = kernel.envelope_fold(
-                    *state, xs, ys, tag, LO, HI
-                )
-                improved_any = improved_any or improved
-            assert many == (*state, improved_any)
-        finally:
-            kernel.set_backend(previous)
-
-
-# ----------------------------------------------------------------------
-# Backend selection and the numpy-absent fallback.
-# ----------------------------------------------------------------------
-
-class TestBackendSelection:
-    def test_set_backend_round_trip(self):
-        previous = kernel.get_backend()
-        assert kernel.set_backend("array") == previous
-        assert kernel.get_backend() == "array"
-        kernel.set_backend(previous)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernel.set_backend("cuda")
-
-    def test_active_backend_tracks_kernel_flag(self):
-        assert kernel.active_backend() == kernel.get_backend()
-        previous = kernel.set_kernel_enabled(False)
-        try:
-            assert kernel.active_backend() == "legacy"
-        finally:
-            kernel.set_kernel_enabled(previous)
-
-    @needs_numpy
-    def test_numpy_backend_installs_and_dispatches(self):
-        previous = kernel.set_backend("numpy")
-        try:
-            assert kernel.get_backend() == "numpy"
-            assert "kernel_np" in kernel.merge_min.__module__
-            xs, ys = kernel.merge_min(
-                [0.0, 10.0], [5.0, 1.0], [0.0, 10.0], [2.0, 2.0]
-            )
-            assert kernel.eval_at(xs, ys, 0.0) == pytest.approx(2.0)
-        finally:
-            kernel.set_backend(previous)
-
-    def test_numpy_absent_falls_back_with_note(self, monkeypatch, capsys):
-        """REPRO_FUNC_KERNEL=numpy without numpy degrades to 'array'."""
-        import sys as _sys
-
-        previous = kernel.get_backend()
-        kernel.set_backend("array")
-        # ``import numpy`` raises ImportError when sys.modules maps the
-        # name to None — this simulates an environment without numpy even
-        # if numpy is importable here.
-        monkeypatch.setitem(_sys.modules, "numpy", None)
-        try:
-            assert not kernel.numpy_available()
-            assert kernel.set_backend("numpy") == "array"
-            assert kernel.get_backend() == "array"
-            note = capsys.readouterr().err
-            assert "numpy is unavailable" in note
-            assert "falls back to 'array'" in note
-            # The dispatched ops still answer (with the array impls).
-            xs, ys = kernel.merge_min(
-                [0.0, 10.0], [5.0, 1.0], [0.0, 10.0], [2.0, 2.0]
-            )
-            assert kernel.eval_at(xs, ys, 10.0) == pytest.approx(1.0)
-        finally:
-            monkeypatch.undo()
-            kernel.set_backend(previous)

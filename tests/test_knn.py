@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.astar import fixed_departure_query
 from repro.core.engine import IntAllFastestPaths
 from repro.core.knn import interval_knn, nearest_partition
 from repro.exceptions import QueryError
@@ -49,6 +50,26 @@ class TestIntervalKnn:
         for instant in WINDOW.sample(9):
             assert neighbor.travel_time_function(instant) == pytest.approx(
                 exact.travel_time_at(instant), abs=1e-6
+            )
+
+    def test_travel_functions_match_fixed_departure_oracle(self, metro_tiny):
+        """Every neighbour's function agrees with scalar A* per instant, and
+        the candidate left out is never faster than the k-th neighbour."""
+        candidates = [33, 55, 67, 99]
+        result = interval_knn(metro_tiny, 0, candidates, 3, WINDOW)
+        for neighbor in result:
+            for instant in WINDOW.sample(9):
+                oracle = fixed_departure_query(
+                    metro_tiny, 0, neighbor.node, instant
+                )
+                assert neighbor.travel_time_function(instant) == pytest.approx(
+                    oracle.travel_time, abs=1e-6
+                )
+        (left_out,) = set(candidates) - set(result.node_ids())
+        for instant in WINDOW.sample(9):
+            oracle = fixed_departure_query(metro_tiny, 0, left_out, instant)
+            assert oracle.travel_time >= (
+                result.neighbors[-1].min_travel_time - 1e-6
             )
 
     def test_reachable_count(self, metro_tiny):
@@ -101,6 +122,23 @@ class TestNearestPartition:
                 for c in candidates
             )
             assert border(instant) == pytest.approx(expected, abs=1e-6)
+
+    def test_border_matches_fixed_departure_oracle(self, metro_tiny):
+        """Border and owner agree with scalar A* run per candidate."""
+        candidates = [33, 55, 99]
+        entries, border = nearest_partition(metro_tiny, 0, candidates, WINDOW)
+        for instant in WINDOW.sample(9):
+            times = {
+                c: fixed_departure_query(metro_tiny, 0, c, instant).travel_time
+                for c in candidates
+            }
+            assert border(instant) == pytest.approx(
+                min(times.values()), abs=1e-6
+            )
+            owner = next(
+                e.node for e in entries if e.interval.contains(instant)
+            )
+            assert times[owner] == pytest.approx(min(times.values()), abs=1e-6)
 
     def test_nearest_candidate_achieves_border(self, metro_tiny):
         engine = IntAllFastestPaths(metro_tiny)

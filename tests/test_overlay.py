@@ -13,6 +13,7 @@ import array
 
 import pytest
 
+from repro.core.astar import fixed_departure_query
 from repro.core.engine import IntAllFastestPaths
 from repro.core.runtime import (
     QueryTimeout,
@@ -22,7 +23,6 @@ from repro.core.runtime import (
 from repro.estimators import snapshot as snap
 from repro.estimators.boundary import BoundaryNodeEstimator
 from repro.exceptions import EstimatorError, QueryError
-from repro.func import kernel
 from repro.hierarchy import MultiLevelOverlay, OverlayEngine
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.timeutil import TimeInterval, parse_clock
@@ -50,6 +50,12 @@ def _assert_parity(network, overlay, pairs, interval=WINDOW):
         for instant in interval.sample(5):
             assert got.travel_time_at(instant) == pytest.approx(
                 expect.travel_time_at(instant), abs=1e-6
+            ), (source, target, instant)
+            # ... and both match the scalar A* oracle, which shares no
+            # function algebra with either engine.
+            oracle = fixed_departure_query(network, source, target, instant)
+            assert got.travel_time_at(instant) == pytest.approx(
+                oracle.travel_time, abs=1e-6
             ), (source, target, instant)
         single = fast.single_fastest_path(source, target, interval)
         assert single.optimal_travel_time == pytest.approx(
@@ -240,25 +246,6 @@ class TestParity:
             if overlay_tiny.cell_at(n, 0) == cell0
         )
         _assert_parity(metro_tiny, overlay_tiny, [(nodes[0], mate)])
-
-    def test_kernel_and_legacy_agree(self, metro_tiny, overlay_tiny):
-        engine = OverlayEngine(overlay_tiny)
-
-        def run():
-            result = engine.all_fastest_paths(0, 99, WINDOW)
-            return [result.travel_time_at(t) for t in WINDOW.sample(5)]
-
-        previous = kernel.set_kernel_enabled(True)
-        try:
-            fast = run()
-        finally:
-            kernel.set_kernel_enabled(previous)
-        previous = kernel.set_kernel_enabled(False)
-        try:
-            slow = run()
-        finally:
-            kernel.set_kernel_enabled(previous)
-        assert fast == pytest.approx(slow, abs=1e-6)
 
     def test_horizon_enforced(self, overlay_tiny):
         horizon = overlay_tiny.horizon

@@ -8,9 +8,7 @@ Covers the unified contracts every engine now honours:
   ``distinct_nodes``) — including on engines that used to report partial
   or no stats (A*, profile, kNN, discrete),
 * :class:`NoPathError` carrying the finalized stats of the exhausted search,
-* one context (and so one warm edge cache) shared across engines,
-* kernel/legacy parity for the rewritten profile search and its dependents
-  (kNN, hierarchy shortcut functions).
+* one context (and so one warm edge cache) shared across engines.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ import pytest
 from repro.core.astar import fixed_departure_query
 from repro.core.discrete import DiscreteTimeModel
 from repro.core.engine import IntAllFastestPaths
-from repro.core.knn import interval_knn, nearest_partition
-from repro.core.profile import arrival_profile, profile_search
+from repro.core.knn import interval_knn
+from repro.core.profile import profile_search
 from repro.core.runtime import (
     EdgeFunctionCache,
     QueryTimeout,
@@ -29,10 +27,8 @@ from repro.core.runtime import (
     SearchContext,
 )
 from repro.exceptions import NoPathError
-from repro.func import kernel
 from repro.hierarchy.engine import HierarchicalEngine
 from repro.hierarchy.index import HierarchicalIndex
-from repro.network.generator import MetroConfig, make_metro_network
 from repro.timeutil import TimeInterval
 
 
@@ -44,14 +40,6 @@ def interval() -> TimeInterval:
 @pytest.fixture(scope="module")
 def horizon() -> TimeInterval:
     return TimeInterval.from_clock("5:00", "14:00")
-
-
-def _with_kernel(flag: bool, fn):
-    previous = kernel.set_kernel_enabled(flag)
-    try:
-        return fn()
-    finally:
-        kernel.set_kernel_enabled(previous)
 
 
 def _assert_partial_stats(stats) -> None:
@@ -274,81 +262,3 @@ class TestContextSharing:
         second = profile_search(metro_tiny, 0, interval, context=b)
         assert second.stats.edge_cache_misses == 0
         assert second.stats.edge_cache_hits > 0
-
-
-# ----------------------------------------------------------------------
-# Kernel/legacy parity for the rewritten profile search and dependents.
-# ----------------------------------------------------------------------
-
-
-def _sample_points(interval: TimeInterval, n: int = 9) -> list[float]:
-    step = (interval.end - interval.start) / (n - 1)
-    return [interval.start + i * step for i in range(n)]
-
-
-class TestKernelParity:
-    def test_arrival_profile_matches_legacy(self, metro_tiny, interval):
-        fast = _with_kernel(
-            True, lambda: arrival_profile(metro_tiny, 0, interval)
-        )
-        slow = _with_kernel(
-            False, lambda: arrival_profile(metro_tiny, 0, interval)
-        )
-        assert set(fast) == set(slow)
-        for node in fast:
-            for t in _sample_points(interval):
-                assert fast[node](t) == pytest.approx(
-                    slow[node](t), abs=1e-6
-                )
-
-    def test_interval_knn_matches_legacy(self, metro_tiny, interval):
-        candidates = [33, 55, 67, 99]
-        fast = _with_kernel(
-            True, lambda: interval_knn(metro_tiny, 0, candidates, 3, interval)
-        )
-        slow = _with_kernel(
-            False, lambda: interval_knn(metro_tiny, 0, candidates, 3, interval)
-        )
-        assert fast.node_ids() == slow.node_ids()
-        for f, s in zip(fast.neighbors, slow.neighbors):
-            assert f.min_travel_time == pytest.approx(
-                s.min_travel_time, abs=1e-6
-            )
-
-    def test_nearest_partition_matches_legacy(self, metro_tiny, interval):
-        candidates = [33, 55, 99]
-        fast_entries, fast_border = _with_kernel(
-            True,
-            lambda: nearest_partition(metro_tiny, 0, candidates, interval),
-        )
-        slow_entries, slow_border = _with_kernel(
-            False,
-            lambda: nearest_partition(metro_tiny, 0, candidates, interval),
-        )
-        assert [e.node for e in fast_entries] == [e.node for e in slow_entries]
-        for t in _sample_points(interval):
-            assert fast_border(t) == pytest.approx(
-                slow_border(t), abs=1e-6
-            )
-
-    def test_hierarchy_shortcuts_match_legacy(self, horizon):
-        network = make_metro_network(MetroConfig(width=8, height=8, seed=7))
-        fast = _with_kernel(
-            True, lambda: HierarchicalIndex(network, 2, 2, horizon)
-        )
-        slow = _with_kernel(
-            False, lambda: HierarchicalIndex(network, 2, 2, horizon)
-        )
-        assert fast.stats.shortcuts == slow.stats.shortcuts
-        for node in network.node_ids():
-            fast_cuts = {
-                s.target: s.profile for s in fast.shortcuts_from(node)
-            }
-            slow_cuts = {
-                s.target: s.profile for s in slow.shortcuts_from(node)
-            }
-            assert set(fast_cuts) == set(slow_cuts)
-            for target, fn in fast_cuts.items():
-                other = slow_cuts[target]
-                for t in _sample_points(horizon, 7):
-                    assert fn(t) == pytest.approx(other(t), abs=1e-6)
