@@ -4,8 +4,9 @@ The paper argues its algorithm scales to larger networks via hierarchical
 partitioning with fragments "equal to the size of the network explored in
 our experiments", at the cost of "applying our algorithm few more times".
 This bench quantifies the trade on the benchmark network: flat vs two-level
-queries — expanded paths, wall time, and the one-off index build cost —
-plus the exactness check that both report identical travel times.
+queries (a 1-level ``MultiLevelOverlay``: fragments plus one top-level
+search) — expanded paths, wall time, and the one-off build cost — plus the
+exactness check that both report identical travel times.
 
 Expected shape: the hierarchical engine expands fewer paths for long
 queries (intermediate fragments collapse to boundary hops) at the price of
@@ -22,7 +23,7 @@ import pytest
 from repro.analysis.experiments import bench_queries
 from repro.analysis.report import format_table
 from repro.core.engine import IntAllFastestPaths
-from repro.hierarchy import HierarchicalEngine, HierarchicalIndex
+from repro.hierarchy import MultiLevelOverlay, OverlayEngine
 from repro.timeutil import TimeInterval, parse_clock
 from repro.workloads.queries import distance_band_queries
 
@@ -30,9 +31,13 @@ HORIZON = TimeInterval(parse_clock("5:00"), parse_clock("14:00"))
 WINDOW = TimeInterval(parse_clock("7:00"), parse_clock("9:00"))
 
 
+def build_index(network):
+    return MultiLevelOverlay.build(network, levels=1, nx=6, horizon=HORIZON)
+
+
 @pytest.fixture(scope="module")
 def index(medium_network):
-    return HierarchicalIndex(medium_network, 6, 6, HORIZON)
+    return build_index(medium_network)
 
 
 class TestHierarchyAblation:
@@ -40,7 +45,7 @@ class TestHierarchyAblation:
         self, benchmark, medium_network, index, record_table
     ):
         flat = IntAllFastestPaths(medium_network)
-        hier = HierarchicalEngine(index)
+        hier = OverlayEngine(index)
         bands = [(1.0, 2.0), (3.0, 4.0), (6.0, 8.0)]
         workload = distance_band_queries(
             medium_network, bands, bench_queries(default=5), WINDOW, seed=47
@@ -88,7 +93,7 @@ class TestHierarchyAblation:
                 rows,
                 title=(
                     "E-A5: flat vs two-level hierarchical allFP "
-                    f"({index.stats.fragments} fragments, "
+                    f"({index.stats.levels[0].cells} fragments, "
                     f"{index.stats.shortcuts} shortcuts; answers identical)"
                 ),
             ),
@@ -98,7 +103,7 @@ class TestHierarchyAblation:
 
     def test_index_build_cost(self, benchmark, medium_network, record_table):
         result = benchmark.pedantic(
-            lambda: HierarchicalIndex(medium_network, 6, 6, HORIZON),
+            lambda: build_index(medium_network).stats.levels[0],
             rounds=1,
             iterations=1,
         )
@@ -108,13 +113,13 @@ class TestHierarchyAblation:
                 ["fragments", "boundary nodes", "shortcuts", "profile searches"],
                 [
                     [
-                        result.stats.fragments,
-                        result.stats.boundary_nodes,
-                        result.stats.shortcuts,
-                        result.stats.profile_searches,
+                        result.cells,
+                        result.boundary_nodes,
+                        result.shortcuts,
+                        result.profile_searches,
                     ]
                 ],
                 title="E-A5: hierarchical index build effort",
             ),
         )
-        assert result.stats.shortcuts > 0
+        assert result.shortcuts > 0

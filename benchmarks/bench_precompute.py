@@ -4,14 +4,14 @@ Measures the three claims of the precompute subsystem on one seeded metro
 network:
 
 * **parallel fan-out** — wall-clock of the per-cell Dijkstra precompute:
-  the legacy serial dict-of-dict implementation, the array-backed serial
-  path, and the ``multiprocessing`` pool at several worker counts and grid
-  sizes (speedups depend on the machine's core count, reported in meta);
+  the serial path and the ``multiprocessing`` pool at several worker
+  counts and grid sizes (speedups depend on the machine's core count,
+  reported in meta);
 * **snapshot warm-start** — cold estimator construction (full precompute)
   vs warm construction from a saved snapshot (fingerprint check + array
   reads only), plus the same comparison for a full ``AllFPService`` boot;
 * **hot-path cost** — a ``bound()`` microbenchmark of the flat-array
-  stores against the legacy dict-of-dict stores on identical queries.
+  stores, in absolute ns per call.
 
 Usage::
 
@@ -93,34 +93,18 @@ def main(argv=None) -> int:
     parallel_best: dict[int, float] = {}
     snapshot_speedups: list[float] = []
     for grid in grids:
-        legacy_s = time_construct(
-            lambda: BoundaryNodeEstimator(network, grid, grid, backend="dict"),
-            repeat,
-        )
         serial_s = time_construct(
             lambda: BoundaryNodeEstimator(network, grid, grid), repeat
         )
         serial_by_grid[grid] = serial_s
         results.append(
             {
-                "name": f"precompute_legacy_dict_grid{grid}",
-                "grid": grid,
-                "seconds": legacy_s,
-            }
-        )
-        results.append(
-            {
                 "name": f"precompute_array_serial_grid{grid}",
                 "grid": grid,
                 "seconds": serial_s,
-                "speedup_vs_legacy": legacy_s / serial_s,
             }
         )
-        print(
-            f"  grid {grid}x{grid}: legacy {legacy_s*1e3:8.1f} ms  "
-            f"array-serial {serial_s*1e3:8.1f} ms "
-            f"({legacy_s/serial_s:.2f}x)"
-        )
+        print(f"  grid {grid}x{grid}: serial {serial_s*1e3:8.1f} ms")
         for workers in worker_counts:
             par_s = time_construct(
                 lambda: BoundaryNodeEstimator(
@@ -195,31 +179,16 @@ def main(argv=None) -> int:
         f"warm {boot_warm*1e3:8.1f} ms ({boot_cold/boot_warm:.1f}x)"
     )
 
-    # bound() hot-path microbenchmark: flat arrays vs legacy dicts.
+    # bound() hot-path microbenchmark.
     bound_grid = grids[-1]
     node_ids = list(network.node_ids())
     targets = node_ids[:: max(1, len(node_ids) // 8)][:8]
     array_est = BoundaryNodeEstimator(network, bound_grid, bound_grid)
-    dict_est = BoundaryNodeEstimator(
-        network, bound_grid, bound_grid, backend="dict"
-    )
     ns_array = bench_bound(array_est, node_ids, targets, bound_loops)
-    ns_dict = bench_bound(dict_est, node_ids, targets, bound_loops)
     results.append(
-        {
-            "name": "bound_array",
-            "grid": bound_grid,
-            "ns_per_call": ns_array,
-            "speedup_vs_dict": ns_dict / ns_array,
-        }
+        {"name": "bound_array", "grid": bound_grid, "ns_per_call": ns_array}
     )
-    results.append(
-        {"name": "bound_dict", "grid": bound_grid, "ns_per_call": ns_dict}
-    )
-    print(
-        f"  bound(): array {ns_array:7.0f} ns/call  dict {ns_dict:7.0f} "
-        f"ns/call ({ns_dict/ns_array:.2f}x)"
-    )
+    print(f"  bound(): {ns_array:7.0f} ns/call")
 
     top_grid = grids[-1]
     meta = {
@@ -232,7 +201,6 @@ def main(argv=None) -> int:
         / parallel_best[top_grid],
         "speedup_snapshot_vs_cold": min(snapshot_speedups),
         "speedup_serve_boot_warm_vs_cold": boot_cold / boot_warm,
-        "bound_speedup_array_vs_dict": ns_dict / ns_array,
         "kernel_backend": kernel.active_backend(),
     }
     path = emit_bench_json(

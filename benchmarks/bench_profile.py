@@ -7,8 +7,8 @@ workloads that sit on it:
 * **profile sweep** — ``profile_search`` from several sources over a
   leaving-time interval (the allFP building block and the kNN substrate);
 * **shortcut build** — the hierarchy's boundary-to-boundary profile
-  searches (``HierarchicalIndex``), whose build time is dominated by the
-  profile loop.
+  searches (a 1-level ``MultiLevelOverlay.build``), whose build time is
+  dominated by the profile loop.
 
 Before any timing is reported the profiles are compared, at sampled
 leaving instants, with the scalar fixed-departure A* — a fast wrong answer
@@ -34,7 +34,7 @@ from emit_json import emit_bench_json
 from repro.core.astar import fixed_departure_query
 from repro.core.profile import profile_search
 from repro.func import kernel
-from repro.hierarchy.index import HierarchicalIndex
+from repro.hierarchy import MultiLevelOverlay
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.timeutil import TimeInterval
 
@@ -101,10 +101,13 @@ def main(argv=None) -> int:
     sweep_s = timed(sweep, repeat)
     print(f"  profile sweep:  {sweep_s*1e3:8.1f} ms")
 
-    index = HierarchicalIndex(network, hier_cells, hier_cells, horizon)
-    build_s = timed(
-        lambda: HierarchicalIndex(network, hier_cells, hier_cells, horizon), repeat
-    )
+    def build():
+        return MultiLevelOverlay.build(
+            network, levels=1, nx=hier_cells, horizon=horizon
+        )
+
+    index = build()
+    build_s = timed(build, repeat)
     print(
         f"  shortcut build: {build_s*1e3:8.1f} ms "
         f"({index.stats.shortcuts} shortcuts)"

@@ -104,7 +104,7 @@ from .core.runtime import (
     SearchBudgetExceeded,
     SearchContext,
 )
-from .hierarchy import HierarchicalIndex, HierarchicalEngine, ShortcutEdge
+from .hierarchy import MultiLevelOverlay, OverlayEngine, ShortcutEdge
 from .storage import CCAMStore
 from .workloads import (
     QuerySpec,
@@ -191,8 +191,8 @@ __all__ = [
     "QueryTimeout",
     "interval_knn",
     "nearest_partition",
-    "HierarchicalIndex",
-    "HierarchicalEngine",
+    "MultiLevelOverlay",
+    "OverlayEngine",
     "ShortcutEdge",
     # storage
     "CCAMStore",

@@ -207,10 +207,7 @@ def _cmd_build_overlay(args: argparse.Namespace) -> int:
     estimator = BoundaryNodeEstimator(
         network, args.grid, args.grid, workers=args.workers
     )
-    estimator.precompute()
     tables = estimator.tables
-    if tables is None:
-        raise ReproError("overlay snapshots require the 'array' precompute backend")
     overlay = MultiLevelOverlay.build(
         network,
         levels=args.levels,

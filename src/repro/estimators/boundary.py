@@ -32,13 +32,9 @@ The returned bound is ``max(boundary_bound, naive_bound)`` — both are lower
 bounds, so their maximum is a (tighter) lower bound; this also covers the
 same-cell case the paper leaves unspecified.
 
-Two precompute backends produce bitwise-identical tables:
-
-* ``"array"`` (default) — :mod:`repro.estimators.precompute`: dense-indexed
-  Dijkstras, optional ``multiprocessing`` fan-out across cells, and flat
-  ``array``-module stores on the hot ``bound()`` path.
-* ``"dict"`` — the original serial dict-of-dict implementation, kept as the
-  parity baseline for tests and benchmarks.
+The tables are :class:`~repro.estimators.precompute.EstimatorTables`:
+dense-indexed Dijkstras, optional ``multiprocessing`` fan-out across cells,
+and flat ``array``-module stores on the hot ``bound()`` path.
 
 Precomputation is **idempotent and lazy-capable**: it runs eagerly in the
 constructor by default (``defer=False``), but calling :meth:`precompute`
@@ -49,10 +45,8 @@ network fingerprint matches.
 
 from __future__ import annotations
 
-import heapq
-import time
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Literal
 
 from ..exceptions import EstimatorError
 from ..network.model import CapeCodNetwork
@@ -64,35 +58,6 @@ from .precompute import EstimatorTables, compute_tables, refresh_tables_delta
 INF = float("inf")
 
 Metric = Literal["time", "distance"]
-Backend = Literal["array", "dict"]
-
-
-def _multi_source_dijkstra(
-    adjacency: dict[int, list[tuple[int, float]]],
-    sources: Iterable[int],
-) -> dict[int, float]:
-    """Shortest weight from the *set* of sources to every reachable node.
-
-    Stale heap entries (popped after a cheaper one already settled the
-    node) are skipped before touching the adjacency list, so
-    decrease-key-by-reinsert never triggers redundant neighbor relaxations.
-    """
-    dist: dict[int, float] = {}
-    heap: list[tuple[float, int]] = []
-    for s in sources:
-        dist[s] = 0.0
-        heap.append((0.0, s))
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, INF):
-            continue  # stale entry: u was settled by a cheaper path
-        for v, w in adjacency.get(u, ()):
-            nd = d + w
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
 
 
 class BoundaryNodeEstimator(LowerBoundEstimator):
@@ -109,18 +74,13 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         ``"time"`` (default, optimistic per-edge travel time) or
         ``"distance"`` (road length, divided by ``v_max`` at query time).
     workers:
-        Process count for the parallel precompute (``1`` = serial).  Only
-        meaningful with the ``"array"`` backend.
-    backend:
-        ``"array"`` (flat stores, parallel-capable) or ``"dict"`` (the
-        legacy serial implementation; parity baseline).
+        Process count for the parallel precompute (``1`` = serial).
     defer:
         When true, skip precomputation until :meth:`precompute` (or the
         first :meth:`prepare`) runs.
     tables:
         Pre-built :class:`~repro.estimators.precompute.EstimatorTables`
-        (e.g. loaded from a snapshot); implies the ``"array"`` backend and
-        skips the Dijkstras entirely.
+        (e.g. loaded from a snapshot); skips the Dijkstras entirely.
     """
 
     def __init__(
@@ -131,32 +91,28 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         metric: Metric = "time",
         *,
         workers: int = 1,
-        backend: Backend = "array",
         defer: bool = False,
         tables: EstimatorTables | None = None,
     ) -> None:
         super().__init__()
         if metric not in ("time", "distance"):
             raise EstimatorError(f"unknown metric {metric!r}")
-        if backend not in ("array", "dict"):
-            raise EstimatorError(f"unknown precompute backend {backend!r}")
         if workers < 1:
             raise EstimatorError(f"workers must be >= 1, got {workers}")
         self._network = network
         self._metric: Metric = metric
         self._workers = workers
-        self._backend: Backend = "array" if tables is not None else backend
         self._naive = NaiveEstimator(network)
         self._grid = GridPartition(network, nx, ny)
         self._v_max = network.max_speed()
 
-        #: array backend: flat stores (None until precomputed)
+        #: the flat stores (None until precomputed)
         self._tables: EstimatorTables | None = None
         #: hot-path views of the table internals — ``bound()`` touches these
         #: instead of going through the dataclass.  The per-node stores are
         #: materialized as lists once per adoption: a list is a contiguous
-        #: pointer array, so dense-index reads neither hash (dict backend)
-        #: nor box a fresh float per access (raw ``array`` reads do).
+        #: pointer array, so dense-index reads neither hash nor box a fresh
+        #: float per access (raw ``array`` reads do).
         self._a_node_cell: list[int] | None = None
         self._a_to_boundary: list[float] | None = None
         self._a_index_of: dict[int, int] | None = None
@@ -165,10 +121,6 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         #: per-target column of D(·, target_cell), hoisted by ``prepare``
         self._target_col: list[float] | None = None
         self._time_metric = metric == "time"
-        #: dict backend: the legacy dict-of-dict stores
-        self._cell_pair: list[list[float]] | None = None
-        self._to_boundary: dict[int, float] | None = None
-        self._from_boundary: dict[int, float] | None = None
         #: wall-clock seconds the last real precompute took (0 when skipped)
         self.precompute_seconds: float = 0.0
 
@@ -182,7 +134,7 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
     # ------------------------------------------------------------------
     @property
     def is_precomputed(self) -> bool:
-        return self._tables is not None or self._cell_pair is not None
+        return self._tables is not None
 
     @property
     def loaded_from_snapshot(self) -> bool:
@@ -190,7 +142,7 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
 
     @property
     def tables(self) -> EstimatorTables | None:
-        """The flat precomputed stores (``None`` for the dict backend)."""
+        """The flat precomputed stores (``None`` until precomputed)."""
         return self._tables
 
     def _adopt_tables(self, tables: EstimatorTables) -> None:
@@ -224,58 +176,14 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         """Run the per-cell Dijkstras once; repeated calls are no-ops."""
         if self.is_precomputed:
             return
-        if self._backend == "array":
-            tables = compute_tables(
+        self._adopt_tables(
+            compute_tables(
                 self._network,
                 self._grid,
                 self._metric,
                 workers=workers if workers is not None else self._workers,
             )
-            self._adopt_tables(tables)
-        else:
-            started = time.perf_counter()
-            self._precompute_dict()
-            self.precompute_seconds = time.perf_counter() - started
-
-    def _precompute_dict(self) -> None:
-        """The original serial dict-of-dict precompute (parity baseline)."""
-        forward: dict[int, list[tuple[int, float]]] = {}
-        backward: dict[int, list[tuple[int, float]]] = {}
-        for edge in self._network.edges():
-            w = self._edge_weight(edge.distance, edge.pattern.max_speed())
-            forward.setdefault(edge.source, []).append((edge.target, w))
-            backward.setdefault(edge.target, []).append((edge.source, w))
-
-        n_cells = self._grid.cell_count
-        cell_pair: list[list[float]] = [[INF] * n_cells for _ in range(n_cells)]
-        to_boundary: dict[int, float] = {}
-        from_boundary: dict[int, float] = {}
-
-        for cell in self._grid.cells():
-            if not cell.members:
-                continue
-            if not cell.boundary:
-                # A cell with members but no boundary can only occur in a
-                # disconnected network; leave its rows at infinity.
-                continue
-            dist_from = _multi_source_dijkstra(forward, cell.boundary)
-            dist_to = _multi_source_dijkstra(backward, cell.boundary)
-            for member in cell.members:
-                from_boundary[member] = dist_from.get(member, INF)
-                to_boundary[member] = dist_to.get(member, INF)
-            row = cell_pair[cell.index]
-            for other in self._grid.cells():
-                if other.index == cell.index or not other.boundary:
-                    continue
-                best = min(
-                    (dist_from.get(b, INF) for b in other.boundary),
-                    default=INF,
-                )
-                row[other.index] = best
-
-        self._cell_pair = cell_pair
-        self._to_boundary = to_boundary
-        self._from_boundary = from_boundary
+        )
 
     def refresh(self) -> None:
         """Drop the tables and precompute again (after a network update)."""
@@ -284,9 +192,6 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         self._a_to_boundary = None
         self._a_index_of = None
         self._target_col = None
-        self._cell_pair = None
-        self._to_boundary = None
-        self._from_boundary = None
         self._naive = NaiveEstimator(self._network)
         self._v_max = self._network.max_speed()
         self.precompute()
@@ -300,8 +205,8 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         :func:`~repro.estimators.precompute.refresh_tables_delta`).  The
         naive component is rebuilt too, so a mutation that raises the
         network-wide ``v_max`` cannot leave an inadmissible Euclidean
-        bound behind.  Falls back to a full :meth:`refresh` for the dict
-        backend or when nothing was precomputed yet.
+        bound behind.  Falls back to a full :meth:`refresh` when nothing
+        was precomputed yet.
         """
         if self._tables is None:
             self.refresh()
@@ -322,14 +227,10 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
     # Snapshot persistence
     # ------------------------------------------------------------------
     def save_snapshot(self, path: str | Path) -> Path:
-        """Persist the precomputed tables (array backend only)."""
+        """Persist the precomputed tables."""
         from .snapshot import network_fingerprint, save_tables
 
         self.precompute()
-        if self._tables is None:
-            raise EstimatorError(
-                "snapshots require the 'array' precompute backend"
-            )
         path = Path(path)
         save_tables(self._tables, path, network_fingerprint(self._network))
         return path
@@ -356,19 +257,6 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         )
 
     # ------------------------------------------------------------------
-    def _edge_weight(self, distance: float, max_speed: float) -> float:
-        if self._metric == "time":
-            return distance / max_speed
-        return distance
-
-    def _as_minutes(self, weight: float) -> float:
-        if weight == INF:
-            return INF
-        if self._metric == "time":
-            return weight
-        return weight / self._v_max
-
-    # ------------------------------------------------------------------
     @property
     def grid(self) -> GridPartition:
         return self._grid
@@ -377,69 +265,43 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
     def metric(self) -> Metric:
         return self._metric
 
-    @property
-    def backend(self) -> Backend:
-        return self._backend
-
     def prepare(self, target: int) -> None:
         super().prepare(target)
         self.precompute()
         self._naive.prepare(target)
         self._target_cell = self._grid.cell_of_node(target)
         tables = self._tables
-        if tables is not None:
-            self._target_from_boundary = tables.from_boundary[
-                tables.index(target)
-            ]
-            # Hoist this target's column of D(C1, C2): one boxed-float list
-            # of cell_count entries, so bound() does two list reads total.
-            n_cells = tables.cell_count
-            self._target_col = tables.cell_pair[
-                self._target_cell::n_cells
-            ].tolist()
-        else:
-            assert self._from_boundary is not None
-            self._target_from_boundary = self._from_boundary.get(target, INF)
+        self._target_from_boundary = tables.from_boundary[tables.index(target)]
+        # Hoist this target's column of D(C1, C2): one boxed-float list
+        # of cell_count entries, so bound() does two list reads total.
+        n_cells = tables.cell_count
+        self._target_col = tables.cell_pair[self._target_cell::n_cells].tolist()
 
     def boundary_bound(self, node: int) -> float:
         """The raw §5 bound in minutes (``inf`` when inapplicable)."""
-        node_cells = self._a_node_cell
-        if node_cells is not None:
-            if self._a_dense:
-                if 0 <= node < self._a_n:
-                    idx = node
-                else:
-                    raise EstimatorError(
-                        f"node {node} not in precomputed tables"
-                    )
+        if self._a_dense:
+            if 0 <= node < self._a_n:
+                idx = node
             else:
-                try:
-                    idx = self._a_index_of[node]  # type: ignore[index]
-                except KeyError:
-                    raise EstimatorError(
-                        f"node {node} not in precomputed tables"
-                    ) from None
-            node_cell = node_cells[idx]
-            if node_cell == self._target_cell:
-                return INF  # same-cell case: the formula does not apply
-            total = (
-                self._a_to_boundary[idx]
-                + self._target_col[node_cell]
-                + self._target_from_boundary
-            )
-            if self._time_metric:
-                return total
-            return total / self._v_max  # INF / v_max is still INF
-        target_cell = self._target_cell
-        node_cell = self._grid.cell_of_node(node)
-        if node_cell == target_cell:
+                raise EstimatorError(f"node {node} not in precomputed tables")
+        else:
+            try:
+                idx = self._a_index_of[node]  # type: ignore[index]
+            except KeyError:
+                raise EstimatorError(
+                    f"node {node} not in precomputed tables"
+                ) from None
+        node_cell = self._a_node_cell[idx]  # type: ignore[index]
+        if node_cell == self._target_cell:
             return INF  # same-cell case: the paper's formula does not apply
-        assert self._to_boundary is not None and self._cell_pair is not None
-        leg1 = self._to_boundary.get(node, INF)
-        leg2 = self._cell_pair[node_cell][target_cell]
-        leg3 = self._target_from_boundary
-        total = leg1 + leg2 + leg3
-        return self._as_minutes(total)
+        total = (
+            self._a_to_boundary[idx]
+            + self._target_col[node_cell]
+            + self._target_from_boundary
+        )
+        if self._time_metric:
+            return total
+        return total / self._v_max  # INF / v_max is still INF
 
     def bound(self, node: int) -> float:
         if node == self.target:

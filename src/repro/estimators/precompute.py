@@ -1,22 +1,26 @@
-"""Parallel, array-backed precomputation for the §5 boundary estimator.
+"""Array-backed precomputation for the §5 boundary estimator, as topology
+plus one per-cell customization pass.
 
-The boundary-node estimator's startup cost is one forward plus one reverse
-multi-source Dijkstra per non-empty grid cell, and the full cell-pair table
-``D(C1, C2)``.  This module treats that precomputation the way the
-contraction-hierarchies / CRP literature treats preprocessing — as a
-first-class artifact that is
+The boundary-node estimator's tables cost one forward plus one reverse
+multi-source Dijkstra per non-empty grid cell.  This module treats them the
+way the customizable-route-planning literature treats preprocessing
+(Strasser's topology/customization split, PAPERS.md):
 
-* **indexed**: the network is re-labelled with dense node indices so the
-  Dijkstras run over ``list``-based adjacency and distance arrays instead of
-  dict-of-dict lookups,
-* **parallel**: independent per-cell Dijkstras fan out across a
-  ``multiprocessing`` pool (chunked by cell; workers share the immutable
-  weighted adjacency via the pool initializer), with a graceful serial
-  fallback when ``workers <= 1`` or no pool can be created, and
-* **flat**: the results land in :class:`EstimatorTables` — contiguous
-  ``array``-module stores keyed by dense cell and node indices, so the hot
-  ``bound()`` path does no per-lookup hashing (the same trick as the PR 1
-  function kernel).
+* **topology** — the metric-independent part: the network re-labelled with
+  dense node indices, each node's cell, and the shape of the flat stores
+  (:class:`EstimatorTables`: contiguous ``array``-module stores keyed by
+  dense cell and node indices, so the hot ``bound()`` path does no
+  per-lookup hashing);
+* **customization** — :func:`_customize` runs the per-cell job for a set of
+  cells and writes their rows.  :func:`compute_tables` is that pass over
+  every cell of all-∞ stores; :func:`refresh_tables_delta` is the same pass
+  over the cells a live update touched, on a slack-corrected copy;
+* **the pool runner** — :func:`run_cell_jobs` fans independent per-cell
+  tasks across a ``multiprocessing`` pool (chunked by cell; workers share
+  the immutable state via the pool initializer) with a serial fallback when
+  ``workers <= 1``, no pool can be created, or the pool dies.  The overlay's
+  per-cell profile searches (:mod:`repro.hierarchy.overlay`) run through it
+  too.
 
 :mod:`repro.estimators.snapshot` persists :class:`EstimatorTables` to a
 versioned binary file so later processes can skip the Dijkstras entirely.
@@ -27,7 +31,7 @@ from __future__ import annotations
 import heapq
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .. import reliability
@@ -128,8 +132,7 @@ def build_weighted_adjacency(
 
     The weight of an edge is ``distance`` under the ``"distance"`` metric and
     the optimistic per-edge travel time ``distance / max_speed`` under
-    ``"time"`` — identical arithmetic to the legacy dict precompute, so the
-    resulting tables are bitwise-equal.
+    ``"time"``.
     """
     node_ids = sorted(network.node_ids())
     index_of = {nid: i for i, nid in enumerate(node_ids)}
@@ -180,17 +183,78 @@ def multi_source_dijkstra_indexed(
 
 
 # ----------------------------------------------------------------------
-# Per-cell task, shared by the serial loop and the worker processes.
+# The per-cell pool runner.  One customization pass = one list of
+# independent per-cell tasks; the estimator's Dijkstras (below) and the
+# overlay's boundary profile searches (repro.hierarchy.overlay) both fan
+# out through here.
 # ----------------------------------------------------------------------
 
-#: worker-process state installed by :func:`_init_worker` (inherited on
-#: fork, pickled once per worker under spawn — never per task)
-_WORKER_STATE: dict | None = None
+#: ``(job, state)`` installed in each worker process by :func:`_init_worker`
+#: (inherited on fork, pickled once per worker under spawn — never per task)
+_WORKER_STATE: tuple | None = None
 
 
-def _init_worker(state: dict) -> None:  # pragma: no cover - worker process
+def _init_worker(worker_state: tuple) -> None:  # pragma: no cover - worker process
     global _WORKER_STATE
-    _WORKER_STATE = state
+    _WORKER_STATE = worker_state
+
+
+def _cell_task(task):  # pragma: no cover - executed in worker processes
+    assert _WORKER_STATE is not None, "pool initializer did not run"
+    job, state = _WORKER_STATE
+    return job(state, *task)
+
+
+def _make_pool(workers: int, worker_state: tuple):
+    """A fork-preferring multiprocessing pool, or ``None`` when unavailable."""
+    try:
+        import multiprocessing
+
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0]
+        )
+        return ctx.Pool(
+            processes=workers,
+            initializer=_init_worker,
+            initargs=(worker_state,),
+        )
+    except Exception:
+        return None
+
+
+def run_cell_jobs(job, state: dict, tasks: Sequence[tuple], workers: int):
+    """``job(state, *task)`` for every task, fanned across a process pool
+    when ``workers > 1``; returns ``(results, workers_used)``.
+
+    ``job`` must be a module-level function and ``state`` read-only shared
+    input (workers see a copy).  ``results`` is an iterable in task order,
+    identical at any worker count.  When no pool can be created, or the
+    parallel run dies, the tasks are (re)computed serially.
+    """
+    workers = min(workers, len(tasks))
+    pool = _make_pool(workers, (job, state)) if workers > 1 else None
+    if pool is not None:
+        chunksize = max(1, len(tasks) // (workers * 4))
+        try:
+            return pool.map(_cell_task, tasks, chunksize=chunksize), workers
+        except KeyboardInterrupt:
+            raise
+        except Exception:
+            # A dead worker (or a poisoned task) leaves the parallel run
+            # unusable; recompute serially below rather than failing the
+            # whole pass — a task that fails for a real reason fails again
+            # there, in the caller's process.
+            pass
+        finally:
+            # terminate() (not close()) so workers that died or are stuck
+            # mid-task are reaped — a failed parallel pass must never
+            # leave orphaned worker processes behind.
+            pool.terminate()
+            pool.join()
+    # Lazily: the caller folds one cell's result at a time, so a serial pass
+    # never holds every cell's rows at once.
+    return (job(state, *task) for task in tasks), 1
 
 
 def _cell_job(
@@ -218,55 +282,63 @@ def _cell_job(
     return cell_index, member_rows, row
 
 
-def _cell_task(args):  # pragma: no cover - executed in worker processes
-    cell_index, boundary, members = args
-    assert _WORKER_STATE is not None, "pool initializer did not run"
-    return _cell_job(_WORKER_STATE, cell_index, boundary, members)
-
-
-def _make_pool(workers: int, state: dict):
-    """A fork-preferring multiprocessing pool, or ``None`` when unavailable."""
-    try:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        return ctx.Pool(
-            processes=workers, initializer=_init_worker, initargs=(state,)
-        )
-    except Exception:
-        return None
-
-
-def _run_cell_tasks(
-    state: dict,
-    tasks: list[tuple[int, list[int], list[int]]],
+def _customize(
+    tables: EstimatorTables,
+    network,
+    grid: GridPartition,
+    cells: Iterable[int],
     workers: int,
-) -> tuple[
-    Iterable[tuple[int, list[tuple[int, float, float]], list[float]]], int
-]:
-    """Fan per-cell jobs across the PR 3 process pool (serial fallback)."""
-    pool = _make_pool(workers, state) if workers > 1 and len(tasks) > 1 else None
-    if pool is not None:
-        chunksize = max(1, len(tasks) // (workers * 4))
-        try:
-            return pool.map(_cell_task, tasks, chunksize=chunksize), workers
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            # A dead worker (or a poisoned task) leaves the parallel run
-            # unusable; recompute serially below rather than failing the
-            # whole precompute.
-            pass
-        finally:
-            # terminate() (not close()) so workers that died or are stuck
-            # mid-task are reaped — a failed parallel precompute must never
-            # leave orphaned worker processes behind.
-            pool.terminate()
-            pool.join()
-    return (_cell_job(state, *task) for task in tasks), 1
+    started: float,
+) -> EstimatorTables:
+    """Run the §5 per-cell jobs of ``cells`` and write their rows into
+    ``tables`` (whose stores must be private, writable arrays).
+
+    The one customization pass: a full build is this over every cell of
+    all-∞ stores, a delta refresh is this over the touched cells of a
+    slack-corrected copy.
+    """
+    ids, fwd, bwd = build_weighted_adjacency(network, tables.metric)
+    if ids != list(tables.node_ids):
+        raise EstimatorError(
+            "delta refresh requires an unchanged node set; "
+            "topology mutations need a full refresh()"
+        )
+    index_of = {nid: i for i, nid in enumerate(ids)}
+    n_cells = grid.cell_count
+    wanted = set(cells)
+    is_boundary = bytearray(len(ids))
+    tasks: list[tuple[int, list[int], list[int]]] = []
+    for cell in grid.cells():
+        if not cell.members or not cell.boundary:
+            # A cell with members but no boundary can only occur in a
+            # disconnected network; its stores stay at infinity.
+            continue
+        boundary = sorted(index_of[b] for b in cell.boundary)
+        for b in boundary:
+            is_boundary[b] = 1
+        if cell.index in wanted:
+            members = sorted(index_of[m] for m in cell.members)
+            tasks.append((cell.index, boundary, members))
+
+    state = {
+        "fwd": fwd,
+        "bwd": bwd,
+        "node_cell": tables.node_cell,
+        "is_boundary": bytes(is_boundary),
+        "cell_count": n_cells,
+    }
+    results, workers_used = run_cell_jobs(_cell_job, state, tasks, workers)
+
+    for cell_index, member_rows, row in results:
+        for m, d_from, d_to in member_rows:
+            tables.from_boundary[m] = d_from
+            tables.to_boundary[m] = d_to
+        base = cell_index * n_cells
+        tables.cell_pair[base : base + n_cells] = array(WEIGHT_TYPECODE, row)
+
+    tables.precompute_seconds += time.perf_counter() - started
+    tables.workers_used = max(tables.workers_used, workers_used)
+    return tables
 
 
 def compute_tables(
@@ -277,66 +349,31 @@ def compute_tables(
 ) -> EstimatorTables:
     """Run the §5 precomputation and return flat :class:`EstimatorTables`.
 
-    ``workers > 1`` fans the per-cell Dijkstras out across a process pool;
-    any failure to create the pool degrades silently to the serial path
-    (the results are identical either way).
+    Topology first (dense node order, each node's cell, all-∞ stores), then
+    the customization pass over every cell.  ``workers > 1`` fans the
+    per-cell Dijkstras out across a process pool; any failure to create the
+    pool degrades silently to the serial path (the results are identical
+    either way).
     """
     started = time.perf_counter()
-    node_ids, fwd, bwd = build_weighted_adjacency(network, metric)
-    index_of = {nid: i for i, nid in enumerate(node_ids)}
+    node_ids = sorted(network.node_ids())
     n = len(node_ids)
-    n_cells = grid.cell_count
-
-    node_cell = array(CELL_TYPECODE, (grid.cell_of_node(nid) for nid in node_ids))
-    is_boundary = bytearray(n)
-    tasks: list[tuple[int, list[int], list[int]]] = []
-    for cell in grid.cells():
-        if not cell.members or not cell.boundary:
-            # A cell with members but no boundary can only occur in a
-            # disconnected network; its stores stay at infinity.
-            continue
-        boundary = sorted(index_of[b] for b in cell.boundary)
-        members = sorted(index_of[m] for m in cell.members)
-        for b in boundary:
-            is_boundary[b] = 1
-        tasks.append((cell.index, boundary, members))
-
-    to_boundary = array(WEIGHT_TYPECODE, [INF]) * n
-    from_boundary = array(WEIGHT_TYPECODE, [INF]) * n
-    cell_pair = array(WEIGHT_TYPECODE, [INF]) * (n_cells * n_cells)
-
-    state = {
-        "fwd": fwd,
-        "bwd": bwd,
-        "node_cell": node_cell,
-        "is_boundary": bytes(is_boundary),
-        "cell_count": n_cells,
-    }
-
-    results, workers_used = _run_cell_tasks(state, tasks, workers)
-
-    for cell_index, member_rows, row in results:
-        for m, d_from, d_to in member_rows:
-            from_boundary[m] = d_from
-            to_boundary[m] = d_to
-        base = cell_index * n_cells
-        for c2, w in enumerate(row):
-            if w < INF:
-                cell_pair[base + c2] = w
-
     nx, ny = grid.shape
-    return EstimatorTables(
+    tables = EstimatorTables(
         nx=nx,
         ny=ny,
         metric=metric,
         v_max=network.max_speed(),
         node_ids=array(NODE_ID_TYPECODE, node_ids),
-        node_cell=node_cell,
-        to_boundary=to_boundary,
-        from_boundary=from_boundary,
-        cell_pair=cell_pair,
-        precompute_seconds=time.perf_counter() - started,
-        workers_used=workers_used,
+        node_cell=array(
+            CELL_TYPECODE, (grid.cell_of_node(nid) for nid in node_ids)
+        ),
+        to_boundary=array(WEIGHT_TYPECODE, [INF]) * n,
+        from_boundary=array(WEIGHT_TYPECODE, [INF]) * n,
+        cell_pair=array(WEIGHT_TYPECODE, [INF]) * (grid.cell_count**2),
+    )
+    return _customize(
+        tables, network, grid, range(grid.cell_count), workers, started
     )
 
 
@@ -363,7 +400,7 @@ def refresh_tables_delta(
        true travel times only grew, so the old bounds still hold;
     2. re-runs the per-cell jobs **exactly**, but only for cells that
        contain an endpoint of a mutated edge, restoring local tightness
-       through the same process pool as :func:`compute_tables`.
+       through the same customization pass as :func:`compute_tables`.
 
     Admissible bounds keep A* exact, so post-refresh answers are identical
     to a from-scratch rebuild; only estimator tightness (search effort)
@@ -372,25 +409,10 @@ def refresh_tables_delta(
     zero-copy view over an ``mmap`` or shared-memory snapshot.
     """
     started = time.perf_counter()
-    metric = tables.metric
-    if metric != "time":
+    if tables.metric != "time":
         # Distance weights ignore speed patterns entirely: only the stored
         # v_max (used by snapshot writers) needs to track the network.
-        return EstimatorTables(
-            nx=tables.nx,
-            ny=tables.ny,
-            metric=metric,
-            v_max=network.max_speed(),
-            node_ids=tables.node_ids,
-            node_cell=tables.node_cell,
-            to_boundary=tables.to_boundary,
-            from_boundary=tables.from_boundary,
-            cell_pair=tables.cell_pair,
-            precompute_seconds=tables.precompute_seconds,
-            workers_used=tables.workers_used,
-            loaded_from_snapshot=tables.loaded_from_snapshot,
-            _buffer_owner=tables._buffer_owner,
-        )
+        return replace(tables, v_max=network.max_speed())
 
     slack = 0.0
     touched_cells: set[int] = set()
@@ -403,72 +425,23 @@ def refresh_tables_delta(
             slack += old_w - new_w
 
     # Private, writable copies (the input stores may be read-only views).
-    node_ids = array(NODE_ID_TYPECODE, tables.node_ids)
-    node_cell = array(CELL_TYPECODE, tables.node_cell)
-    to_boundary = array(WEIGHT_TYPECODE, tables.to_boundary)
-    from_boundary = array(WEIGHT_TYPECODE, tables.from_boundary)
-    cell_pair = array(WEIGHT_TYPECODE, tables.cell_pair)
-
+    # They are plain arrays, but straggler engine clones may still hold
+    # views over the old zero-copy buffer; ``replace`` keeps its owner
+    # referenced so the segment is not torn down under them (nor its
+    # __del__ left to raise BufferError mid-GC).
+    fresh = replace(
+        tables,
+        v_max=network.max_speed(),
+        node_ids=array(NODE_ID_TYPECODE, tables.node_ids),
+        node_cell=array(CELL_TYPECODE, tables.node_cell),
+        to_boundary=array(WEIGHT_TYPECODE, tables.to_boundary),
+        from_boundary=array(WEIGHT_TYPECODE, tables.from_boundary),
+        cell_pair=array(WEIGHT_TYPECODE, tables.cell_pair),
+        loaded_from_snapshot=False,
+    )
     if slack > 0.0:
-        for arr in (to_boundary, from_boundary, cell_pair):
+        for arr in (fresh.to_boundary, fresh.from_boundary, fresh.cell_pair):
             for i, w in enumerate(arr):
                 if w < INF:
                     arr[i] = w - slack if w > slack else 0.0
-
-    ids, fwd, bwd = build_weighted_adjacency(network, metric)
-    if ids != list(node_ids):
-        raise EstimatorError(
-            "delta refresh requires an unchanged node set; "
-            "topology mutations need a full refresh()"
-        )
-    index_of = {nid: i for i, nid in enumerate(ids)}
-    n = len(ids)
-    n_cells = grid.cell_count
-    is_boundary = bytearray(n)
-    tasks: list[tuple[int, list[int], list[int]]] = []
-    for cell in grid.cells():
-        if not cell.members or not cell.boundary:
-            continue
-        boundary = sorted(index_of[b] for b in cell.boundary)
-        for b in boundary:
-            is_boundary[b] = 1
-        if cell.index in touched_cells:
-            members = sorted(index_of[m] for m in cell.members)
-            tasks.append((cell.index, boundary, members))
-
-    state = {
-        "fwd": fwd,
-        "bwd": bwd,
-        "node_cell": node_cell,
-        "is_boundary": bytes(is_boundary),
-        "cell_count": n_cells,
-    }
-    results, workers_used = _run_cell_tasks(state, tasks, workers)
-
-    for cell_index, member_rows, row in results:
-        for m_idx, d_from, d_to in member_rows:
-            from_boundary[m_idx] = d_from
-            to_boundary[m_idx] = d_to
-        base = cell_index * n_cells
-        for c2, w in enumerate(row):
-            cell_pair[base + c2] = w if w < INF else INF
-
-    return EstimatorTables(
-        nx=tables.nx,
-        ny=tables.ny,
-        metric=metric,
-        v_max=network.max_speed(),
-        node_ids=node_ids,
-        node_cell=node_cell,
-        to_boundary=to_boundary,
-        from_boundary=from_boundary,
-        cell_pair=cell_pair,
-        precompute_seconds=tables.precompute_seconds
-        + (time.perf_counter() - started),
-        workers_used=max(tables.workers_used, workers_used),
-        # The new stores are private arrays, but straggler engine clones
-        # may still hold views over the old zero-copy buffer; keeping its
-        # owner referenced here prevents the segment from being torn down
-        # under them (and the BufferError its __del__ would raise mid-GC).
-        _buffer_owner=tables._buffer_owner,
-    )
+    return _customize(fresh, network, grid, touched_cells, workers, started)

@@ -1,8 +1,9 @@
-"""Hierarchical query execution over the hybrid query graph.
+"""Query execution over the overlay's hybrid query graph.
 
-For a query (s, e, I) the hybrid graph keeps the source and target fragments
-at street level and represents every other fragment by its boundary nodes,
-its crossing edges, and the index's precomputed shortcut functions.  The
+For a query (s, e, I) the hybrid graph keeps the source and target base
+cells at street level and represents every other cell — at the coarsest
+level whose cell contains neither endpoint — by its boundary nodes, its
+crossing edges, and the overlay's precomputed shortcut functions.  The
 ordinary IntAllFastestPaths engine runs unchanged on this graph — the
 paper's "apply our algorithm … once at the top level" — because the graph
 is exposed through the same accessor surface as a real network.
@@ -23,61 +24,11 @@ from ..estimators.naive import NaiveEstimator
 from ..exceptions import NetworkError, QueryError
 from ..network.model import CapeCodNetwork, Edge
 from ..timeutil import TimeInterval
-from .index import HierarchicalIndex, ShortcutEdge
-from .overlay import MultiLevelOverlay
-
-
-class _HybridQueryGraph:
-    """Accessor-surface view: full detail near s and e, overlay elsewhere."""
-
-    def __init__(
-        self, index: HierarchicalIndex, source: int, target: int
-    ) -> None:
-        self._index = index
-        self._network = index.network
-        self._full_cells = {index.cell_of(source), index.cell_of(target)}
-
-    @property
-    def calendar(self):
-        return self._network.calendar
-
-    def location(self, node: int) -> tuple[float, float]:
-        return self._network.location(node)
-
-    def max_speed(self) -> float:
-        return self._network.max_speed()
-
-    def outgoing(self, node: int):
-        return self.outgoing_from(node, None)
-
-    def outgoing_from(self, node: int, prev: int | None):
-        """Edges leaving ``node`` for a label that arrived from ``prev``.
-
-        When the label entered this fragment over a shortcut (``prev`` in
-        the same non-endpoint fragment — the only intra-fragment move the
-        hybrid graph exposes there), its same-fragment shortcuts are
-        suppressed: two chained exact intra-fragment functions are
-        pointwise >= the direct shortcut the fragment's entry node already
-        relaxed, so the chained labels can never improve any answer.
-        """
-        cell = self._index.cell_of(node)
-        if cell in self._full_cells:
-            # Street level: all original edges; crossing edges land on
-            # boundary nodes of neighbouring fragments, which the overlay
-            # branch below then handles.
-            return self._network.outgoing(node)
-        edges: list[Edge | ShortcutEdge] = [
-            e
-            for e in self._network.outgoing(node)
-            if self._index.cell_of(e.target) != cell
-        ]
-        if prev is None or self._index.cell_of(prev) != cell:
-            edges.extend(self._index.shortcuts_from(node))
-        return edges
+from .overlay import MultiLevelOverlay, ShortcutEdge
 
 
 class _FragmentView:
-    """The subgraph induced by one fragment (for path re-expansion)."""
+    """The street subgraph induced by one cell (for path re-expansion)."""
 
     def __init__(self, network: CapeCodNetwork, members: frozenset[int]) -> None:
         self._network = network
@@ -98,128 +49,6 @@ class _FragmentView:
             for e in self._network.outgoing(node)
             if e.target in self._members
         ]
-
-
-class HierarchicalEngine:
-    """Two-level allFP/singleFP queries over a :class:`HierarchicalIndex`.
-
-    Travel times equal the flat engine's exactly; reported paths may take
-    shortcut hops between boundary nodes of intermediate fragments — use
-    :meth:`expand_path` to materialise street-level hops for a departure
-    instant.
-    """
-
-    def __init__(
-        self,
-        index: HierarchicalIndex,
-        estimator: LowerBoundEstimator | None = None,
-        prune: bool = True,
-        *,
-        max_pops: int | None = None,
-        deadline: float | None = None,
-        edge_cache_size: int = DEFAULT_EDGE_CACHE_SIZE,
-    ) -> None:
-        self._index = index
-        self._estimator = estimator
-        self._prune = prune
-        self._max_pops = max_pops
-        self._deadline = deadline
-        # Street-edge arrival functions depend only on the edge and the
-        # calendar, never on the per-query hybrid view, so one cache stays
-        # warm across every query this engine answers.  (Shortcut edges
-        # bypass it via their arrival_function provider.)
-        self._edge_cache = EdgeFunctionCache(
-            index.network.calendar, edge_cache_size
-        )
-
-    @property
-    def edge_cache(self) -> EdgeFunctionCache:
-        return self._edge_cache
-
-    # ------------------------------------------------------------------
-    def _engine_for(self, source: int, target: int) -> IntAllFastestPaths:
-        graph = _HybridQueryGraph(self._index, source, target)
-        estimator = self._estimator or NaiveEstimator(graph)
-        return IntAllFastestPaths(
-            graph,
-            estimator,
-            prune=self._prune,
-            max_pops=self._max_pops,
-            deadline=self._deadline,
-            edge_cache=self._edge_cache,
-        )
-
-    def _check_horizon(self, interval: TimeInterval) -> None:
-        horizon = self._index.horizon
-        if interval.start < horizon.start or interval.end > horizon.end:
-            raise QueryError(
-                f"query interval {interval} outside the index horizon "
-                f"{horizon}; rebuild the HierarchicalIndex accordingly"
-            )
-
-    def all_fastest_paths(
-        self,
-        source: int,
-        target: int,
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> AllFPResult:
-        """allFP over the hybrid graph (paths may contain shortcut hops)."""
-        self._check_horizon(interval)
-        return self._engine_for(source, target).all_fastest_paths(
-            source, target, interval, deadline=deadline
-        )
-
-    def single_fastest_path(
-        self,
-        source: int,
-        target: int,
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> SingleFPResult:
-        """singleFP over the hybrid graph."""
-        self._check_horizon(interval)
-        return self._engine_for(source, target).single_fastest_path(
-            source, target, interval, deadline=deadline
-        )
-
-    # ------------------------------------------------------------------
-    def expand_path(
-        self, path: tuple[int, ...], depart: float
-    ) -> tuple[int, ...]:
-        """Replace shortcut hops with street-level hops for one departure.
-
-        Each consecutive pair that is not an original edge is re-expanded by
-        a fixed-departure search *within its fragment*, evaluated at the
-        time the hierarchical plan reaches that hop — so the expansion is
-        exactly the path whose arrival function the shortcut stored.
-        """
-        network = self._index.network
-        result: list[int] = [path[0]]
-        clock = depart
-        for u, v in zip(path, path[1:]):
-            if network.has_edge(u, v):
-                edge = network.find_edge(u, v)
-                from ..patterns.travel_time import traverse
-
-                clock = traverse(
-                    edge.distance, edge.pattern, network.calendar, clock
-                )
-                result.append(v)
-                continue
-            cell = self._index.cell_of(u)
-            if self._index.cell_of(v) != cell:
-                raise QueryError(
-                    f"hop {u}->{v} is neither an edge nor an intra-fragment "
-                    "shortcut"
-                )
-            view = _FragmentView(
-                network, self._index.fragment_members(cell)
-            )
-            leg = fixed_departure_query(view, u, v, clock)
-            result.extend(leg.path[1:])
-            clock = leg.arrival
-        return tuple(result)
 
 
 class _OverlayQueryGraph:

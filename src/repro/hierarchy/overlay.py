@@ -1,27 +1,33 @@
-"""Multi-level time-dependent overlays with flat-array shortcut storage.
+"""Multi-level time-dependent overlays: topology once, one per-cell
+customization pass, flat-array shortcut storage.
 
-The single-level :class:`~repro.hierarchy.index.HierarchicalIndex` keeps one
-``ShortcutEdge`` object per boundary pair; at metro scale that is millions of
-Python objects before the first query runs.  :class:`MultiLevelOverlay`
-replaces it with the customisable-route-planning layout (Strasser's
-"Intriguingly Simple and Efficient Time-Dependent Routing", PAPERS.md):
+The paper's §6.1 scaling scheme — partition the network, "apply our
+algorithm … twice at each level of the hierarchy and once at the top level"
+— in the customisable-route-planning layout (Strasser's "Intriguingly
+Simple and Efficient Time-Dependent Routing", PAPERS.md):
 
-* the base grid partition is coarsened recursively — ``fanout × fanout``
-  cells merge into one super-cell per level — giving nested partitions where
-  every level-``k`` cell border is also a level-``j`` border for all
-  ``j <= k``;
-* per level, exact boundary-to-boundary earliest-arrival *functions* are
-  built bottom-up: level 0 searches the raw street graph inside each base
-  cell, level ``k`` searches the level-``k-1`` overlay graph (previous
-  shortcuts plus edges crossing level-``k-1`` borders) inside each
-  super-cell, so each level's work shrinks with the boundary count instead
-  of the street count;
+* **topology** (metric-independent): the base grid partition is coarsened
+  recursively — ``fanout × fanout`` cells merge into one super-cell per
+  level — giving nested partitions where every level-``k`` cell border is
+  also a level-``j`` border for all ``j <= k``; each cell's boundary set
+  follows from the edges alone.  ``levels=1`` is the paper's two-level case
+  (fragments plus one top-level search);
+* **customization** (:meth:`MultiLevelOverlay._customize`): per cell, exact
+  boundary-to-boundary earliest-arrival *functions*, bottom-up: level 0
+  searches the raw street graph inside each base cell, level ``k`` searches
+  the level-``k-1`` overlay graph (previous shortcuts plus edges crossing
+  level-``k-1`` borders) inside each super-cell, so each level's work
+  shrinks with the boundary count instead of the street count.  A full
+  :meth:`~MultiLevelOverlay.build` customizes every cell of empty levels; a
+  live update (:meth:`~MultiLevelOverlay.refresh_delta`) customizes the
+  touched cells — the same routine, and new levels are adopted only when
+  every level succeeded;
 * shortcut functions live in five flat ``array`` stores per level
   (``src``/``dst``/breakpoint offsets/``xs``/``ys``) — snapshot-friendly,
   ``mmap``-able, and materialised into edge objects lazily per queried node;
-* per-cell profile searches fan out across the same fork-preferring process
-  pool as the estimator precompute, with a serial fallback that produces
-  bitwise-identical arrays.
+* per-cell profile searches fan out through the estimator precompute's
+  process-pool runner (:func:`repro.estimators.precompute.run_cell_jobs`),
+  whose serial fallback produces bitwise-identical arrays.
 
 Exactness argument (used by the engine's level rule, see ``engine.py``):
 within one level-``k`` cell, any street path between two level-``k``
@@ -35,23 +41,76 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from ..core.profile import profile_search
 from ..core.runtime import QueryTimeout, SearchBudgetExceeded, SearchContext
 from ..core.results import SearchStats
 from ..estimators.grid import GridPartition
+from ..estimators.precompute import run_cell_jobs
 from ..exceptions import QueryError
 from ..func.monotone import MonotonePiecewiseLinear
 from ..timeutil import TimeInterval, days
-from .index import ShortcutEdge
 
 #: array typecodes of the flat shortcut stores (shared with the snapshot
 #: format: node ids and offsets are signed 64-bit, breakpoints are f64).
 NODE_TYPECODE = "q"
 OFFSET_TYPECODE = "q"
 VALUE_TYPECODE = "d"
+
+
+@dataclass(frozen=True)
+class ShortcutEdge:
+    """A boundary-to-boundary overlay edge carrying an arrival function.
+
+    Duck-types the parts of :class:`~repro.network.model.Edge` the query
+    engine touches (``source``, ``target``) and supplies its arrival
+    function directly instead of via a speed pattern.
+    """
+
+    source: int
+    target: int
+    profile: MonotonePiecewiseLinear
+    #: Distinguishes shortcut functions from pattern-derived ones in the
+    #: engine's edge-function cache.
+    cache_tag: int = 1
+    #: Fastest-ever traversal, precomputed so the engine's pre-compose
+    #: bound prune pays a field read instead of a function allocation.
+    min_tt: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        profile = self.profile
+        object.__setattr__(
+            self,
+            "min_tt",
+            min(y - x for x, y in zip(profile._xs, profile._ys)),
+        )
+
+    def arrival_function(
+        self, lo: float, hi: float
+    ) -> MonotonePiecewiseLinear:
+        """The stored profile, after checking it covers ``[lo, hi]``.
+
+        The profile spans the whole build horizon (days) while a label's
+        window is minutes, but returning it unclipped is free: ``compose``
+        seeks to the inner window with a bisect, so downstream cost scales
+        with the window's breakpoints, not the horizon's.
+        """
+        profile = self.profile
+        if lo < profile.x_min - 1e-6 or hi > profile.x_max + 1e-6:
+            raise QueryError(
+                f"shortcut {self.source}->{self.target} only covers "
+                f"departures in [{profile.x_min}, {profile.x_max}]; "
+                f"requested [{lo}, {hi}] — rebuild the overlay with a "
+                "wider horizon (or horizon_pad)"
+            )
+        return profile
+
+    @property
+    def min_travel_time(self) -> float:
+        """Fastest-ever traversal of the shortcut (used for diagnostics)."""
+        return self.min_tt
 
 
 @dataclass
@@ -96,7 +155,7 @@ class OverlayLevel:
     row's breakpoints in ``xs``/``ys``.  The stores may be ``array`` objects
     or read-only memoryviews over an ``mmap``'ed snapshot; either way,
     :meth:`shortcuts_from` materialises (and memoises) per-node
-    :class:`~repro.hierarchy.index.ShortcutEdge` tuples on demand, so cold
+    :class:`ShortcutEdge` tuples on demand, so cold
     levels cost no objects.
     """
 
@@ -211,12 +270,20 @@ class _LevelBuildGraph:
     ``profile_search`` needs.
     """
 
-    __slots__ = ("_network", "_overlay", "_below")
+    __slots__ = ("_network", "_overlay", "_below", "_shortcuts")
 
-    def __init__(self, network, overlay: "MultiLevelOverlay", level: int) -> None:
-        self._network = network
+    def __init__(
+        self,
+        overlay: "MultiLevelOverlay",
+        levels: Sequence["OverlayLevel"],
+        level: int,
+    ) -> None:
+        self._network = overlay.network
         self._overlay = overlay if level > 0 else None
         self._below = level - 1
+        # ``levels`` is the customization pass's working list — the levels
+        # being built, not (yet) the ones the overlay serves.
+        self._shortcuts = levels[level - 1] if level > 0 else None
 
     @property
     def calendar(self):
@@ -243,19 +310,8 @@ class _LevelBuildGraph:
             for e in self._network.outgoing(node)
             if overlay.cell_at(e.target, below) != cell
         ]
-        edges.extend(overlay.levels[below].shortcuts_from(node))
+        edges.extend(self._shortcuts.shortcuts_from(node))
         return edges
-
-
-# ----------------------------------------------------------------------
-# Parallel build plumbing (mirrors repro.estimators.precompute)
-# ----------------------------------------------------------------------
-_WORKER_STATE: dict | None = None
-
-
-def _init_worker(state: dict) -> None:  # pragma: no cover - worker process
-    global _WORKER_STATE
-    _WORKER_STATE = state
 
 
 def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
@@ -268,7 +324,7 @@ def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
     """
     overlay: MultiLevelOverlay = state["overlay"]
     level: int = state["level"]
-    graph = _LevelBuildGraph(overlay.network, overlay, level)
+    graph = _LevelBuildGraph(overlay, state["levels"], level)
     context: SearchContext = state.setdefault(
         "context", SearchContext(graph, max_pops=state["max_pops"])
     )
@@ -319,32 +375,11 @@ def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
     return ("ok", rows, searches, expanded)
 
 
-def _cell_task(args):  # pragma: no cover - executed in worker processes
-    cell_index, boundary = args
-    assert _WORKER_STATE is not None, "pool initializer did not run"
-    return _cell_job(_WORKER_STATE, cell_index, boundary)
-
-
-def _make_pool(workers: int, state: dict):
-    """A fork-preferring multiprocessing pool, or ``None`` when unavailable."""
-    try:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        return ctx.Pool(
-            processes=workers, initializer=_init_worker, initargs=(state,)
-        )
-    except Exception:
-        return None
-
-
 class MultiLevelOverlay:
     """Nested partitions plus per-level flat-array shortcut functions.
 
-    Build with :meth:`build`; persist inside an RPRESNAP v2 snapshot via
+    Build with :meth:`build`; follow live updates with
+    :meth:`refresh_delta`; persist inside an RPRESNAP v2 snapshot via
     :func:`repro.estimators.snapshot.save_tables` and re-attach with
     ``load_overlay``/``map_overlay``.  Queries go through
     :class:`~repro.hierarchy.engine.OverlayEngine`.
@@ -435,7 +470,6 @@ class MultiLevelOverlay:
     ) -> "MultiLevelOverlay":
         """Build a ``levels``-deep overlay bottom-up.
 
-        Parameters mirror :class:`~repro.hierarchy.index.HierarchicalIndex`:
         ``max_pops`` bounds each boundary profile search, ``deadline`` is a
         wall-clock budget **for the whole build** (each search gets the
         remaining time; both are enforced through ``SearchContext`` in the
@@ -457,94 +491,23 @@ class MultiLevelOverlay:
         if fanout < 2:
             raise QueryError(f"overlay needs fanout >= 2, got {fanout}")
         ny = nx if ny is None else ny
-        started = time.monotonic()
-        deadline_at = None if deadline is None else started + deadline
-        grid = GridPartition(network, nx, ny)
-        horizon = horizon or TimeInterval(0.0, days(2))
+        # Topology: the nested partition and one empty store per level ...
         overlay = cls(
-            network, grid, fanout, horizon, [], OverlayStats(), horizon_pad
+            network,
+            GridPartition(network, nx, ny),
+            fanout,
+            horizon or TimeInterval(0.0, days(2)),
+            [
+                _empty_level(k, *_level_dims(nx, ny, fanout, k))
+                for k in range(levels)
+            ],
+            horizon_pad=horizon_pad,
         )
         overlay.stats.workers_used = max(1, workers)
-
-        boundaries = _boundaries_by_level(network, grid, fanout, levels)
-        for level in range(levels):
-            level_started = time.monotonic()
-            lnx, lny = _level_dims(nx, ny, fanout, level)
-            # Register the (still empty) level so cell_at works for it.
-            placeholder = OverlayLevel(
-                level,
-                lnx,
-                lny,
-                array(NODE_TYPECODE),
-                array(NODE_TYPECODE),
-                array(OFFSET_TYPECODE, [0]),
-                array(VALUE_TYPECODE),
-                array(VALUE_TYPECODE),
-            )
-            overlay.levels.append(placeholder)
-            overlay._divisors.append(fanout**level)
-            overlay._dims.append((lnx, lny))
-
-            tasks = [
-                (cell, tuple(sorted(nodes)))
-                for cell, nodes in sorted(boundaries[level].items())
-                if nodes
-            ]
-            level_horizon = TimeInterval(
-                horizon.start,
-                horizon.end + horizon_pad * (levels - 1 - level),
-            )
-            state = {
-                "overlay": overlay,
-                "level": level,
-                "horizon": level_horizon,
-                "max_pops": max_pops,
-                "deadline_at": deadline_at,
-            }
-            results = _run_level(tasks, state, workers)
-
-            src = array(NODE_TYPECODE)
-            dst = array(NODE_TYPECODE)
-            off = array(OFFSET_TYPECODE, [0])
-            xs = array(VALUE_TYPECODE)
-            ys = array(VALUE_TYPECODE)
-            stats = LevelStats(
-                level=level,
-                nx=lnx,
-                ny=lny,
-                cells=len(tasks),
-                boundary_nodes=sum(len(t[1]) for t in tasks),
-            )
-            for outcome in results:
-                kind = outcome[0]
-                if kind == "timeout":
-                    raise QueryTimeout(
-                        outcome[1], SearchStats(timed_out=True)
-                    )
-                if kind == "budget":
-                    raise SearchBudgetExceeded(
-                        outcome[1], SearchStats(), what=outcome[2]
-                    )
-                _, rows, searches, expanded = outcome
-                stats.profile_searches += searches
-                stats.expanded_paths += expanded
-                for s, t, row_xs, row_ys in rows:
-                    src.append(s)
-                    dst.append(t)
-                    xs.extend(row_xs)
-                    ys.extend(row_ys)
-                    off.append(len(xs))
-            stats.shortcuts = len(src)
-            stats.breakpoints = len(xs)
-            stats.build_seconds = time.monotonic() - level_started
-            overlay.levels[level] = OverlayLevel(
-                level, lnx, lny, src, dst, off, xs, ys, stats
-            )
-            overlay.stats.levels.append(stats)
-        overlay.stats.build_seconds = time.monotonic() - started
-        # Drop the duplicated divisor/dim entries from the placeholder loop.
-        overlay._divisors = [fanout**k for k in range(levels)]
-        overlay._dims = [_level_dims(nx, ny, fanout, k) for k in range(levels)]
+        # ... then customization of every cell.
+        overlay._customize(
+            None, workers=workers, max_pops=max_pops, deadline=deadline
+        )
         return overlay
 
     # ------------------------------------------------------------------
@@ -565,60 +528,78 @@ class MultiLevelOverlay:
         level-``k`` cell's shortcut rows **iff** both endpoints share that
         cell — and nested partitions make the set of touched cells per
         level exactly ``{cell_k(u) : cell_k(u) == cell_k(v)}``, which also
-        covers the lift of every touched lower-level cell.  Touched cells
-        are recomputed bottom-up against the already-refreshed lower level
-        with the same per-level horizon arithmetic as :meth:`build`, then
-        their rows are spliced into fresh flat arrays (cells are contiguous
-        in sorted order by construction), so the result is byte-identical
-        to a from-scratch rebuild.  Returns the number of recomputed cells.
+        covers the lift of every touched lower-level cell.  The result is
+        byte-identical to a from-scratch rebuild; an exception leaves the
+        overlay exactly as it was.  Returns the number of recomputed cells.
 
         Topology must be unchanged — only speed patterns may differ from
         the build-time network — so grids and boundary sets stay valid.
         """
-        levels = len(self.levels)
-        if levels == 0:
-            return 0
-        started = time.monotonic()
-        deadline_at = None if deadline is None else started + deadline
-        touched: list[set[int]] = [set() for _ in range(levels)]
+        touched: list[set[int]] = [set() for _ in self.levels]
         for m in mutations:
-            for k in range(levels):
+            for k, cells in enumerate(touched):
                 cu = self.cell_at(m.source, k)
                 if cu == self.cell_at(m.target, k):
-                    touched[k].add(cu)
+                    cells.add(cu)
         if not any(touched):
             return 0
-        boundaries = _boundaries_by_level(
-            self._network, self._grid, self._fanout, levels
+        return self._customize(
+            touched, workers=workers, max_pops=max_pops, deadline=deadline
         )
+
+    def _customize(
+        self,
+        touched: list[set[int]] | None,
+        *,
+        workers: int,
+        max_pops: int | None,
+        deadline: float | None,
+    ) -> int:
+        """The one customization pass: recompute the shortcut rows of
+        ``touched[k]`` at every level ``k`` (``None`` = every cell).
+
+        Cells are recomputed bottom-up, each level against the rows the
+        pass just produced for the level below, and spliced into fresh flat
+        arrays (cells are contiguous in sorted order by construction).  The
+        new levels are built aside and adopted only once every level
+        succeeded, so a budget, deadline or shortcut-window failure midway
+        leaves ``self.levels`` untouched.  Returns the recomputed-cell count.
+        """
+        started = time.monotonic()
+        deadline_at = None if deadline is None else started + deadline
+        count = len(self.levels)
+        boundaries = _boundaries_by_level(
+            self._network, self._grid, self._fanout, count
+        )
+        working = list(self.levels)
         recomputed = 0
-        for level in range(levels):
-            if not touched[level]:
-                continue
+        for level, by_cell in enumerate(boundaries):
             level_started = time.monotonic()
+            cells = set(by_cell) if touched is None else touched[level]
             tasks = [
-                (cell, tuple(sorted(boundaries[level].get(cell, ()))))
-                for cell in sorted(touched[level])
+                (cell, tuple(sorted(by_cell[cell])))
+                for cell in sorted(cells)
+                if by_cell.get(cell)
             ]
-            tasks = [(cell, nodes) for cell, nodes in tasks if nodes]
             if not tasks:
                 continue
-            level_horizon = TimeInterval(
-                self._horizon.start,
-                self._horizon.end + self._horizon_pad * (levels - 1 - level),
-            )
             state = {
                 "overlay": self,
+                "levels": working,
                 "level": level,
-                "horizon": level_horizon,
+                "horizon": TimeInterval(
+                    self._horizon.start,
+                    self._horizon.end
+                    + self._horizon_pad * (count - 1 - level),
+                ),
                 "max_pops": max_pops,
                 "deadline_at": deadline_at,
             }
-            results = _run_level(tasks, state, workers)
+            outcomes, _ = run_cell_jobs(_cell_job, state, tasks, workers)
             fresh_rows: dict[int, list] = {}
             searches = 0
             expanded = 0
-            for (cell, _), outcome in zip(tasks, results):
+            for (cell, _), outcome in zip(tasks, outcomes):
                 kind = outcome[0]
                 if kind == "timeout":
                     raise QueryTimeout(outcome[1], SearchStats(timed_out=True))
@@ -626,25 +607,27 @@ class MultiLevelOverlay:
                     raise SearchBudgetExceeded(
                         outcome[1], SearchStats(), what=outcome[2]
                     )
-                _, rows, cell_searches, cell_expanded = outcome
-                fresh_rows[cell] = rows
+                _, fresh_rows[cell], cell_searches, cell_expanded = outcome
                 searches += cell_searches
                 expanded += cell_expanded
-            # Swapping ``levels[level]`` in place is visible to every live
-            # _LevelBuildGraph / query graph holding this overlay, and the
-            # next iteration's level builds against the refreshed rows.
-            self.levels[level] = self._splice_level(
-                self.levels[level],
-                level,
-                touched[level],
-                fresh_rows,
-                searches,
-                expanded,
-                time.monotonic() - level_started,
+            replaced = working[level]
+            working[level] = self._splice_level(
+                replaced, level, cells, fresh_rows
             )
-            if level < len(self.stats.levels):
-                self.stats.levels[level] = self.levels[level].stats
+            # The replaced level stays whole in ``self.levels`` until the
+            # pass succeeds, but its materialised-edge memo is only a cache:
+            # drop it so it never coexists with the new level's memo (which
+            # fills while the next level up is customized).
+            replaced._edges.clear()
+            stats = working[level].stats
+            stats.cells = sum(1 for nodes in by_cell.values() if nodes)
+            stats.boundary_nodes = sum(len(nodes) for nodes in by_cell.values())
+            stats.profile_searches += searches
+            stats.expanded_paths += expanded
+            stats.build_seconds += time.monotonic() - level_started
             recomputed += len(tasks)
+        self.levels = working
+        self.stats.levels = [lv.stats for lv in working]
         self.stats.build_seconds += time.monotonic() - started
         return recomputed
 
@@ -654,9 +637,6 @@ class MultiLevelOverlay:
         level: int,
         touched: set[int],
         fresh_rows: dict[int, list],
-        searches: int,
-        expanded: int,
-        elapsed: float,
     ) -> OverlayLevel:
         """A new :class:`OverlayLevel` with touched cells' rows replaced.
 
@@ -705,18 +685,7 @@ class MultiLevelOverlay:
                     ys.extend(old.ys[a:b])
                     off.append(len(xs))
 
-        stats = LevelStats(
-            level=level,
-            nx=old.nx,
-            ny=old.ny,
-            cells=old.stats.cells,
-            boundary_nodes=old.stats.boundary_nodes,
-            shortcuts=len(src),
-            breakpoints=len(xs),
-            profile_searches=old.stats.profile_searches + searches,
-            expanded_paths=old.stats.expanded_paths + expanded,
-            build_seconds=old.stats.build_seconds + elapsed,
-        )
+        stats = replace(old.stats, shortcuts=len(src), breakpoints=len(xs))
         return OverlayLevel(
             level, old.nx, old.ny, src, dst, off, xs, ys, stats
         )
@@ -724,6 +693,19 @@ class MultiLevelOverlay:
     # ------------------------------------------------------------------
     def fingerprint_grid(self) -> tuple[int, int]:
         return self._grid.shape
+
+
+def _empty_level(level: int, nx: int, ny: int) -> OverlayLevel:
+    return OverlayLevel(
+        level,
+        nx,
+        ny,
+        array(NODE_TYPECODE),
+        array(NODE_TYPECODE),
+        array(OFFSET_TYPECODE, [0]),
+        array(VALUE_TYPECODE),
+        array(VALUE_TYPECODE),
+    )
 
 
 def _level_dims(nx: int, ny: int, fanout: int, level: int) -> tuple[int, int]:
@@ -766,18 +748,3 @@ def _boundaries_by_level(
             out[k].setdefault(ku, set()).add(edge.source)
             out[k].setdefault(kv, set()).add(edge.target)
     return out
-
-
-def _run_level(tasks, state: dict, workers: int) -> list:
-    """Run one level's cell jobs, in order, serially or across a pool."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [_cell_job(state, cell, boundary) for cell, boundary in tasks]
-    pool = _make_pool(min(workers, len(tasks)), state)
-    if pool is None:
-        return [_cell_job(state, cell, boundary) for cell, boundary in tasks]
-    try:
-        chunk = max(1, len(tasks) // (4 * workers))
-        return pool.map(_cell_task, tasks, chunksize=chunk)
-    finally:
-        pool.terminate()
-        pool.join()

@@ -567,7 +567,9 @@ class AllFPService:
         (:func:`~repro.estimators.precompute.refresh_tables_delta`,
         :meth:`~repro.hierarchy.overlay.MultiLevelOverlay.refresh_delta`),
         and the edge-function and result caches drop so no pre-update
-        function survives.  ``version`` lets the shard tier impose its
+        function survives.  A typed failure of either refresh never fails
+        the batch: the service continues on the fallback bound / the flat
+        engine, flagged degraded.  ``version`` lets the shard tier impose its
         monotonic version instead of the local counter.
         """
         if self._closed:
@@ -601,9 +603,23 @@ class AllFPService:
                     else:
                         self._breaker.record_success()
             if self._overlay is not None:
-                self._overlay.refresh_delta(
-                    applied, workers=workers if workers is not None else 1
-                )
+                try:
+                    self._overlay.refresh_delta(
+                        applied, workers=workers if workers is not None else 1
+                    )
+                except ReproError:
+                    # The pass adopts every level or none, so the overlay is
+                    # still customized for the previous version and must not
+                    # serve this one.  Same policy as a failed overlay load
+                    # at boot: keep the update, answer on the flat engine
+                    # (still exact, only slower), flag degraded.
+                    self._overlay = None
+                    self._boot_degraded = True
+                    self.metrics.inc(
+                        "overlay_refresh_failures_total",
+                        help="Update batches whose overlay re-customization "
+                        "failed (service dropped to the flat engine)",
+                    )
             # The naive fallback memoises v_max; rebuild it on next need.
             with self._fallback_lock:
                 self._fallback_estimator = None

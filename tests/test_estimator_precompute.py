@@ -1,8 +1,8 @@
 """Tests for the parallel, persistent, array-backed estimator precompute.
 
-Covers the PR 3 subsystem end to end: bitwise parity between the array and
-legacy dict backends (property-based over random networks), admissibility
-of the array-backed bounds, snapshot round-trip and corruption handling,
+Covers the subsystem end to end: exact agreement of the flat stores with a
+definitional Bellman–Ford oracle (property-based over random networks),
+admissibility of the bounds, snapshot round-trip and corruption handling,
 precompute idempotency, the multiprocessing path, CLI cache flows (hit,
 miss, fingerprint mismatch → exit 2), and serve-layer warm-start metrics.
 
@@ -44,31 +44,73 @@ from repro.timeutil import TimeInterval, parse_clock
 #: REPRO_PRECOMPUTE_WORKERS=2 so the multiprocessing pool runs under pytest.
 ENV_WORKERS = int(os.environ.get("REPRO_PRECOMPUTE_WORKERS", "1"))
 
+INF = float("inf")
 
-def _networks_equal_bounds(network, nx, ny, metric, targets, workers=1):
-    """Assert array and dict backends agree bitwise on every node."""
-    arr = BoundaryNodeEstimator(
-        network, nx, ny, metric=metric, workers=workers
-    )
-    legacy = BoundaryNodeEstimator(network, nx, ny, metric=metric, backend="dict")
+
+def _bellman_ford(edges, source, reverse=False):
+    """``{node: weight}`` of the lightest walk from (``reverse``: to) source."""
+    dist = {source: 0.0}
+    changed = True
+    while changed:
+        changed = False
+        for u, v, w in edges:
+            if reverse:
+                u, v = v, u
+            if u in dist and dist[u] + w < dist.get(v, INF):
+                dist[v] = dist[u] + w
+                changed = True
+    return dist
+
+
+def _assert_matches_oracle(network, nx, ny, metric, targets, workers=1):
+    """The §5 stores, straight from their definitions: ``D(C1, C2)`` is the
+    minimum over boundary pairs, ``d(n, ∂C)`` / ``d(∂C, n)`` the minimum over
+    the own cell's boundary — one Bellman–Ford per boundary node, no heap,
+    no dense index, no multi-source collapse.  Compared exactly."""
+    est = BoundaryNodeEstimator(network, nx, ny, metric=metric, workers=workers)
+    tables, grid = est.tables, est.grid
+    edges = [
+        (e.source, e.target,
+         e.distance if metric == "distance" else e.distance / e.pattern.max_speed())
+        for e in network.edges()
+    ]
+    boundary = [b for cell in grid.cells() for b in cell.boundary]
+    out = {b: _bellman_ford(edges, b) for b in boundary}
+    back = {b: _bellman_ford(edges, b, reverse=True) for b in boundary}
+    to_b, from_b, pair = {}, {}, {}
+    for c1 in grid.cells():
+        for n in c1.members:
+            to_b[n] = min((back[b].get(n, INF) for b in c1.boundary), default=INF)
+            from_b[n] = min((out[b].get(n, INF) for b in c1.boundary), default=INF)
+            assert tables.to_boundary[tables.index(n)] == to_b[n], n
+            assert tables.from_boundary[tables.index(n)] == from_b[n], n
+        for c2 in grid.cells():
+            pair[c1.index, c2.index] = INF if c1 is c2 else min(
+                (out[b1].get(b2, INF) for b1 in c1.boundary for b2 in c2.boundary),
+                default=INF,
+            )
+            got = tables.cell_pair[c1.index * grid.cell_count + c2.index]
+            assert got == pair[c1.index, c2.index], (c1.index, c2.index)
+    scale = 1.0 if metric == "time" else network.max_speed()
     for target in targets:
-        arr.prepare(target)
-        legacy.prepare(target)
+        est.prepare(target)
+        target_cell = grid.cell_of_node(target)
         for node in network.node_ids():
-            a = arr.bound(node)
-            d = legacy.bound(node)
-            assert a == d, (node, target, a, d)
-            assert arr.boundary_bound(node) == legacy.boundary_bound(node)
+            cell = grid.cell_of_node(node)
+            want = INF if cell == target_cell else (
+                to_b[node] + pair[cell, target_cell] + from_b[target]
+            ) / scale
+            assert est.boundary_bound(node) == want, (node, target)
 
 
 class TestBackendParity:
     def test_metro_tiny_bitwise(self, metro_tiny):
-        _networks_equal_bounds(
+        _assert_matches_oracle(
             metro_tiny, 3, 3, "time", [0, 17, 42], workers=ENV_WORKERS
         )
 
     def test_distance_metric_bitwise(self, metro_tiny):
-        _networks_equal_bounds(metro_tiny, 2, 4, "distance", [0, 99])
+        _assert_matches_oracle(metro_tiny, 2, 4, "distance", [0, 99])
 
     @settings(
         max_examples=12,
@@ -89,7 +131,7 @@ class TestBackendParity:
         )
         rng = random.Random(seed)
         targets = rng.sample(list(network.node_ids()), k=2)
-        _networks_equal_bounds(network, nx, ny, metric, targets)
+        _assert_matches_oracle(network, nx, ny, metric, targets)
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -97,7 +139,7 @@ class TestBackendParity:
         depart=st.floats(min_value=0.0, max_value=1439.0),
     )
     def test_property_admissible(self, seed, depart):
-        """Array-backed bounds never exceed the true fastest travel time."""
+        """Bounds never exceed the true fastest travel time."""
         network = make_metro_network(MetroConfig(width=6, height=6, seed=seed))
         est = BoundaryNodeEstimator(network, 3, 3)
         rng = random.Random(seed)
@@ -135,12 +177,8 @@ class TestBackendParity:
         )
         arr = BoundaryNodeEstimator(net, 2, 2)
         assert not arr.tables.dense
-        legacy = BoundaryNodeEstimator(net, 2, 2, backend="dict")
-        for target in (10, 35):
-            arr.prepare(target)
-            legacy.prepare(target)
-            for node in net.node_ids():
-                assert arr.bound(node) == legacy.bound(node)
+        _assert_matches_oracle(net, 2, 2, "time", (10, 35))
+        arr.prepare(10)
         with pytest.raises(EstimatorError):
             arr.boundary_bound(11)
 
@@ -151,16 +189,16 @@ class TestBackendParity:
             est.boundary_bound(10**9)
 
     def test_engine_results_identical(self, metro_tiny):
-        """End-to-end: both backends drive the engine to the same answer."""
+        """End-to-end: the bound only prunes — the engine's answer is the
+        naive-bound engine's answer, reached with no more expansions."""
         interval = TimeInterval(parse_clock("7:00"), parse_clock("8:00"))
         results = []
-        for backend in ("array", "dict"):
-            est = BoundaryNodeEstimator(metro_tiny, 3, 3, backend=backend)
+        for est in (BoundaryNodeEstimator(metro_tiny, 3, 3), None):
             engine = IntAllFastestPaths(metro_tiny, est)
             result = engine.all_fastest_paths(0, 77, interval)
             results.append(result)
         assert results[0].entries == results[1].entries
-        assert results[0].stats.expanded_paths == results[1].stats.expanded_paths
+        assert results[0].stats.expanded_paths <= results[1].stats.expanded_paths
 
 
 class TestIdempotency:
@@ -190,19 +228,21 @@ class TestIdempotency:
     def test_refresh_recomputes(self, metro_tiny):
         est = BoundaryNodeEstimator(metro_tiny, 3, 3)
         first = est.tables
+        est.prepare(0)
+        bound = est.bound(42)
         est.refresh()
         assert est.tables is not first
+        assert est.tables.cell_pair == first.cell_pair
         est.prepare(0)
-        legacy = BoundaryNodeEstimator(metro_tiny, 3, 3, backend="dict")
-        legacy.prepare(0)
-        assert est.bound(42) == legacy.bound(42)
+        assert est.bound(42) == bound
 
     def test_rejects_bad_workers(self, metro_tiny):
         with pytest.raises(EstimatorError):
             BoundaryNodeEstimator(metro_tiny, 2, 2, workers=0)
 
     def test_rejects_bad_backend(self, metro_tiny):
-        with pytest.raises(EstimatorError):
+        # There is one store; the selector argument is gone, not ignored.
+        with pytest.raises(TypeError):
             BoundaryNodeEstimator(metro_tiny, 2, 2, backend="banana")
 
 
@@ -254,10 +294,10 @@ class TestParallelPrecompute:
         )
         est = BoundaryNodeEstimator(metro_tiny, 3, 3, workers=4)
         assert est.tables.workers_used == 1  # degraded gracefully
-        legacy = BoundaryNodeEstimator(metro_tiny, 3, 3, backend="dict")
-        est.prepare(0)
-        legacy.prepare(0)
-        assert est.bound(42) == legacy.bound(42)
+        serial = BoundaryNodeEstimator(metro_tiny, 3, 3).tables
+        assert est.tables.cell_pair == serial.cell_pair
+        assert est.tables.to_boundary == serial.to_boundary
+        assert est.tables.from_boundary == serial.from_boundary
 
 
 class TestSnapshot:
@@ -326,11 +366,6 @@ class TestSnapshot:
         assert base == network_fingerprint(metro_tiny)  # deterministic
         other = make_metro_network(MetroConfig(width=10, height=10, seed=6))
         assert base != network_fingerprint(other)
-
-    def test_save_requires_array_backend(self, metro_tiny, tmp_path):
-        est = BoundaryNodeEstimator(metro_tiny, 2, 2, backend="dict")
-        with pytest.raises(EstimatorError, match="array"):
-            est.save_snapshot(tmp_path / "est.snap")
 
     def test_bad_fingerprint_length_rejected(self, metro_tiny, tmp_path):
         est = BoundaryNodeEstimator(metro_tiny, 2, 2)

@@ -1,4 +1,4 @@
-"""Frozen answers: the byte-identity guard for function-kernel changes.
+"""Frozen answers and structures: the byte-identity guard.
 
 ``tests/data/golden_allfp.json`` pins the full answer — border breakpoints
 and partition, every float stored as its ``repr()`` — of a fixed set of
@@ -7,6 +7,15 @@ allFP, profile and kNN queries on the paper's example network and the
 a kernel change that moves any answer by one ulp, adds or drops a
 breakpoint, or reorders a tie fails here.
 
+``tests/data/golden_structures.json`` pins the customized structures the
+same way: sha256 digests of the five flat arrays of every level of a 1-level
+and a 2-level ``MultiLevelOverlay`` on ``metro_tiny`` and of the five
+``EstimatorTables`` stores (3x3, both metrics), each as built and again
+after one pinned ``refresh_delta`` batch, plus four ``OverlayEngine`` allFP
+answers.  ``REPRO_PRECOMPUTE_WORKERS`` (the CI parallel leg sets it to 2)
+picks the worker count of every build and refresh; the digests are the same
+at any count.
+
 Regenerate (only when an answer change is intended and explained):
 
     PYTHONPATH=src python tests/test_golden_answers.py
@@ -14,7 +23,9 @@ Regenerate (only when an answer change is intended and explained):
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -23,14 +34,26 @@ from repro.core.arrival import ArrivalIntAllFastestPaths
 from repro.core.engine import IntAllFastestPaths
 from repro.core.knn import interval_knn, nearest_partition
 from repro.core.profile import profile_search
+from repro.estimators.boundary import BoundaryNodeEstimator
+from repro.hierarchy import MultiLevelOverlay, OverlayEngine
 from repro.network.generator import (
     MetroConfig,
     make_metro_network,
     paper_example_network,
 )
+from repro.serve.updates import (
+    EdgeMutation,
+    MutationBatch,
+    apply_batch,
+    slowdown_pattern,
+)
 from repro.timeutil import TimeInterval
 
 GOLDEN = Path(__file__).parent / "data" / "golden_allfp.json"
+STRUCTURES = Path(__file__).parent / "data" / "golden_structures.json"
+
+#: Worker count of every structure build/refresh below (CI sets 2).
+ENV_WORKERS = int(os.environ.get("REPRO_PRECOMPUTE_WORKERS", "1"))
 
 NETWORKS = {
     "example": paper_example_network,
@@ -67,6 +90,20 @@ KNN_QUERIES = [
     ("example", 0, [1, 2], 2, "6:50", "7:05"),
     ("metro_tiny", 0, [18, 27, 63, 72, 99], 3, "6:30", "9:30"),
     ("metro_tiny", 55, [5, 50, 59, 95], 2, "16:00", "19:00"),
+]
+
+OVERLAY_BUILD = {"nx": 4, "fanout": 2, "horizon": TimeInterval(0.0, 1440.0)}
+
+#: The pinned refresh batch: (index into ``network.edges()``, speed factor);
+#: slow-downs and speed-ups, so the estimator's slack correction runs too.
+REFRESH_BATCH = [(3, 0.5), (57, 2.0), (140, 0.25), (188, 1.5)]
+
+#: (overlay levels, source, target, from, to) on ``metro_tiny``
+OVERLAY_QUERIES = [
+    (1, 41, 78, "15:30", "19:30"),
+    (1, 9, 90, "6:30", "10:00"),
+    (2, 1, 98, "6:45", "9:30"),
+    (2, 79, 23, "8:30", "10:30"),
 ]
 
 
@@ -125,6 +162,89 @@ def compute_answers() -> dict:
     return answers
 
 
+def _digests(owner, names: tuple[str, ...]) -> dict[str, str]:
+    """sha256 of the raw bytes of each named flat store of ``owner``."""
+    return {
+        name: hashlib.sha256(bytes(getattr(owner, name))).hexdigest()
+        for name in names
+    }
+
+
+def _overlay_digests(overlay) -> list[dict[str, str]]:
+    return [
+        _digests(lv, ("src", "dst", "off", "xs", "ys")) for lv in overlay.levels
+    ]
+
+
+def _tables_digests(tables) -> dict[str, str]:
+    return _digests(
+        tables,
+        ("node_ids", "node_cell", "to_boundary", "from_boundary", "cell_pair"),
+    )
+
+
+def _apply_refresh_batch(network):
+    edges = list(network.edges())
+    return apply_batch(
+        network,
+        MutationBatch(
+            tuple(
+                EdgeMutation(
+                    edges[i].source,
+                    edges[i].target,
+                    slowdown_pattern(edges[i].pattern, factor),
+                )
+                for i, factor in REFRESH_BATCH
+            )
+        ),
+    )
+
+
+def compute_structures(workers: int = 1) -> dict:
+    out: dict = {"overlay": {}, "tables": {}, "overlay_allfp": []}
+    for levels in (1, 2):
+        network = NETWORKS["metro_tiny"]()
+        overlay = MultiLevelOverlay.build(
+            network, levels=levels, workers=workers, **OVERLAY_BUILD
+        )
+        engine = OverlayEngine(overlay)
+        for lv, source, target, lo, hi in OVERLAY_QUERIES:
+            if lv != levels:
+                continue
+            result = engine.all_fastest_paths(
+                source, target, TimeInterval.from_clock(lo, hi)
+            )
+            out["overlay_allfp"].append({
+                "query": [lv, source, target, lo, hi],
+                "border": _points(result.border),
+                "partition": [
+                    [repr(e.interval.start), repr(e.interval.end), list(e.path)]
+                    for e in result.entries
+                ],
+            })
+        built = _overlay_digests(overlay)
+        recomputed = overlay.refresh_delta(
+            _apply_refresh_batch(network), workers=workers
+        )
+        out["overlay"][str(levels)] = {
+            "built": built,
+            "cells_recomputed": recomputed,
+            "refreshed": _overlay_digests(overlay),
+        }
+    for metric in ("time", "distance"):
+        network = NETWORKS["metro_tiny"]()
+        estimator = BoundaryNodeEstimator(
+            network, 3, 3, metric=metric, workers=workers
+        )
+        built = _tables_digests(estimator.tables)
+        estimator.refresh_delta(_apply_refresh_batch(network), workers=workers)
+        out["tables"][metric] = {
+            "built": built,
+            "refreshed": _tables_digests(estimator.tables),
+        }
+    return out
+
+
 @pytest.fixture(scope="module")
 def computed() -> dict:
     return compute_answers()
@@ -138,7 +258,16 @@ def test_answers_match_golden_exactly(computed, kind):
         assert got == want, f"{kind} {want['query']} drifted"
 
 
+def test_structures_match_golden_exactly():
+    golden = json.loads(STRUCTURES.read_text())
+    got = compute_structures(ENV_WORKERS)
+    for kind in ("overlay", "tables", "overlay_allfp"):
+        assert got[kind] == golden[kind], f"{kind} drifted"
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(compute_answers(), indent=1) + "\n")
     print(f"wrote {GOLDEN}")
+    STRUCTURES.write_text(json.dumps(compute_structures(), indent=1) + "\n")
+    print(f"wrote {STRUCTURES}")

@@ -1,4 +1,6 @@
-"""Tests for the two-level hierarchical subsystem (S15)."""
+"""Tests for the hierarchical subsystem (S15) in the paper's two-level case:
+a 1-level overlay (fragments + one top-level search).  Multi-level builds,
+persistence and serving live in ``test_overlay.py``."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from repro.core.engine import IntAllFastestPaths
 from repro.core.profile import arrival_profile, travel_time_profile
 from repro.core.astar import fixed_departure_query
 from repro.exceptions import QueryError
-from repro.hierarchy import HierarchicalEngine, HierarchicalIndex, ShortcutEdge
+from repro.hierarchy import MultiLevelOverlay, OverlayEngine, ShortcutEdge
 from repro.func.monotone import MonotonePiecewiseLinear
 from repro.timeutil import TimeInterval, parse_clock
 
@@ -19,12 +21,12 @@ WINDOW = TimeInterval(parse_clock("6:30"), parse_clock("9:30"))
 
 @pytest.fixture(scope="module")
 def index(metro_small):
-    return HierarchicalIndex(metro_small, 4, 4, HORIZON)
+    return MultiLevelOverlay.build(metro_small, levels=1, nx=4, horizon=HORIZON)
 
 
 @pytest.fixture(scope="module")
 def engine(index):
-    return HierarchicalEngine(index)
+    return OverlayEngine(index)
 
 
 @pytest.fixture(scope="module")
@@ -81,16 +83,17 @@ class TestProfileSearch:
 
 class TestIndexBuild:
     def test_stats(self, index):
-        assert index.stats.fragments == 16
-        assert index.stats.boundary_nodes > 0
-        assert index.stats.shortcuts > 0
-        assert index.stats.profile_searches == index.stats.boundary_nodes
+        (stats,) = index.stats.levels
+        assert stats.cells == 16
+        assert stats.boundary_nodes > 0
+        assert stats.shortcuts > 0
+        assert stats.profile_searches == stats.boundary_nodes
 
     def test_shortcuts_are_intra_fragment(self, index):
         for node in list(index.network.node_ids())[::7]:
-            for shortcut in index.shortcuts_from(node):
-                assert index.cell_of(shortcut.source) == index.cell_of(
-                    shortcut.target
+            for shortcut in index.shortcuts_from(node, 0):
+                assert index.cell_at(shortcut.source, 0) == index.cell_at(
+                    shortcut.target, 0
                 )
 
     def test_shortcut_lower_bounded_by_direct_edge(self, index, metro_small):
@@ -98,9 +101,9 @@ class TestIndexBuild:
         be at least as fast."""
         checked = 0
         for edge in metro_small.edges():
-            if index.cell_of(edge.source) != index.cell_of(edge.target):
+            if index.cell_at(edge.source, 0) != index.cell_at(edge.target, 0):
                 continue
-            for shortcut in index.shortcuts_from(edge.source):
+            for shortcut in index.shortcuts_from(edge.source, 0):
                 if shortcut.target != edge.target:
                     continue
                 depart = parse_clock("8:00")
@@ -114,17 +117,17 @@ class TestIndexBuild:
 
     def test_shortcut_horizon_enforced(self, index):
         node = next(
-            n for n in index.network.node_ids() if index.shortcuts_from(n)
+            n for n in index.network.node_ids() if index.shortcuts_from(n, 0)
         )
-        shortcut = index.shortcuts_from(node)[0]
+        shortcut = index.shortcuts_from(node, 0)[0]
         with pytest.raises(QueryError, match="horizon"):
             shortcut.arrival_function(0.0, 10.0)
 
     def test_shortcut_min_travel_time_positive(self, index):
         node = next(
-            n for n in index.network.node_ids() if index.shortcuts_from(n)
+            n for n in index.network.node_ids() if index.shortcuts_from(n, 0)
         )
-        assert index.shortcuts_from(node)[0].min_travel_time > 0
+        assert index.shortcuts_from(node, 0)[0].min_travel_time > 0
 
 
 class TestHierarchicalQueries:
@@ -145,7 +148,7 @@ class TestHierarchicalQueries:
         )
 
     def test_same_fragment_query(self, engine, flat, index):
-        cell0 = index.fragment_members(index.cell_of(0))
+        cell0 = index.members_at(0, 0)
         other = next(n for n in sorted(cell0) if n != 0)
         h = engine.all_fastest_paths(0, other, WINDOW)
         f = flat.all_fastest_paths(0, other, WINDOW)
@@ -187,48 +190,3 @@ class TestShortcutEdgeType:
         # (compose seeks to the window itself); uncovered windows raise.
         assert shortcut.arrival_function(10.0, 50.0) is fn
         assert shortcut.arrival_function(0.0, 100.0) is fn
-
-
-class TestIndexPersistence:
-    def test_save_load_roundtrip(self, index, metro_small, tmp_path):
-        path = tmp_path / "index.json"
-        index.save(path)
-        loaded = HierarchicalIndex.load(metro_small, path)
-        assert loaded.stats.shortcuts == index.stats.shortcuts
-        assert loaded.stats.fragments == index.stats.fragments
-        # Spot-check a shortcut function survives exactly.
-        node = next(
-            n for n in metro_small.node_ids() if index.shortcuts_from(n)
-        )
-        original = index.shortcuts_from(node)[0]
-        reloaded = next(
-            s for s in loaded.shortcuts_from(node)
-            if s.target == original.target
-        )
-        assert reloaded.profile.equals_approx(original.profile, tol=1e-9)
-
-    def test_loaded_index_answers_match(self, index, metro_small, tmp_path):
-        path = tmp_path / "index.json"
-        index.save(path)
-        loaded = HierarchicalIndex.load(metro_small, path)
-        a = HierarchicalEngine(index).all_fastest_paths(0, 255, WINDOW)
-        b = HierarchicalEngine(loaded).all_fastest_paths(0, 255, WINDOW)
-        for instant in WINDOW.sample(7):
-            assert a.travel_time_at(instant) == pytest.approx(
-                b.travel_time_at(instant), abs=1e-9
-            )
-
-    def test_wrong_network_rejected(self, index, tmp_path):
-        from repro.network.generator import MetroConfig, make_metro_network
-
-        path = tmp_path / "index.json"
-        index.save(path)
-        other = make_metro_network(MetroConfig(width=9, height=9, seed=1))
-        with pytest.raises(QueryError, match="different network"):
-            HierarchicalIndex.load(other, path)
-
-    def test_garbage_file_rejected(self, metro_small, tmp_path):
-        path = tmp_path / "garbage.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(QueryError):
-            HierarchicalIndex.load(metro_small, path)

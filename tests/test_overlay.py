@@ -10,6 +10,7 @@ the serve tier boots warm from a mapped snapshot.
 from __future__ import annotations
 
 import array
+import os
 
 import pytest
 
@@ -35,9 +36,14 @@ WINDOW = TimeInterval(parse_clock("6:30"), parse_clock("9:30"))
 TINY_PAIRS = [(0, 99), (0, 55), (22, 77), (3, 96)]
 SMALL_PAIRS = [(0, 255), (17, 238), (5, 250)]
 
+#: Default worker count of every build here; the CI parallel leg sets
+#: REPRO_PRECOMPUTE_WORKERS=2 so the customization pool runs under pytest.
+ENV_WORKERS = int(os.environ.get("REPRO_PRECOMPUTE_WORKERS", "1"))
+
 
 def _build(network, levels, **kwargs):
     kwargs.setdefault("nx", 6)
+    kwargs.setdefault("workers", ENV_WORKERS)
     return MultiLevelOverlay.build(network, levels=levels, **kwargs)
 
 
@@ -120,11 +126,10 @@ class TestBuild:
         assert all(lv.profile_searches > 0 for lv in stats.levels)
         assert stats.build_seconds >= 0.0
 
-    def test_parallel_build_matches_serial(self, metro_tiny, overlay_tiny):
+    def test_parallel_build_matches_serial(self, metro_tiny):
+        serial = _build(metro_tiny, levels=2, workers=1)
         parallel = _build(metro_tiny, levels=2, workers=2)
-        for serial_level, parallel_level in zip(
-            overlay_tiny.levels, parallel.levels
-        ):
+        for serial_level, parallel_level in zip(serial.levels, parallel.levels):
             assert serial_level.src == parallel_level.src
             assert serial_level.dst == parallel_level.dst
             assert serial_level.off == parallel_level.off

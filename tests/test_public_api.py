@@ -31,7 +31,7 @@ class TestAllExports:
         [
             "IntAllFastestPaths",
             "ArrivalIntAllFastestPaths",
-            "HierarchicalEngine",
+            "OverlayEngine",
             "DiscreteTimeModel",
             "CCAMStore",
             "CapeCodNetwork",
@@ -84,7 +84,7 @@ class TestDocstrings:
             "repro.storage.ccam",
             "repro.storage.bptree",
             "repro.estimators.boundary",
-            "repro.hierarchy.index",
+            "repro.hierarchy.overlay",
             "repro.hierarchy.engine",
         ):
             module = importlib.import_module(module_name)

@@ -27,8 +27,7 @@ from repro.core.runtime import (
     SearchContext,
 )
 from repro.exceptions import NoPathError
-from repro.hierarchy.engine import HierarchicalEngine
-from repro.hierarchy.index import HierarchicalIndex
+from repro.hierarchy import MultiLevelOverlay, OverlayEngine
 from repro.timeutil import TimeInterval
 
 
@@ -104,12 +103,15 @@ class TestDeadlines:
 
     def test_hierarchy_build(self, metro_tiny, horizon):
         with pytest.raises(QueryTimeout) as info:
-            HierarchicalIndex(metro_tiny, 3, 3, horizon, deadline=0.0)
+            MultiLevelOverlay.build(
+                metro_tiny, levels=1, nx=3, horizon=horizon, deadline=0.0
+            )
         assert info.value.stats.timed_out
 
     def test_hierarchy_query(self, metro_tiny, horizon):
-        index = HierarchicalIndex(metro_tiny, 3, 3, horizon)
-        engine = HierarchicalEngine(index)
+        engine = OverlayEngine(
+            MultiLevelOverlay.build(metro_tiny, levels=1, nx=3, horizon=horizon)
+        )
         window = TimeInterval.from_clock("6:30", "9:30")
         with pytest.raises(QueryTimeout):
             engine.all_fastest_paths(0, 99, window, deadline=0.0)
@@ -162,7 +164,9 @@ class TestBudgets:
 
     def test_hierarchy_build(self, metro_tiny, horizon):
         with pytest.raises(SearchBudgetExceeded):
-            HierarchicalIndex(metro_tiny, 3, 3, horizon, max_pops=1)
+            MultiLevelOverlay.build(
+                metro_tiny, levels=1, nx=3, horizon=horizon, max_pops=1
+            )
 
     def test_profile_relaxation_budget_is_typed(
         self, metro_tiny, interval, monkeypatch

@@ -12,6 +12,7 @@ mutation-chaos harness itself.
 from __future__ import annotations
 
 import copy
+import os
 import threading
 
 import pytest
@@ -44,6 +45,10 @@ from repro.timeutil import TimeInterval
 from repro.workloads.queries import QuerySpec
 
 INTERVAL = TimeInterval(480.0, 540.0)
+
+#: Worker count of the delta refreshes below; the CI parallel leg sets
+#: REPRO_PRECOMPUTE_WORKERS=2 so the customization pool runs under pytest.
+ENV_WORKERS = int(os.environ.get("REPRO_PRECOMPUTE_WORKERS", "1"))
 
 
 @pytest.fixture
@@ -222,7 +227,7 @@ class TestEstimatorDelta:
         estimator.precompute()
         mutation = mutation_for(network, 0, 0.2)
         applied = apply_batch(network, MutationBatch((mutation,)))
-        estimator.refresh_delta(applied)
+        estimator.refresh_delta(applied, workers=ENV_WORKERS)
 
         pairs = [
             (mutation.source, mutation.target),
@@ -239,7 +244,7 @@ class TestEstimatorDelta:
         estimator.precompute()
         mutation = mutation_for(network, 0, 4.0)
         applied = apply_batch(network, MutationBatch((mutation,)))
-        estimator.refresh_delta(applied)
+        estimator.refresh_delta(applied, workers=ENV_WORKERS)
         pairs = [(mutation.source, mutation.target), (0, network.node_count - 1)]
         exact = _answers(network, NaiveEstimator(network), pairs)
         assert _answers(network, estimator, pairs) == exact
@@ -262,7 +267,7 @@ class TestOverlayDelta:
             if overlay.cell_at(m.source, 0) == overlay.cell_at(m.target, 0)
         )
         applied = apply_batch(network, MutationBatch((mutation,)))
-        recomputed = overlay.refresh_delta(applied)
+        recomputed = overlay.refresh_delta(applied, workers=ENV_WORKERS)
         assert recomputed >= 1
 
         rebuilt = MultiLevelOverlay.build(
@@ -299,6 +304,89 @@ class TestOverlayDelta:
 # ----------------------------------------------------------------------
 def _request(source, target, **kw):
     return QueryRequest(source, target, INTERVAL, "allfp", **kw)
+
+
+class TestOverlayRefreshFailure:
+    """A batch ``validate_batch`` accepts can still fail re-customization:
+    with every edge slowed x1e-3, level-0 shortcuts are slower than the 12 h
+    horizon pad and the level-1 search runs off their window.  The overlay
+    must stay whole and the service must keep answering at the new version.
+    """
+
+    @staticmethod
+    def _case():
+        network = make_metro_network(MetroConfig(width=10, height=10, seed=23))
+        overlay = MultiLevelOverlay.build(
+            network, levels=2, nx=4, horizon=TimeInterval(0.0, 48 * 60.0)
+        )
+        batch = MutationBatch(
+            tuple(
+                EdgeMutation(e.source, e.target, slowdown_pattern(e.pattern, 1e-3))
+                for e in network.edges()
+            )
+        )
+        reference_net = copy.deepcopy(network)
+        apply_batch(reference_net, batch)
+        flat = IntAllFastestPaths(reference_net).all_fastest_paths(0, 99, INTERVAL)
+        return network, overlay, batch, flat
+
+    def test_service_drops_to_flat_at_new_version(self):
+        network, overlay, batch, flat = self._case()
+        before = [(bytes(lv.off), bytes(lv.xs), bytes(lv.ys)) for lv in overlay.levels]
+        service = AllFPService(
+            network, config=ServiceConfig(workers=1), overlay=overlay
+        )
+        try:
+            assert service.query(_request(0, 99)).version == 0
+            assert service.apply_updates(batch) == 1
+            live = service.query(_request(0, 99))
+            assert (live.version, live.cached, live.degraded) == (1, False, True)
+            assert live.result.border.breakpoints == flat.border.breakpoints
+            assert live.result.entries == flat.entries
+            assert service.metrics.counter_value(
+                "overlay_refresh_failures_total"
+            ) == 1.0
+            # All levels or none: the failed pass left the overlay untouched.
+            assert before == [
+                (bytes(lv.off), bytes(lv.xs), bytes(lv.ys)) for lv in overlay.levels
+            ]
+        finally:
+            service.close()
+
+    def test_sharded_tier_keeps_both_workers(self, tmp_path):
+        from repro.estimators import snapshot as snap
+        from repro.serve import InProcessClient
+        from repro.shard import ShardedService
+
+        network, overlay, batch, flat = self._case()
+        path = tmp_path / "combo.ovl"
+        snap.save_tables(
+            BoundaryNodeEstimator(network, 4, 4).tables,
+            path,
+            snap.network_fingerprint(network),
+            overlay=overlay,
+        )
+        tier = ShardedService(
+            network,
+            None,
+            ServiceConfig(workers=1),
+            shards=2,
+            snapshot_path=str(path),
+            overlay_path=str(path),
+        )
+        try:
+            assert tier.apply_updates(batch) == 1
+            assert [h["alive"] for h in tier.shard_health()] == [True, True]
+            spec = QuerySpec(
+                source=0, target=99, interval=INTERVAL, euclidean_distance=1.0
+            )
+            got = InProcessClient(tier).query(spec)
+            assert got.version == 1
+            assert got.result.as_dict()["border"] == [
+                list(p) for p in flat.border.breakpoints
+            ]
+        finally:
+            tier.close()
 
 
 class TestServiceUpdates:
