@@ -1,7 +1,7 @@
 """Machine-readable benchmark artifacts — ``BENCH_<name>.json`` at repo root.
 
 Every standalone benchmark driver (``bench_func_ops.py``'s ``main()`` mode,
-``bench_profile.py``, ``bench_serve.py``, ...) funnels its results through
+``bench_profile.py``, ``bench_batch.py``, ...) funnels its results through
 :func:`emit_bench_json`, so every artifact shares one schema:
 
 .. code-block:: json
@@ -42,11 +42,9 @@ SCHEMA_VERSION = 1
 #: set and CI catches a driver that silently stopped emitting.
 KNOWN_BENCHMARKS = (
     "func_ops",
-    "serve",
     "precompute",
     "profile",
     "batch",
-    "shard",
     "overlay",
     "updates",
 )

@@ -1,10 +1,10 @@
 """CI smoke test for the sharded serve tier.
 
-Boots a 2-shard :class:`repro.shard.ShardedService` (shared-memory
-estimator transport) behind the stdlib HTTP server and checks the
+Boots a 2-shard :class:`repro.shard.ShardedService` (estimator tables
+mmap-ed from the tier's temporary snapshot) behind the stdlib HTTP server and checks the
 end-to-end contract the CI job cares about:
 
-1. ``GET /healthz`` aggregates both shards, alive, over the shm
+1. ``GET /healthz`` aggregates both shards, alive, over the mmap
    transport,
 2. an allFP query over HTTP answers identically to a single-process
    ``AllFPService``,
@@ -84,11 +84,11 @@ def main() -> int:
     try:
         # 1. healthz aggregates both shards
         health = client.healthz()
-        shards = health.get("shards")
-        assert shards and len(shards) == 2, health
+        shards = health["shards"]
+        assert len(shards) == 2, health
         assert all(s["alive"] for s in shards), shards
-        assert all(s["tables_mode"] == "shm" for s in shards), shards
-        print(f"healthz ok: 2/2 shards alive over shm transport")
+        assert all(s["tables_mode"] == "mmap" for s in shards), shards
+        print("healthz ok: 2/2 shards alive over mmap transport")
 
         # 2. HTTP answer equals the single-process answer
         status, body = client.query(0, 99, interval)

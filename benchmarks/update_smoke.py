@@ -16,8 +16,8 @@ holds the whole update contract:
 4. **typed rejections** — an unknown edge is HTTP 404
    (``EdgeNotFoundError``) and leaves the version alone; a malformed
    batch and a negative ``max_staleness`` are HTTP 400;
-5. **chaos under mutation** — :func:`repro.serve.chaos.run_mutation_chaos`
-   replays queries concurrent with the trace, faults off and on
+5. **chaos under mutation** — :func:`repro.serve.chaos.run_chaos` with a
+   ``trace`` replays queries concurrent with it, faults off and on
    (``default_fault_plan``): every non-stale answer must byte-match a
    fault-free re-execution at the network version it claims.
 
@@ -43,7 +43,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.serve import AllFPService, HTTPClient, ServiceConfig, make_server, start_in_thread
-from repro.serve.chaos import _canonical, default_fault_plan, run_mutation_chaos
+from repro.serve.chaos import _canonical, default_fault_plan, run_chaos
 from repro.serve.service import QueryRequest
 from repro.serve.updates import TraceEvent, apply_batch, load_trace
 from repro.shard import ShardedService
@@ -196,9 +196,7 @@ def check_mutation_chaos(events, plan=None) -> None:
     trace = [TraceEvent(e.at / 5.0, e.batch) for e in events]
     service = AllFPService(network, config=ServiceConfig(workers=2))
     try:
-        report = run_mutation_chaos(
-            service, queries, trace, plan=plan, clients=3
-        )
+        report = run_chaos(service, queries, plan, trace=trace, clients=3)
     finally:
         service.close()
     assert report.passed(), report.violations

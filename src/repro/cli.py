@@ -40,6 +40,7 @@ from .exceptions import ReproError
 from .func import kernel
 from .network.generator import MetroConfig, make_metro_network
 from .network.io import load_network, save_network
+from .serve.boot import open_network, open_service
 from .storage.ccam import CCAMStore
 from .timeutil import TimeInterval, format_duration, parse_clock
 
@@ -125,45 +126,99 @@ def _cmd_build_ccam(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_network(path: str):
-    if Path(path).suffix == ".ccam":
-        return CCAMStore.open(path)
-    return load_network(path)
+def _wants_boundary(network, args: argparse.Namespace) -> bool:
+    """Whether the §5 estimator was asked for and can be had."""
+    if args.estimator != "boundary":
+        return False
+    if isinstance(network, CCAMStore):
+        print(
+            "note: boundary estimator precomputation needs the full graph; "
+            "falling back to naive on a .ccam input",
+            file=sys.stderr,
+        )
+        return False
+    return True
 
 
-def _boundary_estimator(network, args: argparse.Namespace):
-    """Build the §5 estimator, honoring ``--estimator-cache`` when given.
+def _customized(network, args: argparse.Namespace) -> dict:
+    """The cache hit / miss / build / write policy of the two RPRESNAP files
+    (``--estimator-cache``, ``--overlay-cache``), for every verb that reads
+    them, with or without ``--shards``.
 
-    * cache file exists  → warm-start from it (a fingerprint mismatch is a
-      hard :class:`~repro.exceptions.EstimatorError` → exit 2, one line);
-    * cache file missing → precompute (``--precompute-workers`` processes)
-      and write the snapshot for the next boot.
+    Returns what to serve from, as :func:`repro.serve.boot.open_service`
+    keywords (``None`` where the flags ask for nothing): a **hit** — the
+    named cache file exists — is handed on as its path (``snapshot_path`` /
+    ``overlay_path``) for the reader to open; a **miss** is built in-process
+    (``--precompute-workers`` processes), written to the named file for the
+    next boot, and handed on as the object (``estimator`` / ``overlay``).
+    Misses are noted on stderr here, hits by :func:`_note_hits` (``query``
+    opens the file first, so a bad one is the only line it prints).
     """
-    cache = getattr(args, "estimator_cache", None)
-    workers = getattr(args, "precompute_workers", 1)
-    grid = args.grid
+    from .estimators import snapshot as snap
+
+    sources = dict.fromkeys(
+        ("estimator", "snapshot_path", "overlay", "overlay_path"), None
+    )
+    workers = args.precompute_workers
+    cache = args.estimator_cache
+    if not _wants_boundary(network, args):
+        pass
+    elif cache and Path(cache).exists():
+        sources["snapshot_path"] = cache
+    else:
+        built = BoundaryNodeEstimator(network, args.grid, args.grid, workers=workers)
+        sources["estimator"] = built
+        if cache:
+            built.save_snapshot(cache)
+            print(
+                f"estimator cache miss: precomputed in "
+                f"{built.precompute_seconds:.2f}s and wrote {cache}",
+                file=sys.stderr,
+            )
+
+    cache, levels = args.overlay_cache, args.overlay_levels
     if cache and Path(cache).exists():
-        estimator = BoundaryNodeEstimator.from_snapshot(network, cache)
-        print(
-            f"estimator cache hit: {cache} "
-            f"({estimator.grid.shape[0]}x{estimator.grid.shape[1]} grid, "
-            f"{estimator.metric} metric)",
-            file=sys.stderr,
+        sources["overlay_path"] = cache
+    elif cache and levels <= 0:
+        raise ReproError(
+            f"overlay cache {cache} does not exist; pass --overlay-levels N "
+            "to build it (or repro-allfp build-overlay)"
         )
-        return estimator
-    estimator = BoundaryNodeEstimator(network, grid, grid, workers=workers)
-    if cache:
-        estimator.save_snapshot(cache)
-        print(
-            f"estimator cache miss: precomputed in "
-            f"{estimator.precompute_seconds:.2f}s and wrote {cache}",
-            file=sys.stderr,
-        )
-    return estimator
+    elif levels > 0:
+        from .hierarchy import MultiLevelOverlay
+
+        overlay = MultiLevelOverlay.build(network, levels=levels, workers=workers)
+        sources["overlay"] = overlay
+        took = f"{overlay.level_count} level(s) in {overlay.stats.build_seconds:.2f}s"
+        if cache:
+            # A v2 snapshot always leads with estimator tables: the ones this
+            # boot has (built, or in the estimator cache it hit), else built
+            # for the purpose (naive, .ccam).
+            if sources["snapshot_path"]:
+                leader = BoundaryNodeEstimator.from_snapshot(
+                    network, sources["snapshot_path"]
+                )
+            else:
+                leader = sources["estimator"] or BoundaryNodeEstimator(
+                    network, args.grid, args.grid
+                )
+            snap.save_tables(
+                leader.tables, cache, snap.network_fingerprint(network), overlay=overlay
+            )
+            print(f"overlay cache miss: built {took} and wrote {cache}", file=sys.stderr)
+        else:
+            print(f"overlay: built {took}", file=sys.stderr)
+    return sources
+
+
+def _note_hits(sources: dict) -> None:
+    for kind, key in (("estimator", "snapshot_path"), ("overlay", "overlay_path")):
+        if sources[key]:
+            print(f"{kind} cache hit: {sources[key]}", file=sys.stderr)
 
 
 def _cmd_precompute(args: argparse.Namespace) -> int:
-    network = _open_network(args.network)
+    network = open_network(args.network)
     if isinstance(network, CCAMStore):
         raise ReproError(
             "boundary estimator precomputation needs the full graph; "
@@ -197,7 +252,7 @@ def _cmd_build_overlay(args: argparse.Namespace) -> int:
     from .estimators import snapshot as snap
     from .hierarchy import MultiLevelOverlay
 
-    network = _open_network(args.network)
+    network = open_network(args.network)
     if isinstance(network, CCAMStore):
         raise ReproError(
             "overlay construction needs the full graph; "
@@ -240,79 +295,14 @@ def _cmd_build_overlay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _overlay_for(network, args: argparse.Namespace, estimator=None):
-    """Honor ``--overlay-levels``/``--overlay-cache`` (None = overlay off).
-
-    Mirrors :func:`_boundary_estimator`'s cache semantics: an existing cache
-    file is mapped (fingerprint-checked, zero-copy); a missing one with
-    ``--overlay-levels N`` triggers an in-process build, persisted as a
-    combined v2 snapshot when a cache path was given.
-    """
-    cache = getattr(args, "overlay_cache", None)
-    levels = getattr(args, "overlay_levels", 0)
-    if not cache and levels <= 0:
-        return None
-    from .estimators import snapshot as snap
-
-    if cache and Path(cache).exists():
-        overlay = snap.map_overlay(cache, network)
-        print(
-            f"overlay cache hit: {cache} ({overlay.level_count} level(s), "
-            f"{sum(lv.shortcut_count for lv in overlay.levels)} shortcuts)",
-            file=sys.stderr,
-        )
-        return overlay
-    if levels <= 0:
-        raise ReproError(
-            f"overlay cache {cache} does not exist; pass --overlay-levels N "
-            "to build it (or repro-allfp build-overlay)"
-        )
-    from .hierarchy import MultiLevelOverlay
-
-    overlay = MultiLevelOverlay.build(
-        network, levels=levels, workers=getattr(args, "precompute_workers", 1)
-    )
-    if cache:
-        tables = getattr(estimator, "tables", None)
-        if tables is None:
-            # A v2 snapshot always carries estimator tables in front of the
-            # overlay section; build the boundary tables if the query ran
-            # on another estimator.
-            helper = BoundaryNodeEstimator(network, args.grid, args.grid)
-            helper.precompute()
-            tables = helper.tables
-        snap.save_tables(
-            tables, cache, snap.network_fingerprint(network), overlay=overlay
-        )
-        print(
-            f"overlay cache miss: built {overlay.level_count} level(s) in "
-            f"{overlay.stats.build_seconds:.2f}s and wrote {cache}",
-            file=sys.stderr,
-        )
-    else:
-        print(
-            f"overlay: built {overlay.level_count} level(s) in "
-            f"{overlay.stats.build_seconds:.2f}s",
-            file=sys.stderr,
-        )
-    return overlay
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
-    network = _open_network(args.network)
+    network = open_network(args.network)
     interval = TimeInterval(
         parse_clock(args.leave_from, args.day), parse_clock(args.leave_to, args.day)
     )
     backward = args.constraint == "arrival"
-    if args.estimator == "boundary":
-        if isinstance(network, CCAMStore):
-            print(
-                "note: boundary estimator precomputation needs the full graph; "
-                "falling back to naive on a .ccam input",
-                file=sys.stderr,
-            )
-            estimator = NaiveEstimator(network)
-        elif backward:
+    if backward:
+        if _wants_boundary(network, args):
             if args.estimator_cache:
                 print(
                     "note: --estimator-cache is ignored with "
@@ -322,29 +312,36 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 )
             estimator = reverse_boundary_estimator(network, args.grid, args.grid)
         else:
-            estimator = _boundary_estimator(network, args)
-    else:
-        estimator = NaiveEstimator(network)
-    overlay = None
-    if backward:
-        if getattr(args, "overlay_cache", None) or getattr(
-            args, "overlay_levels", 0
-        ):
+            estimator = NaiveEstimator(network)
+        if args.overlay_cache or args.overlay_levels:
             print(
                 "note: the overlay is ignored with --constraint arrival "
                 "(shortcuts store forward arrival functions)",
                 file=sys.stderr,
             )
-    else:
-        overlay = _overlay_for(network, args, estimator)
-    if backward:
         engine = ArrivalIntAllFastestPaths(network, estimator)
-    elif overlay is not None:
-        from .hierarchy.engine import OverlayEngine
-
-        engine = OverlayEngine(overlay, estimator)
     else:
-        engine = IntAllFastestPaths(network, estimator)
+        # One-shot: cache hits are opened strictly, so a bad file is a
+        # one-line error and exit 2 rather than a degraded answer.
+        sources = _customized(network, args)
+        estimator, overlay = sources["estimator"], sources["overlay"]
+        if sources["snapshot_path"]:
+            estimator = BoundaryNodeEstimator.from_snapshot(
+                network, sources["snapshot_path"]
+            )
+        if sources["overlay_path"]:
+            from .estimators.snapshot import map_overlay
+
+            overlay = map_overlay(sources["overlay_path"], network)
+        _note_hits(sources)
+        if estimator is None:
+            estimator = NaiveEstimator(network)
+        if overlay is not None:
+            from .hierarchy.engine import OverlayEngine
+
+            engine = OverlayEngine(overlay, estimator)
+        else:
+            engine = IntAllFastestPaths(network, estimator)
     if args.mode == "singlefp":
         single = engine.single_fastest_path(args.source, args.target, interval)
         print(single)
@@ -381,7 +378,7 @@ def _parse_node_list(raw: str, flag: str) -> list[int]:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .core.profile import profile_search
 
-    network = _open_network(args.network)
+    network = open_network(args.network)
     interval = TimeInterval(
         parse_clock(args.leave_from, args.day), parse_clock(args.leave_to, args.day)
     )
@@ -409,7 +406,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_knn(args: argparse.Namespace) -> int:
     from .core.knn import interval_knn
 
-    network = _open_network(args.network)
+    network = open_network(args.network)
     interval = TimeInterval(
         parse_clock(args.leave_from, args.day), parse_clock(args.leave_to, args.day)
     )
@@ -464,7 +461,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
     if args.targets is not None and args.source is None:
         raise ReproError("--targets requires --source")
-    network = _open_network(args.network)
+    network = open_network(args.network)
     interval = TimeInterval(
         parse_clock(args.leave_from, args.day), parse_clock(args.leave_to, args.day)
     )
@@ -516,66 +513,26 @@ def _print_kernel_stats(stats) -> None:
 
 
 def _build_service(args: argparse.Namespace):
-    """Shared by ``serve``/``bench-load``/``chaos``: network + estimator + service.
+    """Shared by ``serve``/``bench-load``/``chaos``: the service surface.
 
-    With ``--shards N`` (N >= 1) the result is a
-    :class:`~repro.shard.tier.ShardedService` instead of a single
-    :class:`~repro.serve.AllFPService`; the estimator snapshot, when one
-    exists on disk, travels to the workers by ``mmap`` (zero-copy), a
-    parent-built estimator by shared memory, and the network itself by
-    fork (re-opened per worker for .ccam stores).
+    ``--shards 0`` opens one :class:`~repro.serve.AllFPService`; ``--shards
+    N`` starts a :class:`~repro.shard.tier.ShardedService` whose N workers
+    each open the same thing from the same sources — cache files are
+    ``mmap``-ed, a parent-built estimator travels as a temporary snapshot,
+    the network itself by fork (re-opened per worker for .ccam stores).
     """
-    from .serve import AllFPService, ServiceConfig
+    from .serve import ServiceConfig
 
-    shards = getattr(args, "shards", 0)
-    network = _open_network(args.network)
-    estimator = None
-    snapshot_path = None
-    overlay = None
-    overlay_path = None
-    degraded = False
-    if args.estimator == "boundary":
-        if isinstance(network, CCAMStore):
-            print(
-                "note: boundary estimator precomputation needs the full graph; "
-                "falling back to naive on a .ccam input",
-                file=sys.stderr,
-            )
-        else:
-            cache = getattr(args, "estimator_cache", None)
-            if shards > 0 and cache and Path(cache).exists():
-                # Let every worker mmap the snapshot file directly —
-                # the fingerprint check happens at attach time, per worker.
-                snapshot_path = cache
-            else:
-                try:
-                    estimator = _boundary_estimator(network, args)
-                except ReproError as exc:
-                    # A broken snapshot must not keep the service down: boot
-                    # on the (admissible) naive bound and flag every answer
-                    # degraded until an estimator refresh succeeds.
-                    print(
-                        f"warning: boundary estimator unavailable ({exc}); "
-                        "serving degraded on the naive bound",
-                        file=sys.stderr,
-                    )
-                    degraded = True
-    overlay_cache = getattr(args, "overlay_cache", None)
-    overlay_levels = getattr(args, "overlay_levels", 0)
-    if shards > 0 and (overlay_cache or overlay_levels > 0):
-        if overlay_cache and not Path(overlay_cache).exists():
-            # Build it now so every worker can mmap the same file.
-            _overlay_for(network, args, estimator)
-        if overlay_cache and Path(overlay_cache).exists():
-            overlay_path = overlay_cache
-        else:
-            print(
-                "note: --overlay-levels with --shards needs --overlay-cache "
-                "(workers mmap the snapshot); running without the overlay",
-                file=sys.stderr,
-            )
-    elif shards == 0:
-        overlay = _overlay_for(network, args, estimator)
+    network = open_network(args.network)
+    if args.shards > 0 and args.overlay_levels > 0 and not args.overlay_cache:
+        print(
+            "note: --overlay-levels with --shards needs --overlay-cache "
+            "(workers mmap the snapshot); running without the overlay",
+            file=sys.stderr,
+        )
+        args.overlay_levels = 0
+    sources = _customized(network, args)
+    _note_hits(sources)  # a service maps them leniently: bad file = degraded
     config = ServiceConfig(
         workers=args.workers,
         max_pending=args.max_pending,
@@ -587,50 +544,24 @@ def _build_service(args: argparse.Namespace):
         task_retries=args.task_retries,
         serve_stale=args.serve_stale,
     )
-    if shards > 0:
+    if args.shards > 0:
         from .shard import ShardedService
 
+        # The tier's only transport for customized data is a file to mmap;
+        # an overlay built just now (cache miss) is in the file it wrote.
+        if sources.pop("overlay") is not None:
+            sources["overlay_path"] = args.overlay_cache
         return ShardedService(
             network,
-            estimator,
-            config,
-            shards=shards,
+            config=config,
+            shards=args.shards,
             network_path=args.network,
-            snapshot_path=snapshot_path,
-            overlay_path=overlay_path,
-            grid=args.grid,
-            degraded=degraded,
+            **sources,
         )
-    return AllFPService(
-        network, estimator, config, degraded=degraded, overlay=overlay
-    )
-
-
-def _service_counters(service) -> dict:
-    """Engine/cache/coalescing counters, summed across shards when the
-    service is a tier (dead shards contribute nothing)."""
-    stats = service.stats()
-    if "per_shard" not in stats:
-        return {
-            "engine_runs": stats["engine_runs"],
-            "result_cache_hits": stats["result_cache"]["hits"],
-            "result_cache_misses": stats["result_cache"]["misses"],
-            "coalesced": stats["single_flight"]["coalesced"],
-        }
-    totals = {
-        "engine_runs": 0,
-        "result_cache_hits": 0,
-        "result_cache_misses": 0,
-        "coalesced": 0,
-    }
-    for shard_stats in stats["per_shard"].values():
-        if shard_stats is None:
-            continue
-        totals["engine_runs"] += shard_stats["engine_runs"]
-        totals["result_cache_hits"] += shard_stats["result_cache"]["hits"]
-        totals["result_cache_misses"] += shard_stats["result_cache"]["misses"]
-        totals["coalesced"] += shard_stats["single_flight"]["coalesced"]
-    return totals
+    service, boot = open_service(network, config=config, **sources)
+    for error in boot["errors"]:
+        print(f"warning: {error}; serving degraded", file=sys.stderr)
+    return service
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -640,7 +571,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = make_server(service, args.host, args.port, quiet=args.quiet)
     host, port = server.server_address[:2]
     print(f"repro-allfp serving on http://{host}:{port}")
-    if getattr(args, "shards", 0) > 0:
+    if args.shards > 0:
         print(
             f"sharded: {args.shards} worker process(es) behind the "
             "consistent-hash router"
@@ -680,11 +611,10 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
     client = InProcessClient(service)
     query_fn = lambda spec: client.query(spec, mode=args.mode)  # noqa: E731
     applier = None
-    if getattr(args, "updates_trace", None):
+    if args.updates_trace:
         import threading
-        import time as _time
 
-        from .serve.updates import load_trace
+        from .serve.updates import load_trace, replay_trace
 
         trace = load_trace(args.updates_trace)
         speed = args.updates_speed
@@ -696,23 +626,20 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
             f"{args.updates_trace} at {speed:g}x"
         )
 
-        def _apply_trace() -> None:
-            t0 = _time.monotonic()
-            for event in trace:
-                delay = event.at / speed - (_time.monotonic() - t0)
-                if delay > 0:
-                    _time.sleep(delay)
-                try:
-                    service.apply_updates(event.batch)
-                except ReproError as exc:
-                    print(
-                        f"warning: update batch at t={event.at:g}s failed: "
-                        f"{exc}",
-                        file=sys.stderr,
-                    )
+        def apply_event(event) -> None:
+            try:
+                service.apply_updates(event.batch)
+            except ReproError as exc:
+                print(
+                    f"warning: update batch at t={event.at:g}s failed: {exc}",
+                    file=sys.stderr,
+                )
 
         applier = threading.Thread(
-            target=_apply_trace, name="bench-load-updates", daemon=True
+            target=replay_trace,
+            args=(trace, apply_event, speed),
+            name="bench-load-updates",
+            daemon=True,
         )
         applier.start()
     if args.arrivals == "poisson":
@@ -733,8 +660,14 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
                 "meta counts what landed so far",
                 file=sys.stderr,
             )
-    counters = _service_counters(service)  # before close: shards must be up
-    update_stats = service.stats().get("updates") or {}
+    stats = service.stats()  # before close: shards must be up
+    counters = {
+        "engine_runs": stats["engine_runs"],
+        "result_cache_hits": stats["result_cache"]["hits"],
+        "result_cache_misses": stats["result_cache"]["misses"],
+        "coalesced": stats["single_flight"]["coalesced"],
+    }
+    update_stats = stats["updates"]
     service.close()
     summary = report.as_dict()
     print(
@@ -756,7 +689,7 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
         f"{counters['result_cache_misses']} misses  "
         f"coalesced: {counters['coalesced']}"
     )
-    if update_stats.get("batches_applied"):
+    if update_stats["batches_applied"]:
         print(
             f"updates: {update_stats['batches_applied']} batch(es), "
             f"{update_stats['mutations_applied']} mutation(s) applied, "
@@ -764,21 +697,18 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
             f"{update_stats['max_staleness_seconds'] * 1e3:.1f}ms"
         )
     if args.json:
-        shards = getattr(args, "shards", 0)
         payload = {
             **summary,
             "counters": counters,
             "meta": {
                 # the same identity labels /metrics carries on every sample
                 "kernel_backend": kernel.active_backend(),
-                "shard_count": shards if shards > 0 else None,
+                "shard_count": args.shards if args.shards > 0 else None,
                 "cpu_count": os.cpu_count(),
                 "mode": args.mode,
                 "arrivals": args.arrivals,
-                "applied_mutations": update_stats.get("mutations_applied", 0),
-                "max_staleness_seconds": update_stats.get(
-                    "max_staleness_seconds", 0.0
-                ),
+                "applied_mutations": update_stats["mutations_applied"],
+                "max_staleness_seconds": update_stats["max_staleness_seconds"],
             },
         }
         Path(args.json).write_text(
@@ -789,11 +719,12 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run the chaos harness against an in-process service (see
+    """Run the chaos harness against an in-process service or tier (see
     ``docs/reliability.md``): baseline the workload fault-free, replay it
-    under the fault plan, and exit non-zero on any invariant violation."""
+    under the fault plan — with ``--shards``, also a mid-run worker kill —
+    and exit non-zero on any invariant violation."""
     from . import reliability
-    from .serve.chaos import default_fault_plan, run_chaos, run_shard_chaos
+    from .serve.chaos import busiest_shard, default_fault_plan, run_chaos
     from .workloads.queries import morning_rush_interval, random_queries
 
     if args.faults:
@@ -822,23 +753,26 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         min_distance=args.min_distance,
         max_distance=args.max_distance,
     )
-    shards = getattr(args, "shards", 0)
+    kill_shard = None
+    if args.shards > 0:
+        kill_shard = (
+            args.kill_shard
+            if args.kill_shard is not None
+            else busiest_shard(service.ring, queries)
+        )
     print(
         f"chaos: {len(queries)} queries, {args.clients} client(s), "
         f"{len(plan.specs)} fault spec(s), seed {plan.seed}"
-        + (f", {shards} shard(s) with one mid-run kill" if shards > 0 else "")
+        + (
+            f", {args.shards} shard(s) with one mid-run kill"
+            if args.shards > 0
+            else ""
+        )
     )
     try:
-        if shards > 0:
-            report = run_shard_chaos(
-                service,
-                queries,
-                plan,
-                clients=args.clients,
-                kill_shard=args.kill_shard,
-            )
-        else:
-            report = run_chaos(service, queries, plan, clients=args.clients)
+        report = run_chaos(
+            service, queries, plan, kill_shard=kill_shard, clients=args.clients
+        )
     finally:
         service.close()
     for line in report.summary_lines():
@@ -857,7 +791,7 @@ def _cmd_replay_updates(args: argparse.Namespace) -> int:
     import time as _time
 
     from .serve.client import HTTPClient
-    from .serve.updates import load_trace
+    from .serve.updates import load_trace, replay_trace
 
     if args.speed <= 0:
         raise ReproError(f"--speed must be > 0, got {args.speed:g}")
@@ -870,26 +804,25 @@ def _cmd_replay_updates(args: argparse.Namespace) -> int:
         + (f" at {args.speed:g}x" if args.speed != 1.0 else "")
     )
     started = _time.monotonic()
-    version = None
-    for event in events:
-        delay = event.at / args.speed - (_time.monotonic() - started)
-        if delay > 0:
-            _time.sleep(delay)
+    versions = []
+
+    def post(event) -> None:
         status, body = client.updates(event.batch)
         if status != 200:
-            detail = body.get("error") or body
             raise ReproError(
                 f"update batch at t={event.at:g}s rejected: "
-                f"HTTP {status}: {detail}"
+                f"HTTP {status}: {body['error']}: {body['message']}"
             )
-        version = body.get("version")
+        versions.append(body["version"])
         print(
-            f"t={event.at:g}s: applied {body.get('applied', len(event.batch))} "
-            f"mutation(s) -> network version {version} "
-            f"(staleness {body.get('staleness_seconds', 0.0):.3f}s)"
+            f"t={event.at:g}s: applied {body['applied']} "
+            f"mutation(s) -> network version {body['version']} "
+            f"(staleness {body['staleness_seconds']:.3f}s)"
         )
+
+    replay_trace(events, post, args.speed)
     print(
-        f"replay complete: network version {version} "
+        f"replay complete: network version {versions[-1]} "
         f"after {_time.monotonic() - started:.2f}s"
     )
     return 0
@@ -924,7 +857,7 @@ def _cmd_snapshot_info(args: argparse.Namespace) -> int:
     if getattr(args, "network", None):
         from .estimators.snapshot import network_fingerprint
 
-        network = _open_network(args.network)
+        network = open_network(args.network)
         if isinstance(network, CCAMStore):
             raise ReproError(
                 "fingerprint cross-check needs the full graph; "
@@ -971,7 +904,7 @@ def _cmd_snapshot_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    network = _open_network(args.network)
+    network = open_network(args.network)
     if isinstance(network, CCAMStore):
         print(f"nodes: {network.node_count}")
         print(f"directed edges: {network.edge_count}")

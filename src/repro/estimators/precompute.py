@@ -70,8 +70,8 @@ class EstimatorTables:
     workers_used: int = 1
     loaded_from_snapshot: bool = False
     _index_of: dict[int, int] | None = field(default=None, repr=False)
-    #: Keeps the backing buffer (an ``mmap`` or shared-memory segment) alive
-    #: when the stores are zero-copy memoryviews instead of private arrays.
+    #: Keeps the backing buffer (an ``mmap``) alive when the stores are
+    #: zero-copy memoryviews instead of private arrays.
     _buffer_owner: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -107,8 +107,7 @@ class EstimatorTables:
     @property
     def zero_copy(self) -> bool:
         """True when the stores are read-only views over a shared buffer
-        (an ``mmap``-ed snapshot or a shared-memory segment) instead of
-        per-process ``array`` copies."""
+        (an ``mmap``-ed snapshot) instead of per-process ``array`` copies."""
         return isinstance(self.node_ids, memoryview)
 
     def index(self, node_id: int) -> int:
@@ -406,7 +405,7 @@ def refresh_tables_delta(
     to a from-scratch rebuild; only estimator tightness (search effort)
     can differ, and only far away from the incident.  The returned tables
     are always private arrays — safe even when ``tables`` is a read-only
-    zero-copy view over an ``mmap`` or shared-memory snapshot.
+    zero-copy view over an ``mmap``-ed snapshot.
     """
     started = time.perf_counter()
     if tables.metric != "time":

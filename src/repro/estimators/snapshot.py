@@ -45,14 +45,12 @@ always written; the reader accepts both versions.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import mmap
 import os
 import struct
 import sys
 from array import array
-from multiprocessing import shared_memory
 from pathlib import Path
 
 from .. import reliability
@@ -134,7 +132,7 @@ def network_fingerprint(network) -> bytes:
 
 def _write_array(out, arr) -> None:
     # Accept both array-module stores and the read-only memoryviews a
-    # zero-copy (mmap/shared-memory) EstimatorTables carries.
+    # zero-copy (mmap) EstimatorTables carries.
     typecode = getattr(arr, "typecode", None) or arr.format
     out.write(_ARRAY_HEADER.pack(ord(typecode), arr.itemsize, len(arr)))
     out.write(arr.tobytes())
@@ -321,8 +319,8 @@ def _parse_array(
     payload = reader.take(itemsize * count, what)
     if not copy:
         # Zero-copy: a typed read-only view straight over the backing
-        # buffer.  The caller keeps the buffer (mmap / shared memory)
-        # alive via EstimatorTables._buffer_owner.
+        # buffer.  The caller keeps the buffer (the mmap) alive via
+        # EstimatorTables._buffer_owner.
         return payload.cast(typecode)
     arr = array(typecode)
     arr.frombytes(payload)
@@ -629,125 +627,6 @@ def map_overlay(path: str | Path, network):
         except BufferError:
             pass
         raise
-
-
-def tables_to_bytes(tables: EstimatorTables, fingerprint: bytes) -> bytes:
-    """The exact RPRESNAP image :func:`save_tables` would write, in memory."""
-    out = io.BytesIO()
-    out.write(
-        _HEADER.pack(
-            MAGIC,
-            SNAPSHOT_VERSION,
-            0 if sys.byteorder == "little" else 1,
-            _METRIC_CODES[tables.metric],
-            tables.nx,
-            tables.ny,
-            tables.node_count,
-            tables.cell_count,
-            tables.v_max,
-            tables.precompute_seconds,
-            fingerprint,
-        )
-    )
-    for arr in (
-        tables.node_ids,
-        tables.node_cell,
-        tables.to_boundary,
-        tables.from_boundary,
-        tables.cell_pair,
-    ):
-        _write_array(out, arr)
-    return out.getvalue()
-
-
-class SharedTables:
-    """Owner handle of a shared-memory RPRESNAP image.
-
-    The creating process calls :meth:`unlink` (usually via :meth:`close`)
-    exactly once when the last worker is gone; attaching processes only
-    ever ``close()`` their mapping.  See ``docs/sharding.md`` for the
-    lifecycle caveats.
-    """
-
-    def __init__(self, shm, owner: bool) -> None:
-        self._shm = shm
-        self._owner = owner
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-        except (OSError, BufferError):
-            pass
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except (OSError, FileNotFoundError):
-                pass
-            self._owner = False
-
-    def unlink(self) -> None:
-        self.close()
-
-
-def share_tables(tables: EstimatorTables, fingerprint: bytes) -> SharedTables:
-    """Copy ``tables`` into a named shared-memory segment (RPRESNAP image).
-
-    Returns the owner handle; workers attach by name via
-    :func:`attach_tables`.  The owner must :meth:`SharedTables.close`
-    (which unlinks) when done, or the segment outlives the process.
-    """
-    payload = tables_to_bytes(tables, fingerprint)
-    try:
-        shm = shared_memory.SharedMemory(create=True, size=len(payload))
-    except OSError as exc:
-        raise EstimatorError(f"cannot create shared-memory tables: {exc}") from None
-    shm.buf[: len(payload)] = payload
-    return SharedTables(shm, owner=True)
-
-
-def attach_tables(
-    name: str, fingerprint: bytes, *, copy: bool = False
-) -> tuple[EstimatorTables, SharedTables]:
-    """Attach a worker to a shared-memory RPRESNAP image by segment name.
-
-    With ``copy=False`` the tables are zero-copy views over the segment
-    (the handle is kept alive by the tables); ``copy=True`` deliberately
-    materialises private arrays — the benchmark's per-process-copy
-    baseline.  The returned handle only closes, never unlinks.
-    """
-    try:
-        # track=False (3.13+) stops the resource tracker of an attaching
-        # process from destroying the segment at exit; older interpreters
-        # don't take the kwarg and the owner's unlink-on-close still wins.
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:
-            shm = shared_memory.SharedMemory(name=name)
-    except OSError as exc:
-        raise EstimatorError(
-            f"cannot attach shared-memory tables {name!r}: {exc}"
-        ) from None
-    handle = SharedTables(shm, owner=False)
-    try:
-        view = memoryview(shm.buf).toreadonly()
-        tables = parse_tables(
-            view,
-            fingerprint,
-            source=f"shm:{name}",
-            copy=copy,
-            owner=(view, handle),
-        )
-    except BaseException:
-        handle.close()
-        raise
-    if copy:
-        view.release()  # drop the buffer export so close() can unmap
-        handle.close()
-    return tables, handle
 
 
 #: Per-array byte cost used by the header-consistency check and

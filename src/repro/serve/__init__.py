@@ -9,7 +9,8 @@ JSON/HTTP API.  See ``docs/serving.md``.
 
 from .admission import AdmissionController, Deadline
 from .batching import ResultCache, SingleFlight
-from .chaos import ChaosReport, default_fault_plan, run_chaos, run_shard_chaos
+from .boot import open_service
+from .chaos import ChaosReport, default_fault_plan, run_chaos
 from .client import (
     HTTPClient,
     InProcessClient,
@@ -26,12 +27,15 @@ from .service import (
     QueryRequest,
     QueryResponse,
     ServiceConfig,
+    ServiceSurface,
     clone_estimator,
 )
 
 __all__ = [
     "MODES",
     "AllFPService",
+    "ServiceSurface",
+    "open_service",
     "ServiceConfig",
     "QueryRequest",
     "QueryResponse",
@@ -54,5 +58,4 @@ __all__ = [
     "ChaosReport",
     "default_fault_plan",
     "run_chaos",
-    "run_shard_chaos",
 ]

@@ -1,34 +1,44 @@
-"""Chaos harness: drive a service under injected faults, check the invariant.
+"""Chaos harness: drive a service under faults, kills and live mutation.
 
 The invariant every run asserts (``docs/reliability.md``):
 
-    Under any fault plan, every request ends in exactly one of
-    (a) a **correct answer** — byte-identical to the fault-free baseline,
+    Under any fault plan, any worker kill and any concurrent update trace,
+    every request ends in exactly one of
+    (a) a **correct answer** — a non-stale answer claiming network version
+        ``v`` is byte-identical to a fault-free re-execution against the
+        network with exactly the first ``v`` update batches applied,
     (b) a **typed error** — some :class:`~repro.exceptions.ReproError`, or
-    (c) a **flagged degraded answer** — ``degraded=True`` (and, when served
-        from the stale cache, ``stale=True``); a degraded-but-fresh answer
-        must *still* equal the baseline, because the fallback bound is
-        admissible and A* stays exact.
+    (c) a **flagged degraded answer** — ``degraded=True``.  A
+        degraded-but-fresh answer must *still* equal the baseline of its
+        version, because the fallback bound is admissible and A* stays
+        exact, and a failover answer likewise, because every worker holds
+        the full network; one served from the stale cache carries
+        ``stale=True`` and version ``-1`` and is exempt from the match —
+        it advertises its staleness, which is the contract's other half.
     Never a hang, an untyped crash, or a silently wrong answer.
 
-:func:`run_chaos` first records the fault-free baseline answer for every
-query, then replays the same workload concurrently with the plan installed
-and classifies each outcome.  Anything outside (a)–(c) lands in
-``ChaosReport.violations`` and fails the run.
+:func:`run_chaos` is the one runner: it records the baselines on a
+throwaway reference service (one row per network version; no trace is the
+one-version case), then replays the workload concurrently through the
+service surface and classifies each outcome.  Anything outside (a)–(c)
+lands in ``ChaosReport.violations`` and fails the run.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .. import reliability
 from ..exceptions import ReproError
 from ..workloads.queries import QuerySpec
-from .service import AllFPService, QueryRequest
+from .service import AllFPService, QueryRequest, ServiceConfig, ServiceSurface
+from .updates import apply_batch, replay_trace
 
 #: Seconds a chaos worker thread may run before the harness calls it a hang.
 DEFAULT_JOIN_TIMEOUT = 120.0
@@ -46,7 +56,7 @@ class ChaosReport:
     violations: list[str] = field(default_factory=list)
     fault_events: int = 0
     wall_seconds: float = 0.0
-    # Mutation-chaos runs only (defaults keep plain runs unchanged):
+    # Runs with a trace only:
     mutations_applied: int = 0  # edge mutations applied during the replay
     versions: int = 0  # network versions the replay advanced through
 
@@ -81,19 +91,7 @@ class ChaosReport:
         return lines
 
     def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "degraded": self.degraded,
-            "stale": self.stale,
-            "typed_errors": dict(self.typed_errors),
-            "violations": list(self.violations),
-            "fault_events": self.fault_events,
-            "wall_seconds": self.wall_seconds,
-            "mutations_applied": self.mutations_applied,
-            "versions": self.versions,
-            "passed": self.passed(),
-        }
+        return {**asdict(self), "passed": self.passed()}
 
 
 def default_fault_plan(seed: int = 0) -> reliability.FaultPlan:
@@ -154,442 +152,199 @@ def _canonical(result) -> str:
     return json.dumps(_round_floats(doc), sort_keys=True)
 
 
-def _record_baseline(
-    service, queries: Sequence[QuerySpec], deadline: float | None
-) -> list[str | None]:
-    """Fault-free baseline, sequential.  Two passes: the first warms the
-    shared edge-function cache (a cold-cache answer can differ from the
-    warm steady state by an ulp — functions built over slightly different
-    sub-ranges), the second records the steady-state answers the chaos
-    phase must reproduce.  ``None`` marks queries that are typed errors
-    even without faults (e.g. no path)."""
-    baseline: list[str | None] = []
-    for record in (False, True):
-        if record:
-            baseline.clear()
-            service.invalidate()  # force recomputation on the warm cache
-        for spec in queries:
-            request = QueryRequest(
-                spec.source, spec.target, spec.interval, "allfp", deadline
-            )
-            try:
-                response = service.query(request)
-            except ReproError:
-                if record:
-                    baseline.append(None)
-            else:
-                if record:
-                    baseline.append(_canonical(response.result))
-    return baseline
+def _request(spec: QuerySpec, deadline: float | None) -> QueryRequest:
+    return QueryRequest(spec.source, spec.target, spec.interval, "allfp", deadline)
 
 
-def _replay(
-    service,
-    queries: Sequence[QuerySpec],
-    baseline: list[str | None],
-    report: ChaosReport,
-    clients: int,
-    deadline: float | None,
-    join_timeout: float,
-) -> None:
-    """Concurrent replay classifying every outcome into the invariant's
-    three legal buckets; anything else lands in ``report.violations``."""
-    lock = threading.Lock()
-
-    def worker(offset: int) -> None:
-        for i in range(offset, len(queries), clients):
-            spec = queries[i]
-            request = QueryRequest(
-                spec.source, spec.target, spec.interval, "allfp", deadline
-            )
-            try:
-                response = service.query(request)
-            except ReproError as exc:
-                name = type(exc).__name__
-                with lock:
-                    report.typed_errors[name] = (
-                        report.typed_errors.get(name, 0) + 1
-                    )
-            except BaseException as exc:
-                with lock:
-                    report.violations.append(
-                        f"query {i} ({spec.source}->{spec.target}): untyped "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-            else:
-                answer = _canonical(response.result)
-                wrong = (
-                    not response.stale
-                    and baseline[i] is not None
-                    and answer != baseline[i]
-                )
-                with lock:
-                    if wrong:
-                        report.violations.append(
-                            f"query {i} ({spec.source}->{spec.target}): answer "
-                            f"differs from fault-free baseline "
-                            f"(degraded={response.degraded})"
-                        )
-                    else:
-                        report.ok += 1
-                        if response.degraded:
-                            report.degraded += 1
-                        if response.stale:
-                            report.stale += 1
-
-    threads = [
-        threading.Thread(
-            target=worker, args=(i,), name=f"chaos-client-{i}", daemon=True
-        )
-        for i in range(clients)
-    ]
-    for t in threads:
-        t.start()
-    deadline_at = time.monotonic() + join_timeout
-    for t in threads:
-        t.join(max(0.0, deadline_at - time.monotonic()))
-    for t in threads:
-        if t.is_alive():
-            report.violations.append(
-                f"hang: {t.name} still running after {join_timeout:.0f}s"
-            )
-
-
-def run_chaos(
-    service: AllFPService,
-    queries: Sequence[QuerySpec],
-    plan: reliability.FaultPlan,
-    clients: int = 4,
-    deadline: float | None = None,
-    join_timeout: float = DEFAULT_JOIN_TIMEOUT,
-) -> ChaosReport:
-    """Baseline the workload fault-free, then replay it under ``plan``.
-
-    The service must be fault-free when called (any previously installed
-    injector is the caller's to remove).  The injector is installed only
-    for the chaos phase and removed in a ``finally``, so a crashing harness
-    never leaves the process poisoned.
-    """
-    if clients < 1:
-        raise ValueError(f"clients must be >= 1, got {clients}")
-    report = ChaosReport(requests=len(queries))
-    baseline = _record_baseline(service, queries, deadline)
-
-    # Drop cached results so the chaos phase actually recomputes.
-    service.invalidate()
-
-    # Phase 2: concurrent replay under the installed plan.
-    injector = reliability.install(plan)
-    started = time.monotonic()
-    try:
-        _replay(
-            service, queries, baseline, report, clients, deadline, join_timeout
-        )
-    finally:
-        reliability.uninstall()
-    report.wall_seconds = time.monotonic() - started
-    report.fault_events = injector.fired
-    return report
-
-
-def run_shard_chaos(
-    service,
-    queries: Sequence[QuerySpec],
-    plan: reliability.FaultPlan | None = None,
-    clients: int = 4,
-    deadline: float | None = None,
-    kill_shard: int | None = None,
-    kill_delay: float = 0.05,
-    join_timeout: float = DEFAULT_JOIN_TIMEOUT,
-) -> ChaosReport:
-    """The chaos invariant at shard granularity, against a
-    :class:`~repro.shard.tier.ShardedService`.
-
-    Same three-phase shape as :func:`run_chaos`, with two differences:
-
-    * the fault ``plan`` (when given) is broadcast into the worker
-      processes, not installed in the router's process;
-    * ``kill_delay`` seconds into the replay, one worker is hard-killed
-      mid-run — ``kill_shard`` picks which, defaulting to the shard that
-      owns the most workload keys so failover is actually exercised.
-
-    Failover answers must still equal the baseline (every worker holds
-    the full network), so the invariant is unchanged: correct, typed, or
-    flagged degraded — never a hang or a silent wrong answer.  The kill
-    itself counts as one fault event on top of whatever the plan fired
-    inside the workers.
-    """
+def busiest_shard(ring, queries: Sequence[QuerySpec]) -> int:
+    """The shard of ``ring`` that owns the most of ``queries`` — the kill
+    that exercises failover hardest."""
     from ..shard.ring import routing_key
 
-    if clients < 1:
-        raise ValueError(f"clients must be >= 1, got {clients}")
-    report = ChaosReport(requests=len(queries))
-    baseline = _record_baseline(service, queries, deadline)
-    service.invalidate()
-
-    if kill_shard is None:
-        owners: dict[int, int] = {}
-        for spec in queries:
-            request = QueryRequest(
-                spec.source, spec.target, spec.interval, "allfp", deadline
-            )
-            owner = service.ring.preference(routing_key(request))[0]
-            owners[owner] = owners.get(owner, 0) + 1
-        kill_shard = max(owners, key=owners.get)
-
-    if plan is not None:
-        service.install_faults(plan)
-    killer = threading.Timer(kill_delay, service.kill_shard, args=(kill_shard,))
-    killer.daemon = True
-    started = time.monotonic()
-    try:
-        killer.start()
-        _replay(
-            service, queries, baseline, report, clients, deadline, join_timeout
-        )
-    finally:
-        killer.cancel()
-        fired = 0
-        if plan is not None:
-            replies = service.uninstall_faults() or {}
-            fired = sum(
-                reply.get("fired", 0)
-                for reply in replies.values()
-                if reply is not None
-            )
-    report.wall_seconds = time.monotonic() - started
-    # the kill is one fault event, on top of worker-side plan firings
-    # (collected from the uninstall_faults replies; a restarted worker's
-    # count starts over, so this is a lower bound under restarts).
-    report.fault_events = 1 + fired
-    return report
+    owners = Counter(
+        ring.node_for(routing_key(_request(spec, None))) for spec in queries
+    )
+    return owners.most_common(1)[0][0]
 
 
-def _record_version_baselines(
-    network,
-    trace,
-    queries: Sequence[QuerySpec],
-    deadline: float | None,
+def _version_baselines(
+    network, trace, queries: Sequence[QuerySpec], deadline: float | None
 ) -> list[list[str | None]]:
     """Fault-free reference answers at every network version the trace
     produces: ``baselines[k]`` holds the canonical answer to each query
-    against the network with exactly the first ``k`` trace batches
-    applied.  A throwaway single-process service answers them — any
-    admissible estimator is exact, so the live service's (delta-refreshed)
-    tables need not be reproduced here."""
-    import copy as _copy
-
-    from .service import ServiceConfig
-    from .updates import apply_batch
-
-    ref_net = _copy.deepcopy(network)
+    against the network with exactly the first ``k`` trace batches applied
+    (``None`` marks queries that are typed errors even without faults).  A
+    throwaway single-process service answers them — any admissible
+    estimator is exact, so the live service's (delta-refreshed) tables need
+    not be reproduced here.  Without a trace nothing is mutated, so the
+    reference reads the live network instead of a copy of it."""
+    reference_net = copy.deepcopy(network) if trace else network
     baselines: list[list[str | None]] = []
     for k in range(len(trace) + 1):
-        ref = AllFPService(ref_net, config=ServiceConfig(workers=2))
+        reference = AllFPService(reference_net, config=ServiceConfig(workers=2))
         try:
             row: list[str | None] = []
             for spec in queries:
-                request = QueryRequest(
-                    spec.source, spec.target, spec.interval, "allfp", deadline
-                )
                 try:
-                    row.append(_canonical(ref.query(request).result))
+                    answer = reference.query(_request(spec, deadline))
+                    row.append(_canonical(answer.result))
                 except ReproError:
                     row.append(None)
         finally:
-            ref.close()
+            reference.close()
         baselines.append(row)
         if k < len(trace):
-            apply_batch(ref_net, trace[k].batch)
+            apply_batch(reference_net, trace[k].batch)
     return baselines
 
 
-def run_mutation_chaos(
-    service,
+def run_chaos(
+    service: ServiceSurface,
     queries: Sequence[QuerySpec],
-    trace,
     plan: reliability.FaultPlan | None = None,
+    *,
+    trace=(),
+    kill_shard: int | None = None,
+    kill_delay: float = 0.05,
     clients: int = 4,
     deadline: float | None = None,
     speed: float = 1.0,
     join_timeout: float = DEFAULT_JOIN_TIMEOUT,
 ) -> ChaosReport:
-    """The chaos invariant *under live mutation*: replay ``queries``
-    concurrently with an incident ``trace`` (a sequence of
-    :class:`~repro.serve.updates.TraceEvent`), optionally with a fault
-    ``plan`` installed, and hold every answer to the **versioned**
-    byte-match contract:
+    """Replay ``queries`` against ``service`` under faults, a worker kill
+    and live mutation — any subset — and classify every outcome against
+    the invariant in the module docstring.
 
-        a non-stale answer claiming network version ``v`` must be
-        byte-identical to a fault-free re-execution against the network
-        with exactly the first ``v`` update batches applied.
-
-    Stale-cache fallbacks (``stale=True`` / ``version == -1``) are exempt
-    — they advertise their staleness, which is the contract's other half.
-    Degraded-but-fresh answers are **not** exempt: the fallback bound is
-    admissible, so they must still match the baseline for their version.
-
-    Client threads loop over the workload until the whole trace has been
-    applied, then complete one final full pass, so every version actually
-    serves queries.  ``speed`` compresses trace offsets (``speed=10``
-    fires a ``t=5s`` event at 0.5s).  ``service`` may be a single
-    :class:`AllFPService` or a sharded tier — anything with
-    ``apply_updates``/``net_version``; the plan is broadcast via
-    ``install_faults`` when the service supports it, else installed
-    in-process.
+    * ``plan`` is installed through the surface (``install_faults``: in
+      process for a single service, inside every worker for a tier) for the
+      replay only and removed in a ``finally``, so a crashing harness never
+      leaves a process poisoned.  The service must be fault-free on entry.
+    * ``trace`` (a sequence of :class:`~repro.serve.updates.TraceEvent`) is
+      applied concurrently, offsets compressed by ``speed``.  Client
+      threads loop over the workload until the whole trace has been
+      applied, then complete one final full pass, so every version actually
+      serves queries; with no trace that is exactly one pass.
+    * ``kill_shard`` hard-kills that worker of a tier ``kill_delay`` seconds
+      into the replay (see :func:`busiest_shard`); the kill counts as one
+      fault event on top of what the plan fired.  Failover answers are held
+      to the same baseline — every worker holds the full network.
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
     if speed <= 0:
         raise ValueError(f"speed must be > 0, got {speed:g}")
     trace = list(trace)
-    base_version = getattr(service, "net_version", 0)
-    network = getattr(service, "_network")
-    baselines = _record_version_baselines(network, trace, queries, deadline)
+    base_version = service.health()["network_version"]
+    baselines = _version_baselines(service.network, trace, queries, deadline)
 
     report = ChaosReport()
     lock = threading.Lock()
     trace_done = threading.Event()
 
-    def applier() -> None:
-        t0 = time.monotonic()
+    def typed_error(name: str) -> None:
+        with lock:
+            report.typed_errors[name] = report.typed_errors.get(name, 0) + 1
+
+    def apply_event(event) -> None:
         try:
-            for event in trace:
-                delay = event.at / speed - (time.monotonic() - t0)
-                if delay > 0:
-                    time.sleep(delay)
-                try:
-                    service.apply_updates(event.batch)
-                except ReproError as exc:
-                    name = f"apply:{type(exc).__name__}"
-                    with lock:
-                        report.typed_errors[name] = (
-                            report.typed_errors.get(name, 0) + 1
-                        )
-                else:
-                    with lock:
-                        report.versions += 1
-                        report.mutations_applied += len(event.batch)
+            service.apply_updates(event.batch)
+        except ReproError as exc:
+            typed_error(f"apply:{type(exc).__name__}")
+        else:
+            with lock:
+                report.versions += 1
+                report.mutations_applied += len(event.batch)
+
+    def applier() -> None:
+        try:
+            replay_trace(trace, apply_event, speed)
         finally:
             trace_done.set()
 
-    def classify(i: int, spec: QuerySpec, response) -> None:
-        answer = _canonical(response.result)
-        version = getattr(response, "version", -1)
-        with lock:
-            report.requests += 1
-            if response.stale or version < 0:
-                # Advertised-stale fallback: exempt from the byte-match
-                # contract, but it must carry its flags.
-                if not response.stale:
-                    report.violations.append(
-                        f"query {i} ({spec.source}->{spec.target}): "
-                        f"unversioned answer without the stale flag"
-                    )
-                    return
-                report.ok += 1
-                report.degraded += 1 if response.degraded else 0
-                report.stale += 1
-                return
-            idx = version - base_version
-            if not 0 <= idx < len(baselines):
-                report.violations.append(
-                    f"query {i} ({spec.source}->{spec.target}): claims "
-                    f"unknown network version {version} "
-                    f"(base {base_version}, trace {len(trace)} batches)"
-                )
-                return
-            if baselines[idx][i] is not None and answer != baselines[idx][i]:
-                report.violations.append(
-                    f"query {i} ({spec.source}->{spec.target}): answer at "
-                    f"version {version} differs from fault-free "
-                    f"re-execution at that version "
-                    f"(degraded={response.degraded})"
-                )
-                return
-            report.ok += 1
-            if response.degraded:
-                report.degraded += 1
+    def classify(i: int, response) -> str | None:
+        """The violation an answer amounts to, or ``None`` if it is legal."""
+        if response.stale or response.version < 0:
+            # Advertised-stale fallback: exempt from the byte-match
+            # contract, but it must carry its flag.
+            if not response.stale:
+                return "unversioned answer without the stale flag"
+            return None
+        idx = response.version - base_version
+        if not 0 <= idx < len(baselines):
+            return (
+                f"claims unknown network version {response.version} "
+                f"(base {base_version}, trace {len(trace)} batches)"
+            )
+        if baselines[idx][i] not in (None, _canonical(response.result)):
+            return (
+                f"answer at version {response.version} differs from "
+                f"fault-free re-execution at that version "
+                f"(degraded={response.degraded})"
+            )
+        return None
 
-    def worker(offset: int) -> None:
+    def client(offset: int) -> None:
         final_pass = False
-        while True:
-            if trace_done.is_set():
-                final_pass = True
+        while not final_pass:
+            final_pass = trace_done.is_set()
             for i in range(offset, len(queries), clients):
                 spec = queries[i]
-                request = QueryRequest(
-                    spec.source, spec.target, spec.interval, "allfp", deadline
-                )
+                where = f"query {i} ({spec.source}->{spec.target})"
                 try:
-                    response = service.query(request)
+                    response = service.query(_request(spec, deadline))
                 except ReproError as exc:
-                    name = type(exc).__name__
-                    with lock:
-                        report.requests += 1
-                        report.typed_errors[name] = (
-                            report.typed_errors.get(name, 0) + 1
-                        )
+                    typed_error(type(exc).__name__)
+                    violation = None
                 except BaseException as exc:
-                    with lock:
-                        report.requests += 1
-                        report.violations.append(
-                            f"query {i} ({spec.source}->{spec.target}): "
-                            f"untyped {type(exc).__name__}: {exc}"
-                        )
+                    violation = f"untyped {type(exc).__name__}: {exc}"
                 else:
-                    classify(i, spec, response)
-            if final_pass:
-                return
-
-    # Drop cached results so the replay actually recomputes.
-    service.invalidate()
-
-    injector = None
-    installed_remote = False
-    if plan is not None:
-        install = getattr(service, "install_faults", None)
-        if callable(install):
-            install(plan)
-            installed_remote = True
-        else:
-            injector = reliability.install(plan)
+                    violation = classify(i, response)
+                    if violation is None:
+                        with lock:
+                            report.ok += 1
+                            report.degraded += bool(response.degraded)
+                            report.stale += bool(response.stale)
+                with lock:
+                    report.requests += 1
+                    if violation is not None:
+                        report.violations.append(f"{where}: {violation}")
 
     threads = [
         threading.Thread(
-            target=worker, args=(i,), name=f"mutation-chaos-client-{i}",
-            daemon=True,
+            target=client, args=(i,), name=f"chaos-client-{i}", daemon=True
         )
         for i in range(clients)
     ]
-    applier_thread = threading.Thread(
-        target=applier, name="mutation-chaos-applier", daemon=True
-    )
+    if trace:
+        threads.append(
+            threading.Thread(target=applier, name="chaos-applier", daemon=True)
+        )
+    else:
+        trace_done.set()
+    killer = None
+    if kill_shard is not None:
+        killer = threading.Timer(kill_delay, service.kill_shard, args=(kill_shard,))
+        killer.daemon = True
+        threads.append(killer)
+
+    if plan is not None:
+        service.install_faults(plan)
     started = time.monotonic()
     try:
-        applier_thread.start()
         for t in threads:
             t.start()
-        deadline_at = time.monotonic() + join_timeout
-        for t in [applier_thread, *threads]:
+        deadline_at = started + join_timeout
+        for t in threads:
             t.join(max(0.0, deadline_at - time.monotonic()))
-        for t in [applier_thread, *threads]:
-            if t.is_alive():
-                report.violations.append(
-                    f"hang: {t.name} still running after {join_timeout:.0f}s"
-                )
+        report.violations.extend(
+            f"hang: {t.name} still running after {join_timeout:.0f}s"
+            for t in threads
+            if t.is_alive()
+        )
     finally:
-        fired = 0
-        if installed_remote:
-            replies = service.uninstall_faults() or {}
-            fired = sum(
-                reply.get("fired", 0)
-                for reply in replies.values()
-                if reply is not None
-            )
-        elif injector is not None:
-            reliability.uninstall()
-            fired = injector.fired
+        if killer is not None:
+            killer.cancel()
+        fired = service.uninstall_faults() if plan is not None else 0
     report.wall_seconds = time.monotonic() - started
-    report.fault_events = fired
+    report.fault_events = fired + (kill_shard is not None)
     return report

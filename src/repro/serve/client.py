@@ -1,6 +1,6 @@
 """Clients and load generation for the query service.
 
-:class:`InProcessClient` talks straight to an :class:`AllFPService` (tests,
+:class:`InProcessClient` talks straight to a service surface (tests,
 benchmarks — no socket overhead); :class:`HTTPClient` speaks the JSON API
 via :mod:`urllib` (smoke tests, the CLI's remote mode).
 
@@ -28,13 +28,13 @@ from typing import Callable, Sequence
 from ..exceptions import ReproError, ServeClientError
 from ..timeutil import TimeInterval
 from ..workloads.queries import QuerySpec
-from .service import AllFPService, QueryRequest, QueryResponse
+from .service import QueryRequest, QueryResponse, ServiceSurface
 
 
 class InProcessClient:
     """Thin wrapper presenting the client interface over a local service."""
 
-    def __init__(self, service: AllFPService) -> None:
+    def __init__(self, service: ServiceSurface) -> None:
         self._service = service
 
     def query(
@@ -50,7 +50,17 @@ class InProcessClient:
         interval: TimeInterval,
         deadline: float | None = None,
     ) -> QueryResponse:
-        return self._service.batch(pairs, interval, deadline)
+        pairs = tuple(pairs)
+        return self._service.query(
+            QueryRequest(
+                pairs[0][0] if pairs else 0,
+                None,
+                interval,
+                "batch",
+                deadline,
+                pairs=pairs,
+            )
+        )
 
 
 class HTTPClient:
@@ -275,11 +285,11 @@ class HTTPClient:
     def updates(self, batch) -> tuple[int, dict]:
         """POST a live-update batch to ``/v1/updates``.
 
-        Accepts a :class:`~repro.serve.updates.MutationBatch` (or anything
-        with ``to_wire()``) or an already-wire ``{"mutations": [...]}``
-        dict; returns ``(status, decoded_body)`` like :meth:`post`.
+        Accepts a :class:`~repro.serve.updates.MutationBatch` or an
+        already-wire ``{"mutations": [...]}`` dict; returns
+        ``(status, decoded_body)`` like :meth:`post`.
         """
-        wire = batch.to_wire() if hasattr(batch, "to_wire") else batch
+        wire = batch if isinstance(batch, dict) else batch.to_wire()
         return self.post("/v1/updates", wire)
 
 

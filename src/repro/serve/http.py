@@ -1,4 +1,5 @@
-"""Stdlib-only JSON/HTTP front-end for :class:`~repro.serve.service.AllFPService`.
+"""Stdlib-only JSON/HTTP front-end over the service surface
+(:class:`~repro.serve.service.ServiceSurface`: one process or a shard tier).
 
 Endpoints
 ---------
@@ -61,6 +62,12 @@ Query bodies may carry ``max_staleness`` (seconds): when the service is
 further behind the accepted update stream than that, the query is refused
 with 503 + ``Retry-After`` instead of answered against old data.
 
+Every POST must declare its body with a non-negative integer
+``Content-Length`` (at most ``MAX_BODY_BYTES``); the declared body is read
+before the path is routed, and a request whose body is left unread closes
+the connection after its error response, so a keep-alive peer never has
+leftover body bytes parsed as its next request.
+
 Error mapping: malformed input → 400, unknown node → 404, no path → 404,
 admission rejection → 503 (with ``Retry-After``), staleness bound
 exceeded → 503 (with ``Retry-After``), deadline → 504.  Every error body
@@ -90,7 +97,7 @@ from ..exceptions import (
 )
 from .. import reliability
 from ..timeutil import TimeInterval, parse_clock
-from .service import AllFPService, QueryRequest
+from .service import QueryRequest, ServiceSurface
 from .updates import MutationBatch
 
 #: Maximum accepted request body, bytes — queries are tiny.
@@ -261,7 +268,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # The server object carries the service (see ServeServer below).
     @property
-    def service(self) -> AllFPService:
+    def service(self) -> ServiceSurface:
         return self.server.service  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args) -> None:
@@ -277,6 +284,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:  # a body was left unread (see _read_body)
+            self.send_header("Connection", "close")
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -291,29 +300,29 @@ class _Handler(BaseHTTPRequestHandler):
             extra_headers,
         )
 
+    def _read_body(self) -> bytes:
+        """The declared request body.  A length that is missing, not an
+        integer, negative or over the limit leaves the body unread, so the
+        connection closes after the 400 instead of mis-framing what follows.
+        """
+        declared = self.headers.get("Content-Length", "")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length)
+        self.close_connection = True
+        if length < 0:
+            raise BadRequest(
+                f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        raise BadRequest(f"body exceeds {MAX_BODY_BYTES} bytes")
+
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         if self.path == "/healthz":
-            network = self.service.network
-            body = {
-                "status": "degraded" if self.service.degraded else "ok",
-                "degraded": self.service.degraded,
-                "version": self.service.version,
-                "network_version": getattr(self.service, "net_version", 0),
-                "staleness_seconds": self.service.staleness_seconds()
-                if callable(getattr(self.service, "staleness_seconds", None))
-                else 0.0,
-                "pending_updates": getattr(
-                    self.service, "pending_updates", 0
-                ),
-                "nodes": network.node_count,
-            }
-            # The shard tier aggregates per-worker health; single-process
-            # services have no shard_health and keep the flat body.
-            shard_health = getattr(self.service, "shard_health", None)
-            if callable(shard_health):
-                body["shards"] = shard_health()
-            self._send_json(200, body)
+            self._send_json(200, self.service.health())
         elif self.path == "/metrics":
             data = self.service.render_metrics().encode()
             self.send_response(200)
@@ -333,15 +342,12 @@ class _Handler(BaseHTTPRequestHandler):
             "/v1/batch": "batch",
         }
         mode = routes.get(self.path)
-        if mode is None and self.path != "/v1/updates":
-            self._send_json(404, {"error": "NotFound", "message": self.path})
-            return
         try:
+            raw = self._read_body()
+            if mode is None and self.path != "/v1/updates":
+                self._send_json(404, {"error": "NotFound", "message": self.path})
+                return
             reliability.fire("repro.serve.http.request")
-            length = int(self.headers.get("Content-Length", 0))
-            if length > MAX_BODY_BYTES:
-                raise BadRequest(f"body exceeds {MAX_BODY_BYTES} bytes")
-            raw = self.rfile.read(length)
             try:
                 body = json.loads(raw or b"{}")
             except json.JSONDecodeError as exc:
@@ -394,26 +400,26 @@ class _Handler(BaseHTTPRequestHandler):
                 "elapsed_ms": response.elapsed_seconds * 1e3,
                 "degraded": response.degraded,
                 "stale": response.stale,
-                "version": getattr(response, "version", -1),
+                "version": response.version,
             }
-            if getattr(response, "degraded_shard", None) is not None:
+            if response.degraded_shard is not None:
                 body["degraded_shard"] = response.degraded_shard
             self._send_json(200, body)
 
 
 class ServeServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer bound to one :class:`AllFPService`."""
+    """A ThreadingHTTPServer bound to one service surface."""
 
     daemon_threads = True
 
-    def __init__(self, address, service: AllFPService, quiet: bool = True):
+    def __init__(self, address, service: ServiceSurface, quiet: bool = True):
         super().__init__(address, _Handler)
         self.service = service
         self.quiet = quiet
 
 
 def make_server(
-    service: AllFPService,
+    service: ServiceSurface,
     host: str = "127.0.0.1",
     port: int = 8080,
     quiet: bool = True,

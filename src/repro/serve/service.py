@@ -30,6 +30,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Protocol, runtime_checkable
 
 from ..core.engine import (
     DEFAULT_EDGE_CACHE_SIZE,
@@ -60,7 +61,13 @@ from ..timeutil import TimeInterval
 from .admission import AdmissionController, Deadline
 from .batching import ResultCache, SingleFlight
 from .metrics import MetricsRegistry
-from .updates import MutationBatch, ReadWriteLock, apply_batch, validate_batch
+from .updates import (
+    MutationBatch,
+    ReadWriteLock,
+    UpdateLedger,
+    apply_batch,
+    validate_batch,
+)
 
 MODES = ("allfp", "singlefp", "profile", "knn", "batch")
 
@@ -223,6 +230,78 @@ class ServiceConfig:
             )
 
 
+@runtime_checkable
+class ServiceSurface(Protocol):
+    """What a front end is, written down once.
+
+    :class:`AllFPService` and :class:`~repro.shard.tier.ShardedService`
+    both expose exactly these names with these shapes; the HTTP layer, the
+    clients, the chaos harness and the CLI program against this protocol
+    only and never ask which of the two they hold.
+    """
+
+    @property
+    def network(self): ...
+
+    def query(self, request: "QueryRequest") -> "QueryResponse": ...
+
+    def apply_updates(self, batch: MutationBatch) -> int:
+        """Apply one batch; returns the new network version."""
+
+    def invalidate(self, refresh_estimator: bool = False) -> int:
+        """Drop cached results; returns how many were dropped."""
+
+    def staleness_seconds(self) -> float: ...
+
+    def health(self) -> dict:
+        """The ``/healthz`` body (the tier adds ``"shards"``)."""
+
+    def stats(self) -> dict:
+        """At least ``engine_runs``, ``result_cache``, ``single_flight``
+        and ``updates`` (the tier sums its shards and adds ``per_shard``)."""
+
+    def render_metrics(self) -> str: ...
+
+    def install_faults(self, plan: reliability.FaultPlan) -> None: ...
+
+    def uninstall_faults(self) -> int:
+        """Remove the installed plan; returns how many faults it fired."""
+
+    def close(self) -> None: ...
+
+
+class SurfaceBase:
+    """The part of the surface that is the same code in both front ends:
+    each owns a ``_network``, a cache-generation ``_version`` stamp and an
+    :class:`~repro.serve.updates.UpdateLedger` in ``_updates``."""
+
+    @property
+    def network(self):
+        return self._network
+
+    def staleness_seconds(self) -> float:
+        """Age of the oldest accepted-but-unapplied update batch (0 if none).
+
+        This is the number ``max_staleness`` is checked against and the one
+        ``/metrics`` exports: how far behind the accepted mutation stream
+        the answers currently being served may be.
+        """
+        return self._updates.staleness_seconds()
+
+    def health(self) -> dict:
+        """The ``/healthz`` body: liveness plus the bounded-staleness triple."""
+        degraded = self.degraded
+        return {
+            "status": "degraded" if degraded else "ok",
+            "degraded": degraded,
+            "version": self._version,
+            "network_version": self._updates.applied_version,
+            "staleness_seconds": self._updates.staleness_seconds(),
+            "pending_updates": self._updates.pending,
+            "nodes": self._network.node_count,
+        }
+
+
 class _SharedEdgeFunctionCache(EdgeFunctionCache):
     """The engine's edge cache with a lock, safe to share across workers.
 
@@ -272,7 +351,7 @@ def clone_estimator(estimator: LowerBoundEstimator) -> LowerBoundEstimator:
     return clone
 
 
-class AllFPService:
+class AllFPService(SurfaceBase):
     """Concurrent allFP/singleFP query service over one network.
 
     Parameters
@@ -343,21 +422,16 @@ class AllFPService:
         self._fallback_estimator: NaiveEstimator | None = None
         self._fallback_lock = threading.Lock()
         self.metrics = MetricsRegistry(const_labels=self._metric_labels())
+        # The cache-generation stamp; bumps on invalidate() as well as on
+        # updates.  The version answers *claim* is the ledger's applied
+        # network version (count of applied live-update batches).
         self._version = 0
-        # Network version: count of applied live-update batches.  Distinct
-        # from ``_version`` (the cache-generation stamp, which also bumps on
-        # plain invalidate()); this one is the version answers *claim*.
-        self._net_version = 0
+        self._updates = UpdateLedger(self.metrics)
         # Queries hold the read side while computing so every answer is
         # produced against exactly one network version; updates hold the
         # write side.  Writer-preferring: a steady query stream cannot
         # starve the mutation feed.
         self._update_rw = ReadWriteLock()
-        self._pending_lock = threading.Lock()
-        self._pending_updates: list[float] = []
-        self._update_batches_applied = 0
-        self._update_mutations_applied = 0
-        self._max_staleness_observed = 0.0
         self._closed = False
         self._engine_generation = 0
         self._local = threading.local()
@@ -391,22 +465,6 @@ class AllFPService:
             lambda: 1.0 if self.degraded else 0.0,
             help="1 when the service is serving degraded answers "
             "(estimator breaker open or boot-time fallback)",
-        )
-        self.metrics.set_gauge(
-            "network_applied_version",
-            lambda: float(self._net_version),
-            help="Count of live-update batches applied to this service",
-        )
-        self.metrics.set_gauge(
-            "update_staleness_seconds",
-            self.staleness_seconds,
-            help="Age of the oldest accepted-but-unapplied update batch "
-            "(0 when nothing is pending)",
-        )
-        self.metrics.set_gauge(
-            "updates_pending",
-            lambda: float(len(self._pending_updates)),
-            help="Update batches accepted and not yet fully applied",
         )
         self.metrics.set_gauge(
             "estimator_breaker_open",
@@ -461,41 +519,19 @@ class AllFPService:
 
     # ------------------------------------------------------------------
     @property
-    def network(self):
-        return self._network
-
-    @property
-    def version(self) -> int:
-        """The network/pattern version stamp baked into cache keys."""
-        return self._version
-
-    @property
-    def net_version(self) -> int:
-        """Applied network version: how many update batches are live."""
-        return self._net_version
-
-    @property
     def degraded(self) -> bool:
         """True while the service as a whole is in a degraded mode."""
         return self._boot_degraded or self._breaker.state != "closed"
 
-    @property
-    def pending_updates(self) -> int:
-        """Update batches accepted and not yet fully applied."""
-        with self._pending_lock:
-            return len(self._pending_updates)
+    def install_faults(self, plan: reliability.FaultPlan) -> None:
+        """Install ``plan`` process-wide (the chaos harness's entry point)."""
+        reliability.install(plan)
 
-    def staleness_seconds(self) -> float:
-        """Age of the oldest accepted-but-unapplied update batch (0 if none).
-
-        This is the number ``max_staleness`` is checked against and the one
-        ``/metrics`` exports: how far behind the accepted mutation stream
-        the answers currently being served may be.
-        """
-        with self._pending_lock:
-            if not self._pending_updates:
-                return 0.0
-            return max(0.0, time.monotonic() - self._pending_updates[0])
+    def uninstall_faults(self) -> int:
+        """Remove the installed plan; returns how many faults it fired."""
+        fired = reliability.fired_total()
+        reliability.uninstall()
+        return fired
 
     def invalidate(self, refresh_estimator: bool = False) -> int:
         """Bump the version stamp and drop every cached result.
@@ -522,33 +558,50 @@ class AllFPService:
                 help="Version bumps (network/pattern updates)",
             )
             if refresh_estimator and self._estimator is not None:
-                refresh = getattr(self._estimator, "refresh", None)
-                if callable(refresh):
-                    try:
-                        refresh()
-                    except ReproError:
-                        # Keep serving: the breaker records the failure and
-                        # workers fall back to the naive bound until a later
-                        # refresh or trial clone succeeds.
-                        self._breaker.record_failure()
-                        self.metrics.inc(
-                            "estimator_refresh_failures_total",
-                            help="Estimator refreshes that failed "
-                            "(service continues on the old/fallback bound)",
-                        )
-                    else:
-                        self._breaker.record_success()
-                        self._boot_degraded = False
-                        self.metrics.inc(
-                            "estimator_refreshes_total",
-                            help="Estimator precompute refreshes after invalidation",
-                        )
+                if self._refresh_estimator():
+                    self._boot_degraded = False
+                    self.metrics.inc(
+                        "estimator_refreshes_total",
+                        help="Estimator precompute refreshes after invalidation",
+                    )
                 # Rebuild per-worker engines lazily so clones see the new
                 # tables.
                 self._engine_generation += 1
             return dropped
         finally:
             self._update_rw.release_write()
+
+    def _refresh_estimator(self, applied=None, workers: int | None = None) -> bool:
+        """Re-customize the estimator after a network change: the delta pass
+        over ``applied`` mutations where the estimator has one, else a full
+        ``refresh()``.  A typed failure is never raised — the breaker
+        records it and workers fall back to the naive bound until a later
+        refresh or trial clone succeeds.  Returns whether a refresh ran
+        and succeeded.
+        """
+        delta = (
+            getattr(self._estimator, "refresh_delta", None)
+            if applied is not None
+            else None
+        )
+        refresh = delta or getattr(self._estimator, "refresh", None)
+        if refresh is None:
+            return False
+        try:
+            if delta is not None:
+                delta(applied, workers=workers)
+            else:
+                refresh()
+        except ReproError:
+            self._breaker.record_failure()
+            self.metrics.inc(
+                "estimator_refresh_failures_total",
+                help="Estimator refreshes that failed "
+                "(service continues on the old/fallback bound)",
+            )
+            return False
+        self._breaker.record_success()
+        return True
 
     def apply_updates(
         self,
@@ -575,85 +628,54 @@ class AllFPService:
         if self._closed:
             raise ServiceClosed("service is shut down")
         validate_batch(self._network, batch)
-        accepted_at = time.monotonic()
-        with self._pending_lock:
-            self._pending_updates.append(accepted_at)
-        self._update_rw.acquire_write()
+        started = time.monotonic()
         try:
-            applied = apply_batch(self._network, batch)
-            estimator = self._estimator
-            if estimator is not None:
-                delta = getattr(estimator, "refresh_delta", None)
-                refresh = delta if callable(delta) else getattr(
-                    estimator, "refresh", None
-                )
-                if callable(refresh):
-                    try:
-                        if refresh is delta:
-                            refresh(applied, workers=workers)
-                        else:
-                            refresh()
-                    except ReproError:
-                        self._breaker.record_failure()
-                        self.metrics.inc(
-                            "estimator_refresh_failures_total",
-                            help="Estimator refreshes that failed "
-                            "(service continues on the old/fallback bound)",
-                        )
-                    else:
-                        self._breaker.record_success()
-            if self._overlay is not None:
+            with self._updates.accepted():
+                self._update_rw.acquire_write()
                 try:
-                    self._overlay.refresh_delta(
-                        applied, workers=workers if workers is not None else 1
-                    )
-                except ReproError:
-                    # The pass adopts every level or none, so the overlay is
-                    # still customized for the previous version and must not
-                    # serve this one.  Same policy as a failed overlay load
-                    # at boot: keep the update, answer on the flat engine
-                    # (still exact, only slower), flag degraded.
-                    self._overlay = None
-                    self._boot_degraded = True
-                    self.metrics.inc(
-                        "overlay_refresh_failures_total",
-                        help="Update batches whose overlay re-customization "
-                        "failed (service dropped to the flat engine)",
-                    )
-            # The naive fallback memoises v_max; rebuild it on next need.
-            with self._fallback_lock:
-                self._fallback_estimator = None
-            self._net_version = (
-                version if version is not None else self._net_version + 1
-            )
-            self._version += 1
-            self._result_cache.clear()
-            self._edge_cache.clear()
-            self._engine_generation += 1
-            self._update_batches_applied += 1
-            self._update_mutations_applied += len(batch)
-            self.metrics.inc(
-                "updates_applied_total",
-                help="Live-update batches applied",
-            )
-            self.metrics.inc(
-                "update_mutations_total",
-                len(batch),
-                help="Edge-pattern mutations applied across all batches",
-            )
-            return self._net_version
+                    return self._apply_validated(batch, version, workers)
+                finally:
+                    self._update_rw.release_write()
         finally:
-            self._update_rw.release_write()
-            lag = time.monotonic() - accepted_at
-            with self._pending_lock:
-                self._pending_updates.remove(accepted_at)
-                if lag > self._max_staleness_observed:
-                    self._max_staleness_observed = lag
             self.metrics.observe(
                 "update_apply_seconds",
-                lag,
+                time.monotonic() - started,
                 help="Accept-to-applied latency per update batch",
             )
+
+    def _apply_validated(
+        self, batch: MutationBatch, version: int | None, workers: int | None
+    ) -> int:
+        """The write-locked half of :meth:`apply_updates`."""
+        applied = apply_batch(self._network, batch)
+        if self._estimator is not None:
+            self._refresh_estimator(applied, workers)
+        if self._overlay is not None:
+            try:
+                self._overlay.refresh_delta(
+                    applied, workers=workers if workers is not None else 1
+                )
+            except ReproError:
+                # The pass adopts every level or none, so the overlay is
+                # still customized for the previous version and must not
+                # serve this one.  Same policy as a failed overlay load at
+                # boot: keep the update, answer on the flat engine (still
+                # exact, only slower), flag degraded.
+                self._overlay = None
+                self._boot_degraded = True
+                self.metrics.inc(
+                    "overlay_refresh_failures_total",
+                    help="Update batches whose overlay re-customization "
+                    "failed (service dropped to the flat engine)",
+                )
+        # The naive fallback memoises v_max; rebuild it on next need.
+        with self._fallback_lock:
+            self._fallback_estimator = None
+        self._version += 1
+        self._result_cache.clear()
+        self._edge_cache.clear()
+        self._engine_generation += 1
+        return self._updates.applied(batch, version)
 
     # ------------------------------------------------------------------
     def all_fastest_paths(
@@ -790,7 +812,7 @@ class AllFPService:
             # version captured here is the version the answer is made at.
             self._update_rw.acquire_read()
             try:
-                version = self._net_version
+                version = self._updates.applied_version
                 response = self._admitted(request, started)
             finally:
                 self._update_rw.release_read()
@@ -1113,14 +1135,7 @@ class AllFPService:
         return {
             "version": self._version,
             "degraded": self.degraded,
-            "updates": {
-                "applied_version": self._net_version,
-                "batches_applied": self._update_batches_applied,
-                "mutations_applied": self._update_mutations_applied,
-                "pending": len(self._pending_updates),
-                "staleness_seconds": self.staleness_seconds(),
-                "max_staleness_seconds": self._max_staleness_observed,
-            },
+            "updates": self._updates.snapshot(),
             "overlay_levels": (
                 self._overlay.level_count if self._overlay is not None else 0
             ),

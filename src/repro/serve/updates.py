@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..exceptions import NetworkError, PatternError, QueryError
 from ..patterns.speed import CapeCodPattern, DailySpeedPattern
@@ -234,6 +236,27 @@ def dump_trace(events: Sequence[TraceEvent], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def replay_trace(
+    events: Iterable[TraceEvent],
+    apply: Callable[[TraceEvent], None],
+    speed: float = 1.0,
+) -> None:
+    """Call ``apply(event)`` for each event at its recorded offset.
+
+    Offsets count from the call and are compressed by ``speed`` (``10``
+    fires a ``t=5s`` event at 0.5 s); an ``apply`` that runs long delays
+    later events, it never drops or reorders them.  The one trace replayer:
+    ``bench-load --updates-trace``, ``replay-updates`` and the chaos
+    harness's applier thread all drive it.
+    """
+    started = time.monotonic()
+    for event in events:
+        delay = event.at / speed - (time.monotonic() - started)
+        if delay > 0:
+            time.sleep(delay)
+        apply(event)
+
+
 def slowdown_pattern(pattern: CapeCodPattern, factor: float) -> CapeCodPattern:
     """A copy of ``pattern`` with every speed scaled by ``factor`` > 0.
 
@@ -296,3 +319,94 @@ class ReadWriteLock:
         with self._cond:
             self._writer = False
             self._cond.notify_all()
+
+
+class UpdateLedger:
+    """Accepted-versus-applied accounting of the live-update stream.
+
+    Both service front ends own one: it holds the applied network version,
+    the batches accepted and not yet fully applied (whose oldest age is the
+    number ``max_staleness`` is checked against), the batch / mutation /
+    worst-lag counters behind ``stats()["updates"]``, and it registers the
+    ``network_applied_version`` / ``update_staleness_seconds`` /
+    ``updates_pending`` gauges on the owner's metrics registry.
+    """
+
+    def __init__(self, metrics) -> None:
+        self._metrics = metrics
+        self._lock = threading.Lock()
+        self._pending: list[float] = []
+        self.applied_version = 0
+        self._batches = 0
+        self._mutations = 0
+        self._max_staleness = 0.0
+        metrics.set_gauge(
+            "network_applied_version",
+            lambda: float(self.applied_version),
+            help="Count of live-update batches applied",
+        )
+        metrics.set_gauge(
+            "update_staleness_seconds",
+            self.staleness_seconds,
+            help="Age of the oldest accepted-but-unapplied update batch "
+            "(0 when nothing is pending)",
+        )
+        metrics.set_gauge(
+            "updates_pending",
+            lambda: float(len(self._pending)),
+            help="Update batches accepted and not yet fully applied",
+        )
+
+    @property
+    def pending(self) -> int:
+        with self._lock:
+            return len(self._pending)
+
+    def staleness_seconds(self) -> float:
+        """Age of the oldest accepted-but-unapplied batch (0 if none)."""
+        with self._lock:
+            if not self._pending:
+                return 0.0
+            return max(0.0, time.monotonic() - self._pending[0])
+
+    @contextmanager
+    def accepted(self):
+        """Count one validated batch as pending until the block exits."""
+        accepted_at = time.monotonic()
+        with self._lock:
+            self._pending.append(accepted_at)
+        try:
+            yield
+        finally:
+            lag = time.monotonic() - accepted_at
+            with self._lock:
+                self._pending.remove(accepted_at)
+                self._max_staleness = max(self._max_staleness, lag)
+
+    def applied(self, batch: MutationBatch, version: int | None = None) -> int:
+        """Record ``batch`` as applied; returns the new network version
+        (``version`` when the caller imposes one, else the next integer)."""
+        self.applied_version = (
+            version if version is not None else self.applied_version + 1
+        )
+        self._batches += 1
+        self._mutations += len(batch)
+        self._metrics.inc(
+            "updates_applied_total", help="Live-update batches applied"
+        )
+        self._metrics.inc(
+            "update_mutations_total",
+            len(batch),
+            help="Edge-pattern mutations applied across all batches",
+        )
+        return self.applied_version
+
+    def snapshot(self) -> dict:
+        return {
+            "applied_version": self.applied_version,
+            "batches_applied": self._batches,
+            "mutations_applied": self._mutations,
+            "pending": self.pending,
+            "staleness_seconds": self.staleness_seconds(),
+            "max_staleness_seconds": self._max_staleness,
+        }

@@ -1,4 +1,4 @@
-"""Sharded multi-process serve tier with shared-memory estimator tables.
+"""Sharded multi-process serve tier over mmap-shared customized data.
 
 ``repro.shard`` splits one serve deployment across N worker processes,
 each hosting a full :class:`~repro.serve.service.AllFPService`, behind an
@@ -11,8 +11,8 @@ in-process consistent-hash router:
 * :mod:`repro.shard.tier` — :class:`ShardedService`, the router with
   per-shard circuit breakers, ring failover, and worker restart.
 
-See ``docs/sharding.md`` for the architecture and the shared-memory
-lifecycle rules.
+See ``docs/sharding.md`` for the architecture and the two table
+transports.
 """
 
 from .ring import DEFAULT_REPLICAS, HashRing, routing_key, stable_hash
@@ -21,7 +21,6 @@ from .worker import (
     KILL_POINT,
     WorkerBoot,
     describe_error,
-    private_rss_kb,
     rebuild_error,
     request_from_wire,
     request_to_wire,
@@ -36,7 +35,6 @@ __all__ = [
     "WireResult",
     "WorkerBoot",
     "describe_error",
-    "private_rss_kb",
     "rebuild_error",
     "request_from_wire",
     "request_to_wire",

@@ -1,11 +1,14 @@
 """The sharded serve tier: N worker processes behind one in-process router.
 
-:class:`ShardedService` presents the same surface the HTTP layer and the
-clients already program against (``query`` / ``healthz`` / ``stats`` /
-``render_metrics`` / ``invalidate`` / ``close``), but fans queries out to
+:class:`ShardedService` implements the one service surface
+(:class:`~repro.serve.service.ServiceSurface`) the HTTP layer, the clients,
+the chaos harness and the CLI program against, but fans queries out to
 worker processes over pipes, routed by the consistent-hash ring
 (:mod:`repro.shard.ring`) so each shard's edge-function and result caches
-only ever see their own keyspace and stay hot.
+only ever see their own keyspace and stay hot.  Every worker is the
+single-process service opened by the same boot call
+(:func:`repro.serve.boot.open_service`); the servers themselves are not
+aware of the sharding scheme.
 
 Reliability is the PR-5 contract lifted to shard granularity:
 
@@ -29,15 +32,23 @@ without tripping the breaker.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import tempfile
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .. import reliability
+from ..estimators.boundary import BoundaryNodeEstimator
 from ..exceptions import ReproError, ServiceClosed, ShardUnavailable
 from ..serve.metrics import MetricsRegistry
-from ..serve.service import QueryResponse, ServiceConfig
-from ..serve.updates import MutationBatch, apply_batch, validate_batch
+from ..serve.service import QueryResponse, ServiceConfig, SurfaceBase
+from ..serve.updates import (
+    MutationBatch,
+    UpdateLedger,
+    apply_batch,
+    validate_batch,
+)
+from ..storage.ccam import CCAMStore
 from .ring import DEFAULT_REPLICAS, HashRing, routing_key
 from .worker import (
     WorkerBoot,
@@ -131,20 +142,17 @@ class _ShardHandle:
             waiter.resolve("down", reason)
 
 
-class ShardedService:
+class ShardedService(SurfaceBase):
     """Route queries across ``shards`` worker processes (see module doc).
 
-    Estimator tables reach the workers by the cheapest available
-    transport, decided here once:
-
-    * ``snapshot_path`` set → each worker ``mmap``s the RPRESNAP file
-      (zero-copy, one page-cache image machine-wide);
-    * a boundary ``estimator`` with tables → the parent publishes one
-      shared-memory image (:func:`~repro.estimators.snapshot.share_tables`)
-      and workers attach read-only views (``copy_tables=True`` forces the
-      private-copy baseline the benchmark compares against);
-    * any other ``estimator`` → fork-inherited as an object;
-    * none → workers run estimator-free (or ``estimator_kind="naive"``).
+    The network reaches the workers by fork (``network_path`` for a .ccam
+    store, which every worker re-opens).  Customized data reaches them
+    **only as a file to mmap**: ``snapshot_path`` / ``overlay_path`` name
+    RPRESNAP files that already exist; an ``estimator`` object that carries
+    boundary tables is written once into a tier-owned temporary snapshot
+    (removed by :meth:`close`); any other ``estimator`` is fork-inherited.
+    ``grid`` is accepted for its callers and unused: workers never
+    precompute.
     """
 
     def __init__(
@@ -157,17 +165,12 @@ class ShardedService:
         network_path: str | None = None,
         snapshot_path: str | None = None,
         overlay_path: str | None = None,
-        fingerprint: bytes | None = None,
-        estimator_kind: str | None = None,
         grid: int = 6,
-        copy_tables: bool = False,
         replicas: int = DEFAULT_REPLICAS,
         restart_limit: int = 3,
         dispatch_grace: float = DEFAULT_DISPATCH_GRACE,
         breaker_failures: int = 3,
         breaker_reset: float = 5.0,
-        fault_plan=None,
-        degraded: bool = False,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -176,47 +179,50 @@ class ShardedService:
         self._shards = shards
         self._grace = dispatch_grace
         self._restart_limit = restart_limit
-        self._breaker_failures = breaker_failures
-        self._breaker_reset = breaker_reset
-        self._fault_plan = fault_plan
         self._closed = False
         self._close_lock = threading.Lock()
         self._version = 1
-        # Live-update state: the applied network version, the ordered log
-        # of broadcast batches (replayed into restarted workers so a fresh
-        # fork catches up before taking queries), and pending accounting
-        # for the bounded-staleness surface.
-        self._net_version = 0
-        self._update_lock = threading.Lock()
-        self._mutation_log: list[dict] = []
-        self._pending_lock = threading.Lock()
-        self._pending_updates: list[float] = []
-        self._update_batches_applied = 0
-        self._update_mutations_applied = 0
-        self._max_staleness_observed = 0.0
         self._ring = HashRing(range(shards), replicas)
         self.metrics = MetricsRegistry()
-        self._shared = None  # SharedTables when the shm transport is used
-
-        boot_kwargs = self._plan_transport(
-            network,
-            estimator,
-            network_path=network_path,
-            snapshot_path=snapshot_path,
-            overlay_path=overlay_path,
-            fingerprint=fingerprint,
-            estimator_kind=estimator_kind,
-            grid=grid,
-            copy_tables=copy_tables,
-            degraded=degraded,
-        )
+        # Live-update state: the ledger (applied version, pending batches),
+        # the ordered log of broadcast batches, and the boot-time pattern of
+        # every edge they touched.  A restarted worker is a boot-time worker
+        # that replays the log: it forks the mutated network, rewinds it,
+        # opens the same files and catches up before taking queries.
+        self._updates = UpdateLedger(self.metrics)
+        self._update_lock = threading.Lock()
+        self._mutation_log: list[tuple[MutationBatch, int]] = []
+        self._boot_patterns: dict[tuple[int, int], object] = {}
+        self._tables_file: str | None = None
+        self._handles: dict[int, _ShardHandle] = {}
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover — non-POSIX fallback
             self._ctx = multiprocessing.get_context()
-        self._boot_kwargs = boot_kwargs
-        self._handles: dict[int, _ShardHandle] = {}
         try:
+            if (
+                snapshot_path is None
+                and isinstance(estimator, BoundaryNodeEstimator)
+                and estimator.tables is not None
+            ):
+                snapshot_path = self._write_tables(estimator.tables)
+            self._boot = WorkerBoot(
+                shard_id=-1,
+                shard_count=shards,
+                config=self.config,
+                # .ccam stores must not be forked (shared fd offset):
+                # workers re-open by path.  In-memory networks fork-inherit.
+                network=(
+                    None
+                    if network_path and isinstance(network, CCAMStore)
+                    else network
+                ),
+                network_path=network_path,
+                estimator=None if snapshot_path is not None else estimator,
+                snapshot_path=None if snapshot_path is None else str(snapshot_path),
+                overlay_path=None if overlay_path is None else str(overlay_path),
+                rewind=self._boot_patterns,
+            )
             for sid in range(shards):
                 handle = _ShardHandle(
                     shard_id=sid,
@@ -236,105 +242,43 @@ class ShardedService:
                 sum(1 for h in self._handles.values() if h.alive)
             ),
         )
-        self.metrics.set_gauge(
-            "network_applied_version",
-            lambda: float(self._net_version),
-            help="Live-update batches broadcast by the tier",
-        )
-        self.metrics.set_gauge(
-            "update_staleness_seconds",
-            self.staleness_seconds,
-            help="Age of the oldest accepted-but-unbroadcast update batch",
-        )
-        self.metrics.set_gauge(
-            "updates_pending",
-            lambda: float(len(self._pending_updates)),
-            help="Update batches accepted and not yet applied on every "
-            "live shard",
-        )
 
     # ------------------------------------------------------------------
     # boot
     # ------------------------------------------------------------------
-    def _plan_transport(
-        self,
-        network,
-        estimator,
-        *,
-        network_path,
-        snapshot_path,
-        overlay_path,
-        fingerprint,
-        estimator_kind,
-        grid,
-        copy_tables,
-        degraded,
-    ) -> dict:
+    def _write_tables(self, tables) -> str:
+        """One RPRESNAP image of ``tables`` for every worker to mmap."""
         from ..estimators import snapshot as snap
-        from ..estimators.boundary import BoundaryNodeEstimator
-        from ..estimators.naive import NaiveEstimator
 
-        kwargs: dict = {
-            "grid": grid,
-            "copy_tables": copy_tables,
-            "degraded": degraded,
-        }
-        # .ccam stores must not be forked (shared fd offset): workers
-        # re-open by path.  In-memory networks fork-inherit for free.
-        if network_path is not None and self._network_needs_reopen(network):
-            kwargs["network_path"] = network_path
-        else:
-            kwargs["network"] = network
-
-        if fingerprint is None:
-            fingerprint = snap.network_fingerprint(network)
-        kwargs["fingerprint"] = fingerprint
-
-        if overlay_path is not None:
-            kwargs["overlay_path"] = str(overlay_path)
-        if snapshot_path is not None:
-            kwargs["estimator"] = "boundary"
-            kwargs["snapshot_path"] = str(snapshot_path)
-        elif isinstance(estimator, BoundaryNodeEstimator):
-            tables = getattr(estimator, "tables", None)
-            if tables is not None:
-                self._shared = snap.share_tables(tables, fingerprint)
-                kwargs["estimator"] = "boundary"
-                kwargs["shm_name"] = self._shared.name
-            else:
-                kwargs["estimator_obj"] = estimator
-        elif isinstance(estimator, NaiveEstimator) or estimator_kind == "naive":
-            kwargs["estimator"] = "naive"
-        elif estimator is not None:
-            kwargs["estimator_obj"] = estimator
-        elif estimator_kind == "boundary":
-            kwargs["estimator"] = "boundary"  # each worker precomputes locally
-        return kwargs
-
-    @staticmethod
-    def _network_needs_reopen(network) -> bool:
-        try:
-            from ..storage.ccam import CCAMStore
-        except ImportError:  # pragma: no cover
-            return False
-        return isinstance(network, CCAMStore)
+        fd, path = tempfile.mkstemp(prefix="repro-tier-", suffix=".snap")
+        os.close(fd)
+        self._tables_file = path  # set first: close() removes it regardless
+        snap.save_tables(tables, path, snap.network_fingerprint(self._network))
+        return path
 
     def _start_worker(self, handle: _ShardHandle) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
-        boot = WorkerBoot(
-            shard_id=handle.shard_id,
-            shard_count=self._shards,
-            config=self.config,
-            fault_plan=self._fault_plan,
-            **self._boot_kwargs,
-        )
+        # The fork copies every router-side pipe end into the child — this
+        # pipe's and each sibling's.  The child closes them before serving,
+        # or a router that dies without a goodbye (SIGKILL) would leave
+        # workers that never see EOF.
+        inherited = [parent_conn] + [
+            h.conn for h in self._handles.values() if h.conn is not None
+        ]
         process = self._ctx.Process(
             target=run_worker,
-            args=(boot, child_conn),
+            args=(
+                replace(self._boot, shard_id=handle.shard_id),
+                child_conn,
+                inherited,
+            ),
             name=f"repro-shard-{handle.shard_id}",
             daemon=True,
         )
-        process.start()
+        # Fork under the update lock: the child's copy of the network and of
+        # the rewind table must not be caught halfway through a batch.
+        with self._update_lock:
+            process.start()
         # The parent must not hold the child's pipe end open, or worker
         # death would never surface as EOF on parent_conn.
         child_conn.close()
@@ -363,18 +307,18 @@ class ShardedService:
             daemon=True,
         )
         handle.receiver.start()
-        # A restarted worker forked (or re-opened) a network that may
-        # predate some broadcast batches; replay the ordered mutation log
-        # before it serves queries at a version it never applied.  Holding
-        # the update lock keeps a concurrent apply_updates from
-        # interleaving mid-replay.  Replay is idempotent (last pattern
-        # wins), so a fork that already inherited later patterns converges
-        # on the same state and the same version.
+        # A restarted worker booted on the boot-time network and files;
+        # replay the ordered mutation log before it serves queries at a
+        # version it never applied.  It sees every batch against the
+        # patterns a live worker saw, so its delta re-customization (whose
+        # slack correction reads the old pattern) converges on the same
+        # tables, overlay and version.  Holding the update lock keeps a
+        # concurrent apply_updates from interleaving mid-replay.
         with self._update_lock:
-            for wire in self._mutation_log:
+            for batch, version in self._mutation_log:
                 try:
                     self._control(
-                        handle, "apply_updates", wire, timeout=120.0
+                        handle, "apply_updates", batch, version, timeout=120.0
                     )
                 except (ShardUnavailable, ReproError):
                     # It died again (the receive loop schedules another
@@ -516,14 +460,15 @@ class ShardedService:
     # control plane
     # ------------------------------------------------------------------
     def _control(
-        self, handle: _ShardHandle, op: str, arg=None, timeout: float = 10.0
+        self, handle: _ShardHandle, op: str, *args, timeout: float = 10.0
     ):
+        """Call surface method ``op(*args)`` on one worker's service."""
         req_id, waiter = handle.register()
         try:
             with handle.lock:
                 conn = handle.conn
             with handle.send_lock:
-                conn.send(("control", req_id, op, arg))
+                conn.send(("control", req_id, op, args))
         except (OSError, ValueError, BrokenPipeError) as exc:
             handle.discard(req_id)
             raise ShardUnavailable(
@@ -538,65 +483,36 @@ class ShardedService:
             raise ShardUnavailable(handle.shard_id, str(waiter.payload))
         raise rebuild_error(waiter.payload)
 
-    def _broadcast(self, op: str, arg=None, timeout: float = 10.0) -> dict:
-        """``{shard_id: reply-or-None}`` — dead shards yield ``None``."""
+    def _broadcast(self, op: str, *args, timeout: float = 10.0) -> dict:
+        """``{shard_id: return value}`` of ``op(*args)`` on every live
+        worker; shards that are down are left out."""
         replies: dict[int, object] = {}
         for sid, handle in self._handles.items():
             if not handle.alive:
-                replies[sid] = None
                 continue
             try:
-                replies[sid] = self._control(handle, op, arg, timeout)
+                replies[sid] = self._control(handle, op, *args, timeout=timeout)
             except ShardUnavailable:
-                replies[sid] = None
+                pass
         return replies
 
     # ------------------------------------------------------------------
-    # service surface (mirrors AllFPService)
+    # the service surface (repro.serve.service.ServiceSurface)
     # ------------------------------------------------------------------
-    @property
-    def network(self):
-        return self._network
-
-    @property
-    def shard_count(self) -> int:
-        return self._shards
-
     @property
     def ring(self) -> HashRing:
         return self._ring
 
-    @property
-    def version(self) -> int:
-        return self._version
-
-    @property
-    def net_version(self) -> int:
-        """Applied network version: update batches broadcast by the tier."""
-        return self._net_version
-
-    @property
-    def pending_updates(self) -> int:
-        """Update batches accepted and not yet applied on every live shard."""
-        with self._pending_lock:
-            return len(self._pending_updates)
-
-    def staleness_seconds(self) -> float:
-        """Age of the oldest accepted-but-unapplied update batch (0 if none)."""
-        with self._pending_lock:
-            if not self._pending_updates:
-                return 0.0
-            return max(0.0, time.monotonic() - self._pending_updates[0])
-
-    def apply_updates(self, batch: MutationBatch, workers=None) -> int:
+    def apply_updates(self, batch: MutationBatch) -> int:
         """Broadcast one live-update batch to every shard; returns the new
         tier-wide network version.
 
         The batch is validated once against the router's network copy
         (typed errors, nothing broadcast on failure), stamped with the next
-        monotonic version, applied to the router copy (so restart forks
-        inherit it and later batches validate against current patterns),
-        appended to the replay log, then sent to each live worker, which
+        monotonic version, applied to the router copy (so later batches
+        validate against current patterns; the boot-time pattern of each
+        edge is kept for restart forks to rewind to), appended to the
+        replay log, then sent to each live worker, which
         delta re-customizes under its own update lock.  A shard that is
         down catches up from the log when it restarts; a shard whose apply
         *fails* is killed so the restart-and-replay path resynchronises it
@@ -605,126 +521,112 @@ class ShardedService:
         if self._closed:
             raise ServiceClosed("service is closed")
         validate_batch(self._network, batch)
-        accepted_at = time.monotonic()
-        with self._pending_lock:
-            self._pending_updates.append(accepted_at)
-        try:
-            with self._update_lock:
-                new_version = self._net_version + 1
-                wire = {"batch": batch.to_wire(), "version": new_version}
-                apply_batch(self._network, batch)
-                self._mutation_log.append(wire)
-                self._net_version = new_version
-                for sid, handle in self._handles.items():
-                    if not handle.alive:
-                        continue
-                    try:
-                        self._control(
-                            handle, "apply_updates", wire, timeout=120.0
-                        )
-                    except ShardUnavailable:
-                        continue  # restart replay catches it up
-                    except ReproError:
-                        self.metrics.inc(
-                            "shard_update_failures_total",
-                            labels={"shard_id": str(sid)},
-                        )
-                        self.kill_shard(sid)
-                self._version += 1
-                self._update_batches_applied += 1
-                self._update_mutations_applied += len(batch)
-                self.metrics.inc(
-                    "updates_applied_total",
-                    help="Live-update batches broadcast by the tier",
+        with self._updates.accepted(), self._update_lock:
+            for done in apply_batch(self._network, batch):
+                self._boot_patterns.setdefault(
+                    (done.source, done.target), done.old_pattern
                 )
-                self.metrics.inc(
-                    "update_mutations_total",
-                    len(batch),
-                    help="Edge-pattern mutations broadcast across batches",
-                )
-                return new_version
-        finally:
-            lag = time.monotonic() - accepted_at
-            with self._pending_lock:
-                self._pending_updates.remove(accepted_at)
-                if lag > self._max_staleness_observed:
-                    self._max_staleness_observed = lag
+            version = self._updates.applied(batch)
+            self._mutation_log.append((batch, version))
+            for sid, handle in self._handles.items():
+                if not handle.alive:
+                    continue
+                try:
+                    self._control(
+                        handle, "apply_updates", batch, version, timeout=120.0
+                    )
+                except ShardUnavailable:
+                    continue  # restart replay catches it up
+                except ReproError:
+                    self.metrics.inc(
+                        "shard_update_failures_total",
+                        labels={"shard_id": str(sid)},
+                    )
+                    self.kill_shard(sid)
+            self._version += 1
+            return version
 
     @property
     def degraded(self) -> bool:
-        """Degraded when any shard is down, restarted-degraded, or its
-        breaker is not closed — mirrors the single-service semantics."""
-        for handle in self._handles.values():
-            if not handle.alive:
-                return True
-            if handle.boot_info.get("degraded"):
-                return True
-            if handle.breaker.state != "closed":
-                return True
-        return False
+        """Degraded when any shard is down, booted degraded, or its breaker
+        is not closed — the single-process semantics at shard granularity."""
+        return any(
+            not handle.alive
+            or handle.boot_info["degraded"]
+            or handle.breaker.state != "closed"
+            for handle in self._handles.values()
+        )
 
     def shard_health(self) -> list[dict]:
-        """Per-shard state for ``/healthz`` aggregation."""
-        health = []
+        """Per-shard state: the ``"shards"`` block of :meth:`health`."""
+        report = []
         for sid, handle in sorted(self._handles.items()):
             entry = {
                 "shard_id": sid,
                 "alive": handle.alive,
                 "breaker": handle.breaker.state,
                 "restarts": handle.restarts,
-                "pid": handle.boot_info.get("pid"),
-                "tables_mode": handle.boot_info.get("tables_mode"),
-                "overlay_mode": handle.boot_info.get("overlay_mode", "none"),
+                "pid": handle.boot_info["pid"],
+                "tables_mode": handle.boot_info["tables_mode"],
+                "overlay_mode": handle.boot_info["overlay_mode"],
             }
+            health = None
             if handle.alive:
                 try:
-                    entry.update(self._control(handle, "healthz", timeout=5.0))
+                    health = self._control(handle, "health", timeout=5.0)
                 except (ShardUnavailable, ReproError):
                     entry["alive"] = False
-                    entry["status"] = "down"
-            else:
+            if health is None:
                 entry["status"] = "down"
-            health.append(entry)
-        return health
+            else:
+                entry.update(
+                    status=health["status"],
+                    degraded=health["degraded"],
+                    version=health["version"],
+                    applied_version=health["network_version"],
+                    staleness_seconds=health["staleness_seconds"],
+                    pending_updates=health["pending_updates"],
+                )
+            report.append(entry)
+        return report
 
-    def meminfo(self) -> dict:
-        """Per-shard private-RSS and table-transport info (benchmarks)."""
-        return self._broadcast("meminfo")
+    def health(self) -> dict:
+        """The ``/healthz`` body: the single-process keys, plus ``shards``."""
+        return {**super().health(), "shards": self.shard_health()}
 
     def invalidate(self, refresh_estimator: bool = False) -> int:
-        replies = self._broadcast("invalidate", refresh_estimator)
-        dropped = 0
-        for reply in replies.values():
-            if reply is not None:
-                dropped += reply["dropped"]
-                self._version = max(self._version, reply["version"])
-        return dropped
+        self._version += 1
+        return sum(self._broadcast("invalidate", refresh_estimator).values())
 
-    def install_faults(self, plan) -> None:
-        """Broadcast a fault plan to every live worker (chaos harness)."""
-        self._broadcast("install_faults", plan.as_dict())
+    def install_faults(self, plan: reliability.FaultPlan) -> None:
+        """Install ``plan`` inside every live worker process."""
+        self._broadcast("install_faults", plan)
 
-    def uninstall_faults(self) -> dict:
-        """Remove worker-side fault plans; ``{shard_id: {"fired": n}}``."""
-        return self._broadcast("uninstall_faults")
+    def uninstall_faults(self) -> int:
+        """Remove the workers' plans; returns the faults they fired (a
+        restarted worker's count starts over, so a lower bound under
+        restarts)."""
+        return sum(self._broadcast("uninstall_faults").values())
 
     def stats(self) -> dict:
-        shard_stats = self._broadcast("stats")
+        """The single-process counters summed over the live shards, the
+        tier's own state, and every shard's full snapshot."""
+        per_shard = self._broadcast("stats")
+        totals: dict = {"result_cache": {}, "single_flight": {}}
+        for shard in per_shard.values():
+            for block, summed in totals.items():
+                for key, value in shard[block].items():
+                    summed[key] = summed.get(key, 0) + value
         return {
             "shards": self._shards,
             "alive": sum(1 for h in self._handles.values() if h.alive),
             "restarts": {
                 sid: h.restarts for sid, h in self._handles.items()
             },
-            "updates": {
-                "applied_version": self._net_version,
-                "batches_applied": self._update_batches_applied,
-                "mutations_applied": self._update_mutations_applied,
-                "pending": self.pending_updates,
-                "staleness_seconds": self.staleness_seconds(),
-                "max_staleness_seconds": self._max_staleness_observed,
-            },
-            "per_shard": shard_stats,
+            "updates": self._updates.snapshot(),
+            "engine_runs": sum(s["engine_runs"] for s in per_shard.values()),
+            **totals,
+            "per_shard": per_shard,
         }
 
     def render_metrics(self) -> str:
@@ -734,9 +636,7 @@ class ShardedService:
         labels, so the concatenated text has no colliding series.
         """
         parts = [self.metrics.render()]
-        for reply in self._broadcast("metrics", timeout=5.0).values():
-            if reply is not None:
-                parts.append(reply["text"])
+        parts.extend(self._broadcast("render_metrics", timeout=5.0).values())
         return "\n".join(p for p in parts if p)
 
     def kill_shard(self, shard_id: int) -> None:
@@ -752,13 +652,13 @@ class ShardedService:
             if self._closed:
                 return
             self._closed = True
-        for handle in getattr(self, "_handles", {}).values():
+        for handle in self._handles.values():
             if handle.alive:
                 try:
                     self._control(handle, "close", timeout=2.0)
                 except (ShardUnavailable, ReproError):
                     pass
-        for handle in getattr(self, "_handles", {}).values():
+        for handle in self._handles.values():
             process = handle.process
             if process is None:
                 continue
@@ -773,9 +673,12 @@ class ShardedService:
                     conn.close()
                 except OSError:
                     pass
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
+        if self._tables_file is not None:
+            try:
+                os.unlink(self._tables_file)
+            except OSError:
+                pass
+            self._tables_file = None
 
     def __enter__(self) -> "ShardedService":
         return self

@@ -1,4 +1,4 @@
-"""The shard worker process: one :class:`AllFPService` behind a pipe.
+"""The shard worker process: the single-process service, opened from files.
 
 Each worker is a "dumb server" in the memcached sense — it owns no routing
 logic, just answers what arrives on its :class:`multiprocessing` pipe.  The
@@ -6,8 +6,10 @@ parent-side router (:mod:`repro.shard.tier`) speaks a tiny tuple protocol:
 
 * ``("query", req_id, wire_request)`` → ``("ok", req_id, wire_response)``
   or ``("err", req_id, error_descriptor)``
-* ``("control", req_id, op, arg)`` for healthz / metrics / stats /
-  invalidate / meminfo / fault install / close
+* ``("control", req_id, op, args)`` → ``("ok", req_id, return value)``:
+  ``op`` is one of :data:`CONTROL_OPS` — method names of the service
+  surface (:class:`~repro.serve.service.ServiceSurface`), called with
+  ``args`` — or ``"close"``
 
 Results cross the pipe as their ``as_dict()`` payloads and errors as typed
 descriptors (class name + salient attributes) rather than pickled objects:
@@ -17,21 +19,12 @@ anyway.  The parent rebuilds typed :class:`~repro.exceptions.ReproError`
 subclasses from the descriptors so ``isinstance`` checks (and the HTTP
 status mapping) behave identically with and without ``--shards``.
 
-Estimator tables arrive one of three ways, cheapest first:
-
-* ``snapshot_path`` — the worker ``mmap``s the RPRESNAP file read-only
-  (:func:`~repro.estimators.snapshot.map_tables`); all workers share one
-  page-cache copy;
-* ``shm_name`` — the worker attaches the parent's shared-memory image
-  (:func:`~repro.estimators.snapshot.attach_tables`), zero-copy unless
-  ``copy_tables`` deliberately materialises private arrays (the
-  benchmark's per-process baseline);
-* ``estimator_obj`` — a fork-inherited estimator object (tests and
-  in-memory runs without a snapshot).
-
-A failed table load degrades to the naive bound (still admissible → still
-exact answers) instead of refusing to boot, mirroring the single-process
-CLI behaviour.
+A worker boots through :func:`repro.serve.boot.open_service`, the same call
+the CLI makes for ``--shards 0``: estimator tables and the overlay arrive as
+RPRESNAP files it ``mmap``s read-only (all workers share one page-cache
+copy), anything else as a fork-inherited object; a failed load degrades to
+the naive bound / the flat engine (still exact answers) instead of refusing
+to boot.
 """
 
 from __future__ import annotations
@@ -44,7 +37,6 @@ from dataclasses import dataclass, field, replace
 from .. import reliability
 from ..core.runtime import QueryTimeout, SearchBudgetExceeded
 from ..core.results import SearchStats
-from ..estimators.naive import NaiveEstimator
 from ..exceptions import (
     EdgeNotFoundError,
     NodeNotFoundError,
@@ -59,153 +51,45 @@ from ..timeutil import TimeInterval
 
 #: Fault point fired on every received message; an injected error here
 #: simulates a hard worker crash (``os._exit``), which the chaos harness
-#: and the shard-smoke CI job use to exercise router failover.
+#: and the service-smoke CI job use to exercise router failover.
 KILL_POINT = "repro.shard.worker.kill"
+
+#: Service-surface methods the router may invoke over the control channel.
+CONTROL_OPS = frozenset(
+    {
+        "health",
+        "stats",
+        "render_metrics",
+        "invalidate",
+        "apply_updates",
+        "install_faults",
+        "uninstall_faults",
+    }
+)
 
 
 @dataclass
 class WorkerBoot:
-    """Everything a worker needs to build its service (fork- and
+    """Everything a worker needs to open its service (fork- and
     spawn-safe: every field is picklable or ``None``)."""
 
     shard_id: int
     shard_count: int
     config: object  # ServiceConfig (imported lazily to keep forks cheap)
+    #: fork-inherited network, or ``network_path`` to re-open (a .ccam file
+    #: object must never be shared across processes — its offset would race)
     network: object | None = None
     network_path: str | None = None
-    estimator: str | None = None  # None | "naive" | "boundary"
-    estimator_obj: object | None = None
+    #: fork-inherited estimator object (table-less ones only; tables travel
+    #: as ``snapshot_path``)
+    estimator: object | None = None
+    #: RPRESNAP files the worker mmaps: estimator tables / overlay section
     snapshot_path: str | None = None
-    shm_name: str | None = None
-    fingerprint: bytes | None = None
-    grid: int = 6
-    copy_tables: bool = False
-    fault_plan: object | None = None  # reliability.FaultPlan
-    degraded: bool = field(default=False)
-    #: v2 snapshot whose overlay section the worker mmaps for warm boot.
     overlay_path: str | None = None
-
-
-def private_rss_kb() -> int:
-    """This process's private resident set in kB.
-
-    ``smaps_rollup`` (Private_Clean + Private_Dirty) is the honest number
-    for the shared-memory comparison — mmap'ed/shm pages a worker merely
-    reads stay out of it; falls back to VmRSS, then 0 on exotic systems.
-    """
-    try:
-        total = 0
-        with open("/proc/self/smaps_rollup") as f:
-            for line in f:
-                if line.startswith(("Private_Clean:", "Private_Dirty:")):
-                    total += int(line.split()[1])
-        return total
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        with open("/proc/self/status") as f:
-            for line in f:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1])
-    except (OSError, ValueError, IndexError):
-        pass
-    return 0
-
-
-def _load_network(path: str):
-    """Open the worker's own network handle (never share a .ccam file
-    object across processes — the store's file offset would race)."""
-    from pathlib import Path
-
-    from ..network.io import load_network
-    from ..storage.ccam import CCAMStore
-
-    if Path(path).suffix == ".ccam":
-        return CCAMStore.open(path)
-    return load_network(path)
-
-
-def _build_estimator(network, boot: WorkerBoot):
-    """Returns ``(estimator, degraded, tables_info)``."""
-    from ..estimators.boundary import BoundaryNodeEstimator
-    from ..estimators import snapshot as snap
-
-    info = {
-        "tables_mode": "none",
-        "tables_bytes": 0,
-        "tables_rss_delta_kb": 0,
-    }
-    if boot.estimator_obj is not None:
-        tables = getattr(boot.estimator_obj, "tables", None)
-        info["tables_mode"] = "inherited"
-        info["tables_bytes"] = getattr(tables, "nbytes", 0)
-        return boot.estimator_obj, False, info
-    if boot.estimator is None:
-        return None, False, info
-    if boot.estimator == "naive":
-        info["tables_mode"] = "naive"
-        return NaiveEstimator(network), False, info
-
-    # boundary estimator over shared (or deliberately copied) tables
-    rss_before = private_rss_kb()
-    try:
-        if boot.snapshot_path is not None and not boot.copy_tables:
-            tables = snap.map_tables(boot.snapshot_path, boot.fingerprint)
-            mode = "mmap"
-        elif boot.shm_name is not None:
-            tables, _handle = snap.attach_tables(
-                boot.shm_name, boot.fingerprint, copy=boot.copy_tables
-            )
-            mode = "copy" if boot.copy_tables else "shm"
-        elif boot.snapshot_path is not None:
-            tables = snap.load_tables(boot.snapshot_path, boot.fingerprint)
-            mode = "copy"
-        else:
-            estimator = BoundaryNodeEstimator(network, boot.grid, boot.grid)
-            info["tables_mode"] = "local"
-            tables = estimator.tables
-            info["tables_bytes"] = getattr(tables, "nbytes", 0)
-            info["tables_rss_delta_kb"] = private_rss_kb() - rss_before
-            return estimator, False, info
-        estimator = BoundaryNodeEstimator(
-            network, tables.nx, tables.ny, tables.metric, tables=tables
-        )
-    except ReproError as exc:
-        # Graceful degradation, same contract as a single-process boot:
-        # serve exact answers on the (admissible) naive bound, flagged.
-        info["tables_mode"] = "fallback"
-        info["error"] = str(exc)
-        return NaiveEstimator(network), True, info
-    info["tables_mode"] = mode
-    info["tables_bytes"] = tables.nbytes
-    info["tables_rss_delta_kb"] = private_rss_kb() - rss_before
-    return estimator, False, info
-
-
-def _load_overlay(network, boot: WorkerBoot):
-    """Returns ``(overlay, degraded, overlay_info)`` — mmap'ed warm boot.
-
-    A failed overlay load falls back to flat-graph queries (still exact,
-    only slower), flagged degraded — the same graceful-degradation
-    contract as a failed estimator-table load.
-    """
-    from ..estimators import snapshot as snap
-
-    if boot.overlay_path is None:
-        return None, False, {"overlay_mode": "none"}
-    try:
-        overlay = snap.map_overlay(boot.overlay_path, network)
-    except ReproError as exc:
-        return None, True, {"overlay_mode": "fallback", "overlay_error": str(exc)}
-    return (
-        overlay,
-        False,
-        {
-            "overlay_mode": "mmap",
-            "overlay_levels": overlay.level_count,
-            "overlay_shortcuts": overlay.stats.shortcuts,
-        },
-    )
+    #: ``{(source, target): boot-time pattern}`` of every edge a live update
+    #: has touched: a restarted worker forks the router's *mutated* network
+    #: and is put back on the one the files were customized for
+    rewind: dict = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -343,37 +227,39 @@ def rebuild_error(desc: dict) -> ReproError:
 # ----------------------------------------------------------------------
 # Worker main
 # ----------------------------------------------------------------------
-def run_worker(boot: WorkerBoot, conn) -> None:
-    """Process entry point: build the service, then serve the pipe.
+def run_worker(boot: WorkerBoot, conn, inherited=()) -> None:
+    """Process entry point: open the service, then serve the pipe.
 
-    Exit paths: a ``close`` control (clean), EOF on the pipe (parent
+    ``inherited`` are the router-side pipe ends the fork copied into this
+    process (its own pipe's and every sibling's); they are closed first, or
+    no worker would ever see EOF when the router dies without a goodbye.
+
+    Exit paths: a ``close`` control (clean), EOF on the pipe (router
     gone), an injected :data:`KILL_POINT` fault (``os._exit(1)``, the
     simulated hard crash), or a boot failure reported as ``boot_error``.
     """
-    if boot.fault_plan is not None:
-        reliability.install(boot.fault_plan)
-    from ..serve.service import AllFPService
+    for router_end in inherited:
+        router_end.close()
+    from ..serve.boot import open_network, open_service
 
     try:
         network = (
             boot.network
             if boot.network is not None
-            else _load_network(boot.network_path)
+            else open_network(boot.network_path)
         )
-        estimator, degraded, tables_info = _build_estimator(network, boot)
-        overlay, overlay_degraded, overlay_info = _load_overlay(network, boot)
-        tables_info = {**tables_info, **overlay_info}
-        config = replace(
-            boot.config,
-            shard_id=boot.shard_id,
-            shard_count=boot.shard_count,
-        )
-        service = AllFPService(
+        for (source, target), pattern in boot.rewind.items():
+            network.update_edge_pattern(source, target, pattern)
+        service, info = open_service(
             network,
-            estimator,
-            config,
-            degraded=degraded or overlay_degraded or boot.degraded,
-            overlay=overlay,
+            boot.estimator,
+            replace(
+                boot.config,
+                shard_id=boot.shard_id,
+                shard_count=boot.shard_count,
+            ),
+            snapshot_path=boot.snapshot_path,
+            overlay_path=boot.overlay_path,
         )
     except BaseException as exc:  # noqa: BLE001 — report, then die
         try:
@@ -387,14 +273,12 @@ def run_worker(boot: WorkerBoot, conn) -> None:
             pass
         os._exit(3)
 
-    ready = {
+    conn.send(("ready", -1, {
         "shard_id": boot.shard_id,
         "pid": os.getpid(),
         "degraded": service.degraded,
-        "rss_kb": private_rss_kb(),
-        **tables_info,
-    }
-    conn.send(("ready", -1, ready))
+        **info,
+    }))
 
     send_lock = threading.Lock()
 
@@ -416,8 +300,7 @@ def run_worker(boot: WorkerBoot, conn) -> None:
         max_workers=max(2, service.config.workers),
         thread_name_prefix=f"repro-shard-{boot.shard_id}",
     )
-    running = True
-    while running:
+    while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
@@ -426,66 +309,18 @@ def run_worker(boot: WorkerBoot, conn) -> None:
             reliability.fire(KILL_POINT)
         except BaseException:  # noqa: BLE001 — any injected error = crash
             os._exit(1)
-        kind = message[0]
-        if kind == "query":
+        if message[0] == "query":
             _, req_id, doc = message
             pool.submit(handle_query, req_id, doc)
             continue
-        _, req_id, op, arg = message
+        _, req_id, op, args = message
+        if op == "close":
+            reply("ok", req_id, None)
+            break
         try:
-            if op == "close":
-                reply("ok", req_id, {})
-                running = False
-            elif op == "healthz":
-                reply("ok", req_id, {
-                    "shard_id": boot.shard_id,
-                    "pid": os.getpid(),
-                    "status": "degraded" if service.degraded else "ok",
-                    "degraded": service.degraded,
-                    "version": service.version,
-                    "applied_version": service.net_version,
-                    "staleness_seconds": service.staleness_seconds(),
-                    "pending_updates": service.pending_updates,
-                })
-            elif op == "metrics":
-                reply("ok", req_id, {"text": service.render_metrics()})
-            elif op == "stats":
-                reply("ok", req_id, service.stats())
-            elif op == "apply_updates":
-                from ..serve.updates import MutationBatch
-
-                batch = MutationBatch.from_wire(arg["batch"])
-                version = service.apply_updates(
-                    batch, version=arg.get("version")
-                )
-                reply("ok", req_id, {
-                    "version": version, "applied": len(batch),
-                })
-            elif op == "invalidate":
-                dropped = service.invalidate(refresh_estimator=bool(arg))
-                reply("ok", req_id, {
-                    "dropped": dropped, "version": service.version,
-                })
-            elif op == "meminfo":
-                reply("ok", req_id, {
-                    "pid": os.getpid(),
-                    "rss_kb": private_rss_kb(),
-                    **tables_info,
-                })
-            elif op == "install_faults":
-                reliability.install(reliability.FaultPlan.from_dict(arg))
-                reply("ok", req_id, {})
-            elif op == "uninstall_faults":
-                fired = reliability.fired_total()
-                reliability.uninstall()
-                reply("ok", req_id, {"fired": fired})
-            else:
-                reply("err", req_id, {
-                    "type": "ServiceError",
-                    "message": f"unknown control op {op!r}",
-                    "repro": True,
-                    "attrs": {},
-                })
+            if op not in CONTROL_OPS:
+                raise ServiceError(f"unknown control op {op!r}")
+            reply("ok", req_id, getattr(service, op)(*args))
         except BaseException as exc:  # noqa: BLE001
             reply("err", req_id, describe_error(exc))
     pool.shutdown(wait=False, cancel_futures=True)

@@ -259,14 +259,6 @@ class TestServiceBasics:
         assert second.result is first.result
         assert service.stats()["engine_runs"] == 1
 
-    def test_invalidate_bumps_version_and_recomputes(self, service, interval):
-        service.all_fastest_paths(0, 99, interval)
-        assert service.invalidate() == 1
-        assert service.version == 1
-        again = service.all_fastest_paths(0, 99, interval)
-        assert not again.cached
-        assert service.stats()["engine_runs"] == 2
-
     def test_singlefp_mode(self, service, interval):
         response = service.single_fastest_path(0, 99, interval)
         assert response.result.optimal_travel_time > 0
@@ -548,6 +540,97 @@ class TestHTTP:
         assert samples[f"repro_pending_requests{{{kb}}}"] == 0
         count_key = f'repro_request_latency_seconds_count{{{kb},mode="allfp"}}'
         assert samples[count_key] == ok
+
+
+def _read_response(stream) -> tuple[int, dict, bytes]:
+    """One HTTP response off a raw socket's file: (status, headers, body)."""
+    status_line = stream.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, body
+
+
+class TestHTTPFraming:
+    """Request framing over a raw socket: whatever a POST declares about its
+    body, the reply is one typed JSON error and the next request — on the
+    same connection, or a new one where the server had to close — is
+    answered normally."""
+
+    @pytest.fixture
+    def address(self, http_service):
+        _, client = http_service
+        host, port = client.base_url.removeprefix("http://").split(":")
+        return host, int(port)
+
+    @staticmethod
+    def _exchange(address, payload: bytes, responses: int):
+        """Send ``payload`` in one write; read ``responses`` replies, then
+        whether the server closed the connection."""
+        import socket
+
+        with socket.create_connection(address, timeout=2.0) as sock:
+            sock.sendall(payload)
+            stream = sock.makefile("rb")
+            replies = [_read_response(stream) for _ in range(responses)]
+            sock.settimeout(0.3)
+            try:
+                closed = stream.read(1) == b""
+            except OSError:  # timed out: still open and idle
+                closed = False
+            return replies, closed
+
+    HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+    def _assert_healthy(self, status, headers, body):
+        assert status == 200
+        assert headers["content-type"] == "application/json"
+        assert json.loads(body)["status"] == "ok"
+
+    def test_negative_content_length_is_a_typed_400(self, address):
+        post = (
+            b"POST /v1/allfp HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: -1\r\n\r\n{}"
+        )
+        [(status, headers, body)], closed = self._exchange(address, post, 1)
+        assert status == 400
+        assert headers["content-type"] == "application/json"
+        assert json.loads(body)["error"] == "BadRequest"
+        assert closed  # the body's extent is unknown: nothing more is read
+        [reply], _ = self._exchange(address, self.HEALTHZ, 1)
+        self._assert_healthy(*reply)
+
+    def test_unknown_path_reads_its_body_first(self, address):
+        post = (
+            b"POST /v1/nope HTTP/1.1\r\nHost: t\r\n"
+            b'Content-Length: 8\r\n\r\n{"a": 1}'
+        )
+        replies, closed = self._exchange(address, post + self.HEALTHZ, 2)
+        status, headers, body = replies[0]
+        assert status == 404
+        assert headers["content-type"] == "application/json"
+        assert json.loads(body)["error"] == "NotFound"
+        self._assert_healthy(*replies[1])  # same keep-alive connection
+        assert not closed
+
+    def test_oversize_body_closes_instead_of_misframing(self, address):
+        post = (
+            b"POST /v1/allfp HTTP/1.1\r\nHost: t\r\n"
+            b'Content-Length: 70000\r\n\r\n{"a": 1}'
+        )
+        [(status, headers, body)], closed = self._exchange(
+            address, post + self.HEALTHZ, 1
+        )
+        assert status == 400
+        assert headers["content-type"] == "application/json"
+        assert json.loads(body)["error"] == "BadRequest"
+        assert headers["connection"] == "close"
+        assert closed  # the unread bytes were never parsed as a request
+        [reply], _ = self._exchange(address, self.HEALTHZ, 1)
+        self._assert_healthy(*reply)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -23,7 +25,7 @@ from repro.exceptions import (
     WorkerCrashed,
 )
 from repro.serve import AllFPService, ServiceConfig, parse_metrics
-from repro.serve.chaos import _canonical, run_shard_chaos
+from repro.serve.chaos import _canonical, busiest_shard, run_chaos
 from repro.serve.service import QueryRequest
 from repro.shard import (
     DEFAULT_REPLICAS,
@@ -38,6 +40,15 @@ from repro.timeutil import TimeInterval
 from repro.workloads.queries import morning_rush_interval, random_queries
 
 
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is still running (a zombie awaiting its reaper is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 @pytest.fixture
 def interval():
     return TimeInterval.from_clock("7:00", "8:00")
@@ -45,7 +56,7 @@ def interval():
 
 @pytest.fixture(scope="module")
 def tier(metro_tiny):
-    """One 2-shard tier over metro_tiny, shared-memory tables transport."""
+    """One 2-shard tier over metro_tiny, tables via a temporary snapshot."""
     estimator = BoundaryNodeEstimator(metro_tiny, 4, 4)
     service = ShardedService(
         metro_tiny,
@@ -172,7 +183,7 @@ class TestRoutingKey:
 
 
 # ----------------------------------------------------------------------
-# Snapshot transports (mmap / shared memory)
+# Snapshot transport (mmap)
 # ----------------------------------------------------------------------
 class TestSnapshotTransports:
     @pytest.fixture(scope="class")
@@ -198,39 +209,6 @@ class TestSnapshotTransports:
         mapped = snap.map_tables(path, fp)
         with pytest.raises(TypeError):
             mapped.cell_pair[0] = 1.0
-
-    def test_share_and_attach_round_trip(self, snapshot, metro_tiny):
-        path, fp = snapshot
-        tables = snap.load_tables(path, fp)
-        shared = snap.share_tables(tables, fp)
-        try:
-            attached, handle = snap.attach_tables(shared.name, fp)
-            assert attached.zero_copy
-            assert list(attached.cell_pair) == list(tables.cell_pair)
-            estimator = BoundaryNodeEstimator(
-                metro_tiny, tables.nx, tables.ny, tables=attached
-            )
-            assert estimator.tables is attached
-            # release every view over the segment before detaching, the
-            # order the worker teardown follows too
-            del estimator, attached
-            import gc
-
-            gc.collect()
-            handle.close()
-        finally:
-            shared.close()
-
-    def test_attach_copy_mode_detaches_immediately(self, snapshot):
-        path, fp = snapshot
-        tables = snap.load_tables(path, fp)
-        shared = snap.share_tables(tables, fp)
-        try:
-            copied, handle = snap.attach_tables(shared.name, fp, copy=True)
-            assert not copied.zero_copy
-            assert list(copied.to_boundary) == list(tables.to_boundary)
-        finally:
-            shared.close()
 
     def test_fingerprint_mismatch_rejected(self, snapshot):
         path, _ = snapshot
@@ -310,7 +288,7 @@ class TestShardedService:
         health = tier.shard_health()
         assert [h["shard_id"] for h in health] == [0, 1]
         assert all(h["alive"] for h in health)
-        assert all(h["tables_mode"] == "shm" for h in health)
+        assert all(h["tables_mode"] == "mmap" for h in health)
         assert not tier.degraded
 
     @pytest.mark.parametrize("mode", ["allfp", "singlefp", "profile", "knn", "batch"])
@@ -355,12 +333,6 @@ class TestShardedService:
         second = tier.query(request)
         assert not first.cached
         assert second.cached  # same key -> same shard -> warm cache
-
-    def test_invalidate_broadcasts(self, tier, interval):
-        request = QueryRequest(3, 77, interval)
-        tier.query(request)
-        assert tier.invalidate() >= 1
-        assert not tier.query(request).cached
 
     def test_stats_aggregates_shards(self, tier):
         stats = tier.stats()
@@ -447,6 +419,71 @@ class TestShardedService:
         tier.close()
         tier.close()
 
+    def test_estimator_object_travels_as_a_temporary_snapshot(
+        self, metro_tiny, interval
+    ):
+        """A tier built from an estimator *object* writes its tables once,
+        every worker mmaps that file, a cold answer equals the cold
+        single-process service's byte for byte, and close() removes the
+        file."""
+        config = ServiceConfig(workers=1)
+        tier = ShardedService(
+            metro_tiny, BoundaryNodeEstimator(metro_tiny, 4, 4), config, shards=2
+        )
+        single = AllFPService(
+            metro_tiny, BoundaryNodeEstimator(metro_tiny, 4, 4), config
+        )
+        try:
+            path = tier._tables_file
+            assert path is not None and os.path.exists(path)
+            assert [h["tables_mode"] for h in tier.shard_health()] == [
+                "mmap", "mmap"
+            ]
+            request = QueryRequest(41, 78, interval)
+            ours = tier.query(request).result.as_dict()
+            theirs = single.query(request).result.as_dict()
+            for doc in (ours, theirs):
+                del doc["stats"]["elapsed_seconds"]
+            assert json.dumps(ours, sort_keys=True) == json.dumps(
+                theirs, sort_keys=True
+            )
+        finally:
+            tier.close()
+            single.close()
+        assert not os.path.exists(path)
+
+    def test_sigkilled_router_leaves_no_orphan_workers(self):
+        """Workers close the router-side pipe ends they inherited, so a
+        router that dies without a goodbye is an EOF to every one of them."""
+        code = (
+            "import sys, time\n"
+            "from repro.network.generator import MetroConfig, make_metro_network\n"
+            "from repro.serve import ServiceConfig\n"
+            "from repro.shard import ShardedService\n"
+            "net = make_metro_network(MetroConfig(width=6, height=6, seed=5))\n"
+            "tier = ShardedService(net, None, ServiceConfig(workers=1), shards=2)\n"
+            "print(*[h['pid'] for h in tier.shard_health()], flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        router = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True
+        )
+        try:
+            pids = [int(pid) for pid in router.stdout.readline().split()]
+            assert len(pids) == 2
+            router.kill()  # SIGKILL: no close(), no atexit, no goodbye
+            router.wait()
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_alive, pids)):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _alive(pid)]
+        finally:
+            router.kill()
+            router.stdout.close()
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
 
 # ----------------------------------------------------------------------
 # Shard chaos
@@ -463,8 +500,12 @@ class TestShardChaos:
             breaker_reset=0.2,
         )
         try:
-            report = run_shard_chaos(
-                tier, queries, plan=None, clients=4, kill_delay=0.0
+            report = run_chaos(
+                tier,
+                queries,
+                kill_shard=busiest_shard(tier.ring, queries),
+                kill_delay=0.0,
+                clients=4,
             )
         finally:
             tier.close()

@@ -6,7 +6,7 @@ the overlay shortcut splice, the service-level versioned apply (caches
 invalidated, answers byte-identical to a from-scratch service on the
 mutated network), the ``max_staleness`` contract, the
 ``invalidate(refresh_estimator=True)``-racing-queries invariant, and the
-mutation-chaos harness itself.
+chaos harness under a mutation trace.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.exceptions import (
 )
 from repro.hierarchy import MultiLevelOverlay
 from repro.network.generator import MetroConfig, make_metro_network
-from repro.serve.chaos import _canonical, default_fault_plan, run_mutation_chaos
+from repro.serve.chaos import _canonical, default_fault_plan, run_chaos
 from repro.serve.service import AllFPService, QueryRequest, ServiceConfig
 from repro.serve.updates import (
     EdgeMutation,
@@ -389,6 +389,76 @@ class TestOverlayRefreshFailure:
             tier.close()
 
 
+class TestRestartAfterUpdates:
+    def test_restarted_worker_reattaches_boot_time_files(self, tmp_path):
+        """A worker restarted after a live update forks the *mutated*
+        network.  It must rewind to the boot-time one, attach the tables and
+        the overlay customized for it and be brought up to date by the log
+        replay — not fall back to the naive bound / flat engine and flag the
+        shard degraded for good.  The x20 speed-up makes the replay's slack
+        correction matter: refreshed against an already-mutated network
+        (old pattern == new) the tables turn inadmissible and answers into
+        node 99 come out up to 0.15 min slow."""
+        import time
+
+        from repro.estimators import snapshot as snap
+        from repro.shard import ShardedService, routing_key
+
+        network = make_metro_network(MetroConfig(width=10, height=10, seed=5))
+        estimator = BoundaryNodeEstimator(network, 5, 5)
+        overlay_file = tmp_path / "boot.ovl"
+        snap.save_tables(
+            estimator.tables,
+            overlay_file,
+            snap.network_fingerprint(network),
+            overlay=MultiLevelOverlay.build(network, levels=1, nx=5),
+        )
+        batch = MutationBatch(
+            (mutation_for(network, 138, 20.0), mutation_for(network, 0, 0.2))
+        )
+        reference_net = copy.deepcopy(network)
+        apply_batch(reference_net, batch)
+        reference = AllFPService(reference_net, config=ServiceConfig(workers=1))
+        tier = ShardedService(
+            network,
+            estimator,
+            ServiceConfig(workers=1),
+            shards=2,
+            overlay_path=str(overlay_file),
+            breaker_reset=0.1,
+        )
+        try:
+            assert tier.apply_updates(batch) == 1
+            tier.kill_shard(0)
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                shard = tier.shard_health()[0]
+                if shard["restarts"] == 1 and shard.get("applied_version") == 1:
+                    break
+                time.sleep(0.05)
+            assert (shard["restarts"], shard["applied_version"]) == (1, 1), shard
+            assert (shard["tables_mode"], shard["overlay_mode"]) == ("mmap", "mmap")
+            assert not shard["degraded"]
+            requests = [
+                request
+                for request in (_request(source, 99) for source in range(0, 60, 3))
+                if tier.ring.preference(routing_key(request))[0] == 0
+            ]
+            assert len(requests) >= 4
+            deadline = time.monotonic() + 10.0
+            while tier.degraded and time.monotonic() < deadline:
+                time.sleep(0.05)  # the killed shard's breaker closing again
+            assert not tier.degraded
+            for request in requests:
+                live = tier.query(request)
+                assert (live.version, live.degraded) == (1, False)
+                fresh = reference.query(request)
+                assert _canonical(live.result) == _canonical(fresh.result)
+        finally:
+            tier.close()
+            reference.close()
+
+
 class TestServiceUpdates:
     def test_versioned_apply_matches_fresh_service(self, network):
         reference_net = copy.deepcopy(network)
@@ -404,7 +474,7 @@ class TestServiceUpdates:
 
             version = service.apply_updates(MutationBatch((mutation,)))
             assert version == 1
-            assert service.net_version == 1
+            assert service.health()["network_version"] == 1
 
             apply_batch(reference_net, MutationBatch((mutation,)))
             reference = AllFPService(
@@ -443,8 +513,8 @@ class TestServiceUpdates:
             bad = EdgeMutation(good.source, good.source + 999999, good.pattern)
             with pytest.raises(EdgeNotFoundError):
                 service.apply_updates(MutationBatch((good, bad)))
-            assert service.net_version == 0
-            assert service.pending_updates == 0
+            health = service.health()
+            assert (health["network_version"], health["pending_updates"]) == (0, 0)
             assert service.query(_request(0, 5)).version == 0
         finally:
             service.close()
@@ -455,37 +525,14 @@ class TestServiceUpdates:
             # Simulate a long-pending batch without racing a real apply.
             import time as _time
 
-            with service._pending_lock:
-                service._pending_updates.append(_time.monotonic() - 5.0)
+            service._updates._pending.append(_time.monotonic() - 5.0)
             with pytest.raises(StalenessExceeded) as excinfo:
                 service.query(_request(0, 5, max_staleness=1.0))
             assert excinfo.value.staleness >= 5.0
             assert excinfo.value.max_staleness == 1.0
-            with service._pending_lock:
-                service._pending_updates.clear()
+            service._updates._pending.clear()
             # Bounded-staleness queries pass when the backlog is clear.
             assert service.query(_request(0, 5, max_staleness=1.0)).version == 0
-        finally:
-            service.close()
-
-    def test_stats_and_metrics_expose_staleness(self, network):
-        service = AllFPService(network, config=ServiceConfig(workers=2))
-        try:
-            service.apply_updates(MutationBatch((mutation_for(network),)))
-            updates = service.stats()["updates"]
-            assert updates["applied_version"] == 1
-            assert updates["batches_applied"] == 1
-            assert updates["mutations_applied"] == 1
-            assert updates["pending"] == 0
-            assert updates["staleness_seconds"] == 0.0
-            assert updates["max_staleness_seconds"] > 0.0
-            text = service.metrics.render()
-            for gauge in (
-                "network_applied_version",
-                "update_staleness_seconds",
-                "updates_pending",
-            ):
-                assert gauge in text
         finally:
             service.close()
 
@@ -607,7 +654,7 @@ class TestMutationChaos:
         network, trace, queries = _chaos_fixture(23)
         service = AllFPService(network, config=ServiceConfig(workers=2))
         try:
-            report = run_mutation_chaos(service, queries, trace, clients=2)
+            report = run_chaos(service, queries, trace=trace, clients=2)
         finally:
             service.close()
         assert report.passed(), report.violations
@@ -619,8 +666,8 @@ class TestMutationChaos:
         network, trace, queries = _chaos_fixture(31)
         service = AllFPService(network, config=ServiceConfig(workers=2))
         try:
-            report = run_mutation_chaos(
-                service, queries, trace, plan=default_fault_plan(7), clients=2
+            report = run_chaos(
+                service, queries, default_fault_plan(7), trace=trace, clients=2
             )
         finally:
             service.close()
@@ -631,7 +678,7 @@ class TestMutationChaos:
         network, trace, queries = _chaos_fixture(5)
         service = AllFPService(network, config=ServiceConfig(workers=2))
         try:
-            report = run_mutation_chaos(service, queries, trace, clients=1)
+            report = run_chaos(service, queries, trace=trace, clients=1)
         finally:
             service.close()
         doc = report.as_dict()
