@@ -46,7 +46,6 @@ KNOWN_BENCHMARKS = (
     "profile",
     "batch",
     "overlay",
-    "updates",
 )
 
 _REQUIRED_TOP_KEYS = ("benchmark", "schema_version", "python", "results")

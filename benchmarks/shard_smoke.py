@@ -35,7 +35,6 @@ from repro.estimators.boundary import BoundaryNodeEstimator
 from repro.func import kernel
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.serve import AllFPService, HTTPClient, ServiceConfig, make_server, start_in_thread
-from repro.serve.chaos import _round_floats
 from repro.serve.service import QueryRequest
 from repro.shard import ShardedService, routing_key
 from repro.timeutil import TimeInterval
@@ -46,7 +45,7 @@ def canonical(result_doc: dict) -> str:
     doc = dict(result_doc)
     doc.pop("stats", None)
     doc.pop("entries", None)
-    return json.dumps(_round_floats(doc), sort_keys=True)
+    return json.dumps(doc, sort_keys=True)
 
 
 def wait_until(predicate, timeout=60.0):

@@ -43,7 +43,6 @@ from ..func import kernel
 from ..func.envelope import AnnotatedEnvelope
 from ..func.monotone import MonotonePiecewiseLinear, identity
 from ..func.piecewise import XTOL, PiecewiseLinearFunction
-from ..patterns.travel_time import edge_arrival_function
 from ..timeutil import EPS, TimeInterval
 from .labels import LabelQueue, PathLabel
 from .results import AllFPEntry, AllFPResult, SearchStats, SingleFPResult, merge_adjacent_entries
@@ -160,16 +159,6 @@ class ArrivalIntAllFastestPaths:
             for edge in self._network.outgoing(nid):
                 self._incoming_cache.setdefault(edge.target, []).append(edge)
 
-    def _edge_departure(self, edge, arrive_lo: float, arrive_hi: float):
-        """The inverse arrival function of ``edge`` covering the window."""
-        max_travel = edge.distance / edge.pattern.min_speed()
-        dep_lo = arrive_lo - max_travel - 1.0
-        dep_hi = arrive_hi
-        forward = edge_arrival_function(
-            edge.distance, edge.pattern, self._network.calendar, dep_lo, dep_hi
-        )
-        return forward.inverse()
-
     # ------------------------------------------------------------------
     def all_fastest_paths(
         self,
@@ -285,7 +274,12 @@ class ArrivalIntAllFastestPaths:
                 if edge.source in label.path:
                     continue
                 stats.labels_generated += 1
-                inverse = self._edge_departure(edge, dep_lo, dep_hi)
+                # To reach the head within [dep_lo, dep_hi] one enters the
+                # edge no earlier than its slowest traversal before dep_lo.
+                slowest = edge.distance / edge.pattern.min_speed()
+                inverse = run.edge_arrival(
+                    edge, dep_lo - slowest - 1.0, dep_hi
+                ).inverse()
                 new_departure = inverse.compose(label.arrival).simplify()
                 if self._prune and dominance.is_dominated(
                     edge.source, new_departure

@@ -2,11 +2,12 @@
 
 A batch is a list of ``(source, target)`` pairs answered together.  The
 engine groups the pairs by source and runs **one** profile search per
-distinct source (:func:`~repro.core.profile.profile_search` with
-``targets=`` early termination), so a one-to-many batch of N targets costs
-a single search instead of N allFP runs, and every group shares the same
-:class:`~repro.core.runtime.SearchContext` — edge arrival functions
-materialised for the first group are cache hits for every later one.
+distinct source (:func:`~repro.core.profile.profile_search`; its
+``targets=`` only filters the returned mapping, the search itself runs to
+completion), so a one-to-many batch of N targets costs a single search
+instead of N allFP runs, and every group shares the same
+:class:`~repro.core.runtime.SearchContext` — edge arrival functions the
+first group stored are reads for every later one.
 
 Per-item semantics under failure: a deadline or budget exhausted mid-batch
 does not discard the answers already computed.  The failing group's items

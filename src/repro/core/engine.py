@@ -18,10 +18,8 @@ minima only grow while the border's maximum only shrinks.
 The first destination-ending path popped answers the singleFP query; the
 completed border answers the allFP query.
 
-Loop plumbing (edge-function cache, stats, budgets, deadlines) lives in
-:mod:`repro.core.runtime`; this module re-exports the names it used to own
-(``EdgeFunctionCache``, ``SearchBudgetExceeded``, ``QueryTimeout``, …) so
-existing imports keep working.
+Loop plumbing (edge-function store, stats, budgets, deadlines) lives in
+:mod:`repro.core.runtime`.
 """
 
 from __future__ import annotations
@@ -42,24 +40,17 @@ from .results import (
     merge_adjacent_entries,
 )
 from .runtime import (
-    _CACHE_SLACK,
-    DEFAULT_EDGE_CACHE_SIZE,
     EdgeFunctionCache,
     QueryTimeout,
     SearchBudgetExceeded,
     SearchContext,
 )
 
-#: Backwards-compatible private alias (pre-runtime callers referenced it).
-_EdgeFunctionCache = EdgeFunctionCache
-
 __all__ = [
     "IntAllFastestPaths",
-    "EdgeFunctionCache",
     "SearchBudgetExceeded",
     "QueryTimeout",
     "SearchContext",
-    "DEFAULT_EDGE_CACHE_SIZE",
 ]
 
 
@@ -80,21 +71,14 @@ class IntAllFastestPaths:
     max_pops:
         Safety budget on queue pops; exceeded raises
         :class:`~repro.core.runtime.SearchBudgetExceeded`.
-    edge_cache_size:
-        Maximum number of edge arrival functions kept in the LRU-bounded
-        cross-query cache.
-    edge_cache:
-        An existing :class:`~repro.core.runtime.EdgeFunctionCache` to share
-        (e.g. one warm process-wide cache across a service's worker
-        engines); overrides ``edge_cache_size``.
     deadline:
         Default wall-clock budget **in seconds** applied to every query;
         exceeded raises :class:`~repro.core.runtime.QueryTimeout`.  Each
         query method also accepts a per-call ``deadline`` override.
     context:
-        An existing :class:`~repro.core.runtime.SearchContext` to run on;
-        overrides ``edge_cache``/``edge_cache_size``/``max_pops``/
-        ``deadline``.
+        An existing :class:`~repro.core.runtime.SearchContext` to run on
+        (shares its edge-function store with every other engine on it);
+        overrides ``max_pops``/``deadline``.
     """
 
     def __init__(
@@ -103,8 +87,6 @@ class IntAllFastestPaths:
         estimator: LowerBoundEstimator | None = None,
         prune: bool = True,
         max_pops: int | None = None,
-        edge_cache_size: int = DEFAULT_EDGE_CACHE_SIZE,
-        edge_cache: EdgeFunctionCache | None = None,
         deadline: float | None = None,
         context: SearchContext | None = None,
     ) -> None:
@@ -112,11 +94,7 @@ class IntAllFastestPaths:
         self._estimator = estimator or NaiveEstimator(network)
         self._prune = prune
         self._context = context or SearchContext(
-            network,
-            edge_cache=edge_cache,
-            edge_cache_size=edge_cache_size,
-            max_pops=max_pops,
-            deadline=deadline,
+            network, max_pops=max_pops, deadline=deadline
         )
 
     @property

@@ -1,20 +1,16 @@
 """Shared search runtime — one :class:`SearchContext` under every engine.
 
-Historically each query engine hand-rolled its own loop plumbing:
-``IntAllFastestPaths`` had the LRU edge-function cache, ``max_pops``
-budgets, wall-clock deadlines, and kernel-counter bookkeeping, while the
-A* oracle, the discrete baseline, the profile search, kNN, and the
-hierarchy shortcut builder each kept private caches and reported partial
-(or no) :class:`~repro.core.results.SearchStats`.  This module extracts
-that plumbing so all engines share it:
+The loop plumbing every query engine needs — edge arrival functions,
+``max_pops`` budgets, wall-clock deadlines, kernel-counter bookkeeping,
+uniform :class:`~repro.core.results.SearchStats` — lives here once:
 
-* :class:`EdgeFunctionCache` — the LRU-bounded per-edge memo of arrival
-  functions over a growing window (lifted out of ``engine.py``; the old
-  import paths still work).
+* :class:`EdgeFunctionCache` — the LRU-bounded, locked store of canonical
+  edge arrival functions, one per ``(edge, calendar day)``; what a query
+  reads from it never depends on what was asked before.
 * :class:`SearchContext` — the long-lived bundle an engine (or a service)
-  owns: the edge cache plus default ``max_pops``/``deadline`` policy.
+  owns: the edge store plus default ``max_pops``/``deadline`` policy.
   Contexts are cheap to share; every engine built over the same context
-  warms the same cache.
+  reads the same store.
 * :class:`SearchRun` — one query execution: a fresh
   :class:`~repro.core.results.SearchStats`, counter snapshots taken at
   start (kernel work, cache hits, CCAM page reads), uniform budget and
@@ -23,12 +19,12 @@ that plumbing so all engines share it:
   budget, timeout — goes through, so partial stats are always populated.
 
 Budget and deadline failures raise :class:`SearchBudgetExceeded` /
-:class:`QueryTimeout` (also lifted from ``engine.py``) carrying the
-finalized partial stats.
+:class:`QueryTimeout` carrying the finalized partial stats.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from typing import Callable
@@ -37,13 +33,10 @@ from ..exceptions import QueryError
 from ..func import kernel
 from ..func.monotone import MonotonePiecewiseLinear
 from ..patterns.travel_time import edge_arrival_function
+from ..timeutil import MINUTES_PER_DAY
 from .results import SearchStats
 
-#: Extra minutes of slack when materialising an edge's arrival function, so
-#: small window growth across labels reuses the cached function.
-_CACHE_SLACK = 180.0
-
-#: Default ceiling on cached edge functions; bounds memory across queries.
+#: Ceiling on stored ``(edge, day)`` functions; bounds memory across queries.
 DEFAULT_EDGE_CACHE_SIZE = 4096
 
 
@@ -63,11 +56,6 @@ class SearchBudgetExceeded(QueryError):
         self.budget = budget
         self.stats = stats
         self.what = what
-
-    @property
-    def max_pops(self) -> int:
-        """Backwards-compatible alias for ``budget``."""
-        return self.budget
 
 
 class QueryTimeout(QueryError):
@@ -89,21 +77,29 @@ class QueryTimeout(QueryError):
 
 
 class EdgeFunctionCache:
-    """Per-edge memo of arrival functions over a growing time window.
+    """The store of canonical edge arrival functions, one per ``(edge, day)``.
 
-    Edge arrival functions depend only on the edge and the departure window,
-    not on the query, so repeated expansions (and repeated queries against
-    the same engine) reuse them.  Keyed by ``(source, target)`` because the
-    disk-backed accessor materialises fresh ``Edge`` objects per call.
+    An edge's arrival function ``A(t) = S⁻¹(S(t) + d)`` (§4.1) is a pure
+    function of its pattern and the calendar day, so the store keeps exactly
+    that: the function built once on the whole day
+    ``[1440·day, 1440·(day+1)]``, keyed by ``(source, target, day)`` (node
+    ids, because the disk-backed accessor materialises fresh ``Edge``
+    objects per call).  Queries only *read* it — a window inside one day
+    gets the day's function as is, a window spanning days gets the days'
+    functions joined in ascending order — so the floats returned depend on
+    the edge, the calendar and the days touched, never on what was asked
+    before, on LRU eviction, or on which process answers.
 
-    The cache is LRU-bounded: cross-query reuse keeps hot edges resident
-    while cold edges are evicted once ``max_entries`` is reached, so a
-    long-lived engine's memory stays proportional to its working set rather
-    than to every edge it has ever touched.  ``hits`` / ``misses`` feed the
-    ``edge_cache_*`` fields of :class:`~repro.core.results.SearchStats`.
+    LRU-bounded, so a long-lived engine's memory follows its working set,
+    and locked, so a service's worker pool can share one; the lock is held
+    across the (occasionally slow) build on purpose: concurrent workers
+    never build the same function twice.  ``hits`` / ``misses`` count
+    ``(edge, day)`` lookups and feed ``SearchStats.edge_cache_*``.
     """
 
-    __slots__ = ("_calendar", "_cache", "_max_entries", "hits", "misses")
+    __slots__ = (
+        "_calendar", "_cache", "_max_entries", "_lock", "hits", "misses"
+    )
 
     def __init__(
         self, calendar, max_entries: int = DEFAULT_EDGE_CACHE_SIZE
@@ -112,40 +108,53 @@ class EdgeFunctionCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._calendar = calendar
         self._cache: OrderedDict[
-            tuple[int, int], MonotonePiecewiseLinear
+            tuple[int, int, int], MonotonePiecewiseLinear
         ] = OrderedDict()
         self._max_entries = max_entries
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def arrival(self, edge, lo: float, hi: float) -> MonotonePiecewiseLinear:
+        """The edge's arrival function on a domain covering ``[lo, hi]``."""
         provider = getattr(edge, "arrival_function", None)
         if provider is not None:
             # Overlay/shortcut edges supply their function directly (already
-            # materialised over the index horizon) — nothing to cache.
+            # materialised over the index horizon) — nothing to store.
             return provider(lo, hi)
-        key = (edge.source, edge.target)
-        cached = self._cache.get(key)
-        if cached is not None:
+        first = int(lo // MINUTES_PER_DAY)
+        last = int(hi // MINUTES_PER_DAY)
+        if last > first and hi <= last * MINUTES_PER_DAY:
+            last -= 1  # a window ending exactly at midnight stays in its day
+        with self._lock:
+            fn = self._day_function(edge, first)
+            if last == first:
+                return fn
+            xs, ys = list(fn._xs), list(fn._ys)
+            for day in range(first + 1, last + 1):
+                # Each day starts where the previous one ends; the earlier
+                # day's value at the shared midnight is the one kept.
+                fn = self._day_function(edge, day)
+                xs.extend(fn._xs[1:])
+                ys.extend(fn._ys[1:])
+        return MonotonePiecewiseLinear._trusted_monotone(xs, ys)
+
+    def _day_function(self, edge, day: int) -> MonotonePiecewiseLinear:
+        key = (edge.source, edge.target, day)
+        fn = self._cache.get(key)
+        if fn is not None:
             self._cache.move_to_end(key)
-            if cached.x_min <= lo and cached.x_max >= hi:
-                self.hits += 1
-                return cached
+            self.hits += 1
+            return fn
         self.misses += 1
-        new_lo = min(lo, cached.x_min) if cached is not None else lo
-        new_hi = max(hi, cached.x_max) if cached is not None else hi
-        # Grow geometrically (capped at a day) so a sequence of slightly
-        # wider requests costs few rebuilds instead of one per request.
-        slack = min(max(_CACHE_SLACK, new_hi - new_lo), 1440.0)
         fn = edge_arrival_function(
             edge.distance,
             edge.pattern,
             self._calendar,
-            new_lo,
-            new_hi + slack,
+            day * MINUTES_PER_DAY,
+            (day + 1) * MINUTES_PER_DAY,
         )
         self._cache[key] = fn
-        self._cache.move_to_end(key)
         while len(self._cache) > self._max_entries:
             self._cache.popitem(last=False)
         return fn
@@ -154,21 +163,23 @@ class EdgeFunctionCache:
         return len(self._cache)
 
     def clear(self) -> int:
-        """Drop every memoised function (call after an edge-pattern update:
-        entries are keyed by ``(source, target)``, so a mutated edge would
-        otherwise keep serving its pre-update arrival function)."""
-        dropped = len(self._cache)
-        self._cache.clear()
+        """Drop every stored function (call after an edge-pattern update:
+        entries are keyed by node ids, so a mutated edge would otherwise
+        keep serving its pre-update arrival function)."""
+        with self._lock:
+            dropped = len(self._cache)
+            self._cache.clear()
         return dropped
 
     def snapshot(self) -> dict[str, int]:
-        """A point-in-time view of the cache counters (for services/metrics)."""
-        return {
-            "entries": len(self._cache),
-            "max_entries": self._max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
+        """A point-in-time view of the store's counters (for services/metrics)."""
+        with self._lock:
+            return {
+                "entries": len(self._cache),
+                "max_entries": self._max_entries,
+                "hits": self.hits,
+                "misses": self.misses,
+            }
 
 
 #: Sentinel distinguishing "not passed" from an explicit ``None`` override.
@@ -178,12 +189,11 @@ _UNSET = object()
 class SearchContext:
     """Long-lived runtime shared by query executions over one network.
 
-    Bundles what used to be per-engine plumbing: the warm
-    :class:`EdgeFunctionCache` and the default ``max_pops``/``deadline``
-    policy.  One context can back many engines (all five query engines plus
-    the hierarchy shortcut builder accept one), and a service shares a
-    single lock-wrapped cache across its worker pool by handing every
-    worker the same context.
+    Bundles the :class:`EdgeFunctionCache` and the default
+    ``max_pops``/``deadline`` policy.  One context can back many engines
+    (all five query engines plus the hierarchy shortcut builder accept
+    one), and a service shares a single store across its worker pool by
+    handing every worker the same context.
 
     Parameters
     ----------
@@ -191,9 +201,8 @@ class SearchContext:
         Anything with the accessor surface (``calendar``, ``location``,
         ``outgoing``) — an in-memory network or a CCAM store.
     edge_cache:
-        An existing cache to share; overrides ``edge_cache_size``.
-    edge_cache_size:
-        LRU bound when the context builds its own cache.
+        An existing store to share (contexts with different budgets over
+        one network); the context builds its own when omitted.
     max_pops:
         Default per-query pop budget (``None`` = unlimited).
     deadline:
@@ -207,7 +216,6 @@ class SearchContext:
         network,
         *,
         edge_cache: EdgeFunctionCache | None = None,
-        edge_cache_size: int = DEFAULT_EDGE_CACHE_SIZE,
         max_pops: int | None = None,
         deadline: float | None = None,
     ) -> None:
@@ -215,7 +223,7 @@ class SearchContext:
         self.edge_cache = (
             edge_cache
             if edge_cache is not None
-            else EdgeFunctionCache(network.calendar, edge_cache_size)
+            else EdgeFunctionCache(network.calendar)
         )
         self.max_pops = max_pops
         self.deadline = deadline
@@ -238,7 +246,7 @@ class SearchRun:
 
     Engines drive it with three calls:
 
-    * :meth:`edge_arrival` — cached edge-function lookup (counted),
+    * :meth:`edge_arrival` — edge-function read from the store (counted),
     * :meth:`tick` — once per queue pop, *after* incrementing
       ``stats.expanded_paths``; raises :class:`SearchBudgetExceeded` /
       :class:`QueryTimeout` with finalized partial stats,
@@ -290,19 +298,8 @@ class SearchRun:
         self._finalized = False
 
     # ------------------------------------------------------------------
-    @property
-    def deadline(self) -> float | None:
-        """The resolved wall-clock budget in seconds (``None`` = none)."""
-        return self._deadline
-
-    def remaining(self) -> float | None:
-        """Seconds left before the deadline (``None`` when none set)."""
-        if self._deadline_at is None:
-            return None
-        return self._deadline_at - time.monotonic()
-
     def edge_arrival(self, edge, lo: float, hi: float) -> MonotonePiecewiseLinear:
-        """The edge's arrival function over ``[lo, hi]``, via the shared cache."""
+        """The edge's arrival function covering ``[lo, hi]``, from the store."""
         return self.context.edge_cache.arrival(edge, lo, hi)
 
     def tick(self) -> None:

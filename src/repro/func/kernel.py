@@ -450,11 +450,20 @@ def compose(
             return oys[oj]
         return oys[oj] + (v - oxs[oj]) / dx * (oys[oj + 1] - oys[oj])
 
+    last_is_preimage = False
     for i in range(ni):
         x = ixs[i]
         if not xs or x > xs[-1] + XTOL:
             xs.append(x)
             ys.append(outer_at(iys[i]))
+        elif last_is_preimage:
+            # On a near-vertical inner segment an outer breakpoint's preimage
+            # can land within XTOL before this inner breakpoint.  The inner
+            # kink bends the result over the whole next segment, the outer
+            # one only inside that XTOL sliver: the inner breakpoint wins.
+            xs[-1] = x
+            ys[-1] = outer_at(iys[i])
+        last_is_preimage = False
         if i + 1 >= ni:
             break
         y0, y1 = iys[i], iys[i + 1]
@@ -472,6 +481,7 @@ def compose(
                 if xq > xs[-1] + XTOL:
                     xs.append(xq)
                     ys.append(outer_at(by))
+                    last_is_preimage = True
             op += 1
     COUNTERS.breakpoints_allocated += len(xs)
     return xs, ys

@@ -14,11 +14,7 @@ from __future__ import annotations
 from ..core.astar import fixed_departure_query
 from ..core.engine import IntAllFastestPaths
 from ..core.results import AllFPResult, SingleFPResult
-from ..core.runtime import (
-    DEFAULT_EDGE_CACHE_SIZE,
-    EdgeFunctionCache,
-    SearchContext,
-)
+from ..core.runtime import SearchContext
 from ..estimators.base import LowerBoundEstimator
 from ..estimators.naive import NaiveEstimator
 from ..exceptions import NetworkError, QueryError
@@ -133,10 +129,12 @@ class OverlayEngine:
     Travel times equal the flat engine's exactly (see the exactness
     argument in ``overlay.py``); reported paths may take shortcut hops —
     :meth:`expand_path` materialises street-level hops for a departure
-    instant.  Pass a service's :class:`~repro.core.runtime.SearchContext`
-    to share its warm street-edge cache and default budgets (shortcut
-    edges bypass the cache via their ``arrival_function`` provider, so
-    sharing one cache across hybrid views is sound).
+    instant.  Every per-query hybrid graph runs on one
+    :class:`~repro.core.runtime.SearchContext`: pass a service's to share
+    its street-edge store and default budgets (it overrides
+    ``max_pops``/``deadline``; shortcut edges bypass the store via their
+    ``arrival_function`` provider, so sharing it across hybrid views is
+    sound).
     """
 
     def __init__(
@@ -147,49 +145,25 @@ class OverlayEngine:
         *,
         max_pops: int | None = None,
         deadline: float | None = None,
-        edge_cache_size: int = DEFAULT_EDGE_CACHE_SIZE,
         context: SearchContext | None = None,
     ) -> None:
         self._overlay = overlay
         self._estimator = estimator
         self._prune = prune
-        self._max_pops = (
-            max_pops
-            if max_pops is not None
-            else (context.max_pops if context is not None else None)
-        )
-        self._deadline = (
-            deadline
-            if deadline is not None
-            else (context.deadline if context is not None else None)
-        )
-        self._edge_cache = (
-            context.edge_cache
-            if context is not None
-            else EdgeFunctionCache(
-                overlay.network.calendar, edge_cache_size
-            )
+        self._context = context or SearchContext(
+            overlay.network, max_pops=max_pops, deadline=deadline
         )
 
     @property
     def overlay(self) -> MultiLevelOverlay:
         return self._overlay
 
-    @property
-    def edge_cache(self) -> EdgeFunctionCache:
-        return self._edge_cache
-
     # ------------------------------------------------------------------
     def _engine_for(self, source: int, target: int) -> IntAllFastestPaths:
         graph = _OverlayQueryGraph(self._overlay, source, target)
         estimator = self._estimator or NaiveEstimator(graph)
         return IntAllFastestPaths(
-            graph,
-            estimator,
-            prune=self._prune,
-            max_pops=self._max_pops,
-            deadline=self._deadline,
-            edge_cache=self._edge_cache,
+            graph, estimator, prune=self._prune, context=self._context
         )
 
     def _check_horizon(self, interval: TimeInterval) -> None:

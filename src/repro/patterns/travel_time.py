@@ -133,6 +133,49 @@ def cumulative_distance_function(
     return MonotonePiecewiseLinear._trusted_monotone(xs, ys)
 
 
+#: Ceiling on memoised (pattern, calendar, day) triples.  A live-update feed
+#: mints new patterns forever, so a full memo is dropped wholesale.
+_MAX_DAY_ARRAYS = 256
+
+# (pattern, calendar, day) -> (reach, (S xs, S ys, S⁻¹ xs, S⁻¹ ys)).  Keyed by
+# the pattern's *value*, so an update's new pattern can only ever read arrays
+# built from equal speeds.  Entries are pure functions of their key: a racing
+# rebuild or wholesale clear costs one rebuild and nothing else, so readers
+# take no lock.
+_day_arrays: dict[tuple[CapeCodPattern, Calendar, int], tuple] = {}
+
+
+def _shared_day_arrays(
+    pattern: CapeCodPattern, calendar: Calendar, day: int
+) -> tuple[float, tuple[tuple[float, ...], ...]]:
+    """``S`` (0 at the day's start) and ``S⁻¹`` for every edge that carries
+    ``pattern`` on ``day``, and the longest edge they can carry to its head.
+
+    ``S`` does not depend on an edge's length, so building and inverting it
+    per edge would repeat the dominant cost of an arrival-function build on
+    a network that has a handful of patterns.  The arrays run one day past
+    their own: a traversal entered at the day's last instant ends inside
+    them unless the edge takes more than a day to cross (``reach``).
+    """
+    key = (pattern, calendar, day)
+    entry = _day_arrays.get(key)
+    if entry is None:
+        day_hi = (day + 1) * MINUTES_PER_DAY
+        sxs, sys_ = _cumulative_arrays(
+            pattern,
+            calendar,
+            day * MINUTES_PER_DAY,
+            day_hi + MINUTES_PER_DAY,
+            0.0,
+        )
+        reach = sys_[-1] - kernel.eval_at(sxs, sys_, day_hi)
+        arrays = tuple(map(tuple, (sxs, sys_, *kernel.inverse(sxs, sys_))))
+        if len(_day_arrays) >= _MAX_DAY_ARRAYS:
+            _day_arrays.clear()
+        entry = _day_arrays[key] = (reach, arrays)
+    return entry
+
+
 def edge_arrival_function(
     distance: float,
     pattern: CapeCodPattern,
@@ -146,6 +189,11 @@ def edge_arrival_function(
     the given window, when do we reach its head?  The result is strictly
     increasing (FIFO) and exact — its breakpoints are precisely the departure
     times at which the traversal starts or finishes crossing a speed change.
+
+    A window inside one calendar day reads that day's shared ``S`` / ``S⁻¹``,
+    so its floats do not depend on where in the day it starts; a window
+    spanning days, or an edge the shared arrays cannot carry to its head,
+    builds ``S`` from ``depart_lo``.
     """
     if distance < 0:
         raise PatternError(f"negative distance {distance}")
@@ -156,10 +204,17 @@ def edge_arrival_function(
     # Fused pipeline straight over breakpoint arrays: S → S⁻¹, the shifted
     # window S(t)+d, their composition, simplification — one
     # MonotonePiecewiseLinear allocated at the very end.
-    sxs, sys_ = _cumulative_arrays(
-        pattern, calendar, depart_lo, depart_hi, distance
-    )
-    inv_xs, inv_ys = kernel.inverse(sxs, sys_)
+    day = int(depart_lo // MINUTES_PER_DAY)
+    reach, arrays = 0.0, ()
+    if depart_hi <= (day + 1) * MINUTES_PER_DAY:
+        reach, arrays = _shared_day_arrays(pattern, calendar, day)
+    if distance <= reach:
+        sxs, sys_, inv_xs, inv_ys = arrays
+    else:
+        sxs, sys_ = _cumulative_arrays(
+            pattern, calendar, depart_lo, depart_hi, distance
+        )
+        inv_xs, inv_ys = kernel.inverse(sxs, sys_)
     wxs, wys = kernel.restrict(sxs, sys_, depart_lo, min(depart_hi, sxs[-1]))
     for i in range(len(wys)):
         wys[i] += distance

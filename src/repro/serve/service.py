@@ -32,12 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from ..core.engine import (
-    DEFAULT_EDGE_CACHE_SIZE,
-    EdgeFunctionCache,
-    IntAllFastestPaths,
-    QueryTimeout,
-)
+from ..core.engine import IntAllFastestPaths, QueryTimeout
 from ..core.batch import BatchResult, batch_fastest_times
 from ..core.knn import KnnResult, interval_knn
 from ..core.profile import ProfileResult, profile_search
@@ -199,7 +194,6 @@ class ServiceConfig:
     cache_results: bool = True
     result_cache_size: int = 1024
     result_cache_ttl: float = 300.0
-    edge_cache_size: int = DEFAULT_EDGE_CACHE_SIZE
     prune: bool = True
     max_pops: int | None = None
     #: bounded retry budget for worker tasks that die with an *unexpected*
@@ -302,33 +296,6 @@ class SurfaceBase:
         }
 
 
-class _SharedEdgeFunctionCache(EdgeFunctionCache):
-    """The engine's edge cache with a lock, safe to share across workers.
-
-    Holding the lock across the (occasionally slow) function build is
-    deliberate: it guarantees concurrent workers never build the same edge
-    function twice, which is the point of sharing the cache.
-    """
-
-    __slots__ = ("_shared_lock",)
-
-    def __init__(self, calendar, max_entries: int) -> None:
-        super().__init__(calendar, max_entries)
-        self._shared_lock = threading.Lock()
-
-    def arrival(self, edge, lo, hi):
-        with self._shared_lock:
-            return super().arrival(edge, lo, hi)
-
-    def clear(self) -> int:
-        with self._shared_lock:
-            return super().clear()
-
-    def snapshot(self) -> dict[str, int]:
-        with self._shared_lock:
-            return super().snapshot()
-
-
 def clone_estimator(estimator: LowerBoundEstimator) -> LowerBoundEstimator:
     """A per-worker clone sharing the heavy precomputed state.
 
@@ -394,16 +361,10 @@ class AllFPService(SurfaceBase):
         self._estimator = estimator
         self._overlay = overlay
         self._boot_degraded = degraded
-        self._edge_cache = _SharedEdgeFunctionCache(
-            network.calendar, self.config.edge_cache_size
-        )
         # One shared runtime for every engine and every one-to-many search:
-        # the lock-wrapped edge cache makes it safe across the worker pool.
-        self._context = SearchContext(
-            network,
-            edge_cache=self._edge_cache,
-            max_pops=self.config.max_pops,
-        )
+        # its edge-function store is locked, so the worker pool can share it.
+        self._context = SearchContext(network, max_pops=self.config.max_pops)
+        self._edge_cache = self._context.edge_cache
         self._admission = AdmissionController(self.config.max_pending)
         self._single_flight = SingleFlight()
         self._result_cache = ResultCache(

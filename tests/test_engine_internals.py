@@ -1,15 +1,26 @@
-"""Unit tests for engine internals: the edge-function cache and budget."""
+"""Unit tests for engine internals: the canonical edge-function store."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import _EdgeFunctionCache
+from repro.core.runtime import EdgeFunctionCache, SearchContext
 from repro.func.monotone import MonotonePiecewiseLinear
+from repro.network.generator import (
+    MetroConfig,
+    make_metro_network,
+    paper_example_network,
+)
 from repro.network.model import Edge
 from repro.patterns.categories import Calendar
 from repro.patterns.speed import CapeCodPattern, DailySpeedPattern
 from repro.patterns.travel_time import traverse
+from repro.serve.updates import (
+    EdgeMutation,
+    MutationBatch,
+    apply_batch,
+    slowdown_pattern,
+)
 
 
 @pytest.fixture
@@ -26,28 +37,58 @@ def edge(cal):
 
 
 class TestEdgeFunctionCache:
+    """The store's contract: one function per ``(edge, day)``, built on the
+    whole day, read — never rebuilt — by every window inside that day."""
+
     def test_first_request_builds(self, cal, edge):
-        cache = _EdgeFunctionCache(cal)
+        cache = EdgeFunctionCache(cal)
         fn = cache.arrival(edge, 400.0, 500.0)
-        assert fn.x_min <= 400.0 and fn.x_max >= 500.0
+        assert (fn.x_min, fn.x_max) == (0.0, 1440.0)
         assert len(cache) == 1
 
     def test_covered_request_reuses_object(self, cal, edge):
-        cache = _EdgeFunctionCache(cal)
+        cache = EdgeFunctionCache(cal)
         first = cache.arrival(edge, 400.0, 500.0)
         second = cache.arrival(edge, 420.0, 480.0)
         assert second is first
 
-    def test_wider_request_rebuilds_superset(self, cal, edge):
-        cache = _EdgeFunctionCache(cal)
+    def test_wider_request_reads_the_same_day_function(self, cal, edge):
+        cache = EdgeFunctionCache(cal)
         first = cache.arrival(edge, 400.0, 500.0)
-        wider = cache.arrival(edge, 300.0, 900.0)
-        assert wider is not first
-        assert wider.x_min <= 300.0 and wider.x_max >= 900.0
-        assert len(cache) == 1  # replaced, not duplicated
+        assert cache.arrival(edge, 300.0, 900.0) is first
+        assert cache.arrival(edge, 0.0, 1440.0) is first  # ends at midnight
+        assert (len(cache), cache.misses) == (1, 1)
+
+    def test_window_across_midnight_joins_the_days(self, cal, edge):
+        cache = EdgeFunctionCache(cal)
+        joined = cache.arrival(edge, 1400.0, 1500.0)
+        assert (joined.x_min, joined.x_max) == (0.0, 2880.0)
+        assert len(cache) == 2  # one entry per day, the join is not stored
+        today = cache.arrival(edge, 0.0, 10.0)
+        tomorrow = cache.arrival(edge, 1441.0, 1450.0)
+        # Ascending days, the earlier day's value kept at the shared midnight.
+        assert joined.breakpoints == (
+            today.breakpoints + tomorrow.breakpoints[1:]
+        )
+        for t in (1400.0, 1439.5, 1440.0, 1440.5, 1500.0):
+            assert joined(t) == pytest.approx(
+                traverse(edge.distance, edge.pattern, cal, t), abs=1e-9
+            )
+
+    def test_floats_do_not_depend_on_history(self, cal, edge):
+        asked_before = EdgeFunctionCache(cal)
+        for lo, hi in ((380.0, 400.0), (100.0, 1300.0), (1500.0, 1600.0)):
+            asked_before.arrival(edge, lo, hi)
+        evicting = EdgeFunctionCache(cal, max_entries=1)
+        evicting.arrival(Edge(7, 8, 1.0, edge.pattern), 0.0, 10.0)
+        fresh = EdgeFunctionCache(cal).arrival(edge, 410.0, 430.0)
+        for cache in (asked_before, evicting):
+            assert cache.arrival(edge, 410.0, 430.0).breakpoints == (
+                fresh.breakpoints
+            )
 
     def test_cached_function_is_exact(self, cal, edge):
-        cache = _EdgeFunctionCache(cal)
+        cache = EdgeFunctionCache(cal)
         fn = cache.arrival(edge, 380.0, 560.0)
         for t in (380.0, 415.0, 470.0, 560.0):
             assert fn(t) == pytest.approx(
@@ -55,13 +96,15 @@ class TestEdgeFunctionCache:
             )
 
     def test_growth_is_bounded(self, cal, edge):
-        """Repeated slightly-wider requests must not blow the horizon up."""
-        cache = _EdgeFunctionCache(cal)
+        """Repeated slightly-wider requests never widen or rebuild anything:
+        the domain is the days the window touches."""
+        cache = EdgeFunctionCache(cal)
         hi = 500.0
         for _ in range(40):
             hi += 10.0
             fn = cache.arrival(edge, 400.0, hi)
-        assert fn.x_max < 400.0 + 40 * 10.0 + 4000.0  # far below a year
+        assert (fn.x_min, fn.x_max) == (0.0, 1440.0)
+        assert (len(cache), cache.misses) == (1, 1)
 
     def test_provider_edges_bypass_cache(self, cal, edge):
         class FakeShortcut:
@@ -71,30 +114,30 @@ class TestEdgeFunctionCache:
             def arrival_function(self, lo, hi):
                 return self.profile
 
-        cache = _EdgeFunctionCache(cal)
+        cache = EdgeFunctionCache(cal)
         shortcut = FakeShortcut()
         fn = cache.arrival(shortcut, 100.0, 200.0)
         assert fn is shortcut.profile
         assert len(cache) == 0
 
     def test_hit_miss_counters(self, cal, edge):
-        cache = _EdgeFunctionCache(cal)
+        cache = EdgeFunctionCache(cal)
         cache.arrival(edge, 400.0, 500.0)
         assert (cache.hits, cache.misses) == (0, 1)
-        cache.arrival(edge, 420.0, 480.0)
+        cache.arrival(edge, 300.0, 900.0)  # same day: a read
         assert (cache.hits, cache.misses) == (1, 1)
-        cache.arrival(edge, 300.0, 900.0)  # wider: a rebuild, counted as miss
-        assert (cache.hits, cache.misses) == (1, 2)
+        cache.arrival(edge, 1400.0, 1500.0)  # one lookup per (edge, day)
+        assert (cache.hits, cache.misses) == (2, 2)
 
     def test_lru_eviction_bounds_size(self, cal, edge):
-        cache = _EdgeFunctionCache(cal, max_entries=2)
+        cache = EdgeFunctionCache(cal, max_entries=2)
         for target in (10, 11, 12, 13):
             e = Edge(1, target, edge.distance, edge.pattern)
             cache.arrival(e, 400.0, 500.0)
         assert len(cache) == 2
 
     def test_lru_keeps_recently_used(self, cal, edge):
-        cache = _EdgeFunctionCache(cal, max_entries=2)
+        cache = EdgeFunctionCache(cal, max_entries=2)
         a = Edge(1, 10, edge.distance, edge.pattern)
         b = Edge(1, 11, edge.distance, edge.pattern)
         c = Edge(1, 12, edge.distance, edge.pattern)
@@ -107,6 +150,87 @@ class TestEdgeFunctionCache:
         cache.arrival(b, 400.0, 500.0)  # must rebuild
         assert cache.misses == misses_before + 1
 
+    def test_clear_and_snapshot(self, cal, edge):
+        cache = EdgeFunctionCache(cal, max_entries=8)
+        cache.arrival(edge, 400.0, 500.0)
+        cache.arrival(edge, 1400.0, 1500.0)
+        assert cache.snapshot() == {
+            "entries": 2, "max_entries": 8, "hits": 1, "misses": 2
+        }
+        assert cache.clear() == 2
+        assert len(cache) == 0
+        cache.arrival(edge, 400.0, 500.0)
+        assert cache.misses == 3  # rebuilt, not served from a stale entry
+
     def test_rejects_nonpositive_capacity(self, cal):
         with pytest.raises(ValueError):
-            _EdgeFunctionCache(cal, max_entries=0)
+            EdgeFunctionCache(cal, max_entries=0)
+
+    def test_contexts_share_one_store(self, cal, edge):
+        class Net:
+            calendar = cal
+
+        store = EdgeFunctionCache(cal)
+        a = SearchContext(Net(), edge_cache=store, max_pops=1)
+        b = SearchContext(Net(), edge_cache=store)
+        first = a.begin().edge_arrival(edge, 400.0, 500.0)
+        assert b.begin().edge_arrival(edge, 300.0, 900.0) is first
+        assert SearchContext(Net()).edge_cache is not store
+
+
+def _slowed_metro_tiny():
+    network = make_metro_network(MetroConfig(width=10, height=10, seed=5))
+    edges = list(network.edges())
+    apply_batch(
+        network,
+        MutationBatch(
+            tuple(
+                EdgeMutation(
+                    edges[i].source,
+                    edges[i].target,
+                    slowdown_pattern(edges[i].pattern, factor),
+                )
+                for i, factor in ((3, 0.5), (57, 2.0), (140, 0.25), (188, 1.5))
+            )
+        ),
+    )
+    return network
+
+
+class TestCanonicalDayFunctions:
+    """FIFO is the precondition dominance pruning rests on (Constantinou et
+    al.: speed-based models guarantee it): every edge's canonical day
+    function is strictly increasing, never arrives before it leaves, and is
+    the scalar ``traverse`` — on a workday, on a weekend day, and after a
+    live update replaced patterns."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            paper_example_network,
+            lambda: make_metro_network(MetroConfig(width=10, height=10, seed=5)),
+            _slowed_metro_tiny,
+        ],
+        ids=["example", "metro_tiny", "metro_tiny_after_slowdown"],
+    )
+    def test_every_edge_is_fifo_and_exact(self, build):
+        network = build()
+        calendar = network.calendar
+        store = EdgeFunctionCache(calendar)
+        for edge in network.edges():
+            for day in (0, 5):
+                lo = day * 1440.0
+                fn = store.arrival(edge, lo, lo + 1440.0)
+                xs, ys = zip(*fn.breakpoints)
+                assert (xs[0], xs[-1]) == (lo, lo + 1440.0)
+                assert all(b > a for a, b in zip(ys, ys[1:]))
+                # A(t) - t is linear between breakpoints: checking them
+                # checks every instant.
+                assert all(y >= x for x, y in zip(xs, ys))
+                samples = {lo + 1440.0 * i / 48 for i in range(49)}
+                samples.update((a + b) / 2 for a, b in zip(xs, xs[1:]))
+                for t in samples:
+                    assert fn(t) == pytest.approx(
+                        traverse(edge.distance, edge.pattern, calendar, t),
+                        abs=1e-9,
+                    )

@@ -18,7 +18,7 @@ Plus direct tests of the configuration surface: the MAX_BREAKPOINTS guard
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import FunctionShapeError
@@ -144,18 +144,46 @@ def test_dominates_matches_legacy(a, b):
 # Monotone operators: compose / inverse.
 # ----------------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_compose_matches_oracle_and_legacy(data):
-    inner = data.draw(monotone())
+@st.composite
+def composable(draw) -> tuple[MonotonePiecewiseLinear, MonotonePiecewiseLinear]:
+    """``(inner, outer)`` with the outer's domain covering the inner's range."""
+    inner = draw(monotone())
     lo, hi = inner.value_range
-    outer = data.draw(monotone(lo - 1.0, hi + 1.0))
+    return inner, draw(monotone(lo - 1.0, hi + 1.0))
+
+
+#: An outer breakpoint (0.95) whose preimage lands within XTOL *before* the
+#: inner breakpoint at 1.28e-8, on a near-vertical inner segment.
+_NEAR_VERTICAL = (
+    MonotonePiecewiseLinear([(0.0, 0.0), (1.28e-8, 1.0), (1.0, 2.0), (HI, 3.0)]),
+    MonotonePiecewiseLinear([(-1.0, 0.0), (0.95, 1.0), (4.0, 2.0)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(composable())
+@example(_NEAR_VERTICAL)
+def test_compose_matches_oracle_and_legacy(pair):
+    inner, outer = pair
     fused = outer.compose(inner)
     assert fused.x_min == pytest.approx(inner.x_min)
     assert fused.x_max == pytest.approx(inner.x_max)
     for t in GRID:
         want = outer(min(max(inner(t), outer.x_min), outer.x_max))
         assert fused(t) == pytest.approx(want, abs=1e-6)
+
+
+def test_compose_keeps_inner_breakpoint_next_to_outer_preimage():
+    # The case ROADMAP item 2 (i) recorded: the preimage of the outer
+    # breakpoint 0.95 is 1.216e-8, within XTOL of the inner breakpoint at
+    # 1.28e-8; dropping the inner one bent the result by 1.1e-2 at t = 0.1.
+    xs, ys = kernel.compose(
+        [-1, 0.95, 5], [0, 1, 2], [0, 1.28e-8, 1, 2], [0, 1, 2, 3]
+    )
+    assert xs == [0, 1.28e-8, 1, 2]
+    inner_at = kernel.eval_at([0, 1.28e-8, 1, 2], [0, 1, 2, 3], 0.1)
+    want = kernel.eval_at([-1, 0.95, 5], [0, 1, 2], inner_at)
+    assert kernel.eval_at(xs, ys, 0.1) == pytest.approx(want, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)

@@ -418,7 +418,8 @@ class TestEngineHooks:
     def test_shared_edge_cache_across_engines(self, metro_tiny, interval):
         first = IntAllFastestPaths(metro_tiny)
         first.all_fastest_paths(0, 99, interval)
-        second = IntAllFastestPaths(metro_tiny, edge_cache=first.edge_cache)
+        second = IntAllFastestPaths(metro_tiny, context=first.context)
+        assert second.edge_cache is first.edge_cache
         result = second.all_fastest_paths(0, 99, interval)
         assert result.stats.edge_cache_hits > 0
         assert result.stats.edge_cache_misses == 0

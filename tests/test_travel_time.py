@@ -128,6 +128,60 @@ class TestEdgeArrivalFunction:
         assert a(100.0) == pytest.approx(102.0)
 
 
+class TestSharedDayArrays:
+    """``S`` / ``S⁻¹`` are shared per (pattern, calendar, day) behind
+    :func:`edge_arrival_function`; the sharing must not be observable."""
+
+    PIECES = [(0.0, 1.0), (420.0, 1.0 / 3.0), (540.0, 0.8)]
+
+    def test_in_day_floats_do_not_depend_on_the_window(self, cal):
+        p = pattern(self.PIECES, cal)
+        day = edge_arrival_function(4.0, p, cal, 0.0, MINUTES_PER_DAY)
+        part = edge_arrival_function(4.0, p, cal, 400.0, 560.0)
+        inner = [pt for pt in day.breakpoints if 400.0 < pt[0] < 560.0]
+        assert list(part.breakpoints[1:-1]) == inner
+
+    def test_edge_too_long_for_the_shared_arrays_builds_its_own(self, cal):
+        # 0.001 mpm: two days of driving cover 2.88 mi, the edge is 5.
+        p = pattern([(0.0, 0.001)], cal)
+        a = edge_arrival_function(5.0, p, cal, 100.0, 200.0)
+        for t in (100.0, 150.0, 200.0):
+            assert a(t) == pytest.approx(traverse(5.0, p, cal, t), abs=1e-6)
+
+    def test_window_spanning_days_builds_its_own(self, cal):
+        p = pattern(self.PIECES, cal)
+        a = edge_arrival_function(4.0, p, cal, 1400.0, 1900.0)
+        for t in (1400.0, 1440.0, 1700.0, 1885.0, 1900.0):
+            assert a(t) == pytest.approx(traverse(4.0, p, cal, t), abs=1e-9)
+
+    def test_memo_is_keyed_by_pattern_value(self, cal):
+        """A live update's new pattern reads only arrays built from equal
+        speeds: equal patterns share one entry, different ones never do."""
+        from repro.patterns import travel_time
+
+        slow = pattern([(0.0, 0.5)], cal)
+        twin = pattern([(0.0, 0.5)], cal)
+        fast = pattern([(0.0, 2.0)], cal)
+        edge_arrival_function(3.0, slow, cal, 0.0, 60.0)
+        before = len(travel_time._day_arrays)
+        assert edge_arrival_function(3.0, twin, cal, 0.0, 60.0)(10.0) == (
+            pytest.approx(16.0)
+        )
+        assert len(travel_time._day_arrays) == before
+        assert edge_arrival_function(3.0, fast, cal, 0.0, 60.0)(10.0) == (
+            pytest.approx(11.5)
+        )
+        assert len(travel_time._day_arrays) == before + 1
+
+    def test_memo_is_bounded(self, cal):
+        from repro.patterns import travel_time
+
+        for i in range(travel_time._MAX_DAY_ARRAYS + 5):
+            p = pattern([(0.0, 1.0 + i / 1000.0)], cal)
+            edge_arrival_function(1.0, p, cal, 0.0, 10.0)
+        assert len(travel_time._day_arrays) <= travel_time._MAX_DAY_ARRAYS
+
+
 class TestPaperEquationOne:
     """The worked functions of §4.3–4.4, reproduced exactly."""
 

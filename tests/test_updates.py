@@ -418,7 +418,14 @@ class TestRestartAfterUpdates:
         )
         reference_net = copy.deepcopy(network)
         apply_batch(reference_net, batch)
-        reference = AllFPService(reference_net, config=ServiceConfig(workers=1))
+        # Bytes are compared like for like: the overlay is another exact
+        # engine, so the reference answers through one customized from
+        # scratch for the mutated network.
+        reference = AllFPService(
+            reference_net,
+            config=ServiceConfig(workers=1),
+            overlay=MultiLevelOverlay.build(reference_net, levels=1, nx=5),
+        )
         tier = ShardedService(
             network,
             estimator,
