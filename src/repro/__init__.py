@@ -112,7 +112,6 @@ from .workloads import (
     evening_rush_interval,
     random_queries,
     distance_band_queries,
-    poisson_arrivals,
 )
 from .serve import AllFPService, ServiceConfig, QueryRequest, QueryResponse
 
@@ -202,7 +201,6 @@ __all__ = [
     "evening_rush_interval",
     "random_queries",
     "distance_band_queries",
-    "poisson_arrivals",
     # service
     "AllFPService",
     "ServiceConfig",

@@ -17,7 +17,6 @@ Installed as ``repro-allfp``::
         --estimator boundary --estimator-cache metro.est
     repro-allfp replay-updates --url http://127.0.0.1:8080 \\
         --trace incident.jsonl --speed 10
-    repro-allfp bench-load --network metro.json --clients 4 --queries 50
     repro-allfp chaos --network metro.json --estimator boundary --queries 40
 
 Deliberate failures (missing files, unknown nodes, malformed clock strings)
@@ -27,8 +26,6 @@ exit non-zero with one clean ``error:`` line on stderr — never a traceback.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,7 +33,7 @@ from .core.arrival import ArrivalIntAllFastestPaths, reverse_boundary_estimator
 from .core.engine import IntAllFastestPaths
 from .estimators.boundary import BoundaryNodeEstimator
 from .estimators.naive import NaiveEstimator
-from .exceptions import ReproError
+from .exceptions import EstimatorError, ReproError
 from .func import kernel
 from .network.generator import MetroConfig, make_metro_network
 from .network.io import load_network, save_network
@@ -147,10 +144,14 @@ def _customized(network, args: argparse.Namespace) -> dict:
 
     Returns what to serve from, as :func:`repro.serve.boot.open_service`
     keywords (``None`` where the flags ask for nothing): a **hit** — the
-    named cache file exists — is handed on as its path (``snapshot_path`` /
-    ``overlay_path``) for the reader to open; a **miss** is built in-process
-    (``--precompute-workers`` processes), written to the named file for the
-    next boot, and handed on as the object (``estimator`` / ``overlay``).
+    named cache file exists and, for ``--overlay-cache`` with
+    ``--overlay-levels``, has an overlay section — is handed on as its path
+    (``snapshot_path`` / ``overlay_path``) for the reader to open; a **miss**
+    is built in-process (``--precompute-workers`` processes), written to the
+    named file for the next boot, and handed on as the object
+    (``estimator`` / ``overlay``).  One file may be named by both flags: an
+    estimator miss writes it as version 1, the overlay miss that follows
+    rewrites it as version 2 leading with the same tables.
     Misses are noted on stderr here, hits by :func:`_note_hits` (``query``
     opens the file first, so a bad one is the only line it prints).
     """
@@ -177,7 +178,7 @@ def _customized(network, args: argparse.Namespace) -> dict:
             )
 
     cache, levels = args.overlay_cache, args.overlay_levels
-    if cache and Path(cache).exists():
+    if cache and Path(cache).exists() and (levels <= 0 or _has_overlay(cache)):
         sources["overlay_path"] = cache
     elif cache and levels <= 0:
         raise ReproError(
@@ -209,6 +210,19 @@ def _customized(network, args: argparse.Namespace) -> dict:
         else:
             print(f"overlay: built {took}", file=sys.stderr)
     return sources
+
+
+def _has_overlay(cache: str) -> bool:
+    """Whether the snapshot at ``cache`` carries an overlay section.  A file
+    the reader refuses counts as having one: it is not rebuilt over, the
+    verb that opens it reports it (``query`` exits 2, a service boots
+    degraded)."""
+    from .estimators.snapshot import Snapshot
+
+    try:
+        return Snapshot(cache).overlay_header is not None
+    except EstimatorError:
+        return True
 
 
 def _note_hits(sources: dict) -> None:
@@ -297,9 +311,7 @@ def _cmd_build_overlay(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     network = open_network(args.network)
-    interval = TimeInterval(
-        parse_clock(args.leave_from, args.day), parse_clock(args.leave_to, args.day)
-    )
+    interval = _window(args)
     backward = args.constraint == "arrival"
     if backward:
         if _wants_boundary(network, args):
@@ -379,9 +391,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .core.profile import profile_search
 
     network = open_network(args.network)
-    interval = TimeInterval(
-        parse_clock(args.leave_from, args.day), parse_clock(args.leave_to, args.day)
-    )
+    interval = _window(args)
     targets = (
         None if args.targets is None else _parse_node_list(args.targets, "--targets")
     )
@@ -407,9 +417,7 @@ def _cmd_knn(args: argparse.Namespace) -> int:
     from .core.knn import interval_knn
 
     network = open_network(args.network)
-    interval = TimeInterval(
-        parse_clock(args.leave_from, args.day), parse_clock(args.leave_to, args.day)
-    )
+    interval = _window(args)
     candidates = _parse_node_list(args.candidates, "--candidates")
     result = interval_knn(network, args.source, candidates, args.k, interval)
     for neighbor in result.neighbors:
@@ -462,9 +470,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.targets is not None and args.source is None:
         raise ReproError("--targets requires --source")
     network = open_network(args.network)
-    interval = TimeInterval(
-        parse_clock(args.leave_from, args.day), parse_clock(args.leave_to, args.day)
-    )
+    interval = _window(args)
     if args.pairs is not None:
         pairs = _parse_pair_list(args.pairs, "--pairs")
     else:
@@ -513,7 +519,7 @@ def _print_kernel_stats(stats) -> None:
 
 
 def _build_service(args: argparse.Namespace):
-    """Shared by ``serve``/``bench-load``/``chaos``: the service surface.
+    """Shared by ``serve`` and ``chaos``: the service surface.
 
     ``--shards 0`` opens one :class:`~repro.serve.AllFPService`; ``--shards
     N`` starts a :class:`~repro.shard.tier.ShardedService` whose N workers
@@ -587,134 +593,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.shutdown()
         service.close()
-    return 0
-
-
-def _cmd_bench_load(args: argparse.Namespace) -> int:
-    from .serve import InProcessClient, run_closed_loop, run_open_loop
-    from .workloads.queries import (
-        morning_rush_interval,
-        poisson_arrivals,
-        random_queries,
-    )
-
-    service = _build_service(args)
-    interval = morning_rush_interval(args.interval_hours)
-    queries = random_queries(
-        service.network,
-        args.queries,
-        interval,
-        seed=args.seed,
-        min_distance=args.min_distance,
-        max_distance=args.max_distance,
-    )
-    client = InProcessClient(service)
-    query_fn = lambda spec: client.query(spec, mode=args.mode)  # noqa: E731
-    applier = None
-    if args.updates_trace:
-        import threading
-
-        from .serve.updates import load_trace, replay_trace
-
-        trace = load_trace(args.updates_trace)
-        speed = args.updates_speed
-        if speed <= 0:
-            raise ReproError(f"--updates-speed must be > 0, got {speed:g}")
-        print(
-            f"live updates: {len(trace)} batch(es), "
-            f"{sum(len(e.batch) for e in trace)} mutation(s) from "
-            f"{args.updates_trace} at {speed:g}x"
-        )
-
-        def apply_event(event) -> None:
-            try:
-                service.apply_updates(event.batch)
-            except ReproError as exc:
-                print(
-                    f"warning: update batch at t={event.at:g}s failed: {exc}",
-                    file=sys.stderr,
-                )
-
-        applier = threading.Thread(
-            target=replay_trace,
-            args=(trace, apply_event, speed),
-            name="bench-load-updates",
-            daemon=True,
-        )
-        applier.start()
-    if args.arrivals == "poisson":
-        schedule = poisson_arrivals(args.rate, args.duration, seed=args.seed)
-        print(
-            f"open-loop: {len(schedule)} arrivals at {args.rate:g} qps "
-            f"over {args.duration:g}s"
-        )
-        report = run_open_loop(query_fn, queries, schedule)
-    else:
-        print(f"closed-loop: {len(queries)} queries, {args.clients} client(s)")
-        report = run_closed_loop(query_fn, queries, clients=args.clients)
-    if applier is not None:
-        applier.join(timeout=120.0)
-        if applier.is_alive():
-            print(
-                "warning: update applier still running after 120s; "
-                "meta counts what landed so far",
-                file=sys.stderr,
-            )
-    stats = service.stats()  # before close: shards must be up
-    counters = {
-        "engine_runs": stats["engine_runs"],
-        "result_cache_hits": stats["result_cache"]["hits"],
-        "result_cache_misses": stats["result_cache"]["misses"],
-        "coalesced": stats["single_flight"]["coalesced"],
-    }
-    update_stats = stats["updates"]
-    service.close()
-    summary = report.as_dict()
-    print(
-        f"requests: {summary['requests']}  ok: {summary['successes']}  "
-        f"errors: {summary['errors'] or 'none'}"
-    )
-    print(
-        f"throughput: {summary['throughput_qps']:.1f} qps over "
-        f"{summary['wall_seconds']:.2f}s"
-    )
-    if report.latencies_s:
-        print(
-            f"latency ms: p50={summary['p50_ms']:.2f} "
-            f"p95={summary['p95_ms']:.2f} p99={summary['p99_ms']:.2f}"
-        )
-    print(
-        f"engine runs: {counters['engine_runs']:.0f}  "
-        f"result cache: {counters['result_cache_hits']} hits / "
-        f"{counters['result_cache_misses']} misses  "
-        f"coalesced: {counters['coalesced']}"
-    )
-    if update_stats["batches_applied"]:
-        print(
-            f"updates: {update_stats['batches_applied']} batch(es), "
-            f"{update_stats['mutations_applied']} mutation(s) applied, "
-            f"max staleness "
-            f"{update_stats['max_staleness_seconds'] * 1e3:.1f}ms"
-        )
-    if args.json:
-        payload = {
-            **summary,
-            "counters": counters,
-            "meta": {
-                # the same identity labels /metrics carries on every sample
-                "kernel_backend": kernel.active_backend(),
-                "shard_count": args.shards if args.shards > 0 else None,
-                "cpu_count": os.cpu_count(),
-                "mode": args.mode,
-                "arrivals": args.arrivals,
-                "applied_mutations": update_stats["mutations_applied"],
-                "max_staleness_seconds": update_stats["max_staleness_seconds"],
-            },
-        }
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {args.json}")
     return 0
 
 
@@ -835,11 +713,11 @@ def _cmd_snapshot_info(args: argparse.Namespace) -> int:
     :class:`~repro.exceptions.EstimatorError`, which ``main`` turns into a
     one-line ``error:`` message and exit code 2.
     """
-    from .estimators.snapshot import read_header
-
     import time as _time
 
-    header = read_header(args.snapshot)
+    from .estimators.snapshot import Snapshot
+
+    header = Snapshot(args.snapshot).describe()
     print(f"snapshot: {args.snapshot}")
     print(f"format: RPRESNAP v{header['version']} ({header['byteorder']}-endian)")
     print(f"network fingerprint: {header['fingerprint']}")
@@ -919,6 +797,119 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# Option groups: each declared once, attached to every verb that takes it.
+# ----------------------------------------------------------------------
+def _add_network(p, help=".json or .ccam input") -> None:
+    p.add_argument("--network", required=True, help=help)
+
+
+def _add_window(p, constraint: bool = False) -> None:
+    """``--from/--to/--day``, read back by :func:`_window`; ``query`` also
+    says which end of the trip the window constrains."""
+    p.add_argument("--from", dest="leave_from", default="7:00")
+    p.add_argument("--to", dest="leave_to", default="9:00")
+    if constraint:
+        p.add_argument(
+            "--constraint",
+            choices=("leaving", "arrival"),
+            default="leaving",
+            help="whether --from/--to constrain the leaving time at the source "
+            "or the arrival time at the target",
+        )
+    p.add_argument("--day", type=int, default=0, help="0 = Monday")
+
+
+def _window(args: argparse.Namespace) -> TimeInterval:
+    return TimeInterval(
+        parse_clock(args.leave_from, args.day), parse_clock(args.leave_to, args.day)
+    )
+
+
+def _add_customization(p) -> None:
+    """The estimator choice and the two RPRESNAP cache-flag pairs, read
+    back by :func:`_customized`."""
+    p.add_argument("--estimator", choices=("naive", "boundary"), default="naive")
+    p.add_argument("--grid", type=int, default=6, help="boundary grid size")
+    p.add_argument(
+        "--estimator-cache",
+        default=None,
+        metavar="PATH",
+        help="boundary-estimator snapshot: load it when present "
+        "(fingerprint-checked), precompute and write it when missing",
+    )
+    p.add_argument(
+        "--precompute-workers",
+        type=int,
+        default=1,
+        help="process count for the boundary-estimator precompute",
+    )
+    p.add_argument(
+        "--overlay-levels",
+        type=int,
+        default=0,
+        metavar="N",
+        help="answer through an N-level overlay hierarchy (0 = off)",
+    )
+    p.add_argument(
+        "--overlay-cache",
+        default=None,
+        metavar="PATH",
+        help="v2 snapshot with an overlay section: mmap it when "
+        "present (fingerprint-checked), build and write it when "
+        "missing and --overlay-levels > 0",
+    )
+
+
+def _add_service(p) -> None:
+    """Everything :func:`_build_service` reads."""
+    _add_network(p)
+    _add_customization(p)
+    p.add_argument("--workers", type=int, default=4)
+    p.add_argument(
+        "--max-pending",
+        type=int,
+        default=64,
+        help="admission limit before 503 fast-fail",
+    )
+    p.add_argument(
+        "--deadline",
+        type=float,
+        default=30.0,
+        help="per-query wall-clock budget in seconds (0 disables)",
+    )
+    p.add_argument(
+        "--no-coalesce",
+        action="store_true",
+        help="disable single-flight deduplication of identical in-flight queries",
+    )
+    p.add_argument(
+        "--no-result-cache",
+        action="store_true",
+        help="disable the TTL+LRU result cache",
+    )
+    p.add_argument("--result-cache-size", type=int, default=1024)
+    p.add_argument("--result-cache-ttl", type=float, default=300.0, help="seconds")
+    p.add_argument(
+        "--task-retries",
+        type=int,
+        default=1,
+        help="retries for worker tasks that crash with an unexpected error",
+    )
+    p.add_argument(
+        "--serve-stale",
+        action="store_true",
+        help="answer from the last good (stale) result when a deadline trips",
+    )
+    p.add_argument(
+        "--shards",
+        type=int,
+        default=0,
+        help="run N worker processes behind the consistent-hash router "
+        "(0 = single-process, the default)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-allfp",
@@ -927,7 +918,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="generate a synthetic metro network")
+    def verb(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    gen = verb("generate", _cmd_generate, "generate a synthetic metro network")
     gen.add_argument("--out", required=True, help="output .json path")
     gen.add_argument("--width", type=int, default=48)
     gen.add_argument("--height", type=int, default=48)
@@ -950,11 +946,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="json",
         help="output format: .json network or importer node/way text",
     )
-    gen.set_defaults(func=_cmd_generate)
 
-    imp = sub.add_parser(
+    imp = verb(
         "import",
-        help="stream an OSM-flavored node/way text file into a network",
+        _cmd_import,
+        "stream an OSM-flavored node/way text file into a network",
     )
     imp.add_argument("input", help="node/way text file (see docs/hierarchy.md)")
     imp.add_argument(
@@ -963,37 +959,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="output path: .ccam builds a disk database, anything else "
         "writes the .json network",
     )
-    imp.set_defaults(func=_cmd_import)
 
-    build = sub.add_parser("build-ccam", help="build a CCAM disk database")
-    build.add_argument("--network", required=True, help="input .json network")
+    build = verb("build-ccam", _cmd_build_ccam, "build a CCAM disk database")
+    _add_network(build, "input .json network")
     build.add_argument("--out", required=True, help="output .ccam path")
     build.add_argument("--page-size", type=int, default=2048)
     build.add_argument(
         "--strategy", choices=("hilbert", "connectivity"), default="connectivity"
     )
-    build.set_defaults(func=_cmd_build_ccam)
 
-    def add_estimator_cache_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--estimator-cache",
-            default=None,
-            metavar="PATH",
-            help="boundary-estimator snapshot: load it when present "
-            "(fingerprint-checked), precompute and write it when missing",
-        )
-        p.add_argument(
-            "--precompute-workers",
-            type=int,
-            default=1,
-            help="process count for the boundary-estimator precompute",
-        )
-
-    prep = sub.add_parser(
+    prep = verb(
         "precompute",
-        help="precompute the boundary estimator and write a snapshot",
+        _cmd_precompute,
+        "precompute the boundary estimator and write a snapshot",
     )
-    prep.add_argument("--network", required=True, help="input .json network")
+    _add_network(prep, "input .json network")
     prep.add_argument("--out", required=True, help="output snapshot path")
     prep.add_argument("--grid", type=int, default=6, help="boundary grid size")
     prep.add_argument("--metric", choices=("time", "distance"), default="time")
@@ -1003,35 +983,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="process count for the per-cell Dijkstra fan-out",
     )
-    prep.set_defaults(func=_cmd_precompute)
 
-    def add_overlay_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--overlay-levels",
-            type=int,
-            default=0,
-            metavar="N",
-            help="answer through an N-level overlay hierarchy (0 = off)",
-        )
-        p.add_argument(
-            "--overlay-cache",
-            default=None,
-            metavar="PATH",
-            help="v2 snapshot with an overlay section: mmap it when "
-            "present (fingerprint-checked), build and write it when "
-            "missing and --overlay-levels > 0",
-        )
-
-    build_ov = sub.add_parser(
+    build_ov = verb(
         "build-overlay",
-        help="build a multi-level overlay and write a v2 snapshot "
+        _cmd_build_overlay,
+        "build a multi-level overlay and write a v2 snapshot "
         "(estimator tables + overlay in one file)",
     )
-    build_ov.add_argument("--network", required=True, help="input .json network")
+    _add_network(build_ov, "input .json network")
     build_ov.add_argument("--out", required=True, help="output snapshot path")
-    build_ov.add_argument(
-        "--levels", type=int, default=2, help="overlay level count"
-    )
+    build_ov.add_argument("--levels", type=int, default=2, help="overlay level count")
     build_ov.add_argument(
         "--grid", type=int, default=6, help="boundary-estimator grid size"
     )
@@ -1059,51 +1020,31 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="process count for the per-cell profile-search fan-out",
     )
-    build_ov.set_defaults(func=_cmd_build_overlay)
 
-    query = sub.add_parser("query", help="run an allFP or singleFP query")
-    query.add_argument("--network", required=True, help=".json or .ccam input")
+    query = verb("query", _cmd_query, "run an allFP or singleFP query")
+    _add_network(query)
     query.add_argument("--source", type=int, required=True)
     query.add_argument("--target", type=int, required=True)
-    query.add_argument("--from", dest="leave_from", default="7:00")
-    query.add_argument("--to", dest="leave_to", default="9:00")
-    query.add_argument(
-        "--constraint",
-        choices=("leaving", "arrival"),
-        default="leaving",
-        help="whether --from/--to constrain the leaving time at the source "
-        "or the arrival time at the target",
-    )
-    query.add_argument("--day", type=int, default=0, help="0 = Monday")
+    _add_window(query, constraint=True)
     query.add_argument("--mode", choices=("allfp", "singlefp"), default="allfp")
-    query.add_argument(
-        "--estimator", choices=("naive", "boundary"), default="naive"
-    )
-    query.add_argument("--grid", type=int, default=6, help="boundary grid size")
-    add_estimator_cache_flags(query)
-    add_overlay_flags(query)
-    query.set_defaults(func=_cmd_query)
+    _add_customization(query)
 
-    profile = sub.add_parser(
+    profile = verb(
         "profile",
-        help="one-to-all earliest-arrival profile search from a source",
+        _cmd_profile,
+        "one-to-all earliest-arrival profile search from a source",
     )
-    profile.add_argument("--network", required=True, help=".json or .ccam input")
+    _add_network(profile)
     profile.add_argument("--source", type=int, required=True)
     profile.add_argument(
         "--targets",
         default=None,
         help="comma-separated node ids to report (default: every reachable node)",
     )
-    profile.add_argument("--from", dest="leave_from", default="7:00")
-    profile.add_argument("--to", dest="leave_to", default="9:00")
-    profile.add_argument("--day", type=int, default=0, help="0 = Monday")
-    profile.set_defaults(func=_cmd_profile)
+    _add_window(profile)
 
-    knn = sub.add_parser(
-        "knn", help="time-interval k-nearest-neighbour query"
-    )
-    knn.add_argument("--network", required=True, help=".json or .ccam input")
+    knn = verb("knn", _cmd_knn, "time-interval k-nearest-neighbour query")
+    _add_network(knn)
     knn.add_argument("--source", type=int, required=True)
     knn.add_argument(
         "--candidates",
@@ -1111,16 +1052,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated candidate node ids",
     )
     knn.add_argument("--k", type=int, default=1)
-    knn.add_argument("--from", dest="leave_from", default="7:00")
-    knn.add_argument("--to", dest="leave_to", default="9:00")
-    knn.add_argument("--day", type=int, default=0, help="0 = Monday")
-    knn.set_defaults(func=_cmd_knn)
+    _add_window(knn)
 
-    batch = sub.add_parser(
+    batch = verb(
         "batch",
-        help="answer many (source, target) fastest-time queries together",
+        _cmd_batch,
+        "answer many (source, target) fastest-time queries together",
     )
-    batch.add_argument("--network", required=True, help=".json or .ccam input")
+    _add_network(batch)
     batch.add_argument(
         "--pairs",
         default=None,
@@ -1134,129 +1073,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated target node ids (one-to-many, with --source)",
     )
-    batch.add_argument("--from", dest="leave_from", default="7:00")
-    batch.add_argument("--to", dest="leave_to", default="9:00")
-    batch.add_argument("--day", type=int, default=0, help="0 = Monday")
+    _add_window(batch)
     batch.add_argument(
         "--deadline", type=float, default=None,
         help="wall-clock budget in seconds for the whole batch",
     )
-    batch.set_defaults(func=_cmd_batch)
 
-    def add_service_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--network", required=True, help=".json or .ccam input")
-        p.add_argument(
-            "--estimator", choices=("naive", "boundary"), default="naive"
-        )
-        p.add_argument("--grid", type=int, default=6, help="boundary grid size")
-        add_estimator_cache_flags(p)
-        add_overlay_flags(p)
-        p.add_argument("--workers", type=int, default=4)
-        p.add_argument(
-            "--max-pending",
-            type=int,
-            default=64,
-            help="admission limit before 503 fast-fail",
-        )
-        p.add_argument(
-            "--deadline",
-            type=float,
-            default=30.0,
-            help="per-query wall-clock budget in seconds (0 disables)",
-        )
-        p.add_argument(
-            "--no-coalesce",
-            action="store_true",
-            help="disable single-flight deduplication of identical in-flight queries",
-        )
-        p.add_argument(
-            "--no-result-cache",
-            action="store_true",
-            help="disable the TTL+LRU result cache",
-        )
-        p.add_argument("--result-cache-size", type=int, default=1024)
-        p.add_argument(
-            "--result-cache-ttl", type=float, default=300.0, help="seconds"
-        )
-        p.add_argument(
-            "--task-retries",
-            type=int,
-            default=1,
-            help="retries for worker tasks that crash with an unexpected error",
-        )
-        p.add_argument(
-            "--serve-stale",
-            action="store_true",
-            help="answer from the last good (stale) result when a deadline trips",
-        )
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=0,
-            help="run N worker processes behind the consistent-hash router "
-            "(0 = single-process, the default)",
-        )
-
-    serve = sub.add_parser("serve", help="run the HTTP query service")
-    add_service_flags(serve)
+    serve = verb("serve", _cmd_serve, "run the HTTP query service")
+    _add_service(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080, help="0 auto-assigns")
     serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request access logs"
     )
-    serve.set_defaults(func=_cmd_serve)
 
-    bench = sub.add_parser(
-        "bench-load", help="load-generate against an in-process service"
-    )
-    add_service_flags(bench)
-    bench.add_argument(
-        "--arrivals",
-        choices=("closed", "poisson"),
-        default="closed",
-        help="closed-loop clients or an open-loop Poisson schedule",
-    )
-    bench.add_argument("--clients", type=int, default=4, help="closed-loop only")
-    bench.add_argument(
-        "--rate", type=float, default=50.0, help="poisson arrivals per second"
-    )
-    bench.add_argument(
-        "--duration", type=float, default=2.0, help="poisson schedule seconds"
-    )
-    bench.add_argument("--queries", type=int, default=50)
-    bench.add_argument("--mode", choices=("allfp", "singlefp"), default="allfp")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--min-distance", type=float, default=0.0)
-    bench.add_argument("--max-distance", type=float, default=float("inf"))
-    bench.add_argument("--interval-hours", type=float, default=3.0)
-    bench.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the report (with kernel/shard/cpu meta) as JSON",
-    )
-    bench.add_argument(
-        "--updates-trace",
-        default=None,
-        metavar="PATH",
-        help="replay this incident trace (JSONL) against the service while "
-        "the load runs; the JSON meta records applied mutations and max "
-        "observed staleness",
-    )
-    bench.add_argument(
-        "--updates-speed",
-        type=float,
-        default=1.0,
-        help="time compression for --updates-trace offsets",
-    )
-    bench.set_defaults(func=_cmd_bench_load)
-
-    chaos = sub.add_parser(
+    chaos = verb(
         "chaos",
-        help="replay a workload under injected faults and check the "
+        _cmd_chaos,
+        "replay a workload under injected faults and check the "
         "correct-typed-or-degraded invariant",
     )
-    add_service_flags(chaos)
+    _add_service(chaos)
     chaos.add_argument(
         "--faults",
         default=None,
@@ -1282,15 +1119,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --shards: which worker to hard-kill mid-run "
         "(default: the shard owning the most workload keys)",
     )
-    chaos.set_defaults(func=_cmd_chaos)
 
-    info = sub.add_parser("info", help="describe a network or database file")
-    info.add_argument("--network", required=True)
-    info.set_defaults(func=_cmd_info)
+    info = verb("info", _cmd_info, "describe a network or database file")
+    _add_network(info, None)
 
-    snap_info = sub.add_parser(
+    snap_info = verb(
         "snapshot-info",
-        help="describe an RPRESNAP estimator snapshot (exit 2 if corrupt)",
+        _cmd_snapshot_info,
+        "describe an RPRESNAP estimator snapshot (exit 2 if corrupt)",
     )
     snap_info.add_argument("--snapshot", required=True, help="RPRESNAP file")
     snap_info.add_argument(
@@ -1299,11 +1135,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the snapshot's pinned fingerprint against this "
         ".json network (exit 2 on mismatch)",
     )
-    snap_info.set_defaults(func=_cmd_snapshot_info)
 
-    replay = sub.add_parser(
+    replay = verb(
         "replay-updates",
-        help="replay a timestamped incident trace against a running server",
+        _cmd_replay_updates,
+        "replay a timestamped incident trace against a running server",
     )
     replay.add_argument(
         "--url", required=True, help="server base URL, e.g. http://127.0.0.1:8080"
@@ -1323,7 +1159,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--timeout", type=float, default=60.0, help="per-request seconds"
     )
-    replay.set_defaults(func=_cmd_replay_updates)
     return parser
 
 

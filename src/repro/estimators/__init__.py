@@ -18,7 +18,7 @@ from .naive import NaiveEstimator, ZeroEstimator
 from .grid import GridPartition
 from .boundary import BoundaryNodeEstimator
 from .precompute import EstimatorTables, compute_tables
-from .snapshot import load_tables, network_fingerprint, save_tables
+from .snapshot import map_tables, network_fingerprint, save_tables
 
 __all__ = [
     "LowerBoundEstimator",
@@ -30,5 +30,5 @@ __all__ = [
     "compute_tables",
     "network_fingerprint",
     "save_tables",
-    "load_tables",
+    "map_tables",
 ]

@@ -245,9 +245,9 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         malformed or was built for a different network (fingerprint
         mismatch) — never silently serves stale bounds.
         """
-        from .snapshot import load_tables, network_fingerprint
+        from .snapshot import map_tables, network_fingerprint
 
-        tables = load_tables(path, network_fingerprint(network))
+        tables = map_tables(path, network_fingerprint(network))
         return cls(
             network,
             tables.nx,

@@ -40,12 +40,18 @@ the hierarchy (see ``docs/hierarchy.md``):
 
 Version-1 files (no overlay) remain byte-identical to what this module has
 always written; the reader accepts both versions.
+
+There is one reader, :class:`Snapshot`: the file is ``mmap``-ed read-only
+and walked once, by the layout table the writer uses, into a directory of
+sections; tables, overlay and the operator description are three reads off
+that directory.  A file that does not walk end to end is refused whole.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import mmap
 import os
 import struct
@@ -75,17 +81,36 @@ _ARRAY_HEADER = struct.Struct("<BBQ")
 OVERLAY_MAGIC = b"OVLY"
 _OVERLAY_HEADER = struct.Struct("<4sHHHHddd")
 _LEVEL_HEADER = struct.Struct("<HHIIdQ")
-#: (name, typecode) of the five flat stores of one overlay level.
-_LEVEL_ARRAY_SPECS = (
-    ("src", "q"),
-    ("dst", "q"),
-    ("off", "q"),
-    ("xs", "d"),
-    ("ys", "d"),
-)
+#: The array layout, shared by writer and reader: per section, the stores in
+#: file order as (attribute name, typecode).
+_LAYOUT = {
+    "tables": (
+        ("node_ids", NODE_ID_TYPECODE),
+        ("node_cell", CELL_TYPECODE),
+        ("to_boundary", WEIGHT_TYPECODE),
+        ("from_boundary", WEIGHT_TYPECODE),
+        ("cell_pair", WEIGHT_TYPECODE),
+    ),
+    "level": (("src", "q"), ("dst", "q"), ("off", "q"), ("xs", "d"), ("ys", "d")),
+}
 
+#: Names of the fixed header's fields, in ``_HEADER`` order.
+_HEADER_FIELDS = (
+    "magic",
+    "version",
+    "byteorder",
+    "metric",
+    "nx",
+    "ny",
+    "node_count",
+    "cell_count",
+    "v_max",
+    "precompute_seconds",
+    "fingerprint",
+)
 _METRIC_CODES = {"time": 0, "distance": 1}
 _METRIC_NAMES = {code: name for name, code in _METRIC_CODES.items()}
+_BYTEORDER_NAMES = {0: "little", 1: "big"}
 
 #: How many calendar days the fingerprint samples (matches network IO).
 _CALENDAR_SAMPLE_DAYS = 366
@@ -132,10 +157,16 @@ def network_fingerprint(network) -> bytes:
 
 def _write_array(out, arr) -> None:
     # Accept both array-module stores and the read-only memoryviews a
-    # zero-copy (mmap) EstimatorTables carries.
+    # mapped EstimatorTables carries.
     typecode = getattr(arr, "typecode", None) or arr.format
     out.write(_ARRAY_HEADER.pack(ord(typecode), arr.itemsize, len(arr)))
     out.write(arr.tobytes())
+
+
+def _write_section(out, section: str, holder) -> None:
+    for name, _typecode in _LAYOUT[section]:
+        reliability.fire("repro.estimators.snapshot.save")
+        _write_array(out, getattr(holder, name))
 
 
 def _write_overlay_section(out, overlay) -> None:
@@ -165,9 +196,7 @@ def _write_overlay_section(out, overlay) -> None:
                 stats.profile_searches,
             )
         )
-        for arr in (level.src, level.dst, level.off, level.xs, level.ys):
-            reliability.fire("repro.estimators.snapshot.save")
-            _write_array(out, arr)
+        _write_section(out, "level", level)
 
 
 def save_tables(
@@ -210,15 +239,7 @@ def save_tables(
                     fingerprint,
                 )
             )
-            for arr in (
-                tables.node_ids,
-                tables.node_cell,
-                tables.to_boundary,
-                tables.from_boundary,
-                tables.cell_pair,
-            ):
-                reliability.fire("repro.estimators.snapshot.save")
-                _write_array(out, arr)
+            _write_section(out, "tables", tables)
             if overlay is not None:
                 _write_overlay_section(out, overlay)
             out.flush()
@@ -232,534 +253,293 @@ def save_tables(
         raise
 
 
-class _BufReader:
-    """Sequential cursor over a snapshot buffer with truncation checks."""
+class Snapshot:
+    """One RPRESNAP file, mapped read-only and walked once.
 
-    __slots__ = ("buf", "offset", "source")
+    Opening checks everything that can be checked without a network in
+    hand — magic, version, byteorder and metric codes, every array header
+    against :data:`_LAYOUT`, array sizes against the header's counts, the
+    overlay header's plausibility, and that the sections end where the file
+    does — and raises :class:`EstimatorError` (one line; never a
+    ``struct.error`` or an unpickling error) on a missing, truncated or
+    corrupt file.  What it leaves is the section directory: ``header``
+    (the fixed fields), ``arrays`` (the five table stores by name),
+    ``overlay_header`` (``None`` in a version-1 file) and ``levels`` (per
+    overlay level, its header fields and its five stores by name).
 
-    def __init__(self, buf: memoryview, source: str) -> None:
-        self.buf = buf
-        self.offset = 0
-        self.source = source
+    The stores are typed read-only views over the mapping, so every process
+    that opens the same file shares one page-cache copy of it; the objects
+    read off the directory keep the mapping alive.  The one exception is a
+    file written on a platform of the other byteorder (the header says so),
+    whose payloads cannot be viewed in place: its stores are private
+    byte-swapped arrays.
+    """
 
-    def take(self, count: int, what: str) -> memoryview:
-        end = self.offset + count
-        if end > len(self.buf):
+    def __init__(self, path: str | Path) -> None:
+        self.source = str(path)
+        try:
+            with open(path, "rb") as f:
+                # Payload-free fault point: a "corrupt" spec here raises loudly
+                # instead of mutating bytes — a flipped byte inside e.g. v_max
+                # would pass every header check and silently break admissibility,
+                # which is precisely the outcome injection must never create.
+                reliability.fire("repro.estimators.snapshot.load")
+                # An empty file cannot be mapped; it walks as a truncated one.
+                empty = os.fstat(f.fileno()).st_size == 0
+                self._mapping = b"" if empty else mmap.mmap(
+                    f.fileno(), 0, access=mmap.ACCESS_READ
+                )
+        except (OSError, ValueError) as exc:
+            raise EstimatorError(f"cannot open estimator snapshot: {exc}") from None
+        self._buf = memoryview(self._mapping)
+        self._offset = 0
+        self.header = self._walk_header()
+        self._swap = self.header["byteorder"] != sys.byteorder
+        self.arrays = self._walk_arrays("tables", "")
+        node_count, cell_count = self.header["node_count"], self.header["cell_count"]
+        if cell_count != self.header["nx"] * self.header["ny"] or any(
+            len(store) != (cell_count**2 if name == "cell_pair" else node_count)
+            for name, store in self.arrays.items()
+        ):
+            raise self._corrupt("array sizes disagree")
+        self.overlay_header, self.levels = None, []
+        if self.header["version"] == SNAPSHOT_VERSION_OVERLAY:
+            self._walk_overlay()
+        if self._offset != len(self._buf):
+            raise self._corrupt(
+                f"file is {len(self._buf)} bytes, its sections end at {self._offset}"
+            )
+
+    # -- the walk ------------------------------------------------------
+    def _corrupt(self, what: str) -> EstimatorError:
+        return EstimatorError(f"{self.source}: corrupt snapshot: {what}")
+
+    def _take(self, count: int, what: str) -> memoryview:
+        end = self._offset + count
+        if end > len(self._buf):
             raise EstimatorError(
                 f"{self.source}: truncated estimator snapshot "
                 f"(while reading {what})"
             )
-        view = self.buf[self.offset:end]
-        self.offset = end
+        view = self._buf[self._offset:end]
+        self._offset = end
         return view
 
-
-def _parse_header(reader: _BufReader) -> dict:
-    """Unpack and validate the fixed header; fingerprint check is the
-    caller's (``read_header`` reports it, the loaders enforce it)."""
-    source = reader.source
-    (
-        magic,
-        version,
-        byteorder,
-        metric_code,
-        nx,
-        ny,
-        node_count,
-        cell_count,
-        v_max,
-        prep_secs,
-        stored_fingerprint,
-    ) = _HEADER.unpack(bytes(reader.take(_HEADER.size, "header")))
-    if magic != MAGIC:
-        raise EstimatorError(f"{source}: not an estimator snapshot")
-    if version not in _SUPPORTED_VERSIONS:
-        raise EstimatorError(
-            f"{source}: unsupported snapshot version {version} "
-            f"(this build reads versions "
-            f"{' and '.join(str(v) for v in _SUPPORTED_VERSIONS)})"
+    def _walk_header(self) -> dict:
+        source = self.source
+        header = dict(
+            zip(_HEADER_FIELDS, _HEADER.unpack(self._take(_HEADER.size, "header")))
         )
-    metric = _METRIC_NAMES.get(metric_code)
-    if metric is None:
-        raise EstimatorError(
-            f"{source}: corrupt snapshot: unknown metric code {metric_code}"
-        )
-    return {
-        "version": version,
-        "byteorder": "big" if byteorder == 1 else "little",
-        "metric": metric,
-        "nx": nx,
-        "ny": ny,
-        "node_count": node_count,
-        "cell_count": cell_count,
-        "v_max": v_max,
-        "precompute_seconds": prep_secs,
-        "fingerprint": stored_fingerprint,
-    }
-
-
-def _parse_array(
-    reader: _BufReader, expected_typecode: str, swap: bool, copy: bool, what: str
-):
-    source = reader.source
-    typecode_byte, itemsize, count = _ARRAY_HEADER.unpack(
-        bytes(reader.take(_ARRAY_HEADER.size, f"{what} header"))
-    )
-    typecode = chr(typecode_byte)
-    if typecode != expected_typecode:
-        raise EstimatorError(
-            f"{source}: corrupt snapshot: {what} has typecode {typecode!r}, "
-            f"expected {expected_typecode!r}"
-        )
-    if itemsize != array(typecode).itemsize:
-        raise EstimatorError(
-            f"{source}: snapshot written with {itemsize}-byte {typecode!r} "
-            f"items; this platform uses {array(typecode).itemsize}"
-        )
-    payload = reader.take(itemsize * count, what)
-    if not copy:
-        # Zero-copy: a typed read-only view straight over the backing
-        # buffer.  The caller keeps the buffer (the mmap) alive via
-        # EstimatorTables._buffer_owner.
-        return payload.cast(typecode)
-    arr = array(typecode)
-    arr.frombytes(payload)
-    if swap:
-        arr.byteswap()
-    return arr
-
-
-def parse_tables(
-    buf,
-    fingerprint: bytes,
-    *,
-    source: str = "<buffer>",
-    copy: bool = True,
-    owner: object | None = None,
-) -> EstimatorTables:
-    """Parse a full RPRESNAP image held in a buffer.
-
-    With ``copy=True`` (the default) every store lands in a private
-    ``array`` — byte-for-byte what :func:`load_tables` has always produced.
-    With ``copy=False`` the stores are read-only typed memoryviews straight
-    over ``buf`` (which must be read-only and outlive the tables — pass the
-    keeper as ``owner``); a snapshot written on a foreign-byteorder platform
-    cannot be viewed in place and falls back to copying.
-    """
-    view = memoryview(buf)
-    if not view.readonly and not copy:
-        view = view.toreadonly()
-    reader = _BufReader(view, source)
-    header = _parse_header(reader)
-    if header["fingerprint"] != fingerprint:
-        raise EstimatorError(
-            f"{source}: snapshot was built for a different network "
-            "(fingerprint mismatch); re-run `repro-allfp precompute`"
-        )
-    swap = (header["byteorder"] == "big") != (sys.byteorder == "big")
-    if swap:
-        copy = True  # cannot view foreign-endian payloads in place
-    arrays = {
-        what: _parse_array(reader, typecode, swap, copy, what)
-        for what, typecode in (
-            ("node_ids", NODE_ID_TYPECODE),
-            ("node_cell", CELL_TYPECODE),
-            ("to_boundary", WEIGHT_TYPECODE),
-            ("from_boundary", WEIGHT_TYPECODE),
-            ("cell_pair", WEIGHT_TYPECODE),
-        )
-    }
-    node_count, cell_count = header["node_count"], header["cell_count"]
-    if (
-        len(arrays["node_ids"]) != node_count
-        or len(arrays["node_cell"]) != node_count
-        or len(arrays["to_boundary"]) != node_count
-        or len(arrays["from_boundary"]) != node_count
-        or len(arrays["cell_pair"]) != cell_count * cell_count
-        or cell_count != header["nx"] * header["ny"]
-    ):
-        raise EstimatorError(f"{source}: corrupt snapshot: array sizes disagree")
-    return EstimatorTables(
-        nx=header["nx"],
-        ny=header["ny"],
-        metric=header["metric"],
-        v_max=header["v_max"],
-        precompute_seconds=header["precompute_seconds"],
-        workers_used=1,
-        loaded_from_snapshot=True,
-        _buffer_owner=None if copy else owner,
-        **arrays,
-    )
-
-
-def load_tables(path: str | Path, fingerprint: bytes) -> EstimatorTables:
-    """Read a snapshot into private arrays, verifying format and fingerprint.
-
-    Raises :class:`EstimatorError` — never an unpickling error or a raw
-    ``struct.error`` — on any of: missing file, wrong magic, unsupported
-    version, truncation, corrupt array headers, or a fingerprint that does
-    not match ``fingerprint`` (the current network's hash).
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as f:
-            # Payload-free fault point: a "corrupt" spec here raises loudly
-            # instead of mutating bytes — a flipped byte inside e.g. v_max
-            # would pass every header check and silently break admissibility,
-            # which is precisely the outcome injection must never create.
-            reliability.fire("repro.estimators.snapshot.load")
-            data = f.read()
-    except OSError as exc:
-        raise EstimatorError(f"cannot open estimator snapshot: {exc}") from None
-    return parse_tables(data, fingerprint, source=str(path), copy=True)
-
-
-def map_tables(path: str | Path, fingerprint: bytes) -> EstimatorTables:
-    """The zero-copy load path: ``mmap`` the snapshot read-only and build
-    :class:`EstimatorTables` whose stores are typed views over the mapping.
-
-    Every process mapping the same snapshot shares one page-cache copy of
-    the tables — N shard workers cost one table, not N.  The mapping is
-    kept alive by the returned tables (``_buffer_owner``) and unmapped
-    when they are garbage-collected.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as f:
-            reliability.fire("repro.estimators.snapshot.load")
-            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    except (OSError, ValueError) as exc:
-        raise EstimatorError(f"cannot map estimator snapshot: {exc}") from None
-    try:
-        return parse_tables(
-            mapped, fingerprint, source=str(path), copy=False, owner=mapped
-        )
-    except BaseException:
-        try:
-            mapped.close()
-        except BufferError:
-            # A view created by the failed parse is still referenced from
-            # the traceback; the mapping unmaps when the exception dies.
-            pass
-        raise
-
-
-def _skip_arrays(reader: _BufReader, count: int) -> list[tuple[str, int]]:
-    """Advance past ``count`` encoded arrays, returning (typecode, len)."""
-    seen = []
-    for _ in range(count):
-        typecode_byte, itemsize, n = _ARRAY_HEADER.unpack(
-            bytes(reader.take(_ARRAY_HEADER.size, "array header"))
-        )
-        reader.take(itemsize * n, "array payload")
-        seen.append((chr(typecode_byte), n))
-    return seen
-
-
-def _parse_overlay_section(reader: _BufReader, network, swap: bool, copy: bool):
-    """Parse the v2 overlay section into a ``MultiLevelOverlay``."""
-    source = reader.source
-    (
-        magic,
-        level_count,
-        base_nx,
-        base_ny,
-        fanout,
-        horizon_lo,
-        horizon_hi,
-        build_seconds,
-    ) = _OVERLAY_HEADER.unpack(
-        bytes(reader.take(_OVERLAY_HEADER.size, "overlay header"))
-    )
-    if magic != OVERLAY_MAGIC:
-        raise EstimatorError(
-            f"{source}: corrupt snapshot: bad overlay section magic"
-        )
-    if level_count < 1 or fanout < 2 or base_nx < 1 or base_ny < 1:
-        raise EstimatorError(
-            f"{source}: corrupt snapshot: implausible overlay header "
-            f"({level_count} levels, {base_nx}x{base_ny} grid, "
-            f"fanout {fanout})"
-        )
-    # Deferred import: the hierarchy package imports this module's loaders.
-    from ..exceptions import QueryError
-    from ..hierarchy.overlay import (
-        LevelStats,
-        MultiLevelOverlay,
-        OverlayLevel,
-        OverlayStats,
-    )
-    from ..timeutil import TimeInterval
-    from .grid import GridPartition
-
-    grid = GridPartition(network, base_nx, base_ny)
-    levels = []
-    stats = OverlayStats(build_seconds=build_seconds)
-    for k in range(level_count):
-        (nx, ny, cells, boundary_nodes, level_seconds, searches) = (
-            _LEVEL_HEADER.unpack(
-                bytes(
-                    reader.take(_LEVEL_HEADER.size, f"overlay level {k} header")
-                )
-            )
-        )
-        arrays = {
-            name: _parse_array(
-                reader, typecode, swap, copy, f"overlay level {k} {name}"
-            )
-            for name, typecode in _LEVEL_ARRAY_SPECS
-        }
-        level_stats = LevelStats(
-            level=k,
-            nx=nx,
-            ny=ny,
-            cells=cells,
-            boundary_nodes=boundary_nodes,
-            shortcuts=len(arrays["src"]),
-            breakpoints=len(arrays["xs"]),
-            profile_searches=searches,
-            build_seconds=level_seconds,
-        )
-        try:
-            level = OverlayLevel(
-                k,
-                nx,
-                ny,
-                arrays["src"],
-                arrays["dst"],
-                arrays["off"],
-                arrays["xs"],
-                arrays["ys"],
-                level_stats,
-            )
-        except QueryError as exc:
+        if header.pop("magic") != MAGIC:
+            raise EstimatorError(f"{source}: not an estimator snapshot")
+        if header["version"] not in _SUPPORTED_VERSIONS:
             raise EstimatorError(
-                f"{source}: corrupt snapshot: {exc}"
-            ) from None
-        levels.append(level)
-        stats.levels.append(level_stats)
-    if reader.offset != len(reader.buf):
-        raise EstimatorError(
-            f"{source}: corrupt snapshot: "
-            f"{len(reader.buf) - reader.offset} trailing bytes after overlay"
-        )
-    return MultiLevelOverlay(
-        network,
-        grid,
-        fanout,
-        TimeInterval(horizon_lo, horizon_hi),
-        levels,
-        stats,
-    )
-
-
-def _overlay_from_buffer(
-    buf, network, *, source: str, copy: bool, owner: object | None
-):
-    view = memoryview(buf)
-    if not view.readonly and not copy:
-        view = view.toreadonly()
-    reader = _BufReader(view, source)
-    header = _parse_header(reader)
-    if header["version"] != SNAPSHOT_VERSION_OVERLAY:
-        raise EstimatorError(
-            f"{source}: snapshot has no overlay section (version "
-            f"{header['version']}); build one with `repro-allfp "
-            "build-overlay`"
-        )
-    if header["fingerprint"] != network_fingerprint(network):
-        raise EstimatorError(
-            f"{source}: snapshot was built for a different network "
-            "(fingerprint mismatch); re-run `repro-allfp build-overlay`"
-        )
-    swap = (header["byteorder"] == "big") != (sys.byteorder == "big")
-    if swap:
-        copy = True  # cannot view foreign-endian payloads in place
-    _skip_arrays(reader, len(_ARRAY_SPECS))
-    overlay = _parse_overlay_section(reader, network, swap, copy)
-    if not copy:
-        # The arrays are views over the caller's buffer: keep it mapped for
-        # the overlay's lifetime (same idiom as EstimatorTables).
-        overlay._buffer_owner = owner
-    return overlay
-
-
-def load_overlay(path: str | Path, network):
-    """Read the overlay section of a v2 snapshot into private arrays.
-
-    Verifies the fingerprint against ``network`` and raises
-    :class:`EstimatorError` (one line) on a missing file, a version-1
-    snapshot, truncation, or any corruption.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as f:
-            reliability.fire("repro.estimators.snapshot.load")
-            data = f.read()
-    except OSError as exc:
-        raise EstimatorError(f"cannot open estimator snapshot: {exc}") from None
-    return _overlay_from_buffer(
-        data, network, source=str(path), copy=True, owner=None
-    )
-
-
-def map_overlay(path: str | Path, network):
-    """Zero-copy overlay load: shortcut arrays are views over an ``mmap``.
-
-    N serve workers mapping the same snapshot share one page-cache copy of
-    every level's shortcut functions; per-node edge objects still
-    materialise lazily per process, but only for nodes a query touches.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as f:
-            reliability.fire("repro.estimators.snapshot.load")
-            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    except (OSError, ValueError) as exc:
-        raise EstimatorError(f"cannot map estimator snapshot: {exc}") from None
-    try:
-        return _overlay_from_buffer(
-            mapped, network, source=str(path), copy=False, owner=mapped
-        )
-    except BaseException:
-        try:
-            mapped.close()
-        except BufferError:
-            pass
-        raise
-
-
-#: Per-array byte cost used by the header-consistency check and
-#: ``snapshot-info``: (name, typecode, count expression).
-_ARRAY_SPECS = (
-    ("node_ids", NODE_ID_TYPECODE),
-    ("node_cell", CELL_TYPECODE),
-    ("to_boundary", WEIGHT_TYPECODE),
-    ("from_boundary", WEIGHT_TYPECODE),
-    ("cell_pair", WEIGHT_TYPECODE),
-)
-
-
-def read_header(path: str | Path) -> dict:
-    """Header fields of a snapshot plus size bookkeeping, for operators.
-
-    Validates everything checkable without a network in hand: magic,
-    version, metric code, grid/cell consistency, and that the file size
-    matches what the header's counts imply.  Raises
-    :class:`EstimatorError` (one line) on any corruption.
-    """
-    path = Path(path)
-    try:
-        size = path.stat().st_size
-        with open(path, "rb") as f:
-            head = f.read(_HEADER.size)
-    except OSError as exc:
-        raise EstimatorError(f"cannot open estimator snapshot: {exc}") from None
-    reader = _BufReader(memoryview(head), str(path))
-    header = _parse_header(reader)
-    if header["cell_count"] != header["nx"] * header["ny"]:
-        raise EstimatorError(
-            f"{path}: corrupt snapshot: cell_count {header['cell_count']} "
-            f"!= {header['nx']}x{header['ny']} grid"
-        )
-    counts = {
-        "node_ids": header["node_count"],
-        "node_cell": header["node_count"],
-        "to_boundary": header["node_count"],
-        "from_boundary": header["node_count"],
-        "cell_pair": header["cell_count"] * header["cell_count"],
-    }
-    expected = _HEADER.size + sum(
-        _ARRAY_HEADER.size + counts[name] * array(typecode).itemsize
-        for name, typecode in _ARRAY_SPECS
-    )
-    if header["version"] == SNAPSHOT_VERSION:
-        if size != expected:
-            raise EstimatorError(
-                f"{path}: corrupt snapshot: file is {size} bytes, header "
-                f"implies {expected}"
+                f"{source}: unsupported snapshot version {header['version']} "
+                f"(this build reads versions "
+                f"{' and '.join(str(v) for v in _SUPPORTED_VERSIONS)})"
             )
-    else:
-        header["overlay"] = _read_overlay_header(path, size, expected)
-    header["fingerprint"] = header["fingerprint"].hex()
-    header["arrays"] = len(_ARRAY_SPECS)
-    header["file_bytes"] = size
-    return header
+        if header["metric"] not in _METRIC_NAMES:
+            raise self._corrupt(f"unknown metric code {header['metric']}")
+        if header["byteorder"] not in _BYTEORDER_NAMES:
+            raise self._corrupt(f"unknown byteorder code {header['byteorder']}")
+        v_max, prep_secs = header["v_max"], header["precompute_seconds"]
+        if not (0.0 <= v_max < math.inf and 0.0 <= prep_secs < math.inf):
+            raise self._corrupt(
+                f"implausible header (v_max {v_max}, precompute {prep_secs}s)"
+            )
+        header["metric"] = _METRIC_NAMES[header["metric"]]
+        header["byteorder"] = _BYTEORDER_NAMES[header["byteorder"]]
+        return header
 
-
-def _read_overlay_header(path: Path, size: int, estimator_bytes: int) -> dict:
-    """Walk a v2 file's overlay section for ``snapshot-info`` (no network).
-
-    Validates structure and total size; returns the section summary.
-    """
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise EstimatorError(f"cannot open estimator snapshot: {exc}") from None
-    reader = _BufReader(memoryview(data), str(path))
-    reader.take(_HEADER.size, "header")
-    _skip_arrays(reader, len(_ARRAY_SPECS))
-    if reader.offset != estimator_bytes:
-        raise EstimatorError(
-            f"{path}: corrupt snapshot: estimator arrays occupy "
-            f"{reader.offset - _HEADER.size} bytes, header implies "
-            f"{estimator_bytes - _HEADER.size}"
-        )
-    (
-        magic,
-        level_count,
-        base_nx,
-        base_ny,
-        fanout,
-        horizon_lo,
-        horizon_hi,
-        build_seconds,
-    ) = _OVERLAY_HEADER.unpack(
-        bytes(reader.take(_OVERLAY_HEADER.size, "overlay header"))
-    )
-    if magic != OVERLAY_MAGIC:
-        raise EstimatorError(
-            f"{path}: corrupt snapshot: bad overlay section magic"
-        )
-    levels = []
-    for k in range(level_count):
-        (nx, ny, cells, boundary_nodes, level_seconds, searches) = (
-            _LEVEL_HEADER.unpack(
-                bytes(
-                    reader.take(_LEVEL_HEADER.size, f"overlay level {k} header")
+    def _walk_arrays(self, section: str, prefix: str) -> dict:
+        """The stores of one section, in layout order, by name."""
+        source = self.source
+        stores = {}
+        for name, expected in _LAYOUT[section]:
+            what = prefix + name
+            typecode_byte, itemsize, count = _ARRAY_HEADER.unpack(
+                self._take(_ARRAY_HEADER.size, f"{what} header")
+            )
+            typecode = chr(typecode_byte)
+            if typecode != expected:
+                raise self._corrupt(
+                    f"{what} has typecode {typecode!r}, expected {expected!r}"
                 )
-            )
-        )
-        arrays = _skip_arrays(reader, len(_LEVEL_ARRAY_SPECS))
-        for (name, want), (got, _n) in zip(_LEVEL_ARRAY_SPECS, arrays):
-            if got != want:
+            if itemsize != array(typecode).itemsize:
                 raise EstimatorError(
-                    f"{path}: corrupt snapshot: overlay level {k} {name} "
-                    f"has typecode {got!r}, expected {want!r}"
+                    f"{source}: snapshot written with {itemsize}-byte "
+                    f"{typecode!r} items; this platform uses "
+                    f"{array(typecode).itemsize}"
                 )
-        levels.append(
-            {
+            payload = self._take(itemsize * count, what)
+            if self._swap:
+                store = array(typecode)
+                store.frombytes(payload)
+                store.byteswap()
+            else:
+                store = payload.cast(typecode)
+            stores[name] = store
+        return stores
+
+    def _walk_overlay(self) -> None:
+        (
+            magic,
+            level_count,
+            base_nx,
+            base_ny,
+            fanout,
+            horizon_lo,
+            horizon_hi,
+            build_seconds,
+        ) = _OVERLAY_HEADER.unpack(
+            self._take(_OVERLAY_HEADER.size, "overlay header")
+        )
+        if magic != OVERLAY_MAGIC:
+            raise self._corrupt("bad overlay section magic")
+        if (
+            level_count < 1
+            or fanout < 2
+            or base_nx < 1
+            or base_ny < 1
+            or not -math.inf < horizon_lo <= horizon_hi < math.inf
+            or not 0.0 <= build_seconds < math.inf
+        ):
+            raise self._corrupt(
+                "implausible overlay header "
+                f"({level_count} levels, {base_nx}x{base_ny} grid, "
+                f"fanout {fanout}, horizon [{horizon_lo}, {horizon_hi}], "
+                f"build {build_seconds}s)"
+            )
+        self.overlay_header = {
+            "levels": level_count,
+            "base_grid": [base_nx, base_ny],
+            "fanout": fanout,
+            "horizon": [horizon_lo, horizon_hi],
+            "build_seconds": build_seconds,
+        }
+        for k in range(level_count):
+            nx, ny, cells, boundary_nodes, level_seconds, searches = (
+                _LEVEL_HEADER.unpack(
+                    self._take(_LEVEL_HEADER.size, f"overlay level {k} header")
+                )
+            )
+            stores = self._walk_arrays("level", f"overlay level {k} ")
+            fields = {
                 "level": k,
                 "nx": nx,
                 "ny": ny,
                 "cells": cells,
                 "boundary_nodes": boundary_nodes,
-                "shortcuts": arrays[0][1],
-                "breakpoints": arrays[3][1],
+                "shortcuts": len(stores["src"]),
+                "breakpoints": len(stores["xs"]),
                 "profile_searches": searches,
                 "build_seconds": level_seconds,
             }
+            self.levels.append((fields, stores))
+
+    # -- the three reads -----------------------------------------------
+    def _check_fingerprint(self, fingerprint: bytes, verb: str) -> None:
+        if self.header["fingerprint"] != fingerprint:
+            raise EstimatorError(
+                f"{self.source}: snapshot was built for a different network "
+                f"(fingerprint mismatch); re-run `repro-allfp {verb}`"
+            )
+
+    def tables(self, fingerprint: bytes) -> EstimatorTables:
+        """The boundary tables, refused unless the file was built for the
+        network that hashes to ``fingerprint``."""
+        self._check_fingerprint(fingerprint, "precompute")
+        header = self.header
+        return EstimatorTables(
+            nx=header["nx"],
+            ny=header["ny"],
+            metric=header["metric"],
+            v_max=header["v_max"],
+            precompute_seconds=header["precompute_seconds"],
+            workers_used=1,
+            loaded_from_snapshot=True,
+            _buffer_owner=None if self._swap else self._mapping,
+            **self.arrays,
         )
-    if reader.offset != size:
-        raise EstimatorError(
-            f"{path}: corrupt snapshot: file is {size} bytes, overlay "
-            f"section implies {reader.offset}"
+
+    def overlay(self, network, fingerprint: bytes):
+        """The overlay section as a ``MultiLevelOverlay`` over ``network``,
+        whose hash the caller passes as ``fingerprint``."""
+        source = self.source
+        if self.overlay_header is None:
+            raise EstimatorError(
+                f"{source}: snapshot has no overlay section (version "
+                f"{self.header['version']}); build one with `repro-allfp "
+                "build-overlay`"
+            )
+        self._check_fingerprint(fingerprint, "build-overlay")
+        # Deferred import: the hierarchy package imports this module.
+        from ..exceptions import QueryError
+        from ..hierarchy.overlay import (
+            LevelStats,
+            MultiLevelOverlay,
+            OverlayLevel,
+            OverlayStats,
         )
-    return {
-        "levels": level_count,
-        "base_grid": [base_nx, base_ny],
-        "fanout": fanout,
-        "horizon": [horizon_lo, horizon_hi],
-        "build_seconds": build_seconds,
-        "level_details": levels,
-    }
+        from ..timeutil import TimeInterval
+        from .grid import GridPartition
+
+        meta = self.overlay_header
+        stats = OverlayStats(build_seconds=meta["build_seconds"])
+        levels = []
+        for fields, stores in self.levels:
+            level_stats = LevelStats(**fields)
+            try:
+                level = OverlayLevel(
+                    fields["level"],
+                    fields["nx"],
+                    fields["ny"],
+                    *(stores[name] for name, _typecode in _LAYOUT["level"]),
+                    level_stats,
+                )
+            except QueryError as exc:
+                raise self._corrupt(str(exc)) from None
+            levels.append(level)
+            stats.levels.append(level_stats)
+        overlay = MultiLevelOverlay(
+            network,
+            GridPartition(network, *meta["base_grid"]),
+            meta["fanout"],
+            TimeInterval(*meta["horizon"]),
+            levels,
+            stats,
+        )
+        if not self._swap:
+            # The stores are views: keep the file mapped for the overlay's
+            # lifetime (same idiom as EstimatorTables).
+            overlay._buffer_owner = self._mapping
+        return overlay
+
+    def describe(self) -> dict:
+        """Header fields plus size bookkeeping, for operators
+        (``snapshot-info``); ``"overlay"`` is present for a version-2 file."""
+        doc = dict(self.header)
+        doc["fingerprint"] = doc["fingerprint"].hex()
+        doc["arrays"] = len(self.arrays)
+        doc["file_bytes"] = len(self._buf)
+        if self.overlay_header is not None:
+            doc["overlay"] = {
+                **self.overlay_header,
+                "level_details": [fields for fields, _stores in self.levels],
+            }
+        return doc
+
+
+def map_tables(path: str | Path, fingerprint: bytes) -> EstimatorTables:
+    """Open ``path`` and read its boundary tables (see :class:`Snapshot`)."""
+    return Snapshot(path).tables(fingerprint)
+
+
+def map_overlay(path: str | Path, network):
+    """Open ``path`` and read its overlay section (see :class:`Snapshot`).
+
+    N serve workers mapping the same snapshot share one page-cache copy of
+    every level's shortcut functions; per-node edge objects still
+    materialise lazily per process, but only for nodes a query touches.
+    """
+    return Snapshot(path).overlay(network, network_fingerprint(network))

@@ -381,7 +381,7 @@ class MultiLevelOverlay:
     Build with :meth:`build`; follow live updates with
     :meth:`refresh_delta`; persist inside an RPRESNAP v2 snapshot via
     :func:`repro.estimators.snapshot.save_tables` and re-attach with
-    ``load_overlay``/``map_overlay``.  Queries go through
+    ``map_overlay``.  Queries go through
     :class:`~repro.hierarchy.engine.OverlayEngine`.
     """
 

@@ -11,14 +11,7 @@ from .admission import AdmissionController, Deadline
 from .batching import ResultCache, SingleFlight
 from .boot import open_service
 from .chaos import ChaosReport, default_fault_plan, run_chaos
-from .client import (
-    HTTPClient,
-    InProcessClient,
-    LoadReport,
-    percentile,
-    run_closed_loop,
-    run_open_loop,
-)
+from .client import HTTPClient, InProcessClient
 from .http import ServeServer, make_server, start_in_thread
 from .metrics import MetricsRegistry, parse_metrics
 from .service import (
@@ -51,10 +44,6 @@ __all__ = [
     "start_in_thread",
     "InProcessClient",
     "HTTPClient",
-    "LoadReport",
-    "percentile",
-    "run_closed_loop",
-    "run_open_loop",
     "ChaosReport",
     "default_fault_plan",
     "run_chaos",

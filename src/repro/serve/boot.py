@@ -56,11 +56,14 @@ def open_service(
     """
     info = {"tables_mode": "none", "overlay_mode": "none", "errors": []}
     degraded = False
+    # One file named by both paths is opened, walked and fingerprint-checked
+    # against one hash of the network.
+    reader = fingerprint = None
     if snapshot_path is not None:
         try:
-            tables = snap.map_tables(
-                snapshot_path, snap.network_fingerprint(network)
-            )
+            fingerprint = snap.network_fingerprint(network)
+            reader = snap.Snapshot(snapshot_path)
+            tables = reader.tables(fingerprint)
             estimator = BoundaryNodeEstimator(
                 network, tables.nx, tables.ny, tables.metric, tables=tables
             )
@@ -78,7 +81,10 @@ def open_service(
         info["tables_mode"] = "inherited"
     if overlay_path is not None:
         try:
-            overlay = snap.map_overlay(overlay_path, network)
+            fingerprint = fingerprint or snap.network_fingerprint(network)
+            if reader is None or Path(overlay_path) != Path(snapshot_path):
+                reader = snap.Snapshot(overlay_path)
+            overlay = reader.overlay(network, fingerprint)
             info["overlay_mode"] = "mmap"
         except ReproError as exc:
             overlay, degraded = None, True

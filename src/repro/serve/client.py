@@ -1,28 +1,18 @@
-"""Clients and load generation for the query service.
+"""Clients for the query service.
 
-:class:`InProcessClient` talks straight to a service surface (tests,
-benchmarks — no socket overhead); :class:`HTTPClient` speaks the JSON API
-via :mod:`urllib` (smoke tests, the CLI's remote mode).
-
-Two load-generation shapes, both returning a :class:`LoadReport`:
-
-* :func:`run_closed_loop` — ``clients`` threads, each issuing its share of
-  queries back-to-back; measures the service at saturation.
-* :func:`run_open_loop` — queries fired on a precomputed arrival schedule
-  (see :func:`repro.workloads.poisson_arrivals`) independent of response
-  times, so queueing delay shows up in the tail instead of throttling the
-  offered load (the coordinated-omission trap).
+:class:`InProcessClient` talks straight to a service surface (tests, the
+chaos runner — no socket overhead); :class:`HTTPClient` speaks the JSON API
+via :mod:`urllib` (smoke tests, ``replay-updates``).  Load generation is not
+a product feature: ``benchmarks/e2e/run.py`` is the instrument.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..exceptions import ReproError, ServeClientError
@@ -291,136 +281,3 @@ class HTTPClient:
         """
         wire = batch if isinstance(batch, dict) else batch.to_wire()
         return self.post("/v1/updates", wire)
-
-
-def percentile(sorted_values: Sequence[float], p: float) -> float:
-    """Linear-interpolated percentile of pre-sorted data, ``p`` in [0, 100]."""
-    if not sorted_values:
-        raise ValueError("no values")
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    rank = (p / 100.0) * (len(sorted_values) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = rank - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
-
-
-@dataclass
-class LoadReport:
-    """Aggregated outcome of one load-generation run."""
-
-    latencies_s: list[float] = field(default_factory=list)
-    errors: dict[str, int] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-
-    @property
-    def requests(self) -> int:
-        return len(self.latencies_s) + sum(self.errors.values())
-
-    @property
-    def successes(self) -> int:
-        return len(self.latencies_s)
-
-    @property
-    def throughput_qps(self) -> float:
-        return self.successes / self.wall_seconds if self.wall_seconds else 0.0
-
-    def latency_ms(self, p: float) -> float:
-        return percentile(sorted(self.latencies_s), p) * 1e3
-
-    def as_dict(self) -> dict:
-        base = {
-            "requests": self.requests,
-            "successes": self.successes,
-            "errors": dict(self.errors),
-            "wall_seconds": self.wall_seconds,
-            "throughput_qps": self.throughput_qps,
-        }
-        if self.latencies_s:
-            base.update(
-                p50_ms=self.latency_ms(50),
-                p95_ms=self.latency_ms(95),
-                p99_ms=self.latency_ms(99),
-            )
-        return base
-
-
-QueryFn = Callable[[QuerySpec], object]
-
-
-def _call_recording(
-    query_fn: QueryFn, spec: QuerySpec, report: LoadReport, lock: threading.Lock
-) -> None:
-    started = time.monotonic()
-    try:
-        query_fn(spec)
-    except Exception as exc:  # noqa: BLE001 — load gen records, never raises
-        with lock:
-            report.errors[type(exc).__name__] = (
-                report.errors.get(type(exc).__name__, 0) + 1
-            )
-    else:
-        elapsed = time.monotonic() - started
-        with lock:
-            report.latencies_s.append(elapsed)
-
-
-def run_closed_loop(
-    query_fn: QueryFn, queries: Sequence[QuerySpec], clients: int = 1
-) -> LoadReport:
-    """Split ``queries`` round-robin over ``clients`` back-to-back threads."""
-    if clients < 1:
-        raise ValueError(f"clients must be >= 1, got {clients}")
-    report = LoadReport()
-    lock = threading.Lock()
-
-    def worker(offset: int) -> None:
-        for spec in queries[offset::clients]:
-            _call_recording(query_fn, spec, report, lock)
-
-    started = time.monotonic()
-    threads = [
-        threading.Thread(target=worker, args=(i,), daemon=True)
-        for i in range(clients)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    report.wall_seconds = time.monotonic() - started
-    return report
-
-
-def run_open_loop(
-    query_fn: QueryFn,
-    queries: Sequence[QuerySpec],
-    arrivals_s: Sequence[float],
-) -> LoadReport:
-    """Fire one query per arrival offset (seconds), round-robin over ``queries``.
-
-    Each arrival gets its own thread so a slow response never delays later
-    arrivals — the offered rate is exactly the schedule's.
-    """
-    if not queries:
-        raise ValueError("no queries")
-    report = LoadReport()
-    lock = threading.Lock()
-    started = time.monotonic()
-    threads: list[threading.Thread] = []
-    for i, offset in enumerate(arrivals_s):
-        delay = started + offset - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        spec = queries[i % len(queries)]
-        t = threading.Thread(
-            target=_call_recording,
-            args=(query_fn, spec, report, lock),
-            daemon=True,
-        )
-        t.start()
-        threads.append(t)
-    for t in threads:
-        t.join()
-    report.wall_seconds = time.monotonic() - started
-    return report

@@ -246,8 +246,7 @@ def replay_trace(
     Offsets count from the call and are compressed by ``speed`` (``10``
     fires a ``t=5s`` event at 0.5 s); an ``apply`` that runs long delays
     later events, it never drops or reorders them.  The one trace replayer:
-    ``bench-load --updates-trace``, ``replay-updates`` and the chaos
-    harness's applier thread all drive it.
+    ``replay-updates`` and the chaos harness's applier thread both drive it.
     """
     started = time.monotonic()
     for event in events:

@@ -7,7 +7,6 @@ from .queries import (
     random_query,
     random_queries,
     distance_band_queries,
-    poisson_arrivals,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "random_query",
     "random_queries",
     "distance_band_queries",
-    "poisson_arrivals",
 ]

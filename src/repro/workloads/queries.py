@@ -91,30 +91,6 @@ def random_queries(
     ]
 
 
-def poisson_arrivals(
-    rate_qps: float, duration: float, seed: int = 0
-) -> list[float]:
-    """Arrival offsets (seconds in ``[0, duration)``) of a Poisson process.
-
-    Inter-arrival gaps are exponential with mean ``1/rate_qps``, drawn from
-    a seeded generator — so an open-loop load run is fully reproducible and
-    tests never depend on wall-clock randomness.  The *number* of arrivals
-    is itself random (Poisson with mean ``rate_qps * duration``); callers
-    wanting a fixed count should truncate or extend ``duration``.
-    """
-    if rate_qps <= 0:
-        raise QueryError(f"rate_qps must be > 0, got {rate_qps}")
-    if duration < 0:
-        raise QueryError(f"duration must be >= 0, got {duration}")
-    rng = random.Random(seed)
-    offsets: list[float] = []
-    t = rng.expovariate(rate_qps)
-    while t < duration:
-        offsets.append(t)
-        t += rng.expovariate(rate_qps)
-    return offsets
-
-
 def distance_band_queries(
     network: CapeCodNetwork,
     bands: list[tuple[float, float]],

@@ -393,51 +393,6 @@ class TestErrorPaths:
         assert line.startswith("error:") and fragment in line
 
 
-class TestBenchLoad:
-    def test_closed_loop_reports(self, network_json, capsys):
-        code = main(
-            [
-                "bench-load",
-                "--network",
-                str(network_json),
-                "--queries",
-                "6",
-                "--clients",
-                "2",
-                "--interval-hours",
-                "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "throughput:" in out
-        assert "p50=" in out
-        assert "engine runs:" in out
-
-    def test_poisson_arrivals(self, network_json, capsys):
-        code = main(
-            [
-                "bench-load",
-                "--network",
-                str(network_json),
-                "--queries",
-                "4",
-                "--arrivals",
-                "poisson",
-                "--rate",
-                "200",
-                "--duration",
-                "0.05",
-                "--interval-hours",
-                "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "open-loop" in out
-        assert "requests:" in out
-
-
 class TestImportVerb:
     @pytest.fixture(scope="class")
     def text_file(self, tmp_path_factory):
@@ -621,12 +576,10 @@ class TestOverlayVerbs:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
-    def test_bench_load_with_overlay(
-        self, network_json, overlay_snapshot, capsys
-    ):
+    def test_chaos_with_overlay(self, network_json, overlay_snapshot, capsys):
         code = main(
             [
-                "bench-load",
+                "chaos",
                 "--network",
                 str(network_json),
                 "--queries",
@@ -639,7 +592,58 @@ class TestOverlayVerbs:
                 str(overlay_snapshot),
             ]
         )
-        assert code == 0
         captured = capsys.readouterr()
+        assert code == 0, captured.out + captured.err
         assert "overlay cache hit" in captured.err
-        assert "throughput:" in captured.out
+        assert "invariant held" in captured.out
+
+
+class TestOneFileBothCaches:
+    """``--estimator-cache X --overlay-cache X`` on a cold start: the
+    estimator miss writes X as version 1, which is not an overlay hit."""
+
+    def _argv(self, network_json, cache):
+        return [
+            "--network",
+            str(network_json),
+            "--estimator",
+            "boundary",
+            "--grid",
+            "3",
+            "--estimator-cache",
+            str(cache),
+            "--overlay-levels",
+            "1",
+            "--overlay-cache",
+            str(cache),
+        ]
+
+    def test_query_cold_then_warm(self, network_json, tmp_path, capsys):
+        cache = tmp_path / "both.snap"
+        argv = ["query", "--source", "0", "--target", "50"]
+        argv += self._argv(network_json, cache)
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert "estimator cache miss" in cold.err
+        assert "overlay cache miss" in cold.err
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert "estimator cache hit" in warm.err
+        assert "overlay cache hit" in warm.err
+        assert warm.out.splitlines()[:3] == cold.out.splitlines()[:3]
+
+    def test_serve_cold_then_warm(self, network_json, tmp_path, capsys):
+        from repro.cli import _build_service, build_parser
+
+        cache = tmp_path / "both.snap"
+        argv = ["serve"] + self._argv(network_json, cache)
+        for expect in ("cache miss", "cache hit"):
+            service = _build_service(build_parser().parse_args(argv))
+            try:
+                err = capsys.readouterr().err
+                assert err.count(expect) == 2, err
+                assert "warning" not in err
+                assert service.stats()["overlay_levels"] == 1
+                assert not service.health()["degraded"]
+            finally:
+                service.close()

@@ -301,7 +301,9 @@ class TestSnapshotRoundTrip:
             assert array.array("d", a.ys) == array.array("d", b.ys)
 
     def test_load_round_trip(self, saved, metro_tiny, overlay_tiny):
-        loaded = snap.load_overlay(saved, metro_tiny)
+        loaded = snap.Snapshot(saved).overlay(
+            metro_tiny, snap.network_fingerprint(metro_tiny)
+        )
         self._assert_same(overlay_tiny, loaded)
 
     def test_map_round_trip(self, saved, metro_tiny, overlay_tiny):
@@ -320,24 +322,24 @@ class TestSnapshotRoundTrip:
         estimator = BoundaryNodeEstimator(metro_tiny, 4, 4)
         path = estimator.save_snapshot(tmp_path / "flat.est")
         with pytest.raises(EstimatorError, match="no overlay section"):
-            snap.load_overlay(path, metro_tiny)
+            snap.map_overlay(path, metro_tiny)
 
     def test_fingerprint_mismatch_rejected(self, saved):
         other = make_metro_network(MetroConfig(width=10, height=10, seed=9))
         with pytest.raises(EstimatorError, match="fingerprint"):
-            snap.load_overlay(saved, other)
+            snap.map_overlay(saved, other)
 
     def test_truncation_rejected(self, saved, tmp_path, metro_tiny):
         data = saved.read_bytes()
         clipped = tmp_path / "clipped.ovl"
         clipped.write_bytes(data[: len(data) - 16])
         with pytest.raises(EstimatorError):
-            snap.load_overlay(clipped, metro_tiny)
+            snap.map_overlay(clipped, metro_tiny)
         with pytest.raises(EstimatorError):
-            snap.read_header(clipped)
+            snap.Snapshot(clipped)
 
     def test_read_header_reports_overlay(self, saved, overlay_tiny):
-        header = snap.read_header(saved)
+        header = snap.Snapshot(saved).describe()
         assert header["version"] == snap.SNAPSHOT_VERSION_OVERLAY
         meta = header["overlay"]
         assert meta["levels"] == overlay_tiny.level_count
@@ -350,7 +352,7 @@ class TestSnapshotRoundTrip:
     def test_v1_header_has_no_overlay(self, tmp_path, metro_tiny):
         estimator = BoundaryNodeEstimator(metro_tiny, 4, 4)
         path = estimator.save_snapshot(tmp_path / "flat.est")
-        header = snap.read_header(path)
+        header = snap.Snapshot(path).describe()
         assert header["version"] == snap.SNAPSHOT_VERSION
         assert header.get("overlay") is None
 

@@ -26,8 +26,6 @@ from repro.serve import (
     SingleFlight,
     make_server,
     parse_metrics,
-    percentile,
-    run_closed_loop,
     start_in_thread,
 )
 from repro.timeutil import TimeInterval
@@ -228,14 +226,6 @@ class TestMetricsRegistry:
         assert parse_metrics(m.render())["repro_queue_depth"] == 3
         depth[0] = 7
         assert parse_metrics(m.render())["repro_queue_depth"] == 7
-
-
-class TestPercentile:
-    def test_interpolates(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 4.0
-        assert percentile(values, 50) == pytest.approx(2.5)
 
 
 # ----------------------------------------------------------------------
@@ -719,34 +709,22 @@ class TestOneToManyModes:
 
 
 # ----------------------------------------------------------------------
-# Load generation
+# Concurrent clients
 # ----------------------------------------------------------------------
 
-class TestLoadGeneration:
-    def test_closed_loop_reports(self, metro_tiny, service):
+class TestConcurrentClients:
+    def test_thread_pool_of_clients_all_answered(self, metro_tiny, service):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.serve import InProcessClient
+
         queries = random_queries(
             metro_tiny, 8, morning_rush_interval(1.0), seed=11
         )
-        from repro.serve import InProcessClient
-
         client = InProcessClient(service)
-        report = run_closed_loop(
-            lambda spec: client.query(spec), queries, clients=4
-        )
-        assert report.requests == 8
-        assert report.successes == 8
-        assert report.throughput_qps > 0
-        summary = report.as_dict()
-        assert summary["p50_ms"] <= summary["p99_ms"]
-
-    def test_closed_loop_records_errors(self, service):
-        bad = random_queries(
-            service.network, 2, morning_rush_interval(1.0), seed=11
-        )
-
-        def explode(spec):
-            raise RuntimeError("boom")
-
-        report = run_closed_loop(explode, bad, clients=2)
-        assert report.successes == 0
-        assert report.errors == {"RuntimeError": 2}
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            responses = list(pool.map(client.query, queries))
+        assert len(responses) == 8
+        for spec, response in zip(queries, responses):
+            assert response.result.source == spec.source
+            assert response.result.target == spec.target

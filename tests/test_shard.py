@@ -193,16 +193,16 @@ class TestSnapshotTransports:
         estimator.save_snapshot(path)
         return path, snap.network_fingerprint(metro_tiny)
 
-    def test_map_tables_matches_load_tables(self, snapshot):
+    def test_mapped_tables_equal_saved_tables(self, snapshot, metro_tiny):
         path, fp = snapshot
-        loaded = snap.load_tables(path, fp)
+        saved = BoundaryNodeEstimator(metro_tiny, 3, 3).tables
         mapped = snap.map_tables(path, fp)
-        assert mapped.zero_copy and not loaded.zero_copy
-        assert mapped.nbytes == loaded.nbytes
+        assert mapped.zero_copy and not saved.zero_copy
+        assert mapped.nbytes == saved.nbytes
         for name in (
             "node_ids", "node_cell", "to_boundary", "from_boundary", "cell_pair"
         ):
-            assert list(getattr(mapped, name)) == list(getattr(loaded, name))
+            assert list(getattr(mapped, name)) == list(getattr(saved, name))
 
     def test_mapped_tables_are_read_only(self, snapshot):
         path, fp = snapshot
@@ -217,7 +217,7 @@ class TestSnapshotTransports:
 
     def test_read_header_fields(self, snapshot):
         path, fp = snapshot
-        header = snap.read_header(path)
+        header = snap.Snapshot(path).describe()
         assert header["version"] == 1
         assert header["nx"] == header["ny"] == 3
         assert header["cell_count"] == 9
@@ -229,8 +229,8 @@ class TestSnapshotTransports:
         path, _ = snapshot
         stub = tmp_path / "trunc.snap"
         stub.write_bytes(path.read_bytes()[:100])
-        with pytest.raises(EstimatorError, match="header implies"):
-            snap.read_header(stub)
+        with pytest.raises(EstimatorError, match="truncated"):
+            snap.Snapshot(stub)
 
     def test_read_header_detects_bad_magic(self, snapshot, tmp_path):
         path, _ = snapshot
@@ -239,7 +239,7 @@ class TestSnapshotTransports:
         bad = tmp_path / "bad.snap"
         bad.write_bytes(bytes(data))
         with pytest.raises(EstimatorError, match="not an estimator snapshot"):
-            snap.read_header(bad)
+            snap.Snapshot(bad)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.workloads.queries import (
     distance_band_queries,
     evening_rush_interval,
     morning_rush_interval,
-    poisson_arrivals,
     random_queries,
     random_query,
 )
@@ -89,31 +88,3 @@ class TestBatchGenerators:
         q = random_queries(metro_small, 1, morning_rush_interval(), seed=0)[0]
         text = str(q)
         assert str(q.source) in text and "mi" in text
-
-
-class TestPoissonArrivals:
-    def test_deterministic_for_seed(self):
-        a = poisson_arrivals(50.0, 2.0, seed=7)
-        b = poisson_arrivals(50.0, 2.0, seed=7)
-        c = poisson_arrivals(50.0, 2.0, seed=8)
-        assert a == b
-        assert a != c
-
-    def test_offsets_sorted_within_duration(self):
-        offsets = poisson_arrivals(100.0, 1.5, seed=1)
-        assert offsets == sorted(offsets)
-        assert all(0.0 <= t < 1.5 for t in offsets)
-
-    def test_mean_rate_roughly_matches(self):
-        # 2000 expected arrivals: the count concentrates near the mean.
-        offsets = poisson_arrivals(rate_qps=1000.0, duration=2.0, seed=3)
-        assert 1800 < len(offsets) < 2200
-
-    def test_zero_duration_is_empty(self):
-        assert poisson_arrivals(10.0, 0.0, seed=0) == []
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(QueryError):
-            poisson_arrivals(0.0, 1.0)
-        with pytest.raises(QueryError):
-            poisson_arrivals(5.0, -1.0)
