@@ -572,6 +572,7 @@ def _build_service(args: argparse.Namespace):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import make_server
+    from .serve.http import POST_ROUTES
 
     service = _build_service(args)
     server = make_server(service, args.host, args.port, quiet=args.quiet)
@@ -582,10 +583,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"sharded: {args.shards} worker process(es) behind the "
             "consistent-hash router"
         )
-    print(
-        "endpoints: POST /v1/allfp, POST /v1/singlefp, POST /v1/profile, "
-        "POST /v1/knn, POST /v1/updates, GET /healthz, GET /metrics"
-    )
+    endpoints = [f"POST {path}" for path in POST_ROUTES]
+    print("endpoints: " + ", ".join(endpoints + ["GET /healthz", "GET /metrics"]))
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -109,6 +109,16 @@ MAX_PROFILE_TARGETS = 256
 #: Ceiling on batch size — one admitted request runs the whole batch.
 MAX_BATCH_ITEMS = 256
 
+#: Every POST path -> its query mode; ``None`` is the mutation feed.
+POST_ROUTES = {
+    "/v1/allfp": "allfp",
+    "/v1/singlefp": "singlefp",
+    "/v1/profile": "profile",
+    "/v1/knn": "knn",
+    "/v1/batch": "batch",
+    "/v1/updates": None,
+}
+
 
 class BadRequest(ValueError):
     """The request body failed validation (maps to HTTP 400)."""
@@ -334,17 +344,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": "NotFound", "message": self.path})
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        routes = {
-            "/v1/allfp": "allfp",
-            "/v1/singlefp": "singlefp",
-            "/v1/profile": "profile",
-            "/v1/knn": "knn",
-            "/v1/batch": "batch",
-        }
-        mode = routes.get(self.path)
+        mode = POST_ROUTES.get(self.path)
         try:
             raw = self._read_body()
-            if mode is None and self.path != "/v1/updates":
+            if self.path not in POST_ROUTES:
                 self._send_json(404, {"error": "NotFound", "message": self.path})
                 return
             reliability.fire("repro.serve.http.request")

@@ -14,8 +14,8 @@ File layout (version 2; all regions page-aligned to one ``page_size``):
 Queries open the file behind one LRU :class:`~repro.storage.buffer.BufferManager`
 (data and index pages share it, as they would share a disk and buffer pool),
 and expose the same accessor surface as the in-memory network — ``calendar``,
-``location``, ``outgoing``, ``find_edge``, ``max_speed`` — plus the paper's
-``find_node`` / ``get_successors`` names and I/O counters.  The query
+``location``, ``outgoing``, ``incoming``, ``find_edge``, ``max_speed`` — plus
+the paper's ``find_node`` / ``get_successors`` names and I/O counters.  The query
 engines therefore run unchanged against disk, and their
 ``stats.page_reads`` report physical page I/O.
 
@@ -137,6 +137,8 @@ class CCAMStore:
         self._min_speed = meta["min_speed"]
         self.build_info = meta.get("build", {})
         self._dirty = False
+        # target -> source ids, built by the first incoming() call.
+        self._transpose: dict[int, list[int]] | None = None
 
     @classmethod
     def open(
@@ -314,6 +316,26 @@ class CCAMStore:
 
     get_successors = outgoing
 
+    def incoming(self, node_id: int) -> list[Edge]:
+        """Edges into a node, by ascending source id, read from the pages.
+
+        Records hold outgoing adjacency only, so the first call scans every
+        record into an id-level transpose (target -> source ids); topology
+        mutators drop it, pattern updates need not — edges are
+        materialised from the current records on every call.
+        """
+        self._locator(node_id)
+        if self._transpose is None:
+            transpose: dict[int, list[int]] = {}
+            for source in self.node_ids():
+                for ref in self.find_node(source).neighbors:
+                    transpose.setdefault(ref.target, []).append(source)
+            self._transpose = transpose
+        return [
+            self.find_edge(source, node_id)
+            for source in self._transpose.get(node_id, ())
+        ]
+
     def find_edge(self, source: int, target: int) -> Edge:
         for edge in self.outgoing(source):
             if edge.target == target:
@@ -480,6 +502,7 @@ class CCAMStore:
         )
         self._mutate_record(source, new_refs)
         self._edge_count += 1
+        self._transpose = None
 
     def remove_edge(self, source: int, target: int) -> None:
         """Remove a directed edge."""
@@ -492,6 +515,7 @@ class CCAMStore:
             raise EdgeNotFoundError(source, target)
         self._mutate_record(source, new_refs)
         self._edge_count -= 1
+        self._transpose = None
 
     def insert_node(
         self,
@@ -518,12 +542,13 @@ class CCAMStore:
         self._place_record(record)
         self._node_count += 1
         self._edge_count += len(refs)
+        self._transpose = None
 
     def remove_node(self, node_id: int) -> None:
         """Remove a node; its outgoing edges go with it.
 
         The caller must first remove edges *pointing at* the node (the
-        store keeps no reverse index, mirroring the paper's storage model).
+        store persists no reverse index, mirroring the paper's storage model).
         """
         self._require_writable()
         page_no, slot = self._locator(node_id)
@@ -534,6 +559,7 @@ class CCAMStore:
         self._node_count -= 1
         self._edge_count -= len(removed.neighbors)
         self._dirty = True
+        self._transpose = None
 
     # ------------------------------------------------------------------
     # I/O accounting

@@ -16,11 +16,15 @@ from repro.network.generator import (
     EXAMPLE_E,
     EXAMPLE_N,
     EXAMPLE_S,
+    MetroConfig,
+    make_metro_network,
     paper_example_network,
 )
 from repro.network.model import CapeCodNetwork
 from repro.patterns.categories import Calendar
 from repro.patterns.speed import CapeCodPattern
+from repro.serve.updates import slowdown_pattern
+from repro.storage.ccam import CCAMStore
 from repro.timeutil import TimeInterval, parse_clock
 
 
@@ -163,8 +167,10 @@ class TestValidation:
         net.add_edge(0, 1, 1.0, pat)
         net.add_edge(1, 2, 1.0, pat)
         engine = ArrivalIntAllFastestPaths(net)
-        with pytest.raises(NoPathError):
+        with pytest.raises(NoPathError) as info:
             engine.all_fastest_paths(2, 0, TimeInterval(100.0, 110.0))
+        assert (info.value.source, info.value.target) == (2, 0)
+        assert info.value.stats is not None
 
     def test_instant_arrival_window(self, example_network):
         engine = ArrivalIntAllFastestPaths(example_network)
@@ -207,3 +213,25 @@ class TestSymmetryWithForwardEngine:
         assert backward.optimal_travel_time == pytest.approx(
             forward.optimal_travel_time, abs=1e-9
         )
+
+
+@pytest.mark.parametrize("backend", ["memory", "ccam"])
+def test_reused_engine_sees_pattern_updates(backend, tmp_path, request):
+    """After a pattern update and a cleared edge store, a reused engine
+    answers byte for byte what a fresh engine answers."""
+    network = make_metro_network(MetroConfig(width=10, height=10, seed=5))
+    if backend == "ccam":
+        CCAMStore.build(network, tmp_path / "net.ccam").close()
+        network = CCAMStore.open(tmp_path / "net.ccam", writable=True)
+        request.addfinalizer(network.close)
+    window = TimeInterval(parse_clock("7:30"), parse_clock("8:30"))
+    engine = ArrivalIntAllFastestPaths(network)
+    path = engine.all_fastest_paths(0, 99, window).entries[0].path
+    for u, v in zip(path, path[1:]):
+        slowed = slowdown_pattern(network.find_edge(u, v).pattern, 0.2)
+        network.update_edge_pattern(u, v, slowed)
+    engine.context.edge_cache.clear()
+    reused = engine.all_fastest_paths(0, 99, window)
+    fresh = ArrivalIntAllFastestPaths(network).all_fastest_paths(0, 99, window)
+    assert reused.border.breakpoints == fresh.border.breakpoints
+    assert reused.entries == fresh.entries

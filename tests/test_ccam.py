@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.arrival import ArrivalIntAllFastestPaths
 from repro.core.astar import fixed_departure_query
 from repro.core.engine import IntAllFastestPaths
 from repro.estimators.naive import NaiveEstimator
 from repro.exceptions import NodeNotFoundError, StorageError, EdgeNotFoundError
 from repro.network.generator import MetroConfig, make_metro_network
+from repro.network.io import load_network, save_network
+from repro.serve.updates import slowdown_pattern
 from repro.storage.ccam import CCAMStore
 from repro.timeutil import TimeInterval, parse_clock
 
@@ -167,3 +170,59 @@ class TestQueriesAgainstDisk:
         store.drop_buffer()
         result = engine.all_fastest_paths(0, metro.node_count - 1, interval)
         assert result.stats.page_reads > 0
+
+
+def _in_edges(network, node):
+    return sorted(
+        (e.source, e.target, e.distance, e.pattern, e.road_class)
+        for e in network.incoming(node)
+    )
+
+
+class TestIncoming:
+    def test_matches_memory(self, store, metro):
+        for nid in metro.node_ids():
+            assert _in_edges(store, nid) == _in_edges(metro, nid)
+
+    def test_missing_node(self, store):
+        with pytest.raises(NodeNotFoundError):
+            store.incoming(99999)
+
+    def test_follows_updates(self, tmp_path):
+        memory = make_metro_network(MetroConfig(width=12, height=12, seed=6))
+        path = tmp_path / "upd.ccam"
+        CCAMStore.build(memory, path).close()
+        with CCAMStore.open(path, writable=True) as disk:
+            disk.incoming(0)  # the transpose exists before any update
+            edge = next(memory.edges())
+            slowed = slowdown_pattern(edge.pattern, 0.5)
+            memory.update_edge_pattern(edge.source, edge.target, slowed)
+            disk.update_edge_pattern(edge.source, edge.target, slowed)
+            for nid in memory.node_ids():
+                assert _in_edges(disk, nid) == _in_edges(memory, nid)
+            before = _in_edges(disk, 143)
+            memory.add_edge(0, 143, 20.0, slowed)
+            disk.insert_edge(0, 143, 20.0, slowed)
+            for nid in memory.node_ids():
+                assert _in_edges(disk, nid) == _in_edges(memory, nid)
+            disk.remove_edge(0, 143)
+            assert _in_edges(disk, 143) == before
+
+    def test_arrival_answer_matches_json(self, metro, tmp_path):
+        # A JSON round trip lists in-edges by ascending source id, the
+        # order the store reads them in.
+        save_network(metro, tmp_path / "net.json")
+        memory = load_network(tmp_path / "net.json")
+        CCAMStore.build(memory, tmp_path / "net.ccam").close()
+        window = TimeInterval(parse_clock("7:00"), parse_clock("9:00"))
+        target = metro.node_count - 1
+        want = ArrivalIntAllFastestPaths(memory).all_fastest_paths(
+            0, target, window
+        )
+        with CCAMStore.open(tmp_path / "net.ccam") as disk:
+            got = ArrivalIntAllFastestPaths(disk).all_fastest_paths(
+                0, target, window
+            )
+        assert got.border.breakpoints == want.border.breakpoints
+        assert got.entries == want.entries
+        assert got.stats.page_reads > 0

@@ -647,3 +647,34 @@ class TestOneFileBothCaches:
                 assert not service.health()["degraded"]
             finally:
                 service.close()
+
+
+class TestServeBanner:
+    def test_banner_lists_every_route(self, network_json, capsys, monkeypatch):
+        import repro.serve
+        from repro.serve.http import POST_ROUTES
+
+        class _Server:  # answers no request: serve_forever returns at once
+            server_address = ("127.0.0.1", 0)
+
+            def serve_forever(self):
+                raise KeyboardInterrupt
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(
+            repro.serve, "make_server", lambda *args, **kwargs: _Server()
+        )
+        assert main(["serve", "--network", str(network_json)]) == 0
+        banner = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("endpoints:")
+        )
+        routes = banner.removeprefix("endpoints: ").split(", ")
+        assert routes == [f"POST {path}" for path in POST_ROUTES] + [
+            "GET /healthz",
+            "GET /metrics",
+        ]
+        assert "POST /v1/batch" in routes
