@@ -31,6 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.graph import GraphView
 from repro.func import kernel
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.serve import (
@@ -44,20 +45,18 @@ from repro.serve import (
 from repro.timeutil import TimeInterval
 
 
-class GatedNetwork:
-    """Blocks ``outgoing`` while the gate is closed (see tests/test_serve.py)."""
+class GatedNetwork(GraphView):
+    """Blocks ``outgoing`` while the gate is closed (see tests/test_serve.py);
+    the engine's ``outgoing_from`` reads through it."""
 
     def __init__(self, inner):
-        self._inner = inner
+        super().__init__(inner)
         self.gate = threading.Event()
         self.gate.set()
 
     def outgoing(self, node_id):
         assert self.gate.wait(timeout=60.0), "gate never opened"
-        return self._inner.outgoing(node_id)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+        return self._graph.outgoing(node_id)
 
 
 def wait_until(predicate, timeout=30.0):

@@ -97,7 +97,7 @@ from .core import (
     FixedPathResult,
     SearchStats,
 )
-from .core.profile import ProfileResult, arrival_profile, profile_search
+from .core.profile import ProfileResult, profile_search
 from .core.knn import interval_knn, nearest_partition
 from .core.runtime import (
     QueryTimeout,
@@ -182,7 +182,6 @@ __all__ = [
     "FixedPathResult",
     "SearchStats",
     # hierarchy & profiles
-    "arrival_profile",
     "profile_search",
     "ProfileResult",
     "SearchContext",

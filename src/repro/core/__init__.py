@@ -9,6 +9,10 @@
   oracle).
 * :class:`~repro.core.discrete.DiscreteTimeModel` — the §3/§6.3 baseline:
   one fixed-departure query per discretized instant.
+
+All of them read a graph through :class:`~repro.core.graph.Graph`; the
+views :func:`~repro.core.graph.transpose` and
+:func:`~repro.core.graph.restrict` compose over any graph.
 """
 
 from .results import (
@@ -26,7 +30,8 @@ from .arrival import (
     ArrivalAllFPResult,
     reverse_boundary_estimator,
 )
-from .profile import ProfileResult, arrival_profile, profile_search, travel_time_profile
+from .graph import Graph, GraphEdge, GraphView, restrict, transpose
+from .profile import ProfileResult, profile_search
 from .batch import BatchItemResult, BatchResult, batch_fastest_times, batch_one_to_many
 from .knn import interval_knn, nearest_partition, KnnResult, KnnNeighbor, NearestEntry
 from .runtime import (
@@ -61,8 +66,11 @@ __all__ = [
     "ArrivalIntAllFastestPaths",
     "ArrivalAllFPResult",
     "reverse_boundary_estimator",
-    "arrival_profile",
-    "travel_time_profile",
+    "Graph",
+    "GraphEdge",
+    "GraphView",
+    "restrict",
+    "transpose",
     "interval_knn",
     "nearest_partition",
     "KnnResult",

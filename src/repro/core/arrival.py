@@ -12,8 +12,11 @@ and ``Ǎ(y) = −A⁻¹(−y)`` (nondecreasing, by FIFO):
 * a smaller ``Ď`` is a later departure, hence better — forward dominance,
 
 so the unchanged :class:`~repro.core.engine.IntAllFastestPaths` from ``e``
-to ``s`` over ``[−end, −start]`` on :class:`_TimeReversedView` answers the
-query, and the answer is mirrored back (``x → −x``, paths reversed).
+to ``s`` over ``[−end, −start]`` on the view
+:func:`~repro.core.graph.transpose` ``(network)`` — whose reversed edges
+answer ``Ǎ`` — answers the query, and the answer is mirrored back
+(``x → −x``, paths reversed).  The §5 precompute on the same view gives the
+matching estimator (:func:`reverse_boundary_estimator`).
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from ..estimators.base import LowerBoundEstimator
 from ..estimators.boundary import BoundaryNodeEstimator, Metric
 from ..estimators.naive import NaiveEstimator
 from ..exceptions import NoPathError
-from ..func import kernel
-from ..func.monotone import MonotonePiecewiseLinear
 from ..func.piecewise import PiecewiseLinearFunction
 from ..timeutil import TimeInterval
 from .engine import IntAllFastestPaths
+from .graph import transpose
 from .results import AllFPEntry, AllFPResult, SingleFPResult
 from .runtime import SearchContext
 
@@ -41,7 +43,7 @@ def reverse_boundary_estimator(
     Built over the transpose graph, so after ``prepare(s)`` its ``bound(u)``
     lower-bounds the *forward* travel time ``s → u``.
     """
-    return BoundaryNodeEstimator(network.reversed_copy(), nx, ny, metric)
+    return BoundaryNodeEstimator(transpose(network), nx, ny, metric)
 
 
 def _mirror(fn: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
@@ -49,48 +51,6 @@ def _mirror(fn: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     return PiecewiseLinearFunction._trusted(
         tuple(-x for x in reversed(fn._xs)), tuple(reversed(fn._ys))
     )
-
-
-class _ReversedEdge:
-    """Forward edge ``w → u`` seen from ``u`` on the negated clock."""
-
-    __slots__ = ("target", "_edge", "_context")
-
-    def __init__(self, edge, context: SearchContext) -> None:
-        self.target = edge.source
-        self._edge = edge
-        self._context = context
-
-    def arrival_function(self, lo: float, hi: float) -> MonotonePiecewiseLinear:
-        """``Ǎ`` on ``[lo, hi]``, from the store's ``A`` over every entry
-        time that can reach ``u`` within ``[−hi, −lo]``."""
-        edge = self._edge
-        slowest = edge.distance / edge.pattern.min_speed()
-        fn = self._context.edge_cache.arrival(edge, -hi - slowest - 1.0, -lo)
-        xs, ys = kernel.inverse(fn._xs, fn._ys)
-        return MonotonePiecewiseLinear._trusted_monotone(
-            [-x for x in reversed(xs)], [-y for y in reversed(ys)]
-        )
-
-
-class _TimeReversedView:
-    """The transpose of ``network`` on the negated clock: what
-    :class:`~repro.core.engine.IntAllFastestPaths` reads of a network."""
-
-    __slots__ = ("_network", "_context")
-
-    def __init__(self, network, context: SearchContext) -> None:
-        self._network = network
-        self._context = context
-
-    def location(self, node: int) -> tuple[float, float]:
-        return self._network.location(node)
-
-    def outgoing(self, node: int) -> list[_ReversedEdge]:
-        return [
-            _ReversedEdge(edge, self._context)
-            for edge in self._network.incoming(node)
-        ]
 
 
 class ArrivalIntAllFastestPaths:
@@ -115,7 +75,7 @@ class ArrivalIntAllFastestPaths:
             network, max_pops=max_pops, deadline=deadline
         )
         self._engine = IntAllFastestPaths(
-            _TimeReversedView(network, self._context),
+            transpose(network),
             estimator or NaiveEstimator(network),
             prune,
             context=self._context,

@@ -46,9 +46,10 @@ def fixed_departure_query(
     Parameters
     ----------
     network:
-        Anything with the network accessor surface (``calendar``,
-        ``outgoing``, ``location``) — an in-memory
-        :class:`~repro.network.model.CapeCodNetwork` or a CCAM store.
+        A :class:`~repro.core.graph.Graph` — an in-memory
+        :class:`~repro.network.model.CapeCodNetwork`, a CCAM store or a
+        view over either (one cell's streets are a
+        :func:`~repro.core.graph.restrict` view).
     heuristic:
         Admissible lower bound (minutes) from a node to ``target``; ``None``
         degrades A* to time-dependent Dijkstra.  Pass

@@ -60,8 +60,8 @@ class IntAllFastestPaths:
     Parameters
     ----------
     network:
-        Anything with the accessor surface (``calendar``, ``location``,
-        ``outgoing``) — an in-memory network or a CCAM store.
+        A :class:`~repro.core.graph.Graph` — an in-memory network, a CCAM
+        store or a view (transposed, restricted, overlay).
     estimator:
         A prepared-per-query :class:`~repro.estimators.base.LowerBoundEstimator`;
         defaults to the naive Euclidean/v_max bound.
@@ -189,8 +189,7 @@ class IntAllFastestPaths:
         # Hierarchical query graphs can trim a label's out-edges using the
         # node it arrived from (e.g. suppressing chained same-cell
         # shortcuts); plain networks just ignore the predecessor.
-        outgoing_from = getattr(self._network, "outgoing_from", None)
-        outgoing = self._network.outgoing
+        outgoing_from = self._network.outgoing_from
 
         while queue:
             label = queue.pop()
@@ -216,12 +215,8 @@ class IntAllFastestPaths:
             arr_lo, arr_hi = label.arrival.value_range
             travel_lb = label.f_min - label.estimate
             path = label.path
-            edges = (
-                outgoing(label.end)
-                if outgoing_from is None
-                else outgoing_from(
-                    label.end, path[-2] if len(path) > 1 else None
-                )
+            edges = outgoing_from(
+                label.end, path[-2] if len(path) > 1 else None
             )
             for edge in edges:
                 if edge.target in label.path:
@@ -231,9 +226,9 @@ class IntAllFastestPaths:
                 # a label that cannot beat the border even at that speed
                 # skips the compose entirely (a lower bound on the full
                 # f_min check below, so exactness is untouched).
-                mtt = getattr(edge, "min_tt", None)
+                mtt = edge.min_tt
                 if (
-                    mtt is not None
+                    mtt > 0
                     and travel_lb + mtt + est(edge.target)
                     >= border.max_value() - EPS
                 ):
@@ -243,7 +238,7 @@ class IntAllFastestPaths:
                 # everywhere >= arr_lo + (the edge's fastest traversal), so
                 # when the target's envelope never exceeds that the label is
                 # dominated before it exists — no compose, no allocation.
-                if self._prune and arr_lo + (mtt or 0.0) >= dominance.max_at(
+                if self._prune and arr_lo + mtt >= dominance.max_at(
                     edge.target
                 ) - _DOM_TOL:
                     stats.pruned_dominated += 1

@@ -20,19 +20,21 @@ skips the merge entirely when a candidate is nowhere better, and
 materialised once at the end, via
 ``MonotonePiecewiseLinear._trusted_monotone``.
 
-The search runs on the shared :mod:`repro.core.runtime`: edge arrival
-functions come from the context's LRU
-:class:`~repro.core.runtime.EdgeFunctionCache` (shared with every other
-engine on the same context, and provider-aware for hierarchy shortcut
-edges), ``max_pops``/``deadline`` are enforced per node pop, and a finalized
-:class:`~repro.core.results.SearchStats` is attached to every exit.
+The search reads any :class:`~repro.core.graph.Graph` — a subgraph is a
+:func:`~repro.core.graph.restrict` view — and runs on the shared
+:mod:`repro.core.runtime`: every edge function is read through the
+context's :class:`~repro.core.runtime.EdgeFunctionCache` (canonical
+``(edge, day)`` functions for streets, stored rows for hierarchy
+shortcuts), ``max_pops``/``deadline`` are enforced per node pop, and a
+finalized :class:`~repro.core.results.SearchStats` is attached to every
+exit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from ..func import kernel
 from ..func.monotone import MonotonePiecewiseLinear, identity
@@ -84,7 +86,6 @@ def profile_search(
     network,
     source: int,
     interval: TimeInterval,
-    node_filter: Callable[[int], bool] | None = None,
     targets: Iterable[int] | None = None,
     *,
     context: SearchContext | None = None,
@@ -96,13 +97,10 @@ def profile_search(
     Parameters
     ----------
     network:
-        Accessor-surface network (in-memory or CCAM store).
+        A :class:`~repro.core.graph.Graph` (search a subgraph through a
+        :func:`~repro.core.graph.restrict` view).
     interval:
         Departure window at the source.
-    node_filter:
-        Optional predicate restricting the search to a subgraph (e.g. one
-        fragment): only nodes satisfying it are entered.  The source is
-        always allowed.
     targets:
         Optional convenience: when given, the returned mapping is restricted
         to these nodes (the computation itself is unaffected).
@@ -124,11 +122,9 @@ def profile_search(
         **({} if deadline is None else {"deadline": deadline}),
     )
     stats = run.stats
-    budget = _MAX_RELAXATIONS_FACTOR * max(
-        1, getattr(network, "node_count", 1000)
-    )
+    budget = _MAX_RELAXATIONS_FACTOR * max(1, network.node_count)
 
-    profiles = _search(network, source, lo, hi, node_filter, run, budget)
+    profiles = _search(network, source, lo, hi, run, budget)
     run.finalize()
 
     if targets is not None:
@@ -138,7 +134,7 @@ def profile_search(
 
 
 def _search(
-    network, source, lo, hi, node_filter, run, budget
+    network, source, lo, hi, run, budget
 ) -> dict[int, MonotonePiecewiseLinear]:
     """Flat-array loop: profiles live as (xs, ys) arrays until the end."""
     seed = identity(lo, hi)
@@ -161,8 +157,6 @@ def _search(
         run.tick()
         for edge in network.outgoing(u):
             v = edge.target
-            if node_filter is not None and v != source and not node_filter(v):
-                continue
             relaxations += 1
             if relaxations > budget:
                 raise run.over_budget(budget, "relaxations")
@@ -189,42 +183,3 @@ def _search(
         n: MonotonePiecewiseLinear._trusted_monotone(list(xs), list(ys))
         for n, (xs, ys) in prof.items()
     }
-
-
-def arrival_profile(
-    network,
-    source: int,
-    interval: TimeInterval,
-    node_filter: Callable[[int], bool] | None = None,
-    targets: Iterable[int] | None = None,
-    *,
-    context: SearchContext | None = None,
-    max_pops: int | None = None,
-    deadline: float | None = None,
-) -> dict[int, MonotonePiecewiseLinear]:
-    """Back-compat wrapper: :func:`profile_search`'s ``profiles`` mapping.
-
-    Returns
-    -------
-    dict node id -> monotone arrival function on ``interval``.  Unreachable
-    nodes are absent.
-    """
-    return dict(
-        profile_search(
-            network,
-            source,
-            interval,
-            node_filter,
-            targets,
-            context=context,
-            max_pops=max_pops,
-            deadline=deadline,
-        ).profiles
-    )
-
-
-def travel_time_profile(
-    network, source: int, interval: TimeInterval, node: int
-) -> MonotonePiecewiseLinear | None:
-    """Convenience: the earliest-arrival function to one node, or None."""
-    return arrival_profile(network, source, interval, targets=[node]).get(node)

@@ -116,12 +116,12 @@ class EdgeFunctionCache:
         self.misses = 0
 
     def arrival(self, edge, lo: float, hi: float) -> MonotonePiecewiseLinear:
-        """The edge's arrival function on a domain covering ``[lo, hi]``."""
-        provider = getattr(edge, "arrival_function", None)
-        if provider is not None:
-            # Overlay/shortcut edges supply their function directly (already
-            # materialised over the index horizon) — nothing to store.
-            return provider(lo, hi)
+        """The edge's arrival function on a domain covering ``[lo, hi]``:
+        every edge read passes here, and the edge says what it is."""
+        return edge.arrival_function(self, lo, hi)
+
+    def _street(self, edge, lo: float, hi: float) -> MonotonePiecewiseLinear:
+        """A street edge's function over ``[lo, hi]`` from the day store."""
         first = int(lo // MINUTES_PER_DAY)
         last = int(hi // MINUTES_PER_DAY)
         if last > first and hi <= last * MINUTES_PER_DAY:
@@ -198,8 +198,8 @@ class SearchContext:
     Parameters
     ----------
     network:
-        Anything with the accessor surface (``calendar``, ``location``,
-        ``outgoing``) — an in-memory network or a CCAM store.
+        A :class:`~repro.core.graph.Graph` — an in-memory network, a CCAM
+        store or a view over either.
     edge_cache:
         An existing store to share (contexts with different budgets over
         one network); the context builds its own when omitted.
@@ -286,7 +286,7 @@ class SearchRun:
         self.max_pops = max_pops
         self.exit_hook: Callable[[SearchStats], None] | None = None
         cache = context.edge_cache
-        self._io_before = getattr(context.network, "page_reads", 0)
+        self._io_before = context.network.page_reads
         self._kernel_before = kernel.COUNTERS.snapshot()
         self._cache_hits_before = cache.hits
         self._cache_misses_before = cache.misses
@@ -337,8 +337,6 @@ class SearchRun:
         cache = self.context.edge_cache
         stats.edge_cache_hits = cache.hits - self._cache_hits_before
         stats.edge_cache_misses = cache.misses - self._cache_misses_before
-        stats.page_reads = (
-            getattr(self.context.network, "page_reads", 0) - self._io_before
-        )
+        stats.page_reads = self.context.network.page_reads - self._io_before
         stats.elapsed_seconds = time.monotonic() - self._started
         return stats

@@ -6,48 +6,27 @@ level whose cell contains neither endpoint — by its boundary nodes, its
 crossing edges, and the overlay's precomputed shortcut functions.  The
 ordinary IntAllFastestPaths engine runs unchanged on this graph — the
 paper's "apply our algorithm … once at the top level" — because the graph
-is exposed through the same accessor surface as a real network.
+is a :class:`~repro.core.graph.GraphView` of the street network that
+overrides only ``outgoing_from``.  Shortcut hops are re-expanded on
+:func:`~repro.core.graph.restrict` views of one cell's streets.
 """
 
 from __future__ import annotations
 
 from ..core.astar import fixed_departure_query
 from ..core.engine import IntAllFastestPaths
+from ..core.graph import GraphView, restrict
 from ..core.results import AllFPResult, SingleFPResult
 from ..core.runtime import SearchContext
 from ..estimators.base import LowerBoundEstimator
 from ..estimators.naive import NaiveEstimator
-from ..exceptions import NetworkError, QueryError
-from ..network.model import CapeCodNetwork, Edge
+from ..exceptions import QueryError
+from ..network.model import Edge
 from ..timeutil import TimeInterval
 from .overlay import MultiLevelOverlay, ShortcutEdge
 
 
-class _FragmentView:
-    """The street subgraph induced by one cell (for path re-expansion)."""
-
-    def __init__(self, network: CapeCodNetwork, members: frozenset[int]) -> None:
-        self._network = network
-        self._members = members
-
-    @property
-    def calendar(self):
-        return self._network.calendar
-
-    def location(self, node: int) -> tuple[float, float]:
-        if node not in self._members:
-            raise NetworkError(f"node {node} outside fragment")
-        return self._network.location(node)
-
-    def outgoing(self, node: int):
-        return [
-            e
-            for e in self._network.outgoing(node)
-            if e.target in self._members
-        ]
-
-
-class _OverlayQueryGraph:
+class _OverlayQueryGraph(GraphView):
     """Multi-level hybrid view: the search climbs to the coarsest level
     whose cell contains neither endpoint.
 
@@ -59,36 +38,21 @@ class _OverlayQueryGraph:
     this exact: every node the search reaches at effective level ``k`` got
     there over an edge crossing a level-``k`` border (or a level-``k``
     shortcut), hence is a level-``k`` boundary node and has shortcuts.
+    Only ``outgoing_from`` sees the hierarchy; ``outgoing`` reads the
+    street graph.
     """
 
-    __slots__ = ("_overlay", "_network", "_endpoint_cells")
+    __slots__ = ("_overlay", "_endpoint_cells")
 
     def __init__(
         self, overlay: MultiLevelOverlay, source: int, target: int
     ) -> None:
+        super().__init__(overlay.network)
         self._overlay = overlay
-        self._network = overlay.network
         self._endpoint_cells = [
             {overlay.cell_at(source, k), overlay.cell_at(target, k)}
             for k in range(overlay.level_count)
         ]
-
-    @property
-    def calendar(self):
-        return self._network.calendar
-
-    @property
-    def node_count(self) -> int:
-        return self._network.node_count
-
-    def location(self, node: int) -> tuple[float, float]:
-        return self._network.location(node)
-
-    def max_speed(self) -> float:
-        return self._network.max_speed()
-
-    def outgoing(self, node: int):
-        return self.outgoing_from(node, None)
 
     def outgoing_from(self, node: int, prev: int | None):
         """Edges leaving ``node`` for a label that arrived from ``prev``.
@@ -106,18 +70,14 @@ class _OverlayQueryGraph:
         overlay = self._overlay
         cells = self._endpoint_cells
         if overlay.cell_at(node, 0) in cells[0]:
-            return self._network.outgoing(node)
+            return self._graph.outgoing(node)
         level = 0
         for k in range(overlay.level_count - 1, 0, -1):
             if overlay.cell_at(node, k) not in cells[k]:
                 level = k
                 break
         cell = overlay.cell_at(node, level)
-        edges: list[Edge | ShortcutEdge] = [
-            e
-            for e in self._network.outgoing(node)
-            if overlay.cell_at(e.target, level) != cell
-        ]
+        edges: list[Edge | ShortcutEdge] = overlay.crossing(node, level)
         if prev is None or overlay.cell_at(prev, level) != cell:
             edges.extend(overlay.shortcuts_from(node, level))
         return edges
@@ -132,8 +92,8 @@ class OverlayEngine:
     instant.  Every per-query hybrid graph runs on one
     :class:`~repro.core.runtime.SearchContext`: pass a service's to share
     its street-edge store and default budgets (it overrides
-    ``max_pops``/``deadline``; shortcut edges bypass the store via their
-    ``arrival_function`` provider, so sharing it across hybrid views is
+    ``max_pops``/``deadline``; a shortcut edge answers its stored row
+    without touching the store, so sharing it across hybrid views is
     sound).
     """
 
@@ -218,31 +178,23 @@ class OverlayEngine:
         earliest arrival between its endpoints within the level-``k``
         cell, so re-running a fixed-departure search over the street
         subgraph of that cell (at the instant the plan reaches the hop)
-        reproduces the path the shortcut summarised.
+        reproduces the path the shortcut summarised.  A street hop is the
+        same search restricted to its head.
         """
         network = self._overlay.network
         result: list[int] = [path[0]]
         clock = depart
         for u, v in zip(path, path[1:]):
             if network.has_edge(u, v):
-                edge = network.find_edge(u, v)
-                from ..patterns.travel_time import traverse
-
-                clock = traverse(
-                    edge.distance, edge.pattern, network.calendar, clock
-                )
-                result.append(v)
-                continue
-            level = self._shortcut_level(u, v)
-            if level is None:
+                nodes = (v,)
+            elif (level := self._shortcut_level(u, v)) is not None:
+                nodes = self._overlay.members_at(u, level)
+            else:
                 raise QueryError(
                     f"hop {u}->{v} is neither an edge nor a stored "
                     "overlay shortcut"
                 )
-            view = _FragmentView(
-                network, self._overlay.members_at(u, level)
-            )
-            leg = fixed_departure_query(view, u, v, clock)
+            leg = fixed_departure_query(restrict(network, nodes), u, v, clock)
             result.extend(leg.path[1:])
             clock = leg.arrival
         return tuple(result)

@@ -44,6 +44,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
+from ..core.graph import GraphView, restrict
 from ..core.profile import profile_search
 from ..core.runtime import QueryTimeout, SearchBudgetExceeded, SearchContext
 from ..core.results import SearchStats
@@ -64,17 +65,13 @@ VALUE_TYPECODE = "d"
 class ShortcutEdge:
     """A boundary-to-boundary overlay edge carrying an arrival function.
 
-    Duck-types the parts of :class:`~repro.network.model.Edge` the query
-    engine touches (``source``, ``target``) and supplies its arrival
-    function directly instead of via a speed pattern.
+    A :class:`~repro.core.graph.GraphEdge` whose arrival function is its
+    stored row instead of one derived from a speed pattern.
     """
 
     source: int
     target: int
     profile: MonotonePiecewiseLinear
-    #: Distinguishes shortcut functions from pattern-derived ones in the
-    #: engine's edge-function cache.
-    cache_tag: int = 1
     #: Fastest-ever traversal, precomputed so the engine's pre-compose
     #: bound prune pays a field read instead of a function allocation.
     min_tt: float = field(init=False)
@@ -88,9 +85,10 @@ class ShortcutEdge:
         )
 
     def arrival_function(
-        self, lo: float, hi: float
+        self, store, lo: float, hi: float
     ) -> MonotonePiecewiseLinear:
-        """The stored profile, after checking it covers ``[lo, hi]``.
+        """The stored profile, after checking it covers ``[lo, hi]``
+        (``store`` is not read: the row is the function).
 
         The profile spans the whole build horizon (days) while a label's
         window is minutes, but returning it unclipped is free: ``compose``
@@ -106,11 +104,6 @@ class ShortcutEdge:
                 "wider horizon (or horizon_pad)"
             )
         return profile
-
-    @property
-    def min_travel_time(self) -> float:
-        """Fastest-ever traversal of the shortcut (used for diagnostics)."""
-        return self.min_tt
 
 
 @dataclass
@@ -261,61 +254,32 @@ class OverlayLevel:
             )
 
 
-class _LevelBuildGraph:
-    """The overlay graph of level ``k-1``, used to build level ``k``.
+class _LevelGraph(GraphView):
+    """The level-``k`` overlay graph, on which level ``k+1`` is customized.
 
-    ``outgoing`` of a level-``k-1`` boundary node is its original edges that
-    cross a level-``k-1`` border plus its level-``k-1`` shortcuts; for
-    ``k == 0`` it is simply the street graph.  Exposes the accessor surface
-    ``profile_search`` needs.
+    A node's edges are its :meth:`MultiLevelOverlay.crossing` street
+    edges plus its level-``k`` shortcuts (level 0 is customized on the
+    street graph itself).
     """
 
-    __slots__ = ("_network", "_overlay", "_below", "_shortcuts")
+    __slots__ = ("_overlay", "_level")
 
-    def __init__(
-        self,
-        overlay: "MultiLevelOverlay",
-        levels: Sequence["OverlayLevel"],
-        level: int,
-    ) -> None:
-        self._network = overlay.network
-        self._overlay = overlay if level > 0 else None
-        self._below = level - 1
-        # ``levels`` is the customization pass's working list — the levels
-        # being built, not (yet) the ones the overlay serves.
-        self._shortcuts = levels[level - 1] if level > 0 else None
-
-    @property
-    def calendar(self):
-        return self._network.calendar
-
-    @property
-    def node_count(self) -> int:
-        return self._network.node_count
-
-    def location(self, node: int) -> tuple[float, float]:
-        return self._network.location(node)
-
-    def max_speed(self) -> float:
-        return self._network.max_speed()
+    def __init__(self, overlay: "MultiLevelOverlay", level: OverlayLevel) -> None:
+        super().__init__(overlay.network)
+        self._overlay = overlay
+        # One of the customization pass's working levels, not (yet) one the
+        # overlay serves.
+        self._level = level
 
     def outgoing(self, node: int):
-        if self._overlay is None:
-            return self._network.outgoing(node)
-        overlay = self._overlay
-        below = self._below
-        cell = overlay.cell_at(node, below)
-        edges = [
-            e
-            for e in self._network.outgoing(node)
-            if overlay.cell_at(e.target, below) != cell
-        ]
-        edges.extend(self._shortcuts.shortcuts_from(node))
+        edges = self._overlay.crossing(node, self._level.level)
+        edges.extend(self._level.shortcuts_from(node))
         return edges
 
 
-def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
-    """All boundary profile searches of one cell.
+def _cell_job(state: dict, boundary: Sequence[int], members: frozenset):
+    """All boundary profile searches of one cell, on the cell's restriction
+    of the graph one level down.
 
     Returns ``("ok", rows, searches, expanded)`` with deterministic row
     order (sorted boundary sources, sorted targets), or a typed failure
@@ -324,15 +288,15 @@ def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
     """
     overlay: MultiLevelOverlay = state["overlay"]
     level: int = state["level"]
-    graph = _LevelBuildGraph(overlay, state["levels"], level)
+    below = state["levels"][level - 1] if level else None
+    graph = restrict(
+        overlay.network if below is None else _LevelGraph(overlay, below), members
+    )
     context: SearchContext = state.setdefault(
         "context", SearchContext(graph, max_pops=state["max_pops"])
     )
     horizon: TimeInterval = state["horizon"]
     deadline_at = state["deadline_at"]
-    in_cell = (
-        lambda n, c=cell_index, k=level, ov=overlay: ov.cell_at(n, k) == c
-    )
     targets = frozenset(boundary)
     rows: list[tuple[int, int, tuple, tuple]] = []
     searches = 0
@@ -345,13 +309,7 @@ def _cell_job(state: dict, cell_index: int, boundary: Sequence[int]):
                 else {"deadline": max(deadline_at - time.monotonic(), 0.0)}
             )
             result = profile_search(
-                graph,
-                b,
-                horizon,
-                node_filter=in_cell,
-                targets=targets,
-                context=context,
-                **budget,
+                graph, b, horizon, targets=targets, context=context, **budget
             )
             searches += 1
             expanded += result.stats.expanded_paths
@@ -445,12 +403,37 @@ class MultiLevelOverlay:
     def shortcuts_from(self, node: int, level: int) -> tuple[ShortcutEdge, ...]:
         return self.levels[level].shortcuts_from(node)
 
+    def crossing(self, node: int, level: int) -> list:
+        """``node``'s street edges that leave its level-``level`` cell."""
+        cell_at = self.cell_at
+        cell = cell_at(node, level)
+        return [
+            e for e in self._network.outgoing(node) if cell_at(e.target, level) != cell
+        ]
+
     def members_at(self, node: int, level: int) -> frozenset[int]:
         """Every node sharing ``node``'s level-``level`` cell (path expansion)."""
-        cell = self.cell_at(node, level)
-        return frozenset(
-            n for n in self._network.node_ids() if self.cell_at(n, level) == cell
-        )
+        return self._members(level)[self.cell_at(node, level)]
+
+    def _members(self, level: int) -> dict[int, frozenset[int]]:
+        """Every non-empty level-``level`` cell with its nodes."""
+        cells: dict[int, set[int]] = {}
+        for n in self._network.node_ids():
+            cells.setdefault(self.cell_at(n, level), set()).add(n)
+        return {cell: frozenset(nodes) for cell, nodes in cells.items()}
+
+    def _boundaries(self, level: int) -> dict[int, set[int]]:
+        """Every level-``level`` cell with a boundary node (an endpoint of
+        an edge crossing the cell's border) with those nodes; nesting makes
+        a level-``k`` boundary node one at every level below too."""
+        cell_at = self.cell_at
+        cells: dict[int, set[int]] = {}
+        for e in self._network.edges():
+            cu, cv = cell_at(e.source, level), cell_at(e.target, level)
+            if cu != cv:
+                cells.setdefault(cu, set()).add(e.source)
+                cells.setdefault(cv, set()).add(e.target)
+        return cells
 
     # ------------------------------------------------------------------
     @classmethod
@@ -568,19 +551,15 @@ class MultiLevelOverlay:
         started = time.monotonic()
         deadline_at = None if deadline is None else started + deadline
         count = len(self.levels)
-        boundaries = _boundaries_by_level(
-            self._network, self._grid, self._fanout, count
-        )
         working = list(self.levels)
         recomputed = 0
-        for level, by_cell in enumerate(boundaries):
+        for level in range(count):
             level_started = time.monotonic()
+            by_cell = self._boundaries(level)
             cells = set(by_cell) if touched is None else touched[level]
-            tasks = [
-                (cell, tuple(sorted(by_cell[cell])))
-                for cell in sorted(cells)
-                if by_cell.get(cell)
-            ]
+            members = self._members(level)
+            order = [cell for cell in sorted(cells) if by_cell.get(cell)]
+            tasks = [(tuple(sorted(by_cell[c])), members[c]) for c in order]
             if not tasks:
                 continue
             state = {
@@ -599,7 +578,7 @@ class MultiLevelOverlay:
             fresh_rows: dict[int, list] = {}
             searches = 0
             expanded = 0
-            for (cell, _), outcome in zip(tasks, outcomes):
+            for cell, outcome in zip(order, outcomes):
                 kind = outcome[0]
                 if kind == "timeout":
                     raise QueryTimeout(outcome[1], SearchStats(timed_out=True))
@@ -690,10 +669,6 @@ class MultiLevelOverlay:
             level, old.nx, old.ny, src, dst, off, xs, ys, stats
         )
 
-    # ------------------------------------------------------------------
-    def fingerprint_grid(self) -> tuple[int, int]:
-        return self._grid.shape
-
 
 def _empty_level(level: int, nx: int, ny: int) -> OverlayLevel:
     return OverlayLevel(
@@ -711,40 +686,3 @@ def _empty_level(level: int, nx: int, ny: int) -> OverlayLevel:
 def _level_dims(nx: int, ny: int, fanout: int, level: int) -> tuple[int, int]:
     div = fanout**level
     return (max(1, -(-nx // div)), max(1, -(-ny // div)))
-
-
-def _boundaries_by_level(
-    network, grid: GridPartition, fanout: int, levels: int
-) -> list[dict[int, set[int]]]:
-    """Per level, ``{cell_index: boundary node set}`` in one edge pass.
-
-    A node is level-``k`` boundary when one of its edges crosses a level-``k``
-    cell border; nesting means every level-``k`` boundary node is also
-    boundary at every level below.
-    """
-    nx0, ny0 = grid.shape
-    dims = [_level_dims(nx0, ny0, fanout, k) for k in range(levels)]
-    divisors = [fanout**k for k in range(levels)]
-    cell_of = grid.cell_of_node
-
-    def lift(base: int, k: int) -> int:
-        return ((base // nx0) // divisors[k]) * dims[k][0] + (
-            base % nx0
-        ) // divisors[k]
-
-    out: list[dict[int, set[int]]] = [{} for _ in range(levels)]
-    for edge in network.edges():
-        cu = cell_of(edge.source)
-        cv = cell_of(edge.target)
-        if cu == cv:
-            continue
-        for k in range(levels):
-            ku = lift(cu, k) if k else cu
-            kv = lift(cv, k) if k else cv
-            if ku == kv:
-                # Nested partitions: once two nodes share a cell they share
-                # every coarser cell too.
-                break
-            out[k].setdefault(ku, set()).add(edge.source)
-            out[k].setdefault(kv, set()).add(edge.target)
-    return out

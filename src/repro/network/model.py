@@ -6,10 +6,9 @@ a spatial location and each edge ``n_i -> n_j`` carries a road distance
 :class:`~repro.patterns.categories.Calendar` maps days to categories for the
 whole network.
 
-The query engines never iterate the whole graph; they access it through the
-small *accessor* surface (``location``, ``outgoing``, ``find_edge``) that the
-CCAM disk store also implements, so the same engine runs against memory or
-disk.
+The query engines never iterate the whole graph; they read it through the
+:class:`~repro.core.graph.Graph` protocol, which the CCAM disk store also
+implements, so the same engine runs against memory or disk.
 """
 
 from __future__ import annotations
@@ -51,11 +50,19 @@ class Edge:
     pattern: CapeCodPattern
     road_class: RoadClass | None = None
 
+    #: No precomputed traversal bound (the engine skips its bound test).
+    min_tt = 0.0
+
     def __post_init__(self) -> None:
         if self.distance < 0:
             raise NetworkError(
                 f"edge {self.source}->{self.target} has negative length"
             )
+
+    def arrival_function(self, store, lo: float, hi: float):
+        """``A(t) = S⁻¹(S(t) + d)`` (§4.1) on ``[lo, hi]``, from the store's
+        canonical ``(edge, day)`` functions."""
+        return store._street(self, lo, hi)
 
 
 class CapeCodNetwork:
@@ -133,8 +140,11 @@ class CapeCodNetwork:
         return fwd, bwd
 
     # ------------------------------------------------------------------
-    # Accessor surface shared with the CCAM store
+    # The Graph protocol (repro.core.graph), shared with the CCAM store
     # ------------------------------------------------------------------
+    #: An in-memory network reads no pages.
+    page_reads = 0
+
     @property
     def calendar(self) -> Calendar:
         return self._calendar
@@ -155,6 +165,9 @@ class CapeCodNetwork:
         if node_id not in self._out:
             raise NodeNotFoundError(node_id)
         return list(self._out[node_id])
+
+    def outgoing_from(self, node_id: int, prev: int | None) -> list[Edge]:
+        return self.outgoing(node_id)
 
     def incoming(self, node_id: int) -> list[Edge]:
         """Incoming edges of a node."""
@@ -285,17 +298,6 @@ class CapeCodNetwork:
                         nxt.append(v)
             frontier = nxt
         return seen
-
-    def reversed_copy(self) -> "CapeCodNetwork":
-        """The transpose graph (used by arrival-interval queries)."""
-        rev = CapeCodNetwork(self._calendar)
-        for node in self._nodes.values():
-            rev.add_node(node.id, node.x, node.y)
-        for edge in self.edges():
-            rev.add_edge(
-                edge.target, edge.source, edge.distance, edge.pattern, edge.road_class
-            )
-        return rev
 
     def to_networkx(self):
         """Export to a :class:`networkx.DiGraph` (analysis convenience)."""

@@ -324,8 +324,8 @@ class AllFPService(SurfaceBase):
     Parameters
     ----------
     network:
-        Anything with the engine's accessor surface (in-memory network or
-        CCAM store).  Loaded once, shared by every worker.
+        A :class:`~repro.core.graph.Graph` (in-memory network or CCAM
+        store).  Loaded once, shared by every worker.
     estimator:
         The (possibly precomputed) estimator to clone per worker; defaults
         to the engine's naive estimator.

@@ -17,7 +17,7 @@ This package is a from-scratch reimplementation:
   range scan / lazy delete).
 * :mod:`~repro.storage.buffer` — LRU buffer manager with I/O counters.
 * :mod:`~repro.storage.ccam` — the store: build from a network, open from
-  disk, and the accessor surface the engines consume.
+  disk, and the :class:`~repro.core.graph.Graph` protocol the engines read.
 """
 
 from .hilbert import hilbert_index, hilbert_value

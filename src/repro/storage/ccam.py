@@ -13,9 +13,9 @@ File layout (version 2; all regions page-aligned to one ``page_size``):
 
 Queries open the file behind one LRU :class:`~repro.storage.buffer.BufferManager`
 (data and index pages share it, as they would share a disk and buffer pool),
-and expose the same accessor surface as the in-memory network — ``calendar``,
-``location``, ``outgoing``, ``incoming``, ``find_edge``, ``max_speed`` — plus
-the paper's ``find_node`` / ``get_successors`` names and I/O counters.  The query
+and implement the :class:`~repro.core.graph.Graph` protocol like the
+in-memory network — plus ``incoming``, ``find_edge``, the paper's
+``find_node`` / ``get_successors`` names and I/O counters.  The query
 engines therefore run unchanged against disk, and their
 ``stats.page_reads`` report physical page I/O.
 
@@ -315,6 +315,9 @@ class CCAMStore:
         return [self._edge_from_ref(node_id, ref) for ref in record.neighbors]
 
     get_successors = outgoing
+
+    def outgoing_from(self, node_id: int, prev: int | None) -> list[Edge]:
+        return self.outgoing(node_id)
 
     def incoming(self, node_id: int) -> list[Edge]:
         """Edges into a node, by ascending source id, read from the pages.

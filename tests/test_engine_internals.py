@@ -111,7 +111,7 @@ class TestEdgeFunctionCache:
             source, target = 5, 6
             profile = MonotonePiecewiseLinear([(0.0, 7.0), (1000.0, 1007.0)])
 
-            def arrival_function(self, lo, hi):
+            def arrival_function(self, store, lo, hi):
                 return self.profile
 
         cache = EdgeFunctionCache(cal)
@@ -169,6 +169,7 @@ class TestEdgeFunctionCache:
     def test_contexts_share_one_store(self, cal, edge):
         class Net:
             calendar = cal
+            page_reads = 0
 
         store = EdgeFunctionCache(cal)
         a = SearchContext(Net(), edge_cache=store, max_pops=1)

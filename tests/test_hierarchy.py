@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.astar import path_travel_time
 from repro.core.engine import IntAllFastestPaths
-from repro.core.profile import arrival_profile, travel_time_profile
+from repro.core.graph import restrict
+from repro.core.profile import profile_search
 from repro.core.astar import fixed_departure_query
 from repro.exceptions import QueryError
 from repro.hierarchy import MultiLevelOverlay, OverlayEngine, ShortcutEdge
@@ -37,7 +38,7 @@ def flat(metro_small):
 class TestProfileSearch:
     def test_matches_oracle(self, metro_tiny):
         interval = TimeInterval(parse_clock("6:30"), parse_clock("8:30"))
-        profiles = arrival_profile(metro_tiny, 0, interval)
+        profiles = profile_search(metro_tiny, 0, interval).profiles
         assert len(profiles) == metro_tiny.node_count
         for node in list(profiles)[::13]:
             if node == 0:
@@ -50,34 +51,27 @@ class TestProfileSearch:
 
     def test_source_profile_is_identity(self, metro_tiny):
         interval = TimeInterval(100.0, 200.0)
-        profiles = arrival_profile(metro_tiny, 5, interval)
+        profiles = profile_search(metro_tiny, 5, interval).profiles
         assert profiles[5](150.0) == pytest.approx(150.0)
 
     def test_node_filter_restricts(self, metro_tiny):
         interval = TimeInterval(100.0, 200.0)
         allowed = set(range(30))
-        profiles = arrival_profile(
-            metro_tiny, 0, interval, node_filter=allowed.__contains__
-        )
+        profiles = profile_search(
+            restrict(metro_tiny, allowed), 0, interval
+        ).profiles
         assert set(profiles) <= allowed
 
     def test_targets_filter(self, metro_tiny):
         interval = TimeInterval(100.0, 200.0)
-        profiles = arrival_profile(metro_tiny, 0, interval, targets=[7, 13])
+        profiles = profile_search(
+            metro_tiny, 0, interval, targets=[7, 13]
+        ).profiles
         assert set(profiles) <= {0, 7, 13} - {0} | {7, 13}
-
-    def test_travel_time_profile_convenience(self, metro_tiny):
-        interval = TimeInterval(100.0, 160.0)
-        fn = travel_time_profile(metro_tiny, 0, interval, 42)
-        assert fn is not None
-        oracle = fixed_departure_query(metro_tiny, 0, 42, 130.0)
-        assert fn(130.0) == pytest.approx(oracle.arrival, abs=1e-6)
 
     def test_unreachable_absent(self, metro_tiny):
         interval = TimeInterval(100.0, 160.0)
-        profiles = arrival_profile(
-            metro_tiny, 0, interval, node_filter=lambda n: n == 0
-        )
+        profiles = profile_search(restrict(metro_tiny, {0}), 0, interval).profiles
         assert set(profiles) == {0}
 
 
@@ -121,13 +115,13 @@ class TestIndexBuild:
         )
         shortcut = index.shortcuts_from(node, 0)[0]
         with pytest.raises(QueryError, match="horizon"):
-            shortcut.arrival_function(0.0, 10.0)
+            shortcut.arrival_function(None, 0.0, 10.0)
 
     def test_shortcut_min_travel_time_positive(self, index):
         node = next(
             n for n in index.network.node_ids() if index.shortcuts_from(n, 0)
         )
-        assert index.shortcuts_from(node, 0)[0].min_travel_time > 0
+        assert index.shortcuts_from(node, 0)[0].min_tt > 0
 
 
 class TestHierarchicalQueries:
@@ -185,8 +179,8 @@ class TestShortcutEdgeType:
         shortcut = ShortcutEdge(1, 2, fn)
         assert shortcut.source == 1
         assert shortcut.target == 2
-        assert shortcut.cache_tag == 1
         # Any covered window gets the stored profile back unclipped
         # (compose seeks to the window itself); uncovered windows raise.
-        assert shortcut.arrival_function(10.0, 50.0) is fn
-        assert shortcut.arrival_function(0.0, 100.0) is fn
+        # The row is the function, so no edge-function store is read.
+        assert shortcut.arrival_function(None, 10.0, 50.0) is fn
+        assert shortcut.arrival_function(None, 0.0, 100.0) is fn

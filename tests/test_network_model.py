@@ -9,6 +9,7 @@ from repro.exceptions import (
     NetworkError,
     NodeNotFoundError,
 )
+from repro.core.graph import transpose
 from repro.network.model import CapeCodNetwork, Edge, Node
 from repro.patterns.categories import Calendar
 from repro.patterns.schema import RoadClass
@@ -201,12 +202,12 @@ class TestGraphViews:
         net.add_edge(0, 1, 1.0, pat)
         assert not net.is_strongly_connected()
 
-    def test_reversed_copy(self, triangle):
-        rev = triangle.reversed_copy()
-        assert rev.has_edge(1, 0)
-        assert not rev.has_edge(0, 1)
+    def test_transpose(self, triangle):
+        rev = transpose(triangle)
+        assert [e.target for e in rev.outgoing(1)] == [0]
+        assert [e.source for e in rev.incoming(0)] == [1]
         assert rev.node_count == 3
-        assert rev.find_edge(1, 0).distance == 1.0
+        assert rev.outgoing(1)[0].distance == 1.0
 
     def test_to_networkx(self, triangle):
         g = triangle.to_networkx()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.astar import fixed_departure_query
 from repro.core.engine import IntAllFastestPaths
-from repro.core.profile import arrival_profile
+from repro.core.profile import profile_search
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.patterns.schema import constant_speed_schema
 from repro.timeutil import TimeInterval, parse_clock
@@ -70,7 +70,7 @@ class TestAgainstNetworkx:
 
     def test_profile_search_matches(self, constant_metro, nx_times):
         interval = TimeInterval(parse_clock("7:00"), parse_clock("8:00"))
-        profiles = arrival_profile(constant_metro, 0, interval)
+        profiles = profile_search(constant_metro, 0, interval).profiles
         assert set(profiles) == set(nx_times)
         for node, fn in list(profiles.items())[::17]:
             travel = fn(interval.start) - interval.start

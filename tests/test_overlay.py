@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.astar import fixed_departure_query
 from repro.core.engine import IntAllFastestPaths
+from repro.core.graph import GraphView
 from repro.core.runtime import (
     QueryTimeout,
     SearchBudgetExceeded,
@@ -24,7 +25,7 @@ from repro.core.runtime import (
 from repro.estimators import snapshot as snap
 from repro.estimators.boundary import BoundaryNodeEstimator
 from repro.exceptions import EstimatorError, QueryError
-from repro.hierarchy import MultiLevelOverlay, OverlayEngine
+from repro.hierarchy import MultiLevelOverlay, OverlayEngine, ShortcutEdge
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.timeutil import TimeInterval, parse_clock
 
@@ -180,11 +181,14 @@ class TestCliqueSuppression:
         node = next(
             n
             for n in metro_tiny.node_ids()
-            if any(hasattr(e, "min_tt") for e in graph.outgoing(n))
+            if any(
+                isinstance(e, ShortcutEdge)
+                for e in graph.outgoing_from(n, None)
+            )
         )
         full = graph.outgoing_from(node, None)
-        shortcuts = [e for e in full if hasattr(e, "min_tt")]
-        streets = [e for e in full if not hasattr(e, "min_tt")]
+        shortcuts = [e for e in full if isinstance(e, ShortcutEdge)]
+        streets = [e for e in full if not isinstance(e, ShortcutEdge)]
         assert shortcuts
         # Arriving over one of the clique's own shortcuts: only the
         # crossing street edges remain.
@@ -198,9 +202,9 @@ class TestCliqueSuppression:
         assert len(entered) == len(full)
 
     def test_engine_passes_predecessor(self, metro_tiny, overlay_tiny):
-        """The generic engine must consult ``outgoing_from`` when present:
-        overlay searches generate strictly fewer labels than the same
-        query with the hook hidden."""
+        """The generic engine must pass the predecessor to
+        ``outgoing_from``: overlay searches generate strictly fewer labels
+        than the same query on a view that ignores it."""
         engine = OverlayEngine(overlay_tiny)
         with_hook = engine.all_fastest_paths(0, 99, WINDOW)
 
@@ -219,16 +223,11 @@ class TestCliqueSuppression:
             )
 
 
-class _HideOutgoingFrom:
-    """Accessor wrapper dropping the ``outgoing_from`` trimming hook."""
+class _HideOutgoingFrom(GraphView):
+    """A view of the hybrid graph that never trims by predecessor."""
 
-    def __init__(self, graph):
-        self._graph = graph
-
-    def __getattr__(self, name):
-        if name == "outgoing_from":
-            raise AttributeError(name)
-        return getattr(self._graph, name)
+    def outgoing_from(self, node, prev):
+        return self._graph.outgoing_from(node, None)
 
 
 class TestParity:

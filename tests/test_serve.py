@@ -10,6 +10,7 @@ import urllib.request
 import pytest
 
 from repro.core.engine import IntAllFastestPaths, QueryTimeout
+from repro.core.graph import GraphView
 from repro.func import kernel
 from repro.exceptions import (
     ServiceClosed,
@@ -42,24 +43,22 @@ def wait_until(predicate, timeout=5.0, interval=0.002):
     pytest.fail("condition not reached within timeout")
 
 
-class GatedNetwork:
-    """Delegating wrapper whose ``outgoing`` blocks while the gate is closed.
+class GatedNetwork(GraphView):
+    """A view whose ``outgoing`` blocks while the gate is closed.
 
     Lets tests hold an engine run mid-search so concurrent duplicates are
-    deterministically in flight together.
+    deterministically in flight together.  Only ``outgoing`` is overridden:
+    ``outgoing_from``, what the engine calls, reads through it.
     """
 
     def __init__(self, inner):
-        self._inner = inner
+        super().__init__(inner)
         self.gate = threading.Event()
         self.gate.set()
 
     def outgoing(self, node_id):
         assert self.gate.wait(timeout=30.0), "gate never opened"
-        return self._inner.outgoing(node_id)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+        return self._graph.outgoing(node_id)
 
 
 @pytest.fixture
