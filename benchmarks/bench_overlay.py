@@ -105,8 +105,7 @@ def measure_pairs(network, overlay, pairs, interval, reps):
 
 def snapshot_roundtrip(network, overlay, estimator_grid, pair, interval):
     """Persist a v2 snapshot, map it back, serve one warm allFP query."""
-    from repro.serve import AllFPService, InProcessClient, ServiceConfig
-    from repro.workloads.queries import QuerySpec
+    from repro.serve import AllFPService, QueryRequest, ServiceConfig
 
     estimator = BoundaryNodeEstimator(
         network, estimator_grid, estimator_grid
@@ -136,10 +135,9 @@ def snapshot_roundtrip(network, overlay, estimator_grid, pair, interval):
         )
         service = AllFPService(network, config=config, overlay=mapped)
         try:
-            client = InProcessClient(service)
-            spec = QuerySpec(pair[0], pair[1], interval, 0.0)
+            request = QueryRequest(pair[0], pair[1], interval)
             t0 = time.perf_counter()
-            served = client.query(spec).result
+            served = service.query(request).result
             serve_seconds = time.perf_counter() - t0
         finally:
             service.close()

@@ -90,7 +90,7 @@ def main() -> int:
         print("healthz ok: 2/2 shards alive over mmap transport")
 
         # 2. HTTP answer equals the single-process answer
-        status, body = client.query(0, 99, interval)
+        status, body = client.query(QueryRequest(0, 99, interval))
         assert status == 200, (status, body)
         assert canonical(body["result"]) == baseline[(0, 99)], body
         assert "degraded_shard" not in body, body
@@ -117,7 +117,7 @@ def main() -> int:
                 break
         source, target, owner = victim
         tier.kill_shard(owner)
-        status, body = client.query(source, target, interval)
+        status, body = client.query(QueryRequest(source, target, interval))
         assert status == 200, (status, body)
         assert body["degraded"] is True, body
         assert body.get("degraded_shard") == owner, body

@@ -125,12 +125,11 @@ def check_http_replay(events) -> None:
         try:
             first = events[0].batch.mutations[0]
             for source, target in ((first.source, first.target), (0, 99)):
-                status, body = client.query(source, target, INTERVAL)
+                request = QueryRequest(source, target, INTERVAL)
+                status, body = client.query(request)
                 assert status == 200, body
                 assert body["version"] == len(events), body
-                fresh = reference.query(
-                    QueryRequest(source, target, INTERVAL)
-                )
+                fresh = reference.query(request)
                 assert _canonical_doc(body["result"]) == _canonical(
                     fresh.result
                 ), f"answer diverges on {source}->{target}"

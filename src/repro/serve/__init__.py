@@ -11,7 +11,7 @@ from .admission import AdmissionController, Deadline
 from .batching import ResultCache, SingleFlight
 from .boot import open_service
 from .chaos import ChaosReport, default_fault_plan, run_chaos
-from .client import HTTPClient, InProcessClient
+from .client import HTTPClient
 from .http import ServeServer, make_server, start_in_thread
 from .metrics import MetricsRegistry, parse_metrics
 from .service import (
@@ -42,7 +42,6 @@ __all__ = [
     "ServeServer",
     "make_server",
     "start_in_thread",
-    "InProcessClient",
     "HTTPClient",
     "ChaosReport",
     "default_fault_plan",

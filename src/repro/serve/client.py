@@ -1,9 +1,9 @@
-"""Clients for the query service.
+"""The HTTP client for the query service.
 
-:class:`InProcessClient` talks straight to a service surface (tests, the
-chaos runner — no socket overhead); :class:`HTTPClient` speaks the JSON API
-via :mod:`urllib` (smoke tests, ``replay-updates``).  Load generation is not
-a product feature: ``benchmarks/e2e/run.py`` is the instrument.
+:class:`HTTPClient` speaks the JSON API via :mod:`urllib` (tests, smoke
+scripts, ``replay-updates``); in-process callers call
+``service.query(QueryRequest(...))`` directly.  Load generation is not a
+product feature: ``benchmarks/e2e/run.py`` is the instrument.
 """
 
 from __future__ import annotations
@@ -13,44 +13,11 @@ import random
 import time
 import urllib.error
 import urllib.request
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..exceptions import ReproError, ServeClientError
-from ..timeutil import TimeInterval
-from ..workloads.queries import QuerySpec
-from .service import QueryRequest, QueryResponse, ServiceSurface
-
-
-class InProcessClient:
-    """Thin wrapper presenting the client interface over a local service."""
-
-    def __init__(self, service: ServiceSurface) -> None:
-        self._service = service
-
-    def query(
-        self, spec: QuerySpec, mode: str = "allfp", deadline: float | None = None
-    ) -> QueryResponse:
-        return self._service.query(
-            QueryRequest(spec.source, spec.target, spec.interval, mode, deadline)
-        )
-
-    def batch(
-        self,
-        pairs: Sequence[tuple[int, int]],
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> QueryResponse:
-        pairs = tuple(pairs)
-        return self._service.query(
-            QueryRequest(
-                pairs[0][0] if pairs else 0,
-                None,
-                interval,
-                "batch",
-                deadline,
-                pairs=pairs,
-            )
-        )
+from .http import request_to_wire
+from .service import QueryRequest
 
 
 class HTTPClient:
@@ -181,96 +148,11 @@ class HTTPClient:
             raise ReproError(f"metrics returned HTTP {status}")
         return body.decode()
 
-    def query(
-        self,
-        source: int,
-        target: int,
-        interval: TimeInterval,
-        mode: str = "allfp",
-        deadline: float | None = None,
-        max_staleness: float | None = None,
-    ) -> tuple[int, dict]:
-        body: dict = {
-            "source": source,
-            "target": target,
-            "start": interval.start,
-            "end": interval.end,
-        }
-        if deadline is not None:
-            body["deadline"] = deadline
-        if max_staleness is not None:
-            body["max_staleness"] = max_staleness
-        return self.post(f"/v1/{mode}", body)
-
-    def profile(
-        self,
-        source: int,
-        targets: Sequence[int],
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> tuple[int, dict]:
-        body: dict = {
-            "source": source,
-            "targets": list(targets),
-            "start": interval.start,
-            "end": interval.end,
-        }
-        if deadline is not None:
-            body["deadline"] = deadline
-        return self.post("/v1/profile", body)
-
-    def knn(
-        self,
-        source: int,
-        candidates: Sequence[int],
-        k: int,
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> tuple[int, dict]:
-        body: dict = {
-            "source": source,
-            "candidates": list(candidates),
-            "k": k,
-            "start": interval.start,
-            "end": interval.end,
-        }
-        if deadline is not None:
-            body["deadline"] = deadline
-        return self.post("/v1/knn", body)
-
-    def batch(
-        self,
-        pairs: Sequence[tuple[int, int]],
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> tuple[int, dict]:
-        body: dict = {
-            "items": [
-                {"source": int(s), "target": int(t)} for s, t in pairs
-            ],
-            "start": interval.start,
-            "end": interval.end,
-        }
-        if deadline is not None:
-            body["deadline"] = deadline
-        return self.post("/v1/batch", body)
-
-    def batch_one_to_many(
-        self,
-        source: int,
-        targets: Sequence[int],
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> tuple[int, dict]:
-        body: dict = {
-            "source": source,
-            "targets": list(targets),
-            "start": interval.start,
-            "end": interval.end,
-        }
-        if deadline is not None:
-            body["deadline"] = deadline
-        return self.post("/v1/batch", body)
+    def query(self, request: QueryRequest) -> tuple[int, dict]:
+        """POST ``request`` to ``/v1/{mode}``; returns ``(status,
+        decoded_body)`` like :meth:`post`."""
+        body = request_to_wire(request)
+        return self.post(f"/v1/{body.pop('mode')}", body)
 
     def updates(self, batch) -> tuple[int, dict]:
         """POST a live-update batch to ``/v1/updates``.

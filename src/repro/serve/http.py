@@ -11,8 +11,10 @@ Endpoints
          "start": 420.0, "end": 540.0,               # absolute minutes
          "deadline": 5.0}                            # optional, seconds
 
-    200 response: ``{"result": <result.as_dict()>, "cached": bool,
-    "coalesced": bool, "elapsed_ms": float}``.
+    200 response (every query route): ``{"result": <result.as_dict()>,
+    "cached": bool, "coalesced": bool, "elapsed_ms": float, "degraded":
+    bool, "stale": bool, "version": int}``, plus ``"degraded_shard"`` when
+    a shard tier failed over.
 
 ``POST /v1/profile``
     Earliest-arrival functions from ``source`` to an explicit, bounded
@@ -62,6 +64,15 @@ Query bodies may carry ``max_staleness`` (seconds): when the service is
 further behind the accepted update stream than that, the query is refused
 with 503 + ``Retry-After`` instead of answered against old data.
 
+These bodies are the one wire form of a request and of an answer.
+:func:`request_to_wire` writes a :class:`~repro.serve.service.QueryRequest`
+as its body plus ``"mode"`` (interval as ``start``/``end``, batch pairs as
+``items``, ``None`` fields left out); :func:`parse_request` decodes a body
+under the HTTP-only policy (list caps, required profile ``targets``,
+positive ``deadline``), :func:`request_from_wire` decodes the same dict
+without it, and :func:`response_to_wire` writes the 200 body.  The HTTP
+client and the shard pipe use these and nothing else.
+
 Every POST must declare its body with a non-negative integer
 ``Content-Length`` (at most ``MAX_BODY_BYTES``); the declared body is read
 before the path is routed, and a request whose body is left unread closes
@@ -97,7 +108,7 @@ from ..exceptions import (
 )
 from .. import reliability
 from ..timeutil import TimeInterval, parse_clock
-from .service import QueryRequest, ServiceSurface
+from .service import QueryRequest, QueryResponse, ServiceSurface
 from .updates import MutationBatch
 
 #: Maximum accepted request body, bytes — queries are tiny.
@@ -162,7 +173,9 @@ def _require_node_id(body: dict, field: str) -> int:
     return body[field]
 
 
-def _node_id_list(body: dict, field: str, required: bool) -> tuple[int, ...] | None:
+def _node_id_list(
+    body: dict, field: str, required: bool, http: bool
+) -> tuple[int, ...] | None:
     value = body.get(field)
     if value is None:
         if required:
@@ -170,7 +183,7 @@ def _node_id_list(body: dict, field: str, required: bool) -> tuple[int, ...] | N
         return None
     if not isinstance(value, list) or not value:
         raise BadRequest(f"{field!r} must be a non-empty list of node ids")
-    if len(value) > MAX_PROFILE_TARGETS:
+    if http and len(value) > MAX_PROFILE_TARGETS:
         raise BadRequest(
             f"{field!r} has {len(value)} entries; at most "
             f"{MAX_PROFILE_TARGETS} allowed"
@@ -183,13 +196,13 @@ def _node_id_list(body: dict, field: str, required: bool) -> tuple[int, ...] | N
     return tuple(value)
 
 
-def _batch_pairs(body: dict) -> tuple[tuple[int, int], ...]:
+def _batch_pairs(body: dict, http: bool) -> tuple[tuple[int, int], ...]:
     """The batch's ``(source, target)`` pairs from either accepted form."""
     items = body.get("items")
     if items is not None:
         if not isinstance(items, list) or not items:
             raise BadRequest("'items' must be a non-empty list of objects")
-        if len(items) > MAX_BATCH_ITEMS:
+        if http and len(items) > MAX_BATCH_ITEMS:
             raise BadRequest(
                 f"'items' has {len(items)} entries; at most "
                 f"{MAX_BATCH_ITEMS} allowed"
@@ -205,13 +218,13 @@ def _batch_pairs(body: dict) -> tuple[tuple[int, int], ...]:
             )
         return tuple(pairs)
     source = _require_node_id(body, "source")
-    targets = _node_id_list(body, "targets", required=False)
+    targets = _node_id_list(body, "targets", required=False, http=http)
     if targets is None:
         raise BadRequest(
             "batch requires either 'items' (source/target objects) or "
             "'source' plus 'targets'"
         )
-    if len(targets) > MAX_BATCH_ITEMS:
+    if http and len(targets) > MAX_BATCH_ITEMS:
         raise BadRequest(
             f"'targets' has {len(targets)} entries; at most "
             f"{MAX_BATCH_ITEMS} allowed"
@@ -219,20 +232,23 @@ def _batch_pairs(body: dict) -> tuple[tuple[int, int], ...]:
     return tuple((source, target) for target in targets)
 
 
-def parse_request(body: dict, mode: str) -> QueryRequest:
+def _decode(body: dict, mode: str, http: bool) -> QueryRequest:
+    """One request from its wire form.  ``http`` adds the policy only an
+    untrusted socket needs: the list caps, "profile needs ``targets``"
+    (one-to-all output is unbounded over HTTP), a positive ``deadline`` and
+    a non-negative ``max_staleness``."""
     target = targets = candidates = k = pairs = None
     if mode == "batch":
-        pairs = _batch_pairs(body)
+        pairs = _batch_pairs(body, http)
         source = pairs[0][0]
     else:
         source = _require_node_id(body, "source")
     if mode in ("allfp", "singlefp"):
         target = _require_node_id(body, "target")
     elif mode == "profile":
-        # One-to-all output is unbounded over HTTP, so the list is required.
-        targets = _node_id_list(body, "targets", required=True)
+        targets = _node_id_list(body, "targets", required=http, http=http)
     elif mode == "knn":
-        candidates = _node_id_list(body, "candidates", required=True)
+        candidates = _node_id_list(body, "candidates", required=True, http=http)
         k = body.get("k")
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise BadRequest(f"'k' must be a positive integer, got {k!r}")
@@ -242,7 +258,7 @@ def parse_request(body: dict, mode: str) -> QueryRequest:
             deadline = float(deadline)
         except (TypeError, ValueError) as exc:
             raise BadRequest(f"'deadline' must be a number: {exc}") from exc
-        if deadline <= 0:
+        if http and deadline <= 0:
             raise BadRequest("'deadline' must be positive")
     max_staleness = body.get("max_staleness")
     if max_staleness is not None:
@@ -253,7 +269,7 @@ def parse_request(body: dict, mode: str) -> QueryRequest:
                 f"'max_staleness' must be seconds >= 0, got {max_staleness!r}"
             )
         max_staleness = float(max_staleness)
-        if max_staleness < 0:
+        if http and max_staleness < 0:
             raise BadRequest("'max_staleness' must be >= 0")
     try:
         return QueryRequest(
@@ -270,6 +286,55 @@ def parse_request(body: dict, mode: str) -> QueryRequest:
         )
     except QueryError as exc:
         raise BadRequest(str(exc)) from exc
+
+
+def parse_request(body: dict, mode: str) -> QueryRequest:
+    """The request one ``POST /v1/{mode}`` body asks, under the HTTP policy."""
+    return _decode(body, mode, http=True)
+
+
+def request_to_wire(request: QueryRequest) -> dict:
+    """The HTTP body of ``request`` plus its ``"mode"``: the one encoding of
+    a request, POSTed by :class:`~repro.serve.client.HTTPClient` and carried
+    on the shard pipe.  Fields that are ``None`` are left out."""
+    doc = {
+        "mode": request.mode,
+        "start": request.interval.start,
+        "end": request.interval.end,
+    }
+    if request.pairs is not None:
+        doc["items"] = [{"source": s, "target": t} for s, t in request.pairs]
+    else:
+        doc["source"] = request.source
+    for name in (
+        "target", "targets", "candidates", "k", "deadline", "max_staleness"
+    ):
+        value = getattr(request, name)
+        if value is not None:
+            doc[name] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+def request_from_wire(doc: dict) -> QueryRequest:
+    """Decode :func:`request_to_wire`'s dict (the shard pipe's side: no HTTP
+    policy, so the in-process tier still serves a one-to-all profile)."""
+    return _decode(doc, doc["mode"], http=False)
+
+
+def response_to_wire(response: QueryResponse) -> dict:
+    """The 200 body of one answered query (also its shard-pipe form)."""
+    body = {
+        "result": response.result.as_dict(),
+        "cached": response.cached,
+        "coalesced": response.coalesced,
+        "elapsed_ms": response.elapsed_seconds * 1e3,
+        "degraded": response.degraded,
+        "stale": response.stale,
+        "version": response.version,
+    }
+    if response.degraded_shard is not None:
+        body["degraded_shard"] = response.degraded_shard
+    return body
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -396,18 +461,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ReproError as exc:
             self._send_error_json(500, exc)
         else:
-            body = {
-                "result": response.result.as_dict(),
-                "cached": response.cached,
-                "coalesced": response.coalesced,
-                "elapsed_ms": response.elapsed_seconds * 1e3,
-                "degraded": response.degraded,
-                "stale": response.stale,
-                "version": response.version,
-            }
-            if response.degraded_shard is not None:
-                body["degraded_shard"] = response.degraded_shard
-            self._send_json(200, body)
+            self._send_json(200, response_to_wire(response))
 
 
 class ServeServer(ThreadingHTTPServer):

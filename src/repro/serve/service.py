@@ -84,8 +84,15 @@ class QueryRequest:
     ``pairs`` parameterises ``batch``: the ``(source, target)`` queries to
     answer together, preserved in input order (answers come back
     positionally), so the cache key is order-sensitive — two batches with
-    the same pairs in a different order are different requests.  ``source``
-    is conventionally the first pair's source for a batch request.
+    the same pairs in a different order are different requests.  A batch's
+    ``source`` is always its first pair's, whatever was passed: the wire
+    form carries only the pairs.  The batch passes admission control once
+    (one slot regardless of size — size the deadline accordingly), shares
+    the service's ``SearchContext``/edge-function cache across its
+    per-source profile searches, and answers with a
+    :class:`~repro.core.batch.BatchResult` of one item per pair in input
+    order.  A deadline that trips mid-batch yields per-item errors for the
+    unfinished pairs rather than losing the finished ones.
 
     ``max_staleness`` (seconds, optional) opts the caller into the bounded
     staleness contract: when the service has accepted live updates it has
@@ -133,10 +140,12 @@ class QueryRequest:
                 raise QueryError("mode 'knn' requires a candidates list")
             if self.k is None or self.k < 1:
                 raise QueryError(f"mode 'knn' requires k >= 1, got {self.k}")
-        if self.mode == "batch" and not self.pairs:
-            raise QueryError(
-                "mode 'batch' requires a non-empty pairs list"
-            )
+        if self.mode == "batch":
+            if not self.pairs:
+                raise QueryError(
+                    "mode 'batch' requires a non-empty pairs list"
+                )
+            object.__setattr__(self, "source", self.pairs[0][0])
 
     def key(self, version: int) -> tuple:
         return (
@@ -167,8 +176,7 @@ class QueryResponse:
     the contract the mutation-chaos harness holds the service to: a
     non-stale answer claiming version ``v`` must byte-match a fault-free
     re-execution against the network with exactly the first ``v`` update
-    batches applied.  ``-1`` means unversioned (stale-cache fallbacks,
-    pre-update wire peers).
+    batches applied.  ``-1`` means unversioned (stale-cache fallbacks).
     """
 
     result: AllFPResult | SingleFPResult | ProfileResult | KnnResult | BatchResult
@@ -305,12 +313,8 @@ def clone_estimator(estimator: LowerBoundEstimator) -> LowerBoundEstimator:
     cursor while aliasing the read-only precomputed tables (grid, cell-pair
     matrix, boundary distances).  Estimators owning a nested estimator in
     ``_naive`` (e.g. the boundary estimator) get that nested cursor copied
-    too.  An estimator may override this wholesale with a
-    ``clone_for_worker()`` method.
+    too.
     """
-    custom = getattr(estimator, "clone_for_worker", None)
-    if callable(custom):
-        return custom()
     clone = copy.copy(estimator)
     nested = getattr(clone, "_naive", None)
     if isinstance(nested, LowerBoundEstimator):
@@ -639,103 +643,6 @@ class AllFPService(SurfaceBase):
         return self._updates.applied(batch, version)
 
     # ------------------------------------------------------------------
-    def all_fastest_paths(
-        self,
-        source: int,
-        target: int,
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> QueryResponse:
-        return self.query(
-            QueryRequest(source, target, interval, "allfp", deadline)
-        )
-
-    def single_fastest_path(
-        self,
-        source: int,
-        target: int,
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> QueryResponse:
-        return self.query(
-            QueryRequest(source, target, interval, "singlefp", deadline)
-        )
-
-    def profile(
-        self,
-        source: int,
-        interval: TimeInterval,
-        targets=None,
-        deadline: float | None = None,
-    ) -> QueryResponse:
-        return self.query(
-            QueryRequest(
-                source,
-                None,
-                interval,
-                "profile",
-                deadline,
-                targets=None if targets is None else tuple(targets),
-            )
-        )
-
-    def knn(
-        self,
-        source: int,
-        candidates,
-        k: int,
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> QueryResponse:
-        return self.query(
-            QueryRequest(
-                source,
-                None,
-                interval,
-                "knn",
-                deadline,
-                candidates=tuple(candidates),
-                k=k,
-            )
-        )
-
-    def batch(
-        self,
-        pairs,
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> QueryResponse:
-        """Answer many ``(source, target)`` queries as one admitted request.
-
-        The batch passes admission control once (one slot regardless of
-        size — size the deadline accordingly), shares the service's
-        ``SearchContext``/edge-function cache across its per-source profile
-        searches, and returns a :class:`~repro.core.batch.BatchResult` with
-        one item per pair in input order.  A deadline that trips mid-batch
-        yields per-item errors for the unfinished pairs rather than losing
-        the finished ones.
-        """
-        pairs = tuple((int(s), int(t)) for s, t in pairs)
-        if not pairs:
-            raise QueryError("batch requires at least one (source, target) pair")
-        return self.query(
-            QueryRequest(
-                pairs[0][0], None, interval, "batch", deadline, pairs=pairs
-            )
-        )
-
-    def batch_one_to_many(
-        self,
-        source: int,
-        targets,
-        interval: TimeInterval,
-        deadline: float | None = None,
-    ) -> QueryResponse:
-        """One-to-many convenience: one source against many targets."""
-        return self.batch(
-            [(source, target) for target in targets], interval, deadline
-        )
-
     def query(self, request: QueryRequest) -> QueryResponse:
         """Answer one request through admission, cache, and coalescing.
 

@@ -7,7 +7,8 @@ in-process consistent-hash router:
 * :mod:`repro.shard.ring` — the hash ring and the per-mode routing-key
   normalisation (cache affinity + minimal movement);
 * :mod:`repro.shard.worker` — the worker process main loop and the
-  pipe wire protocol (results as dicts, errors as typed descriptors);
+  pipe wire protocol (requests and answers in their HTTP form, errors as
+  typed descriptors);
 * :mod:`repro.shard.tier` — :class:`ShardedService`, the router with
   per-shard circuit breakers, ring failover, and worker restart.
 
@@ -15,6 +16,7 @@ See ``docs/sharding.md`` for the architecture and the two table
 transports.
 """
 
+from ..serve.http import request_from_wire, request_to_wire
 from .ring import DEFAULT_REPLICAS, HashRing, routing_key, stable_hash
 from .tier import ShardedService, WireResult
 from .worker import (
@@ -22,8 +24,6 @@ from .worker import (
     WorkerBoot,
     describe_error,
     rebuild_error,
-    request_from_wire,
-    request_to_wire,
     run_worker,
 )
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field, replace
 from .. import reliability
 from ..estimators.boundary import BoundaryNodeEstimator
 from ..exceptions import ReproError, ServiceClosed, ShardUnavailable
+from ..serve.http import request_to_wire
 from ..serve.metrics import MetricsRegistry
 from ..serve.service import QueryResponse, ServiceConfig, SurfaceBase
 from ..serve.updates import (
@@ -50,12 +51,7 @@ from ..serve.updates import (
 )
 from ..storage.ccam import CCAMStore
 from .ring import DEFAULT_REPLICAS, HashRing, routing_key
-from .worker import (
-    WorkerBoot,
-    rebuild_error,
-    request_to_wire,
-    run_worker,
-)
+from .worker import WorkerBoot, rebuild_error, run_worker
 
 #: Seconds past a query's deadline before the router gives up on a shard
 #: and fails over.  Worker death is detected faster (EOF on the pipe);
@@ -444,15 +440,16 @@ class ShardedService(SurfaceBase):
                         "shard_failover_total",
                         labels={"shard_id": str(failed_sid)},
                     )
+            # ``payload`` is the worker's HTTP 200 body (response_to_wire).
             return QueryResponse(
                 result=WireResult(payload["result"]),
                 cached=payload["cached"],
                 coalesced=payload["coalesced"],
-                elapsed_seconds=payload["elapsed_seconds"],
+                elapsed_seconds=payload["elapsed_ms"] / 1e3,
                 degraded=payload["degraded"] or failed_over,
                 stale=payload["stale"],
                 degraded_shard=order[0] if failed_over else None,
-                version=payload.get("version", -1),
+                version=payload["version"],
             )
         raise ShardUnavailable(order[0], last_reason)
 

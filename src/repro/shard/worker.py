@@ -11,13 +11,15 @@ parent-side router (:mod:`repro.shard.tier`) speaks a tiny tuple protocol:
   surface (:class:`~repro.serve.service.ServiceSurface`), called with
   ``args`` — or ``"close"``
 
-Results cross the pipe as their ``as_dict()`` payloads and errors as typed
-descriptors (class name + salient attributes) rather than pickled objects:
-exception classes with custom ``__init__`` signatures don't survive
-unpickling, and the dict forms are exactly what the HTTP layer serves
-anyway.  The parent rebuilds typed :class:`~repro.exceptions.ReproError`
-subclasses from the descriptors so ``isinstance`` checks (and the HTTP
-status mapping) behave identically with and without ``--shards``.
+A request crosses the pipe as its HTTP body plus ``"mode"`` and an answer
+as its HTTP 200 body — the one codec in :mod:`repro.serve.http`
+(``request_to_wire`` / ``request_from_wire`` / ``response_to_wire``).
+Errors cross as typed descriptors (class name + salient attributes)
+rather than pickled objects: exception classes with custom ``__init__``
+signatures don't survive unpickling.  The parent rebuilds typed
+:class:`~repro.exceptions.ReproError` subclasses from the descriptors so
+``isinstance`` checks (and the HTTP status mapping) behave identically
+with and without ``--shards``.
 
 A worker boots through :func:`repro.serve.boot.open_service`, the same call
 the CLI makes for ``--shards 0``: estimator tables and the overlay arrive as
@@ -47,7 +49,7 @@ from ..exceptions import (
     StalenessExceeded,
     WorkerCrashed,
 )
-from ..timeutil import TimeInterval
+from ..serve.http import request_from_wire, response_to_wire
 
 #: Fault point fired on every received message; an injected error here
 #: simulates a hard worker crash (``os._exit``), which the chaos harness
@@ -93,53 +95,8 @@ class WorkerBoot:
 
 
 # ----------------------------------------------------------------------
-# Wire forms
+# Errors across the pipe
 # ----------------------------------------------------------------------
-def request_to_wire(request) -> dict:
-    return {
-        "source": request.source,
-        "target": request.target,
-        "start": request.interval.start,
-        "end": request.interval.end,
-        "mode": request.mode,
-        "deadline": request.deadline,
-        "targets": request.targets,
-        "candidates": request.candidates,
-        "k": request.k,
-        "pairs": request.pairs,
-        "max_staleness": request.max_staleness,
-    }
-
-
-def request_from_wire(doc: dict):
-    from ..serve.service import QueryRequest
-
-    return QueryRequest(
-        source=doc["source"],
-        target=doc["target"],
-        interval=TimeInterval(doc["start"], doc["end"]),
-        mode=doc["mode"],
-        deadline=doc["deadline"],
-        targets=doc["targets"],
-        candidates=doc["candidates"],
-        k=doc["k"],
-        pairs=doc["pairs"],
-        max_staleness=doc.get("max_staleness"),
-    )
-
-
-def response_to_wire(response) -> dict:
-    return {
-        "result": response.result.as_dict(),
-        "cached": response.cached,
-        "coalesced": response.coalesced,
-        "elapsed_seconds": response.elapsed_seconds,
-        "degraded": response.degraded,
-        "stale": response.stale,
-        "version": response.version,
-    }
-
-
 def describe_error(exc: BaseException) -> dict:
     """A picklable descriptor the parent rebuilds a typed error from."""
     attrs: dict = {}

@@ -16,7 +16,6 @@ from repro.exceptions import QueryError
 from repro.serve import (
     AllFPService,
     HTTPClient,
-    InProcessClient,
     QueryRequest,
     ServiceConfig,
     make_server,
@@ -39,6 +38,10 @@ def network_json(tmp_path_factory):
     )
     assert code == 0
     return path
+
+
+def _batch(pairs, interval):
+    return QueryRequest(pairs[0][0], None, interval, "batch", pairs=pairs)
 
 
 @pytest.fixture
@@ -165,20 +168,20 @@ class TestBatchEngine:
 # ----------------------------------------------------------------------
 class TestBatchService:
     def test_batch_mode(self, service, interval):
-        response = service.batch([(0, 9), (3, 7)], interval)
+        response = service.query(_batch([(0, 9), (3, 7)], interval))
         assert isinstance(response.result, BatchResult)
         assert len(response.result.items) == 2
         assert response.result.items[0].reachable
 
     def test_one_to_many_and_result_cache(self, service, interval):
-        first = service.batch_one_to_many(0, [9, 10], interval)
-        second = service.batch_one_to_many(0, [9, 10], interval)
+        first = service.query(_batch([(0, 9), (0, 10)], interval))
+        second = service.query(_batch([(0, 9), (0, 10)], interval))
         assert not first.cached
         assert second.cached
 
     def test_order_sensitive_cache_key(self, service, interval):
-        forward = service.batch([(0, 9), (0, 10)], interval)
-        reversed_ = service.batch([(0, 10), (0, 9)], interval)
+        forward = service.query(_batch([(0, 9), (0, 10)], interval))
+        reversed_ = service.query(_batch([(0, 10), (0, 9)], interval))
         assert not reversed_.cached
         assert [i.target for i in forward.result.items] == [9, 10]
         assert [i.target for i in reversed_.result.items] == [10, 9]
@@ -187,15 +190,10 @@ class TestBatchService:
         with pytest.raises(QueryError, match="non-empty pairs"):
             QueryRequest(0, None, interval, "batch")
 
-    def test_inprocess_client(self, service, interval):
-        client = InProcessClient(service)
-        response = client.batch([(0, 9)], interval)
-        assert response.result.items[0].reachable
-
     def test_metrics_labelled_by_mode(self, service, interval):
         from repro.func import kernel
 
-        service.batch([(0, 9)], interval)
+        service.query(_batch([(0, 9)], interval))
         text = service.render_metrics()
         kb = f'kernel_backend="{kernel.active_backend()}"'
         assert f'responses_total{{{kb},mode="batch",status="ok"}}' in text
@@ -207,7 +205,7 @@ class TestBatchService:
 class TestBatchHTTP:
     def test_items_form(self, http_service, interval):
         _, client = http_service
-        status, body = client.batch([(0, 9), (3, 7)], interval)
+        status, body = client.query(_batch([(0, 9), (3, 7)], interval))
         assert status == 200
         items = body["result"]["items"]
         assert [(i["source"], i["target"]) for i in items] == [(0, 9), (3, 7)]
@@ -217,7 +215,11 @@ class TestBatchHTTP:
 
     def test_one_to_many_form(self, http_service, interval):
         _, client = http_service
-        status, body = client.batch_one_to_many(0, [9, 10, 11], interval)
+        status, body = client.post(
+            "/v1/batch",
+            {"source": 0, "targets": [9, 10, 11],
+             "start": interval.start, "end": interval.end},
+        )
         assert status == 200
         assert len(body["result"]["items"]) == 3
         assert body["result"]["groups"] == 1

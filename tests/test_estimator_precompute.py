@@ -38,6 +38,7 @@ from repro.exceptions import EstimatorError, NoPathError
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.network.model import CapeCodNetwork
 from repro.patterns.speed import CapeCodPattern, DailySpeedPattern
+from repro.serve import QueryRequest
 from repro.timeutil import TimeInterval, parse_clock
 
 #: Worker count for the "default" parallel tests; the CI matrix leg sets
@@ -424,7 +425,7 @@ class TestServeWarmStart:
         est = BoundaryNodeEstimator(metro_tiny, 3, 3)
         interval = TimeInterval(parse_clock("7:00"), parse_clock("7:30"))
         with self._service(metro_tiny, est) as service:
-            response = service.all_fastest_paths(0, 55, interval)
+            response = service.query(QueryRequest(0, 55, interval))
             assert response.result.stats.bound_evaluations > 0
             assert service.metrics.counter_total(
                 "engine_bound_evaluations_total"
@@ -435,14 +436,14 @@ class TestServeWarmStart:
         tables = est.tables
         interval = TimeInterval(parse_clock("7:00"), parse_clock("7:30"))
         with self._service(metro_tiny, est) as service:
-            first = service.all_fastest_paths(0, 55, interval)
+            first = service.query(QueryRequest(0, 55, interval))
             service.invalidate(refresh_estimator=True)
             assert est.tables is not tables  # precompute re-ran
             assert (
                 service.metrics.counter_value("estimator_refreshes_total")
                 == 1.0
             )
-            second = service.all_fastest_paths(0, 55, interval)
+            second = service.query(QueryRequest(0, 55, interval))
             assert second.result.entries == first.result.entries
             assert not second.cached  # version bump invalidated the cache
 

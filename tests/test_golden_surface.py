@@ -35,6 +35,7 @@ from repro.network.generator import MetroConfig, make_metro_network
 from repro.serve import (
     AllFPService,
     HTTPClient,
+    QueryRequest,
     ServiceConfig,
     make_server,
     parse_metrics,
@@ -120,9 +121,9 @@ def wire_surface(factory) -> dict:
         )
         surface = {"healthz": shape(client.healthz())}
         for name, (status, body) in {
-            "allfp_200": client.query(0, 99, interval),
+            "allfp_200": client.query(QueryRequest(0, 99, interval)),
             "updates_200": client.updates(batch),
-            "error_404": client.query(10**9, 5, interval),
+            "error_404": client.query(QueryRequest(10**9, 5, interval)),
             "error_400": client.post("/v1/allfp", {}),
         }.items():
             assert status == int(name[-3:]), (name, status, body)
@@ -134,7 +135,7 @@ def wire_surface(factory) -> dict:
             raise ServiceOverloaded(65, 64, 0.05)
 
         service.query = overloaded  # the HTTP mapping is what is pinned
-        status, body = client.query(0, 99, interval)
+        status, body = client.query(QueryRequest(0, 99, interval))
         assert status == 503, (status, body)
         surface["error_503"] = shape(body)
         return surface

@@ -358,15 +358,12 @@ class TestSnapshotRoundTrip:
 
 class TestServing:
     def test_service_with_overlay_matches_flat(self, metro_tiny, overlay_tiny):
-        from repro.serve import AllFPService, InProcessClient, ServiceConfig
-        from repro.workloads.queries import QuerySpec
+        from repro.serve import AllFPService, QueryRequest, ServiceConfig
 
-        spec = QuerySpec(
-            source=0, target=99, interval=WINDOW, euclidean_distance=1.0
-        )
+        request = QueryRequest(0, 99, WINDOW)
         flat = AllFPService(metro_tiny, config=ServiceConfig(workers=1))
         try:
-            expect = InProcessClient(flat).query(spec).result
+            expect = flat.query(request).result
         finally:
             flat.close()
         service = AllFPService(
@@ -374,7 +371,7 @@ class TestServing:
         )
         try:
             assert service.stats()["overlay_levels"] == 2
-            got = InProcessClient(service).query(spec).result
+            got = service.query(request).result
         finally:
             service.close()
         for instant in WINDOW.sample(5):
@@ -383,9 +380,8 @@ class TestServing:
             )
 
     def test_sharded_warm_boot(self, tmp_path, metro_tiny, overlay_tiny):
-        from repro.serve import InProcessClient, ServiceConfig
+        from repro.serve import QueryRequest, ServiceConfig
         from repro.shard import ShardedService
-        from repro.workloads.queries import QuerySpec
 
         estimator = BoundaryNodeEstimator(metro_tiny, 4, 4)
         estimator.precompute()
@@ -395,9 +391,6 @@ class TestServing:
             path,
             snap.network_fingerprint(metro_tiny),
             overlay=overlay_tiny,
-        )
-        spec = QuerySpec(
-            source=0, target=99, interval=WINDOW, euclidean_distance=1.0
         )
         expect = IntAllFastestPaths(metro_tiny).all_fastest_paths(
             0, 99, WINDOW
@@ -413,7 +406,7 @@ class TestServing:
         try:
             health = tier.shard_health()
             assert all(h["overlay_mode"] == "mmap" for h in health)
-            got = InProcessClient(tier).query(spec).result.as_dict()
+            got = tier.query(QueryRequest(0, 99, WINDOW)).result.as_dict()
         finally:
             tier.close()
         for lo_hi in got["border"]:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import pickle
 import threading
 import time
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import IntAllFastestPaths, QueryTimeout
 from repro.core.graph import GraphView
@@ -17,6 +20,7 @@ from repro.exceptions import (
     ServiceOverloaded,
 )
 from repro.serve import (
+    MODES,
     AdmissionController,
     AllFPService,
     HTTPClient,
@@ -28,6 +32,12 @@ from repro.serve import (
     make_server,
     parse_metrics,
     start_in_thread,
+)
+from repro.serve.http import (
+    parse_request,
+    request_from_wire,
+    request_to_wire,
+    response_to_wire,
 )
 from repro.timeutil import TimeInterval
 from repro.workloads.queries import morning_rush_interval, random_queries
@@ -234,22 +244,22 @@ class TestMetricsRegistry:
 class TestServiceBasics:
     def test_allfp_matches_direct_engine(self, metro_tiny, service, interval):
         direct = IntAllFastestPaths(metro_tiny).all_fastest_paths(0, 99, interval)
-        served = service.all_fastest_paths(0, 99, interval)
+        served = service.query(QueryRequest(0, 99, interval))
         assert [e.path for e in served.result.entries] == [
             e.path for e in direct.entries
         ]
         assert not served.cached and not served.coalesced
 
     def test_repeat_is_cached(self, service, interval):
-        first = service.all_fastest_paths(0, 99, interval)
-        second = service.all_fastest_paths(0, 99, interval)
+        first = service.query(QueryRequest(0, 99, interval))
+        second = service.query(QueryRequest(0, 99, interval))
         assert not first.cached
         assert second.cached
         assert second.result is first.result
         assert service.stats()["engine_runs"] == 1
 
     def test_singlefp_mode(self, service, interval):
-        response = service.single_fastest_path(0, 99, interval)
+        response = service.query(QueryRequest(0, 99, interval, "singlefp"))
         assert response.result.optimal_travel_time > 0
 
     def test_bad_mode_rejected(self, interval):
@@ -260,7 +270,7 @@ class TestServiceBasics:
         svc = AllFPService(metro_tiny, config=ServiceConfig(workers=1))
         svc.close()
         with pytest.raises(ServiceClosed):
-            svc.all_fastest_paths(0, 99, interval)
+            svc.query(QueryRequest(0, 99, interval))
 
 
 class TestCoalescing:
@@ -280,7 +290,7 @@ class TestCoalescing:
 
             def call():
                 try:
-                    responses.append(svc.all_fastest_paths(0, 99, interval))
+                    responses.append(svc.query(QueryRequest(0, 99, interval)))
                 except Exception as exc:  # noqa: BLE001
                     errors.append(exc)
 
@@ -305,6 +315,42 @@ class TestCoalescing:
             gated.gate.set()
             svc.close()
 
+    def test_n_http_clients_one_engine_run(self, metro_tiny, interval):
+        """The same over the socket: N clients POST one query while the
+        leader is held mid-search, and one engine run answers all N."""
+        gated = GatedNetwork(metro_tiny)
+        svc = AllFPService(gated, config=ServiceConfig(workers=2))
+        server = make_server(svc, port=0)
+        start_in_thread(server)
+        host, port = server.server_address[:2]
+        try:
+            gated.gate.clear()
+            n = 4
+            outcomes = []
+
+            def call():
+                client = HTTPClient(f"http://{host}:{port}")
+                outcomes.append(client.query(QueryRequest(5, 77, interval)))
+
+            threads = [threading.Thread(target=call) for _ in range(n)]
+            for t in threads:
+                t.start()
+            wait_until(
+                lambda: svc.stats()["single_flight"]["coalesced"] == n - 1,
+                timeout=30.0,
+            )
+            gated.gate.set()
+            for t in threads:
+                t.join()
+            assert [status for status, _ in outcomes] == [200] * n
+            assert sum(body["coalesced"] for _, body in outcomes) == n - 1
+            assert svc.stats()["engine_runs"] == 1
+        finally:
+            gated.gate.set()
+            server.shutdown()
+            server.server_close()
+            svc.close()
+
     def test_coalescing_off_runs_engine_per_request(self, metro_tiny, interval):
         svc = AllFPService(
             metro_tiny,
@@ -313,8 +359,8 @@ class TestCoalescing:
             ),
         )
         try:
-            svc.all_fastest_paths(0, 99, interval)
-            svc.all_fastest_paths(0, 99, interval)
+            svc.query(QueryRequest(0, 99, interval))
+            svc.query(QueryRequest(0, 99, interval))
             assert svc.stats()["engine_runs"] == 2
         finally:
             svc.close()
@@ -325,10 +371,10 @@ class TestDeadlines:
         self, service, interval
     ):
         with pytest.raises(QueryTimeout) as exc_info:
-            service.all_fastest_paths(0, 99, interval, deadline=1e-9)
+            service.query(QueryRequest(0, 99, interval, deadline=1e-9))
         assert exc_info.value.stats.timed_out
         # The pool is healthy: the same query now succeeds.
-        ok = service.all_fastest_paths(0, 99, interval)
+        ok = service.query(QueryRequest(0, 99, interval))
         assert ok.result.entries
         assert (
             service.metrics.counter_value(
@@ -348,8 +394,8 @@ class TestDeadlines:
 
     def test_timeout_error_not_cached(self, service, interval):
         with pytest.raises(QueryTimeout):
-            service.all_fastest_paths(0, 99, interval, deadline=1e-9)
-        response = service.all_fastest_paths(0, 99, interval)
+            service.query(QueryRequest(0, 99, interval, deadline=1e-9))
+        response = service.query(QueryRequest(0, 99, interval))
         assert not response.cached
 
 
@@ -371,7 +417,7 @@ class TestAdmissionIntegration:
 
             def call(target):
                 try:
-                    outcomes.append(svc.all_fastest_paths(0, target, interval))
+                    outcomes.append(svc.query(QueryRequest(0, target, interval)))
                 except Exception as exc:  # noqa: BLE001
                     outcomes.append(exc)
 
@@ -382,7 +428,7 @@ class TestAdmissionIntegration:
             wait_until(lambda: svc.stats()["admission"]["pending"] == 2)
             started = time.monotonic()
             with pytest.raises(ServiceOverloaded):
-                svc.all_fastest_paths(0, 33, interval)
+                svc.query(QueryRequest(0, 33, interval))
             rejection_seconds = time.monotonic() - started
             assert rejection_seconds < 0.5  # fast-fail, not queued
             gated.gate.set()
@@ -439,11 +485,11 @@ class TestHTTP:
 
     def test_allfp_roundtrip(self, http_service, interval):
         _, client = http_service
-        status, body = client.query(0, 99, interval)
+        status, body = client.query(QueryRequest(0, 99, interval))
         assert status == 200
         assert body["result"]["entries"]
         assert body["cached"] is False
-        status, body = client.query(0, 99, interval)
+        status, body = client.query(QueryRequest(0, 99, interval))
         assert body["cached"] is True
 
     def test_clock_string_interval(self, http_service):
@@ -495,7 +541,7 @@ class TestHTTP:
 
     def test_unknown_node_is_404(self, http_service, interval):
         _, client = http_service
-        status, payload = client.query(0, 123456, interval)
+        status, payload = client.query(QueryRequest(0, 123456, interval))
         assert status == 404
         assert payload["error"] == "NodeNotFoundError"
 
@@ -506,7 +552,7 @@ class TestHTTP:
 
     def test_deadline_maps_to_504(self, http_service, interval):
         _, client = http_service
-        status, payload = client.query(0, 99, interval, deadline=1e-9)
+        status, payload = client.query(QueryRequest(0, 99, interval, deadline=1e-9))
         assert status == 504
         assert payload["error"] == "QueryTimeout"
 
@@ -514,7 +560,7 @@ class TestHTTP:
         svc, client = http_service
         ok = 0
         for target in (99, 55, 99, 42, 99):
-            status, _ = client.query(0, target, interval)
+            status, _ = client.query(QueryRequest(0, target, interval))
             assert status == 200
             ok += 1
         samples = parse_metrics(client.metrics_text())
@@ -530,6 +576,72 @@ class TestHTTP:
         assert samples[f"repro_pending_requests{{{kb}}}"] == 0
         count_key = f'repro_request_latency_seconds_count{{{kb},mode="allfp"}}'
         assert samples[count_key] == ok
+
+
+_node = st.integers(0, 10**6)
+_node_list = st.lists(_node, min_size=1, max_size=8)
+
+
+@st.composite
+def _requests(draw, http: bool) -> QueryRequest:
+    """A request of any mode, optional fields ``None`` or set; ``http``
+    keeps it inside the HTTP-only policy (profile ``targets`` present,
+    ``deadline`` > 0, ``max_staleness`` >= 0)."""
+    mode = draw(st.sampled_from(MODES))
+    start = draw(st.floats(0.0, 7 * 1440.0))
+    interval = TimeInterval(start, start + draw(st.floats(0.0, 600.0)))
+    fields = {
+        "deadline": draw(st.none() | st.floats(1e-6 if http else -1e4, 1e4)),
+        "max_staleness": draw(st.none() | st.floats(0.0 if http else -1e4, 1e4)),
+    }
+    target = None
+    if mode in ("allfp", "singlefp"):
+        target = draw(_node)
+    elif mode == "profile":
+        fields["targets"] = draw(_node_list if http else st.none() | _node_list)
+    elif mode == "knn":
+        fields["candidates"] = draw(_node_list)
+        fields["k"] = draw(st.integers(1, 8))
+    else:
+        fields["pairs"] = draw(
+            st.lists(st.tuples(_node, _node), min_size=1, max_size=8)
+        )
+    return QueryRequest(draw(_node), target, interval, mode, **fields)
+
+
+class TestWireCodec:
+    """One encoding of a request: what the HTTP client POSTs, what the
+    server parses and what the shard pipe carries are the same dict."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_requests(http=False))
+    def test_pipe_round_trip(self, req):
+        doc = request_to_wire(req)
+        assert request_from_wire(doc) == req
+        assert request_from_wire(pickle.loads(pickle.dumps(doc))) == req
+
+    @settings(max_examples=200, deadline=None)
+    @given(_requests(http=True))
+    def test_http_body_parses_back(self, req):
+        body = json.loads(json.dumps(request_to_wire(req)))
+        assert body.pop("mode") == req.mode
+        assert parse_request(body, req.mode) == req
+
+    def test_none_fields_are_left_out(self, interval):
+        doc = request_to_wire(QueryRequest(0, 99, interval))
+        assert doc == {
+            "mode": "allfp", "start": 420.0, "end": 480.0,
+            "source": 0, "target": 99,
+        }
+
+    def test_answer_body_is_the_handler_body(self, http_service, interval):
+        svc, client = http_service
+        request = QueryRequest(0, 99, interval)
+        status, body = client.query(request)
+        assert status == 200
+        cached = json.loads(json.dumps(response_to_wire(svc.query(request))))
+        assert sorted(cached) == sorted(body)
+        assert cached["result"] == body["result"]
 
 
 def _read_response(stream) -> tuple[int, dict, bytes]:
@@ -632,7 +744,9 @@ class TestOneToManyModes:
         from repro.core.profile import profile_search
 
         direct = profile_search(metro_tiny, 0, interval, targets=[5, 27, 99])
-        served = service.profile(0, interval, targets=[5, 27, 99])
+        served = service.query(
+            QueryRequest(0, None, interval, "profile", targets=[5, 27, 99])
+        )
         assert set(served.result.profiles) == set(direct.profiles)
         for node, fn in served.result.profiles.items():
             assert fn(interval.start) == pytest.approx(
@@ -644,26 +758,36 @@ class TestOneToManyModes:
         from repro.core.knn import interval_knn
 
         direct = interval_knn(metro_tiny, 0, [12, 34, 56, 78], 2, interval)
-        served = service.knn(0, [12, 34, 56, 78], 2, interval)
+        served = service.query(
+            QueryRequest(0, None, interval, "knn", candidates=[12, 34, 56, 78], k=2)
+        )
         assert served.result.node_ids() == direct.node_ids()
 
     def test_profile_repeat_is_cached(self, service, interval):
-        first = service.profile(0, interval, targets=[5, 99])
-        second = service.profile(0, interval, targets=[99, 5, 5])
+        first = service.query(
+            QueryRequest(0, None, interval, "profile", targets=[5, 99])
+        )
+        second = service.query(
+            QueryRequest(0, None, interval, "profile", targets=[99, 5, 5])
+        )
         assert not first.cached
         # Target normalisation makes the permuted repeat the same cache key.
         assert second.cached
 
     def test_http_profile_roundtrip(self, http_service, interval):
         _, client = http_service
-        status, body = client.profile(0, [5, 27, 99], interval)
+        status, body = client.query(
+            QueryRequest(0, None, interval, "profile", targets=[5, 27, 99])
+        )
         assert status == 200
         assert set(body["result"]["profiles"]) == {"5", "27", "99"}
         assert body["result"]["stats"]["expanded_paths"] > 0
 
     def test_http_knn_roundtrip(self, http_service, interval):
         _, client = http_service
-        status, body = client.knn(0, [12, 34, 56, 78], 2, interval)
+        status, body = client.query(
+            QueryRequest(0, None, interval, "knn", candidates=[12, 34, 56, 78], k=2)
+        )
         assert status == 200
         neighbors = body["result"]["neighbors"]
         assert len(neighbors) == 2
@@ -702,7 +826,9 @@ class TestOneToManyModes:
 
     def test_profile_deadline_maps_to_504(self, http_service, interval):
         _, client = http_service
-        status, payload = client.profile(0, [99], interval, deadline=1e-9)
+        status, payload = client.query(
+            QueryRequest(0, None, interval, "profile", 1e-9, targets=[99])
+        )
         assert status == 504
         assert payload["error"] == "QueryTimeout"
 
@@ -715,14 +841,12 @@ class TestConcurrentClients:
     def test_thread_pool_of_clients_all_answered(self, metro_tiny, service):
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.serve import InProcessClient
-
         queries = random_queries(
             metro_tiny, 8, morning_rush_interval(1.0), seed=11
         )
-        client = InProcessClient(service)
+        requests = [QueryRequest(q.source, q.target, q.interval) for q in queries]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            responses = list(pool.map(client.query, queries))
+            responses = list(pool.map(service.query, requests))
         assert len(responses) == 8
         for spec, response in zip(queries, responses):
             assert response.result.source == spec.source

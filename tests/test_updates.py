@@ -355,7 +355,6 @@ class TestOverlayRefreshFailure:
 
     def test_sharded_tier_keeps_both_workers(self, tmp_path):
         from repro.estimators import snapshot as snap
-        from repro.serve import InProcessClient
         from repro.shard import ShardedService
 
         network, overlay, batch, flat = self._case()
@@ -377,10 +376,7 @@ class TestOverlayRefreshFailure:
         try:
             assert tier.apply_updates(batch) == 1
             assert [h["alive"] for h in tier.shard_health()] == [True, True]
-            spec = QuerySpec(
-                source=0, target=99, interval=INTERVAL, euclidean_distance=1.0
-            )
-            got = InProcessClient(tier).query(spec)
+            got = tier.query(_request(0, 99))
             assert got.version == 1
             assert got.result.as_dict()["border"] == [
                 list(p) for p in flat.border.breakpoints
