@@ -91,9 +91,9 @@ class EdgeFunctionCache:
     before, on LRU eviction, or on which process answers.
 
     LRU-bounded, so a long-lived engine's memory follows its working set,
-    and locked, so a service's worker pool can share one; the lock is held
-    across the (occasionally slow) build on purpose: concurrent workers
-    never build the same function twice.  ``hits`` / ``misses`` count
+    and locked, so a service's concurrent engine runs can share one; the
+    lock is held across the (occasionally slow) build on purpose:
+    concurrent runs never build the same function twice.  ``hits`` / ``misses`` count
     ``(edge, day)`` lookups and feed ``SearchStats.edge_cache_*``.
     """
 
@@ -192,8 +192,8 @@ class SearchContext:
     Bundles the :class:`EdgeFunctionCache` and the default
     ``max_pops``/``deadline`` policy.  One context can back many engines
     (all five query engines plus the hierarchy shortcut builder accept
-    one), and a service shares a single store across its worker pool by
-    handing every worker the same context.
+    one), and a service shares a single store across its requests by
+    building every engine on the same context.
 
     Parameters
     ----------

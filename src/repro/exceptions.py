@@ -107,8 +107,8 @@ class ServiceClosed(ServiceError):
 
 class WorkerCrashed(ServiceError):
     """A worker task died with an unexpected error and its bounded retries
-    were exhausted.  The crashed worker's engine has already been replaced;
-    the failure is surfaced as this typed error instead of a raw traceback.
+    were exhausted.  Every attempt ran on a fresh engine; the failure is
+    surfaced as this typed error instead of a raw traceback.
     """
 
     def __init__(self, attempts: int, cause: str) -> None:

@@ -1,6 +1,6 @@
 """Deterministic fault injection and the degradation primitives it exercises.
 
-The production story of this repo (serve pool, estimator precompute, CCAM
+The production story of this repo (serve layer, estimator precompute, CCAM
 storage) needs a *provable* answer to "what happens when parts fail".  This
 module provides it in three pieces:
 
@@ -12,9 +12,8 @@ module provides it in three pieces:
   With no injector installed it is a single global load and compare, cheap
   enough for hot paths like page reads.
 * :class:`CircuitBreaker` — the classic closed → open → half-open gate the
-  serve layer wraps around estimator cloning/refresh so a persistently
-  failing estimator degrades to the naive bound instead of failing every
-  request.
+  shard router keeps per worker, so a persistently failing shard is
+  routed around instead of burning every request's dispatch budget.
 
 Injection points are dotted names mirroring the module that hosts them
 (``repro.storage.pages.read``, ``repro.serve.service.task`` …); a spec's

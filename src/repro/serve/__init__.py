@@ -1,7 +1,8 @@
 """repro.serve — the concurrent allFP query service (system S13).
 
 Wraps :class:`~repro.core.engine.IntAllFastestPaths` in a production-shaped
-service: a bounded worker pool over one warm shared edge-function cache,
+service: a bounded number of concurrent engine runs over one warm shared
+edge-function cache, one admissible lower bound per network version,
 request coalescing and TTL+LRU result caching, admission control with
 deadlines, a Prometheus-style ``/metrics`` endpoint, and a stdlib-only
 JSON/HTTP API.  See ``docs/serving.md``.

@@ -45,7 +45,7 @@ class Deadline:
 
 
 class AdmissionController:
-    """Counting gate in front of the worker pool.
+    """Counting gate in front of the engine slots.
 
     ``try_acquire`` / ``release`` bracket each admitted request;
     ``pending`` is the live depth exported as the queue-depth gauge.

@@ -10,9 +10,10 @@ The invariant every run asserts (``docs/reliability.md``):
     (b) a **typed error** — some :class:`~repro.exceptions.ReproError`, or
     (c) a **flagged degraded answer** — ``degraded=True``.  A
         degraded-but-fresh answer must *still* equal the baseline of its
-        version, because the fallback bound is admissible and A* stays
-        exact, and a failover answer likewise, because every worker holds
-        the full network; one served from the stale cache carries
+        version, because the naive bound that replaces a set-aside
+        estimator is built for that version, hence admissible, and A* stays
+        exact; a failover answer likewise, because every worker holds the
+        full network.  One served from the stale cache carries
         ``stale=True`` and version ``-1`` and is exempt from the match —
         it advertises its staleness, which is the contract's other half.
     Never a hang, an untyped crash, or a silently wrong answer.
@@ -38,7 +39,7 @@ from .. import reliability
 from ..exceptions import ReproError
 from ..workloads.queries import QuerySpec
 from .service import AllFPService, QueryRequest, ServiceConfig, ServiceSurface
-from .updates import apply_batch, replay_trace
+from .updates import replay_trace
 
 #: Seconds a chaos worker thread may run before the harness calls it a hang.
 DEFAULT_JOIN_TIMEOUT = 120.0
@@ -95,14 +96,15 @@ class ChaosReport:
 
 
 def default_fault_plan(seed: int = 0) -> reliability.FaultPlan:
-    """A representative mixed plan: storage errors, worker crashes,
-    estimator clone failures (enough to open the breaker), and slow tasks.
+    """A representative mixed plan: estimator re-customization errors (every
+    delta refresh under a trace fails, up to 8), worker crashes, storage
+    errors, and slow tasks.
     """
     return reliability.FaultPlan(
         seed=seed,
         specs=(
             reliability.FaultSpec(
-                "repro.serve.service.clone", mode="error",
+                "repro.estimators.precompute.cell", mode="error",
                 error="estimator", probability=1.0, max_fires=8,
             ),
             reliability.FaultSpec(
@@ -178,20 +180,23 @@ def _version_baselines(
     """Fault-free reference answers at every network version the trace
     produces: ``baselines[k]`` holds the canonical answer to each query
     against the network with exactly the first ``k`` trace batches applied.
-    A throwaway single-process service answers them — any admissible
-    estimator is exact, so the live service's (delta-refreshed) tables need
-    not be reproduced here.  Without a trace nothing is mutated, so the
-    reference reads the live network instead of a copy of it."""
-    reference_net = copy.deepcopy(network) if trace else network
-    baselines: list[list[str | None]] = []
-    for k in range(len(trace) + 1):
-        reference = AllFPService(reference_net, config=ServiceConfig(workers=2))
-        try:
+    A throwaway single-process service without a customization answers them
+    — its naive bound is re-derived for every version it is updated to, and
+    any admissible bound is exact, so the live service's (delta-refreshed)
+    tables need not be reproduced here.  Without a trace nothing is
+    mutated, so the reference reads the live network instead of a copy of
+    it."""
+    reference = AllFPService(
+        copy.deepcopy(network) if trace else network,
+        config=ServiceConfig(workers=2),
+    )
+    try:
+        baselines = [_baseline_row(reference, queries, deadline)]
+        for event in trace:
+            reference.apply_updates(event.batch)
             baselines.append(_baseline_row(reference, queries, deadline))
-        finally:
-            reference.close()
-        if k < len(trace):
-            apply_batch(reference_net, trace[k].batch)
+    finally:
+        reference.close()
     return baselines
 
 

@@ -86,7 +86,8 @@ is ``{"error": <class>, "message": <str>}``.
 
 Built on :class:`http.server.ThreadingHTTPServer`: one thread per
 connection, so slow queries never block ``/healthz`` or ``/metrics`` —
-actual compute concurrency stays bounded by the service's worker pool and
+each request's engine runs on its connection's thread, and compute
+concurrency stays bounded by the service's ``workers`` engine slots and
 admission control, not by socket count.
 """
 

@@ -3,13 +3,17 @@
 Turns :class:`~repro.core.engine.IntAllFastestPaths` from a library call
 into a system component:
 
-* one preloaded network and one **shared warm edge-function cache** across
-  every worker (the dominant per-query cost is materialising edge arrival
-  functions; sharing the cache means any worker's work warms all workers),
-* a bounded **thread worker pool** — each worker owns its own engine and a
-  cheap clone of the estimator (estimator ``prepare(target)`` mutates
-  per-query state, so the heavy precomputed tables are shared while the
-  mutable cursor is per-worker),
+* one preloaded network and one **shared warm edge-function cache** for
+  every request (the dominant per-query cost is materialising edge arrival
+  functions; sharing the cache means any request's work warms all others),
+* **one lower bound per network version** — the customized boundary
+  estimator while its tables match the network, otherwise a naive bound
+  read off the current version — picked again under the update write lock
+  after every batch.  Each request builds its engine on a cheap clone of
+  it (``prepare(target)`` mutates a per-query cursor; the precomputed
+  tables are shared),
+* at most ``config.workers`` engine runs at once, each on its caller's
+  thread,
 * **request coalescing** (single-flight) and a **TTL+LRU result cache**
   keyed on the query plus the service's version stamp,
 * **admission control** with fast-fail rejection and wall-clock deadlines
@@ -17,10 +21,10 @@ into a system component:
 * a :class:`~repro.serve.metrics.MetricsRegistry` that every layer reports
   into, rendered by ``GET /metrics``.
 
-The engine is pure-Python compute, so the pool does not add CPU
-parallelism under the GIL — it exists so the HTTP layer never blocks, so
-slow queries don't head-of-line-block fast ones, and so coalescing has
-concurrent duplicates to merge.
+The engine is pure-Python compute, so concurrent runs add no CPU
+parallelism under the GIL — the HTTP layer's thread per connection keeps
+``/healthz`` and fast queries from queueing behind a slow one, and gives
+coalescing concurrent duplicates to merge.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -39,6 +42,7 @@ from ..core.profile import ProfileResult, profile_search
 from ..core.results import AllFPResult, SearchStats, SingleFPResult
 from ..core.runtime import SearchContext
 from ..estimators.base import LowerBoundEstimator
+from ..estimators.boundary import BoundaryNodeEstimator
 from ..estimators.naive import NaiveEstimator
 from ..exceptions import (
     NoPathError,
@@ -51,7 +55,7 @@ from ..exceptions import (
 )
 from .. import reliability
 from ..func import kernel
-from ..reliability import CircuitBreaker
+from ..hierarchy.engine import OverlayEngine
 from ..timeutil import TimeInterval
 from .admission import AdmissionController, Deadline
 from .batching import ResultCache, SingleFlight
@@ -166,11 +170,12 @@ class QueryRequest:
 class QueryResponse:
     """A result plus how the service produced it.
 
-    ``degraded`` flags answers computed in a degraded mode — the estimator
-    circuit breaker fell back to the naive Euclidean bound (still admissible,
-    so the answer itself remains exact) or ``stale`` is set and the result
-    was served from the version-stamped cache after a deadline tripped
-    mid-recompute (possibly predating the latest network update).
+    ``degraded`` flags answers computed in a degraded mode — a boot artifact
+    failed to load, or the customized estimator or the overlay was set
+    aside after a failed re-customization (the naive bound and the flat
+    engine that stand in are exact, only slower) — or ``stale`` is set and
+    the result was served from the version-stamped cache after a deadline
+    tripped mid-recompute (possibly predating the latest network update).
 
     ``version`` is the network version this answer was computed against —
     the contract the mutation-chaos harness holds the service to: a
@@ -204,14 +209,9 @@ class ServiceConfig:
     result_cache_ttl: float = 300.0
     prune: bool = True
     max_pops: int | None = None
-    #: bounded retry budget for worker tasks that die with an *unexpected*
-    #: (non-Repro) error; the crashed worker's engine is replaced first
+    #: bounded retry budget for engine runs that die with an *unexpected*
+    #: (non-Repro) error; every attempt builds a fresh engine
     task_retries: int = 1
-    #: consecutive estimator clone/refresh failures before the circuit
-    #: breaker opens and workers fall back to the naive bound
-    breaker_failures: int = 3
-    #: seconds the breaker stays open before allowing one trial clone
-    breaker_reset: float = 30.0
     #: serve the last good (possibly stale) result when a deadline trips
     serve_stale: bool = False
     #: set by the shard tier on worker services; stamped as const labels
@@ -305,20 +305,18 @@ class SurfaceBase:
 
 
 def clone_estimator(estimator: LowerBoundEstimator) -> LowerBoundEstimator:
-    """A per-worker clone sharing the heavy precomputed state.
+    """A per-request clone sharing the heavy precomputed state.
 
     Estimators are re-targeted per query via ``prepare(target)``, which
     mutates a small cursor (target id/location/cell) — sharing one instance
     across concurrent queries would race.  A shallow copy duplicates that
     cursor while aliasing the read-only precomputed tables (grid, cell-pair
-    matrix, boundary distances).  Estimators owning a nested estimator in
-    ``_naive`` (e.g. the boundary estimator) get that nested cursor copied
-    too.
+    matrix, boundary distances); the boundary estimator's nested naive
+    estimator gets its cursor copied too.
     """
     clone = copy.copy(estimator)
-    nested = getattr(clone, "_naive", None)
-    if isinstance(nested, LowerBoundEstimator):
-        clone._naive = copy.copy(nested)
+    if isinstance(clone, BoundaryNodeEstimator):
+        clone._naive = copy.copy(clone._naive)
     return clone
 
 
@@ -329,19 +327,23 @@ class AllFPService(SurfaceBase):
     ----------
     network:
         A :class:`~repro.core.graph.Graph` (in-memory network or CCAM
-        store).  Loaded once, shared by every worker.
+        store).  Loaded once, shared by every request.
     estimator:
-        The (possibly precomputed) estimator to clone per worker; defaults
-        to the engine's naive estimator.
+        The customization: a precomputed
+        :class:`~repro.estimators.boundary.BoundaryNodeEstimator`, delta
+        re-customized with every update batch.  Anything else (``None``, a
+        :class:`~repro.estimators.naive.NaiveEstimator`) counts as none:
+        queries are bounded by a naive estimator the service builds for
+        each network version.
     config:
         A :class:`ServiceConfig`; defaults are sized for tests and small
         deployments.
     degraded:
-        Mark the whole service degraded from boot — set by the CLI when the
-        requested estimator snapshot failed to load and the service fell
-        back to a weaker (but admissible) bound.  Every response carries
-        ``degraded=True`` until :meth:`invalidate` successfully refreshes
-        the estimator.
+        Mark the whole service degraded from boot — set by
+        :func:`~repro.serve.boot.open_service` when a requested snapshot
+        failed to load and the service fell back to the naive bound or the
+        flat engine.  Every response carries ``degraded=True`` until
+        :meth:`invalidate` successfully refreshes a customization.
     overlay:
         A :class:`~repro.hierarchy.overlay.MultiLevelOverlay` built (or
         mapped from a v2 snapshot) for this exact network.  When given,
@@ -362,11 +364,20 @@ class AllFPService(SurfaceBase):
     ) -> None:
         self.config = config or ServiceConfig()
         self._network = network
-        self._estimator = estimator
+        self._estimator = (
+            estimator if isinstance(estimator, BoundaryNodeEstimator) else None
+        )
+        # The one bound every engine run clones: the customization while its
+        # tables match the network version, else a naive estimator built for
+        # that version (see _rebound).
+        self._bound: LowerBoundEstimator = (
+            NaiveEstimator(network) if self._estimator is None else self._estimator
+        )
         self._overlay = overlay
-        self._boot_degraded = degraded
+        # Boot errors, or the estimator or overlay set aside since.
+        self._degraded = degraded
         # One shared runtime for every engine and every one-to-many search:
-        # its edge-function store is locked, so the worker pool can share it.
+        # its edge-function store is locked, so concurrent runs share it.
         self._context = SearchContext(network, max_pops=self.config.max_pops)
         self._edge_cache = self._context.edge_cache
         self._admission = AdmissionController(self.config.max_pending)
@@ -380,12 +391,6 @@ class AllFPService(SurfaceBase):
         self._stale_cache = ResultCache(
             self.config.result_cache_size, float("inf")
         )
-        self._breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failures,
-            reset_timeout=self.config.breaker_reset,
-        )
-        self._fallback_estimator: NaiveEstimator | None = None
-        self._fallback_lock = threading.Lock()
         self.metrics = MetricsRegistry(const_labels=self._metric_labels())
         # The cache-generation stamp; bumps on invalidate() as well as on
         # updates.  The version answers *claim* is the ledger's applied
@@ -398,13 +403,8 @@ class AllFPService(SurfaceBase):
         # starve the mutation feed.
         self._update_rw = ReadWriteLock()
         self._closed = False
-        self._engine_generation = 0
-        self._local = threading.local()
-        self._stats_lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-serve-worker",
-        )
+        # Caps concurrent engine runs; each runs on its caller's thread.
+        self._slots = threading.BoundedSemaphore(self.config.workers)
         self.metrics.set_gauge(
             "pending_requests",
             lambda: self._admission.pending,
@@ -429,12 +429,7 @@ class AllFPService(SurfaceBase):
             "service_degraded",
             lambda: 1.0 if self.degraded else 0.0,
             help="1 when the service is serving degraded answers "
-            "(estimator breaker open or boot-time fallback)",
-        )
-        self.metrics.set_gauge(
-            "estimator_breaker_open",
-            lambda: 0.0 if self._breaker.state == "closed" else 1.0,
-            help="1 while the estimator circuit breaker is open or half-open",
+            "(boot-time fallback, or estimator or overlay set aside)",
         )
         self.metrics.set_gauge(
             "fault_injections_total",
@@ -458,19 +453,19 @@ class AllFPService(SurfaceBase):
 
         A snapshot-loaded estimator counts as one ``snapshot hit`` (the boot
         skipped its Dijkstras); an estimator that precomputed in-process
-        counts as a ``miss`` and reports the seconds it spent.  Estimators
-        without precomputation (e.g. naive) register nothing.
+        counts as a ``miss`` and reports the seconds it spent.  A service
+        without a customization registers nothing.
         """
         estimator = self._estimator
-        if estimator is None or not hasattr(estimator, "precompute_seconds"):
+        if estimator is None:
             return
         self.metrics.set_gauge(
             "estimator_precompute_seconds",
-            lambda: float(getattr(estimator, "precompute_seconds", 0.0)),
+            lambda: float(estimator.precompute_seconds),
             help="Wall-clock seconds the estimator precompute took "
             "(0 when warm-started from a snapshot)",
         )
-        warm = bool(getattr(estimator, "loaded_from_snapshot", False))
+        warm = estimator.loaded_from_snapshot
         self.metrics.inc(
             "estimator_snapshot_hits_total",
             1.0 if warm else 0.0,
@@ -486,7 +481,7 @@ class AllFPService(SurfaceBase):
     @property
     def degraded(self) -> bool:
         """True while the service as a whole is in a degraded mode."""
-        return self._boot_degraded or self._breaker.state != "closed"
+        return self._degraded
 
     def install_faults(self, plan: reliability.FaultPlan) -> None:
         """Install ``plan`` process-wide (the chaos harness's entry point)."""
@@ -507,10 +502,11 @@ class AllFPService(SurfaceBase):
         admitted afterwards misses the cache and recomputes — no answer is
         produced against a half-refreshed estimator.
 
-        With ``refresh_estimator=True`` an estimator exposing ``refresh()``
-        (the boundary estimator) recomputes its tables against the updated
-        network, and every worker's engine is rebuilt so the fresh tables
-        take effect — a snapshot loaded for the old network version is
+        With ``refresh_estimator=True`` the bound is picked again: the
+        customization recomputes its tables in full against the network as
+        it is now — the one way back for a customization set aside by a
+        failed delta refresh — and a service without one gets a fresh naive
+        bound.  A snapshot loaded for an older network version is
         considered invalid from here on.
         """
         self._update_rw.acquire_write()
@@ -522,51 +518,47 @@ class AllFPService(SurfaceBase):
                 "invalidations_total",
                 help="Version bumps (network/pattern updates)",
             )
-            if refresh_estimator and self._estimator is not None:
-                if self._refresh_estimator():
-                    self._boot_degraded = False
-                    self.metrics.inc(
-                        "estimator_refreshes_total",
-                        help="Estimator precompute refreshes after invalidation",
-                    )
-                # Rebuild per-worker engines lazily so clones see the new
-                # tables.
-                self._engine_generation += 1
+            if refresh_estimator and self._rebound(
+                None if self._estimator is None else self._estimator.refresh
+            ):
+                self._degraded = False
+                self.metrics.inc(
+                    "estimator_refreshes_total",
+                    help="Estimator precompute refreshes after invalidation",
+                )
             return dropped
         finally:
             self._update_rw.release_write()
 
-    def _refresh_estimator(self, applied=None, workers: int | None = None) -> bool:
-        """Re-customize the estimator after a network change: the delta pass
-        over ``applied`` mutations where the estimator has one, else a full
-        ``refresh()``.  A typed failure is never raised — the breaker
-        records it and workers fall back to the naive bound until a later
-        refresh or trial clone succeeds.  Returns whether a refresh ran
-        and succeeded.
+    def _rebound(self, customize=None) -> bool:
+        """Pick the bound for the network version just written; the caller
+        holds the update write lock.
+
+        ``customize`` brings the customized estimator up to this version (a
+        delta or a full refresh).  When it succeeds the estimator is the
+        bound.  Otherwise — no customization, none still current, or a
+        typed failure now — the bound is a naive estimator built for this
+        version: its ``v_max`` is re-read, so an edge that got faster
+        cannot make it overestimate (paper §4, Theorem 1).  A failure sets
+        the customization aside and flags the service degraded until a
+        full refresh succeeds.  Returns whether the customization is the
+        bound.
         """
-        delta = (
-            getattr(self._estimator, "refresh_delta", None)
-            if applied is not None
-            else None
+        if customize is not None:
+            try:
+                customize()
+            except ReproError:
+                customize = None
+                self._degraded = True
+                self.metrics.inc(
+                    "estimator_refresh_failures_total",
+                    help="Estimator re-customizations that failed "
+                    "(service continues on a naive bound, degraded)",
+                )
+        self._bound = (
+            NaiveEstimator(self._network) if customize is None else self._estimator
         )
-        refresh = delta or getattr(self._estimator, "refresh", None)
-        if refresh is None:
-            return False
-        try:
-            if delta is not None:
-                delta(applied, workers=workers)
-            else:
-                refresh()
-        except ReproError:
-            self._breaker.record_failure()
-            self.metrics.inc(
-                "estimator_refresh_failures_total",
-                help="Estimator refreshes that failed "
-                "(service continues on the old/fallback bound)",
-            )
-            return False
-        self._breaker.record_success()
-        return True
+        return customize is not None
 
     def apply_updates(
         self,
@@ -586,7 +578,7 @@ class AllFPService(SurfaceBase):
         :meth:`~repro.hierarchy.overlay.MultiLevelOverlay.refresh_delta`),
         and the edge-function and result caches drop so no pre-update
         function survives.  A typed failure of either refresh never fails
-        the batch: the service continues on the fallback bound / the flat
+        the batch: the service continues on a naive bound / the flat
         engine, flagged degraded.  ``version`` lets the shard tier impose its
         monotonic version instead of the local counter.
         """
@@ -613,8 +605,11 @@ class AllFPService(SurfaceBase):
     ) -> int:
         """The write-locked half of :meth:`apply_updates`."""
         applied = apply_batch(self._network, batch)
-        if self._estimator is not None:
-            self._refresh_estimator(applied, workers)
+        self._rebound(
+            (lambda: self._estimator.refresh_delta(applied, workers=workers))
+            if self._bound is self._estimator
+            else None
+        )
         if self._overlay is not None:
             try:
                 self._overlay.refresh_delta(
@@ -627,19 +622,15 @@ class AllFPService(SurfaceBase):
                 # boot: keep the update, answer on the flat engine (still
                 # exact, only slower), flag degraded.
                 self._overlay = None
-                self._boot_degraded = True
+                self._degraded = True
                 self.metrics.inc(
                     "overlay_refresh_failures_total",
                     help="Update batches whose overlay re-customization "
                     "failed (service dropped to the flat engine)",
                 )
-        # The naive fallback memoises v_max; rebuild it on next need.
-        with self._fallback_lock:
-            self._fallback_estimator = None
         self._version += 1
         self._result_cache.clear()
         self._edge_cache.clear()
-        self._engine_generation += 1
         return self._updates.applied(batch, version)
 
     # ------------------------------------------------------------------
@@ -649,7 +640,7 @@ class AllFPService(SurfaceBase):
         Raises :class:`~repro.exceptions.ServiceOverloaded` on fast-fail,
         :class:`~repro.core.engine.QueryTimeout` past the deadline, and
         the engine's usual errors (``NoPathError``, ``QueryError``) —
-        all of which leave the worker pool healthy.
+        all of which leave the service healthy.
         """
         started = time.monotonic()
         labels = {"mode": request.mode}
@@ -696,19 +687,18 @@ class AllFPService(SurfaceBase):
         finally:
             self._admission.release()
         self._finish(request, started, "ok")
-        degraded = response.degraded or self._boot_degraded
-        if degraded:
+        if response.degraded:
             self.metrics.inc(
                 "degraded_responses_total",
-                help="Answers produced in a degraded mode (fallback bound "
-                "or stale cache) — still admissible/typed, never silent",
+                help="Answers produced in a degraded mode (naive bound, flat "
+                "engine or stale cache) — still exact or flagged, never silent",
             )
         return QueryResponse(
             result=response.result,
             cached=response.cached,
             coalesced=response.coalesced,
             elapsed_seconds=time.monotonic() - started,
-            degraded=degraded,
+            degraded=response.degraded,
             stale=response.stale,
             # A stale-cache fallback may predate any version; leave it
             # unversioned so nothing holds it to the byte-match contract.
@@ -747,7 +737,8 @@ class AllFPService(SurfaceBase):
             self.metrics.inc("result_cache_misses_total", help="Result cache misses")
 
         def compute():
-            return self._pool.submit(self._run_engine, request, deadline).result()
+            with self._slots:
+                return self._run_engine(request, deadline)
 
         try:
             if self.config.coalesce:
@@ -786,94 +777,29 @@ class AllFPService(SurfaceBase):
         )
         return QueryResponse(result=hit, cached=True, degraded=True, stale=True)
 
-    def _fallback(self) -> NaiveEstimator:
-        """The shared naive fallback estimator, built once on first need.
-
-        ``NaiveEstimator`` scans every edge for ``max_speed()``; doing that
-        once and handing workers shallow copies keeps fallback activation
-        cheap even on large networks.
-        """
-        with self._fallback_lock:
-            if self._fallback_estimator is None:
-                self._fallback_estimator = NaiveEstimator(self._network)
-            return self._fallback_estimator
-
-    def _worker_estimator(self) -> tuple[LowerBoundEstimator | None, bool]:
-        """A per-worker estimator clone, or the naive fallback when cloning
-        fails (returns ``(estimator, degraded)``).
-
-        Clone failures feed the circuit breaker: after
-        ``config.breaker_failures`` consecutive failures the breaker opens
-        and workers stop even attempting the clone until ``breaker_reset``
-        seconds pass, at which point one trial clone decides whether to
-        close again.  The naive bound is still admissible, so A* stays
-        exact — only slower — which is why fallback answers are *flagged*
-        degraded rather than refused.
-        """
-        if self._estimator is None:
-            return None, False
-        if self._breaker.allow():
-            try:
-                reliability.fire("repro.serve.service.clone")
-                clone = clone_estimator(self._estimator)
-            except Exception:
-                self._breaker.record_failure()
-            else:
-                self._breaker.record_success()
-                return clone, False
-        self.metrics.inc(
-            "estimator_fallbacks_total",
-            help="Worker engines built on the naive fallback bound because "
-            "the estimator clone failed or the breaker was open",
-        )
-        return copy.copy(self._fallback()), True
-
     def _engine(self):
-        engine = getattr(self._local, "engine", None)
-        if getattr(self._local, "generation", None) != self._engine_generation:
-            engine = None
-            self._local.generation = self._engine_generation
-        if (
-            engine is not None
-            and getattr(self._local, "degraded", False)
-            and self._breaker.state != "open"
-        ):
-            # Recovery path: the breaker closed (another worker's trial
-            # clone succeeded) or is half-open (this rebuild becomes the
-            # trial).  Either way, try to get off the fallback bound.
-            engine = None
-        if engine is None:
-            estimator, degraded = self._worker_estimator()
-            if self._overlay is not None:
-                from ..hierarchy.engine import OverlayEngine
-
-                # Same shared context: warm street-edge cache and default
-                # budgets; answers equal the flat engine's exactly.
-                engine = OverlayEngine(
-                    self._overlay,
-                    estimator,
-                    prune=self.config.prune,
-                    context=self._context,
-                )
-            else:
-                engine = IntAllFastestPaths(
-                    self._network,
-                    estimator,
-                    prune=self.config.prune,
-                    context=self._context,
-                )
-            self._local.engine = engine
-            self._local.degraded = degraded
-        return engine
+        """A fresh engine on the shared context, bounded by a clone of the
+        current bound: the overlay's when there is one (answers equal the
+        flat engine's exactly), the flat one otherwise."""
+        estimator = clone_estimator(self._bound)
+        if self._overlay is not None:
+            return OverlayEngine(
+                self._overlay, estimator, prune=self.config.prune,
+                context=self._context,
+            )
+        return IntAllFastestPaths(
+            self._network, estimator, prune=self.config.prune,
+            context=self._context,
+        )
 
     def _run_engine(self, request: QueryRequest, deadline: Deadline | None):
-        """Executed on a worker thread; enforces the remaining deadline.
+        """Run ``request`` on the caller's thread, in one of the
+        ``config.workers`` slots; enforces the remaining deadline.
 
-        An *unexpected* (non-Repro) error is treated as a worker crash:
-        the thread-local engine is discarded — the replacement is built on
-        the next attempt, exactly as a restarted worker would — and the
-        task retries within the deadline up to ``config.task_retries``
-        times before surfacing a typed :class:`WorkerCrashed`.
+        An *unexpected* (non-Repro) error is treated as a worker crash: the
+        task retries on a fresh engine within the deadline up to
+        ``config.task_retries`` times before surfacing a typed
+        :class:`WorkerCrashed`.
         """
         attempts = 0
         while True:
@@ -881,11 +807,11 @@ class AllFPService(SurfaceBase):
             if deadline is not None:
                 remaining = deadline.remaining()
                 if remaining <= 0.0:
-                    # The request aged out while queued for a worker.
+                    # The request aged out while waiting for a slot.
                     stats = SearchStats(timed_out=True)
                     self.metrics.inc(
                         "queue_timeouts_total",
-                        help="Requests whose deadline expired before a worker picked them up",
+                        help="Requests whose deadline expired before an engine slot freed up",
                     )
                     raise QueryTimeout(deadline.budget, stats)
             try:
@@ -899,16 +825,15 @@ class AllFPService(SurfaceBase):
                 attempts += 1
                 self.metrics.inc(
                     "worker_crashes_total",
-                    help="Worker tasks that died with an unexpected error",
+                    help="Engine runs that died with an unexpected error",
                 )
-                self._local.engine = None
                 if attempts > self.config.task_retries:
                     raise WorkerCrashed(
                         attempts, f"{type(exc).__name__}: {exc}"
                     ) from exc
                 self.metrics.inc(
                     "task_retries_total",
-                    help="Crashed tasks retried on a replacement engine",
+                    help="Crashed runs retried on a fresh engine",
                 )
 
     def _execute(self, request: QueryRequest, remaining: float | None):
@@ -916,19 +841,14 @@ class AllFPService(SurfaceBase):
         self.metrics.inc("engine_runs_total", help="Actual engine executions")
         run_started = time.monotonic()
         reliability.fire("repro.serve.service.task")
-        degraded = False
         try:
             if request.mode == "allfp":
-                engine = self._engine()
-                degraded = getattr(self._local, "degraded", False)
-                result = engine.all_fastest_paths(
+                result = self._engine().all_fastest_paths(
                     request.source, request.target, request.interval,
                     deadline=remaining,
                 )
             elif request.mode == "singlefp":
-                engine = self._engine()
-                degraded = getattr(self._local, "degraded", False)
-                result = engine.single_fastest_path(
+                result = self._engine().single_fastest_path(
                     request.source, request.target, request.interval,
                     deadline=remaining,
                 )
@@ -963,7 +883,7 @@ class AllFPService(SurfaceBase):
             self._record_engine_stats(exc.stats, run_started)
             raise
         self._record_engine_stats(result.stats, run_started)
-        return result, degraded
+        return result, self._degraded
 
     def _record_engine_stats(self, stats: SearchStats, run_started: float) -> None:
         self.metrics.observe(
@@ -1012,7 +932,6 @@ class AllFPService(SurfaceBase):
             "result_cache": self._result_cache.snapshot(),
             "edge_cache": self._edge_cache.snapshot(),
             "engine_runs": self.metrics.counter_total("engine_runs_total"),
-            "breaker": self._breaker.snapshot(),
             "faults_fired": reliability.fired_total(),
         }
 
@@ -1020,9 +939,12 @@ class AllFPService(SurfaceBase):
         return self.metrics.render()
 
     def close(self) -> None:
-        """Stop accepting requests and shut the worker pool down."""
+        """Stop accepting requests and wait for the in-flight ones."""
         self._closed = True
-        self._pool.shutdown(wait=True)
+        # Queries compute under the read side: taking the write side once
+        # waits them out.
+        self._update_rw.acquire_write()
+        self._update_rw.release_write()
 
     def __enter__(self) -> "AllFPService":
         return self

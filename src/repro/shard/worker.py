@@ -53,7 +53,7 @@ from ..serve.http import request_from_wire, response_to_wire
 
 #: Fault point fired on every received message; an injected error here
 #: simulates a hard worker crash (``os._exit``), which the chaos harness
-#: and the service-smoke CI job use to exercise router failover.
+#: uses to exercise router failover.
 KILL_POINT = "repro.shard.worker.kill"
 
 #: Service-surface methods the router may invoke over the control channel.

@@ -3,7 +3,8 @@
 Extended by the reliability PR with the seeded fault-injection framework
 (:mod:`repro.reliability`), estimator snapshot faults, precompute pool
 shutdown, and the serve layer's graceful degradation (worker replacement,
-estimator circuit breaker, stale serving, retrying HTTP client).
+one admissible bound per network version, stale serving, retrying HTTP
+client).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import io
 import json
 import random
 import struct
-import time
 import urllib.error
 
 import pytest
@@ -31,6 +31,7 @@ from repro.reliability import CircuitBreaker, FaultInjector, FaultPlan, FaultSpe
 from repro.storage.bptree import BPlusTree
 from repro.storage.buffer import MemoryPageStore
 from repro.storage.ccam import CCAMStore
+from repro.timeutil import TimeInterval
 
 
 @pytest.fixture(scope="module")
@@ -430,7 +431,7 @@ class TestPrecomputePoolShutdown:
 
 
 # ======================================================================
-# Serve-layer degradation: worker replacement, breaker fallback, stale
+# Serve-layer degradation: worker replacement, the per-version bound, stale
 # ======================================================================
 
 
@@ -442,7 +443,7 @@ def _answer(response) -> str:
 
 @pytest.fixture
 def grid_service():
-    """workers=1 so thread-local engine behavior is deterministic."""
+    """workers=1 so one engine run at a time: the counters are exact."""
     from repro.estimators.boundary import BoundaryNodeEstimator
     from repro.network.generator import make_grid_network
     from repro.serve import AllFPService, ServiceConfig
@@ -452,18 +453,72 @@ def grid_service():
     network = make_grid_network(5, 5)
     estimator = BoundaryNodeEstimator(network, 2, 2)
     service = AllFPService(
-        network,
-        estimator,
-        ServiceConfig(
-            workers=1,
-            breaker_failures=1,
-            breaker_reset=0.05,
-            serve_stale=True,
-        ),
+        network, estimator, ServiceConfig(workers=1, serve_stale=True)
     )
     request = QueryRequest(0, 24, TimeInterval(420.0, 540.0), "allfp", None)
     yield service, request
     service.close()
+
+
+# The speed-up cases: on the 10x10 seed-5 metro one batch makes 120 edges
+# four times faster.  A bound derived for the boot-time patterns now
+# overestimates, and A* with an inadmissible bound returns slow answers
+# without noticing (paper §4, Theorem 1).  Every answer after the batch must
+# equal a fresh service's on the mutated network.
+SPEEDUP_PAIRS = [
+    (s, t) for s in range(0, 100, 7) for t in range(3, 100, 11) if s != t
+]
+SPEEDUP_INTERVAL = TimeInterval.from_clock("7:00", "8:00")
+CELL_FAULT = FaultPlan(
+    specs=(FaultSpec("repro.estimators.precompute.cell", error="estimator"),)
+)
+
+
+def _metro10():
+    return make_metro_network(MetroConfig(width=10, height=10, seed=5))
+
+
+def _speedup(network, first: int = 0, count: int = 120):
+    from repro.serve.updates import EdgeMutation, MutationBatch, slowdown_pattern
+
+    return MutationBatch(
+        tuple(
+            EdgeMutation(e.source, e.target, slowdown_pattern(e.pattern, 4.0))
+            for e in list(network.edges())[first : first + count]
+        )
+    )
+
+
+def _speedup_request(pair):
+    from repro.serve.service import QueryRequest
+
+    return QueryRequest(*pair, SPEEDUP_INTERVAL)
+
+
+def _fresh_answers(*batches):
+    """What a fresh service answers on the metro after ``batches``."""
+    from repro.serve import AllFPService, ServiceConfig
+    from repro.serve.updates import apply_batch
+
+    network = _metro10()
+    for batch in batches:
+        apply_batch(network, batch)
+    with AllFPService(network, config=ServiceConfig(workers=1)) as fresh:
+        return [_answer(fresh.query(_speedup_request(p))) for p in SPEEDUP_PAIRS]
+
+
+def _assert_exact(service, expected, degraded: bool) -> list:
+    """Every speed-up answer equals ``expected``, flagged ``degraded``;
+    returns the responses."""
+    responses = [service.query(_speedup_request(p)) for p in SPEEDUP_PAIRS]
+    wrong = [
+        pair
+        for pair, response, want in zip(SPEEDUP_PAIRS, responses, expected)
+        if _answer(response) != want
+    ]
+    assert not wrong, f"{len(wrong)} answers differ from a fresh service: {wrong[:5]}"
+    assert {r.degraded for r in responses} == {degraded}
+    return responses
 
 
 class TestServeDegradation:
@@ -498,42 +553,6 @@ class TestServeDegradation:
         assert isinstance(excinfo.value, ReproError)
         assert excinfo.value.attempts == 2  # 1 + task_retries default
 
-    def test_breaker_fallback_is_admissible_and_flagged(self, grid_service):
-        service, request = grid_service
-        baseline = _answer(service.query(request))
-        reliability.install(
-            FaultPlan(
-                specs=(FaultSpec("repro.serve.service.clone", error="estimator"),)
-            )
-        )
-        service.invalidate(refresh_estimator=True)  # force engine rebuild
-        response = service.query(request)
-        # Flagged degraded, but the naive bound is admissible: the answer
-        # (border function) is byte-identical to the baseline.
-        assert response.degraded
-        assert _answer(response) == baseline
-        assert service.degraded
-        assert service.metrics.counter_total("estimator_fallbacks_total") >= 1
-        assert service.stats()["breaker"]["state"] != "closed"
-
-    def test_breaker_recovers_after_reset_timeout(self, grid_service):
-        service, request = grid_service
-        baseline = _answer(service.query(request))
-        reliability.install(
-            FaultPlan(
-                specs=(FaultSpec("repro.serve.service.clone", error="estimator"),)
-            )
-        )
-        service.invalidate(refresh_estimator=True)
-        assert service.query(request).degraded
-        reliability.uninstall()  # the estimator "comes back"
-        time.sleep(0.06)  # past breaker_reset: next rebuild is the trial
-        service.invalidate()  # drop cached degraded answers
-        response = service.query(request)
-        assert not response.degraded
-        assert _answer(response) == baseline
-        assert not service.degraded
-
     def test_stale_answer_on_deadline_trip(self, grid_service):
         from repro.serve.service import QueryRequest
 
@@ -546,7 +565,7 @@ class TestServeDegradation:
             request.target,
             request.interval,
             "allfp",
-            1e-7,  # expires before any worker can pick it up
+            1e-7,  # expires before an engine slot can take it
         )
         response = service.query(hurried)
         assert response.stale and response.degraded and response.cached
@@ -555,25 +574,111 @@ class TestServeDegradation:
             service.metrics.counter_total("stale_results_served_total") == 1
         )
 
-    def test_refresh_failure_trips_breaker_not_caller(self, grid_service):
-        service, request = grid_service
-        service.query(request)
-        reliability.install(
-            FaultPlan(
-                specs=(
-                    FaultSpec(
-                        "repro.estimators.precompute.cell", error="estimator"
-                    ),
-                )
-            )
+    def test_refresh_failure_sets_estimator_aside(self):
+        """A delta refresh that fails leaves tables customized for the old
+        speeds; after a speed-up they overestimate.  The service must
+        absorb the failure, answer on a naive bound for the new version,
+        flagged degraded, stay there through later batches, and come back
+        only through ``invalidate(refresh_estimator=True)``."""
+        from repro.estimators.boundary import BoundaryNodeEstimator
+        from repro.serve import AllFPService, ServiceConfig
+
+        network = _metro10()
+        first, second = _speedup(network), _speedup(network, 120, 40)
+        service = AllFPService(
+            network, BoundaryNodeEstimator(network, 4, 4), ServiceConfig(workers=2)
         )
-        # invalidate() must absorb the refresh failure (breaker records it)
-        # rather than raising into the updater's thread.
-        service.invalidate(refresh_estimator=True)
-        assert (
-            service.metrics.counter_total("estimator_refresh_failures_total")
-            == 1
+        try:
+            reliability.install(CELL_FAULT)
+            assert service.apply_updates(first) == 1  # the caller never sees it
+            reliability.uninstall()
+            assert service.metrics.counter_total(
+                "estimator_refresh_failures_total"
+            ) == 1
+            assert service.degraded
+            _assert_exact(service, _fresh_answers(first), degraded=True)
+
+            service.apply_updates(second)  # fault-free: still set aside
+            expected = _fresh_answers(first, second)
+            _assert_exact(service, expected, degraded=True)
+
+            service.invalidate(refresh_estimator=True)
+            assert not service.degraded
+            assert service.metrics.counter_total("estimator_refreshes_total") == 1
+            restored = _assert_exact(service, expected, degraded=False)
+            # The boundary bound is back: the same searches as a boundary
+            # estimator precomputed from scratch on the mutated network.
+            from repro.serve.updates import apply_batch
+
+            reference_net = _metro10()
+            for batch in (first, second):
+                apply_batch(reference_net, batch)
+            with AllFPService(
+                reference_net,
+                BoundaryNodeEstimator(reference_net, 4, 4),
+                ServiceConfig(workers=1),
+            ) as reference:
+                assert [r.result.stats.expanded_paths for r in restored] == [
+                    reference.query(_speedup_request(p)).result.stats.expanded_paths
+                    for p in SPEEDUP_PAIRS
+                ]
+        finally:
+            service.close()
+
+    def test_configured_naive_estimator_follows_a_speedup(self):
+        from repro.estimators.naive import NaiveEstimator
+        from repro.serve import ServiceConfig, open_service
+
+        network = _metro10()
+        batch = _speedup(network)
+        service, info = open_service(
+            network, NaiveEstimator(network), ServiceConfig(workers=2)
         )
+        try:
+            assert info["tables_mode"] == "naive"
+            service.apply_updates(batch)
+            _assert_exact(service, _fresh_answers(batch), degraded=False)
+        finally:
+            service.close()
+
+    def test_corrupt_snapshot_fallback_follows_a_speedup(self, tmp_path):
+        from repro.serve import ServiceConfig, open_service
+
+        network = _metro10()
+        batch = _speedup(network)
+        corrupt = tmp_path / "corrupt.snap"
+        corrupt.write_bytes(b"RPRESNAP" + bytes(56))
+        service, info = open_service(
+            network, config=ServiceConfig(workers=2), snapshot_path=corrupt
+        )
+        try:
+            assert info["tables_mode"] == "fallback"
+            service.apply_updates(batch)
+            _assert_exact(service, _fresh_answers(batch), degraded=True)
+        finally:
+            service.close()
+
+    def test_refresh_failure_in_every_shard_stays_exact(self):
+        from repro.estimators.boundary import BoundaryNodeEstimator
+        from repro.serve import ServiceConfig
+        from repro.shard import ShardedService
+
+        network = _metro10()
+        batch = _speedup(network)
+        tier = ShardedService(
+            network,
+            BoundaryNodeEstimator(network, 4, 4),
+            ServiceConfig(workers=1),
+            shards=2,
+        )
+        try:
+            tier.install_faults(CELL_FAULT)
+            assert tier.apply_updates(batch) == 1
+            assert tier.uninstall_faults() >= 2  # one failed refresh per shard
+            assert [h["alive"] for h in tier.shard_health()] == [True, True]
+            _assert_exact(tier, _fresh_answers(batch), degraded=True)
+        finally:
+            tier.close()
 
     def test_boot_degraded_flags_every_response(self):
         from repro.network.generator import make_grid_network
@@ -608,7 +713,7 @@ class TestChaosHarness:
         service = AllFPService(
             network,
             BoundaryNodeEstimator(network, 2, 2),
-            ServiceConfig(workers=2, breaker_reset=0.1, serve_stale=True),
+            ServiceConfig(workers=2, serve_stale=True),
         )
         queries = random_queries(network, 12, morning_rush_interval(), seed=4)
         try:
@@ -621,6 +726,76 @@ class TestChaosHarness:
         assert report.requests == 12
         assert report.ok + sum(report.typed_errors.values()) == 12
         assert not reliability.is_active()  # harness uninstalled its plan
+
+    def test_default_plan_under_a_speedup_trace(self):
+        """The default plan's estimator errors hit the delta refresh of a
+        batch that makes edges faster than the boot-time tables assume:
+        every answer at the new version must still be exact."""
+        from repro.estimators.boundary import BoundaryNodeEstimator
+        from repro.serve import AllFPService, ServiceConfig
+        from repro.serve.chaos import default_fault_plan, run_chaos
+        from repro.serve.updates import TraceEvent
+        from repro.workloads.queries import QuerySpec
+
+        network = _metro10()
+        trace = [TraceEvent(0.05, _speedup(network))]
+        queries = [
+            QuerySpec(s, t, SPEEDUP_INTERVAL, 0.0) for s, t in SPEEDUP_PAIRS[::3]
+        ]
+        service = AllFPService(
+            network, BoundaryNodeEstimator(network, 4, 4), ServiceConfig(workers=2)
+        )
+        try:
+            report = run_chaos(
+                service, queries, default_fault_plan(seed=1), trace=trace, clients=3
+            )
+            refresh_failures = service.metrics.counter_total(
+                "estimator_refresh_failures_total"
+            )
+        finally:
+            service.close()
+        assert report.passed(), report.violations
+        assert report.versions == 1
+        assert refresh_failures == 1  # the plan reached the refresh
+        assert report.degraded > 0
+
+    def test_storage_faults_on_a_ccam_store_surface_typed(self, tmp_path):
+        """Node lookups on a disk store fail typed, never wrong.  The fault
+        fires on ``find_node``, not the page reads: after the baseline pass
+        the tiny network is decoded and cached, so lower storage layers are
+        never reached again.  Capped so most queries still answer."""
+        from repro.serve import AllFPService, ServiceConfig
+        from repro.serve.chaos import run_chaos
+        from repro.workloads.queries import morning_rush_interval, random_queries
+
+        network = make_metro_network(MetroConfig(width=12, height=12, seed=5))
+        path = tmp_path / "net.ccam"
+        CCAMStore.build(network, path).close()
+        store = CCAMStore(path, buffer_pages=32)
+        service = AllFPService(store, config=ServiceConfig(workers=2))
+        queries = random_queries(store, 10, morning_rush_interval(), seed=9)
+        plan = FaultPlan(
+            seed=2,
+            specs=(
+                FaultSpec(
+                    "repro.storage.ccam.find_node",
+                    error="storage",
+                    probability=0.05,
+                    max_fires=4,
+                ),
+            ),
+        )
+        try:
+            report = run_chaos(service, queries, plan, clients=3)
+        finally:
+            service.close()
+            store.close()
+        assert report.passed(), report.violations
+        typed = sum(report.typed_errors.values())
+        assert report.ok + typed == report.requests
+        assert typed > 0, "no storage fault ever surfaced"
+        assert report.ok > 0, "every query failed"
+        assert set(report.typed_errors) == {"StorageError"}
 
 
 # ======================================================================

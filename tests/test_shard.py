@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,9 +26,18 @@ from repro.exceptions import (
     ShardUnavailable,
     WorkerCrashed,
 )
-from repro.serve import AllFPService, ServiceConfig, parse_metrics
+from repro.network.generator import MetroConfig, make_metro_network
+from repro.serve import (
+    AllFPService,
+    HTTPClient,
+    ServiceConfig,
+    make_server,
+    parse_metrics,
+    start_in_thread,
+)
 from repro.serve.chaos import _canonical, busiest_shard, run_chaos
 from repro.serve.service import QueryRequest
+from repro.serve.updates import apply_batch, load_trace
 from repro.shard import (
     DEFAULT_REPLICAS,
     HashRing,
@@ -38,6 +49,8 @@ from repro.shard import (
 )
 from repro.timeutil import TimeInterval
 from repro.workloads.queries import morning_rush_interval, random_queries
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _alive(pid: int) -> bool:
@@ -512,6 +525,115 @@ class TestShardChaos:
         assert report.passed(), report.violations
         assert report.requests == 16
         assert report.fault_events >= 1
+
+
+# ----------------------------------------------------------------------
+# A live 2-shard tier behind the HTTP server
+# ----------------------------------------------------------------------
+#: Three batches pinned to the 10x10 seed-23 metro.
+INCIDENT_TRACE = ROOT / "benchmarks" / "data" / "incident_trace.jsonl"
+
+
+@contextlib.contextmanager
+def _tier_over_http(network, estimator=None):
+    """A 2-shard tier behind a started HTTP server, and a client for it."""
+    tier = ShardedService(
+        network,
+        estimator,
+        ServiceConfig(workers=2, cache_results=False, coalesce=False),
+        shards=2,
+    )
+    server = make_server(tier, port=0)
+    start_in_thread(server)
+    try:
+        host, port = server.server_address[:2]
+        yield tier, HTTPClient(f"http://{host}:{port}")
+    finally:
+        server.shutdown()
+        server.server_close()
+        tier.close()
+
+
+def _answer_doc(doc: dict) -> str:
+    """:func:`~repro.serve.chaos._canonical` of a result's wire form."""
+    return json.dumps(
+        {k: v for k, v in doc.items() if k not in ("stats", "entries")},
+        sort_keys=True,
+    )
+
+
+def _metro23():
+    return make_metro_network(MetroConfig(width=10, height=10, seed=23))
+
+
+class TestTierOverHTTP:
+    def test_replay_updates_verb_against_a_live_tier(self, capsys):
+        events = load_trace(INCIDENT_TRACE)
+        with _tier_over_http(_metro23()) as (tier, client):
+            argv = ["replay-updates", "--url", client.base_url]
+            argv += ["--trace", str(INCIDENT_TRACE), "--speed", "50"]
+            assert main(argv) == 0
+            assert f"network version {len(events)}" in capsys.readouterr().out
+
+            health = client.healthz()
+            assert (
+                health["network_version"],
+                health["pending_updates"],
+                health["staleness_seconds"],
+            ) == (len(events), 0, 0.0)
+            applied = [
+                line
+                for line in client.metrics_text().splitlines()
+                if line.startswith("repro_network_applied_version")
+            ]
+            # The router's series and one per shard, all at the final version.
+            assert len(applied) == 3, applied
+            assert all(line.endswith(f" {len(events)}") for line in applied)
+
+            mutated = _metro23()
+            for event in events:
+                apply_batch(mutated, event.batch)
+            first = events[0].batch.mutations[0]
+            with AllFPService(mutated, config=ServiceConfig(workers=1)) as fresh:
+                for pair in ((first.source, first.target), (0, 99)):
+                    request = QueryRequest(*pair, TimeInterval(420.0, 480.0))
+                    status, body = client.query(request)
+                    assert (status, body["version"]) == (200, len(events))
+                    assert _answer_doc(body["result"]) == _canonical(
+                        fresh.query(request).result
+                    )
+
+            # Typed rejections leave the version where it was.
+            unknown = {**first.to_wire(), "target": 999999}
+            status, body = client.updates({"mutations": [unknown]})
+            assert (status, body["error"]) == (404, "EdgeNotFoundError")
+            status, body = client.updates({"mutations": []})
+            assert (status, body["error"]) == (400, "QueryError")
+            status, _ = client.post(
+                "/v1/allfp",
+                {"source": 0, "target": 99, "start": 420.0, "end": 480.0,
+                 "max_staleness": -1.0},
+            )
+            assert status == 400
+            assert client.healthz()["network_version"] == len(events)
+
+    def test_failover_over_http_names_the_degraded_shard(
+        self, metro_tiny, single, interval
+    ):
+        estimator = BoundaryNodeEstimator(metro_tiny, 4, 4)
+        with _tier_over_http(metro_tiny, estimator) as (tier, client):
+            request = next(
+                r
+                for r in (QueryRequest(s, 99, interval) for s in range(60))
+                if tier.ring.preference(routing_key(r))[0] == 0
+            )
+            tier.kill_shard(0)
+            status, body = client.query(request)
+            assert status == 200
+            assert (body["degraded"], body["degraded_shard"]) == (True, 0)
+            assert _answer_doc(body["result"]) == _canonical(
+                single.query(request).result
+            )
 
 
 # ----------------------------------------------------------------------
