@@ -42,7 +42,6 @@ SCHEMA_VERSION = 1
 #: set and CI catches a driver that silently stopped emitting.
 KNOWN_BENCHMARKS = (
     "func_ops",
-    "precompute",
     "profile",
     "batch",
     "overlay",

@@ -41,6 +41,11 @@ constructor by default (``defer=False``), but calling :meth:`precompute`
 again is a no-op, and :meth:`from_snapshot` skips it entirely by loading a
 versioned binary snapshot (see :mod:`repro.estimators.snapshot`) whose
 network fingerprint matches.
+
+Live updates (:meth:`BoundaryNodeEstimator.refresh_delta`): under
+``"time"`` the tables assume each edge's fastest-ever weight, so a
+slow-down, or the restore that ends one, leaves them as they are, and a
+batch that makes some edge faster than that runs the precompute again.
 """
 
 from __future__ import annotations
@@ -186,7 +191,8 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         )
 
     def refresh(self) -> None:
-        """Drop the tables and precompute again (after a network update)."""
+        """Drop the tables and precompute again over the current weights
+        (after a network update); forgets every assumed weight."""
         self._tables = None
         self._a_node_cell = None
         self._a_to_boundary = None
@@ -197,11 +203,9 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         self.precompute()
 
     def refresh_delta(self, mutations, workers: int | None = None) -> None:
-        """Targeted refresh after edge-pattern mutations (§2.2 updates).
-
-        Only the cells containing a mutated edge's endpoints are
-        recomputed; every other entry gets the admissibility-preserving
-        slack correction (see
+        """Bring the tables up to date after edge-pattern mutations (§2.2
+        updates): kept as they are unless some edge got faster than it
+        has ever been, precomputed again otherwise (see
         :func:`~repro.estimators.precompute.refresh_tables_delta`).  The
         naive component is rebuilt too, so a mutation that raises the
         network-wide ``v_max`` cannot leave an inadmissible Euclidean

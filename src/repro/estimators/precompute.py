@@ -1,5 +1,5 @@
 """Array-backed precomputation for the §5 boundary estimator, as topology
-plus one per-cell customization pass.
+plus one customization pass.
 
 The boundary-node estimator's tables cost one forward plus one reverse
 multi-source Dijkstra per non-empty grid cell.  This module treats them the
@@ -11,10 +11,10 @@ way the customizable-route-planning literature treats preprocessing
   (:class:`EstimatorTables`: contiguous ``array``-module stores keyed by
   dense cell and node indices, so the hot ``bound()`` path does no
   per-lookup hashing);
-* **customization** — :func:`_customize` runs the per-cell job for a set of
-  cells and writes their rows.  :func:`compute_tables` is that pass over
-  every cell of all-∞ stores; :func:`refresh_tables_delta` is the same pass
-  over the cells a live update touched, on a slack-corrected copy;
+* **customization** — :func:`compute_tables` runs the per-cell job for
+  every cell over one weight per edge.  It is the only pass: a live update
+  (:func:`refresh_tables_delta`) either keeps the tables as they are or
+  runs it again over each edge's fastest-ever weight;
 * **the pool runner** — :func:`run_cell_jobs` fans independent per-cell
   tasks across a ``multiprocessing`` pool (chunked by cell; workers share
   the immutable state via the pool initializer) with a serial fallback when
@@ -73,6 +73,12 @@ class EstimatorTables:
     #: Keeps the backing buffer (an ``mmap``) alive when the stores are
     #: zero-copy memoryviews instead of private arrays.
     _buffer_owner: object | None = field(default=None, repr=False, compare=False)
+    #: ``(source, target) -> weight`` the ``"time"`` stores assume for each
+    #: edge mutated since the build: its fastest since then (see
+    #: :func:`refresh_tables_delta`).  Never persisted, never compared.
+    assumed: dict[tuple[int, int], float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.node_ids)
@@ -125,13 +131,13 @@ class EstimatorTables:
 
 
 def build_weighted_adjacency(
-    network, metric: str
+    network, metric: str, assumed: dict[tuple[int, int], float]
 ) -> tuple[list[int], list[list[tuple[int, float]]], list[list[tuple[int, float]]]]:
     """Dense-index forward and backward adjacency with estimator weights.
 
     The weight of an edge is ``distance`` under the ``"distance"`` metric and
     the optimistic per-edge travel time ``distance / max_speed`` under
-    ``"time"``.
+    ``"time"`` — or the weight ``assumed`` holds for it.
     """
     node_ids = sorted(network.node_ids())
     index_of = {nid: i for i, nid in enumerate(node_ids)}
@@ -142,7 +148,10 @@ def build_weighted_adjacency(
         w = (
             edge.distance
             if metric == "distance"
-            else edge.distance / edge.pattern.max_speed()
+            else assumed.get(
+                (edge.source, edge.target),
+                edge.distance / edge.pattern.max_speed(),
+            )
         )
         u = index_of[edge.source]
         v = index_of[edge.target]
@@ -281,31 +290,30 @@ def _cell_job(
     return cell_index, member_rows, row
 
 
-def _customize(
-    tables: EstimatorTables,
+def compute_tables(
     network,
     grid: GridPartition,
-    cells: Iterable[int],
-    workers: int,
-    started: float,
+    metric: str,
+    workers: int = 1,
+    assumed: dict[tuple[int, int], float] | None = None,
 ) -> EstimatorTables:
-    """Run the §5 per-cell jobs of ``cells`` and write their rows into
-    ``tables`` (whose stores must be private, writable arrays).
+    """Run the §5 precomputation and return flat :class:`EstimatorTables`.
 
-    The one customization pass: a full build is this over every cell of
-    all-∞ stores, a delta refresh is this over the touched cells of a
-    slack-corrected copy.
+    Topology first (dense node order, each node's cell), then the
+    customization pass: every cell's per-cell job over the edge weights of
+    :func:`build_weighted_adjacency` (``assumed`` overrides some, and is
+    kept on the result).  ``workers > 1`` fans the per-cell Dijkstras out
+    across a process pool; any failure to create the pool degrades silently
+    to the serial path (the results are identical either way).
     """
-    ids, fwd, bwd = build_weighted_adjacency(network, tables.metric)
-    if ids != list(tables.node_ids):
-        raise EstimatorError(
-            "delta refresh requires an unchanged node set; "
-            "topology mutations need a full refresh()"
-        )
+    started = time.perf_counter()
+    assumed = {} if assumed is None else assumed
+    ids, fwd, bwd = build_weighted_adjacency(network, metric, assumed)
     index_of = {nid: i for i, nid in enumerate(ids)}
+    n = len(ids)
     n_cells = grid.cell_count
-    wanted = set(cells)
-    is_boundary = bytearray(len(ids))
+    node_cell = array(CELL_TYPECODE, (grid.cell_of_node(nid) for nid in ids))
+    is_boundary = bytearray(n)
     tasks: list[tuple[int, list[int], list[int]]] = []
     for cell in grid.cells():
         if not cell.members or not cell.boundary:
@@ -315,64 +323,42 @@ def _customize(
         boundary = sorted(index_of[b] for b in cell.boundary)
         for b in boundary:
             is_boundary[b] = 1
-        if cell.index in wanted:
-            members = sorted(index_of[m] for m in cell.members)
-            tasks.append((cell.index, boundary, members))
+        members = sorted(index_of[m] for m in cell.members)
+        tasks.append((cell.index, boundary, members))
 
     state = {
         "fwd": fwd,
         "bwd": bwd,
-        "node_cell": tables.node_cell,
+        "node_cell": node_cell,
         "is_boundary": bytes(is_boundary),
         "cell_count": n_cells,
     }
     results, workers_used = run_cell_jobs(_cell_job, state, tasks, workers)
 
+    to_boundary = array(WEIGHT_TYPECODE, [INF]) * n
+    from_boundary = array(WEIGHT_TYPECODE, [INF]) * n
+    cell_pair = array(WEIGHT_TYPECODE, [INF]) * (n_cells**2)
     for cell_index, member_rows, row in results:
         for m, d_from, d_to in member_rows:
-            tables.from_boundary[m] = d_from
-            tables.to_boundary[m] = d_to
+            from_boundary[m] = d_from
+            to_boundary[m] = d_to
         base = cell_index * n_cells
-        tables.cell_pair[base : base + n_cells] = array(WEIGHT_TYPECODE, row)
+        cell_pair[base : base + n_cells] = array(WEIGHT_TYPECODE, row)
 
-    tables.precompute_seconds += time.perf_counter() - started
-    tables.workers_used = max(tables.workers_used, workers_used)
-    return tables
-
-
-def compute_tables(
-    network,
-    grid: GridPartition,
-    metric: str,
-    workers: int = 1,
-) -> EstimatorTables:
-    """Run the §5 precomputation and return flat :class:`EstimatorTables`.
-
-    Topology first (dense node order, each node's cell, all-∞ stores), then
-    the customization pass over every cell.  ``workers > 1`` fans the
-    per-cell Dijkstras out across a process pool; any failure to create the
-    pool degrades silently to the serial path (the results are identical
-    either way).
-    """
-    started = time.perf_counter()
-    node_ids = sorted(network.node_ids())
-    n = len(node_ids)
     nx, ny = grid.shape
-    tables = EstimatorTables(
+    return EstimatorTables(
         nx=nx,
         ny=ny,
         metric=metric,
         v_max=network.max_speed(),
-        node_ids=array(NODE_ID_TYPECODE, node_ids),
-        node_cell=array(
-            CELL_TYPECODE, (grid.cell_of_node(nid) for nid in node_ids)
-        ),
-        to_boundary=array(WEIGHT_TYPECODE, [INF]) * n,
-        from_boundary=array(WEIGHT_TYPECODE, [INF]) * n,
-        cell_pair=array(WEIGHT_TYPECODE, [INF]) * (grid.cell_count**2),
-    )
-    return _customize(
-        tables, network, grid, range(grid.cell_count), workers, started
+        node_ids=array(NODE_ID_TYPECODE, ids),
+        node_cell=node_cell,
+        to_boundary=to_boundary,
+        from_boundary=from_boundary,
+        cell_pair=cell_pair,
+        precompute_seconds=time.perf_counter() - started,
+        workers_used=workers_used,
+        assumed=assumed,
     )
 
 
@@ -383,64 +369,39 @@ def refresh_tables_delta(
     mutations,
     workers: int = 1,
 ) -> EstimatorTables:
-    """Admissibility-preserving delta refresh after edge-pattern mutations.
+    """The tables for ``network`` after edge-pattern mutations.
 
     ``mutations`` is a sequence of applied-mutation records (``source``,
     ``target``, ``distance``, ``old_pattern``, ``new_pattern`` — see
-    :class:`repro.serve.updates.AppliedMutation`).  Instead of re-running
-    every cell's Dijkstras, the refresh
+    :class:`repro.serve.updates.AppliedMutation`).
 
-    1. computes the **global slack** ``Δ = Σ max(0, old_w − new_w)`` over
-       the mutated edges (``w = distance / max_speed``) and subtracts it,
-       clamped at zero, from every finite table entry.  The Dijkstra paths
-       behind each entry are simple, so a mutation can shorten any of them
-       by at most its own weight drop; the corrected entries therefore
-       remain lower bounds.  Speed *decreases* need no correction at all —
-       true travel times only grew, so the old bounds still hold;
-    2. re-runs the per-cell jobs **exactly**, but only for cells that
-       contain an endpoint of a mutated edge, restoring local tightness
-       through the same customization pass as :func:`compute_tables`.
+    Under ``"time"`` the tables are the exact §5 tables over one weight per
+    edge, ``w_tab``: its build-time ``distance / max_speed``, lowered to the
+    fastest it has been since (``tables.assumed`` holds it for the edges
+    mutated since the build).  No edge is ever faster than its ``w_tab``,
+    so every entry stays at or below the true travel time (Theorem 1) and
+    A* stays exact.  Per mutation, ``w_tab`` is the assumed weight, else
+    the old pattern's, and becomes ``min(w_tab, w_new)``:
 
-    Admissible bounds keep A* exact, so post-refresh answers are identical
-    to a from-scratch rebuild; only estimator tightness (search effort)
-    can differ, and only far away from the incident.  The returned tables
-    are always private arrays — safe even when ``tables`` is a read-only
-    zero-copy view over an ``mmap``-ed snapshot.
+    * when no edge of the batch gets faster than its ``w_tab`` — every
+      slow-down, and the restore that ends one — the stores still hold and
+      are shared with the returned tables;
+    * otherwise :func:`compute_tables` runs again over the lowered weights.
+
+    ``tables`` is never mutated (engine clones share it); the result carries
+    a new ``assumed`` dict.  Distance weights ignore speed patterns: under
+    ``"distance"`` only the stored ``v_max`` follows the network.
     """
-    started = time.perf_counter()
     if tables.metric != "time":
-        # Distance weights ignore speed patterns entirely: only the stored
-        # v_max (used by snapshot writers) needs to track the network.
         return replace(tables, v_max=network.max_speed())
-
-    slack = 0.0
-    touched_cells: set[int] = set()
+    assumed = dict(tables.assumed)
+    faster = False
     for m in mutations:
-        touched_cells.add(grid.cell_of_node(m.source))
-        touched_cells.add(grid.cell_of_node(m.target))
-        old_w = m.distance / m.old_pattern.max_speed()
-        new_w = m.distance / m.new_pattern.max_speed()
-        if new_w < old_w:
-            slack += old_w - new_w
-
-    # Private, writable copies (the input stores may be read-only views).
-    # They are plain arrays, but straggler engine clones may still hold
-    # views over the old zero-copy buffer; ``replace`` keeps its owner
-    # referenced so the segment is not torn down under them (nor its
-    # __del__ left to raise BufferError mid-GC).
-    fresh = replace(
-        tables,
-        v_max=network.max_speed(),
-        node_ids=array(NODE_ID_TYPECODE, tables.node_ids),
-        node_cell=array(CELL_TYPECODE, tables.node_cell),
-        to_boundary=array(WEIGHT_TYPECODE, tables.to_boundary),
-        from_boundary=array(WEIGHT_TYPECODE, tables.from_boundary),
-        cell_pair=array(WEIGHT_TYPECODE, tables.cell_pair),
-        loaded_from_snapshot=False,
-    )
-    if slack > 0.0:
-        for arr in (fresh.to_boundary, fresh.from_boundary, fresh.cell_pair):
-            for i, w in enumerate(arr):
-                if w < INF:
-                    arr[i] = w - slack if w > slack else 0.0
-    return _customize(fresh, network, grid, touched_cells, workers, started)
+        key = (m.source, m.target)
+        w_tab = assumed.get(key, m.distance / m.old_pattern.max_speed())
+        w_new = m.distance / m.new_pattern.max_speed()
+        faster = faster or w_new < w_tab
+        assumed[key] = min(w_tab, w_new)
+    if faster:
+        return compute_tables(network, grid, "time", workers, assumed)
+    return replace(tables, v_max=network.max_speed(), assumed=assumed)

@@ -15,6 +15,17 @@ invariants are the same as :class:`~repro.func.piecewise.PiecewiseLinearFunction
 ``xs`` strictly increasing beyond :data:`XTOL`, linear interpolation between
 breakpoints, closed domain ``[xs[0], xs[-1]]``.
 
+Resolution
+----------
+Abscissae within :data:`XTOL` of each other are one instant: a segment no
+wider than ``XTOL`` evaluates to its left ordinate (:func:`eval_at`,
+:class:`~repro.func.piecewise.PiecewiseLinearFunction`), and a restriction
+to a window no wider than ``XTOL`` is the single point ``(lo, f(lo))``
+(:func:`restrict`).  Inside such a window ``f`` differs from that point by
+at most ``max|slope(f)| · XTOL``; an arrival function built from speed
+patterns has slope at most max speed / min speed, so the error stays a few
+``XTOL``.
+
 The classes in :mod:`repro.func.piecewise` / :mod:`repro.func.monotone` /
 :mod:`repro.func.envelope` remain the public API — they are thin views over
 this kernel, and the engines call it directly on raw arrays where no object

@@ -97,8 +97,9 @@ class ChaosReport:
 
 def default_fault_plan(seed: int = 0) -> reliability.FaultPlan:
     """A representative mixed plan: estimator re-customization errors (every
-    delta refresh under a trace fails, up to 8), worker crashes, storage
-    errors, and slow tasks.
+    per-cell job fails, up to 8 — a trace's batch reaches them when it makes
+    an edge faster than ever), worker crashes, storage errors, and slow
+    tasks.
     """
     return reliability.FaultPlan(
         seed=seed,

@@ -207,8 +207,6 @@ class ServiceConfig:
     cache_results: bool = True
     result_cache_size: int = 1024
     result_cache_ttl: float = 300.0
-    prune: bool = True
-    max_pops: int | None = None
     #: bounded retry budget for engine runs that die with an *unexpected*
     #: (non-Repro) error; every attempt builds a fresh engine
     task_retries: int = 1
@@ -378,7 +376,7 @@ class AllFPService(SurfaceBase):
         self._degraded = degraded
         # One shared runtime for every engine and every one-to-many search:
         # its edge-function store is locked, so concurrent runs share it.
-        self._context = SearchContext(network, max_pops=self.config.max_pops)
+        self._context = SearchContext(network)
         self._edge_cache = self._context.edge_cache
         self._admission = AdmissionController(self.config.max_pending)
         self._single_flight = SingleFlight()
@@ -572,10 +570,11 @@ class AllFPService(SurfaceBase):
         The batch is validated up front (typed errors, nothing applied on
         failure), counted as *pending* while it waits for in-flight queries
         to drain, then applied under the write side of the update lock:
-        edge patterns mutate, the boundary estimator and overlay refresh
-        only the cells the mutated edges can influence
-        (:func:`~repro.estimators.precompute.refresh_tables_delta`,
-        :meth:`~repro.hierarchy.overlay.MultiLevelOverlay.refresh_delta`),
+        edge patterns mutate, the boundary tables are kept unless an edge
+        got faster than it has ever been
+        (:func:`~repro.estimators.precompute.refresh_tables_delta`), the
+        overlay refreshes only the cells that contain a mutated edge
+        (:meth:`~repro.hierarchy.overlay.MultiLevelOverlay.refresh_delta`),
         and the edge-function and result caches drop so no pre-update
         function survives.  A typed failure of either refresh never fails
         the batch: the service continues on a naive bound / the flat
@@ -784,12 +783,10 @@ class AllFPService(SurfaceBase):
         estimator = clone_estimator(self._bound)
         if self._overlay is not None:
             return OverlayEngine(
-                self._overlay, estimator, prune=self.config.prune,
-                context=self._context,
+                self._overlay, estimator, context=self._context
             )
         return IntAllFastestPaths(
-            self._network, estimator, prune=self.config.prune,
-            context=self._context,
+            self._network, estimator, context=self._context
         )
 
     def _run_engine(self, request: QueryRequest, deadline: Deadline | None):

@@ -307,9 +307,10 @@ class ShardedService(SurfaceBase):
         # replay the ordered mutation log before it serves queries at a
         # version it never applied.  It sees every batch against the
         # patterns a live worker saw, so its delta re-customization (whose
-        # slack correction reads the old pattern) converges on the same
-        # tables, overlay and version.  Holding the update lock keeps a
-        # concurrent apply_updates from interleaving mid-replay.
+        # first assumed weight per edge is read from the old pattern)
+        # converges on the same tables, overlay and version.  Holding the
+        # update lock keeps a concurrent apply_updates from interleaving
+        # mid-replay.
         with self._update_lock:
             for batch, version in self._mutation_log:
                 try:

@@ -3,8 +3,9 @@
 Covers the subsystem end to end: exact agreement of the flat stores with a
 definitional Bellman–Ford oracle (property-based over random networks),
 admissibility of the bounds, snapshot round-trip and corruption handling,
-precompute idempotency, the multiprocessing path, CLI cache flows (hit,
-miss, fingerprint mismatch → exit 2), and serve-layer warm-start metrics.
+precompute idempotency, the multiprocessing path, the live-update rule
+(tables over each edge's fastest-ever weight), CLI cache flows (hit, miss,
+fingerprint mismatch → exit 2), and serve-layer warm-start metrics.
 
 The ``REPRO_PRECOMPUTE_WORKERS`` environment variable (used by a CI matrix
 leg) forces the worker count used by the default-worker tests, so the
@@ -13,6 +14,7 @@ multiprocessing path runs under pytest on CI runners.
 
 from __future__ import annotations
 
+import copy
 import os
 import random
 import struct
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from repro.core.astar import fixed_departure_query
 from repro.core.engine import IntAllFastestPaths
 from repro.estimators.boundary import BoundaryNodeEstimator
+from repro.estimators.naive import NaiveEstimator
 from repro.estimators.precompute import (
     EstimatorTables,
     compute_tables,
@@ -39,6 +42,13 @@ from repro.network.generator import MetroConfig, make_metro_network
 from repro.network.model import CapeCodNetwork
 from repro.patterns.speed import CapeCodPattern, DailySpeedPattern
 from repro.serve import QueryRequest
+from repro.serve.chaos import _canonical
+from repro.serve.updates import (
+    EdgeMutation,
+    MutationBatch,
+    apply_batch,
+    slowdown_pattern,
+)
 from repro.timeutil import TimeInterval, parse_clock
 
 #: Worker count for the "default" parallel tests; the CI matrix leg sets
@@ -299,6 +309,129 @@ class TestParallelPrecompute:
         assert est.tables.cell_pair == serial.cell_pair
         assert est.tables.to_boundary == serial.to_boundary
         assert est.tables.from_boundary == serial.from_boundary
+
+
+def _stores(tables) -> tuple[bytes, bytes, bytes]:
+    return (
+        bytes(tables.to_boundary),
+        bytes(tables.from_boundary),
+        bytes(tables.cell_pair),
+    )
+
+
+def _set_patterns(network, patterns) -> list:
+    """Apply ``{(source, target): pattern}`` as one batch."""
+    return apply_batch(
+        network,
+        MutationBatch(
+            tuple(EdgeMutation(s, t, pattern) for (s, t), pattern in patterns.items())
+        ),
+    )
+
+
+class TestLiveUpdates:
+    """The time-metric tables assume each edge's fastest-ever weight: a
+    slow-down and its restore leave them as they are, a speed-up past that
+    weight precomputes them again."""
+
+    def test_slow_restore_rounds_return_to_boot(self):
+        network = make_metro_network(MetroConfig(width=12, height=12, seed=1))
+        estimator = BoundaryNodeEstimator(network, 4, 4, workers=ENV_WORKERS)
+        interval = TimeInterval(parse_clock("7:00"), parse_clock("9:00"))
+        rng = random.Random(1)
+        nodes = sorted(network.node_ids())
+        queries = [tuple(rng.sample(nodes, 2)) for _ in range(8)]
+
+        def expansions():
+            engine = IntAllFastestPaths(network, estimator)
+            return [
+                engine.all_fastest_paths(s, t, interval).stats.expanded_paths
+                for s, t in queries
+            ]
+
+        boot_stores, boot_expansions = _stores(estimator.tables), expansions()
+        edges = sorted(network.edges(), key=lambda e: (e.source, e.target))
+        for _ in range(3):
+            chosen = rng.sample(edges, 4)
+            base = {(e.source, e.target): e.pattern for e in chosen}
+            slowed = {
+                key: slowdown_pattern(pattern, 0.25) for key, pattern in base.items()
+            }
+            for patterns in (slowed, base):
+                estimator.refresh_delta(
+                    _set_patterns(network, patterns), workers=ENV_WORKERS
+                )
+                assert _stores(estimator.tables) == boot_stores
+        assert expansions() == boot_expansions
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        batches=st.lists(
+            st.dictionaries(
+                st.integers(min_value=0, max_value=10**6),
+                st.sampled_from([0.25, 0.5, 1.5, 2.0, None]),  # None: restore
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_property_tables_over_fastest_ever_weights(self, seed, batches):
+        network = make_metro_network(MetroConfig(width=6, height=6, seed=seed))
+        boot = {(e.source, e.target): e.pattern for e in network.edges()}
+        keys = sorted(boot)
+        estimator = BoundaryNodeEstimator(network, 3, 3, workers=ENV_WORKERS)
+        grid = estimator.grid
+        interval = TimeInterval(parse_clock("7:00"), parse_clock("8:00"))
+        queries = [
+            tuple(random.Random(seed + i).sample(sorted(network.node_ids()), 2))
+            for i in range(3)
+        ]
+        fastest: dict = {}
+        for batch in batches:
+            patterns = {}
+            for pick, factor in batch.items():
+                key = keys[pick % len(keys)]
+                patterns[key] = (
+                    boot[key] if factor is None else slowdown_pattern(boot[key], factor)
+                )
+            for key, pattern in patterns.items():
+                fastest[key] = max(
+                    fastest.get(key, boot[key]), pattern, key=lambda p: p.max_speed()
+                )
+            estimator.refresh_delta(
+                _set_patterns(network, patterns), workers=ENV_WORKERS
+            )
+            tables = estimator.tables
+
+            # Exact over the fastest-ever weights, checked on a network that
+            # carries those patterns (no assumed weights passed in).
+            reference = copy.deepcopy(network)
+            _set_patterns(reference, fastest)
+            assert _stores(tables) == _stores(compute_tables(reference, grid, "time"))
+
+            # Never above the tables of the current network.
+            fresh = compute_tables(network, grid, "time")
+            for got, tight in (
+                (tables.to_boundary, fresh.to_boundary),
+                (tables.from_boundary, fresh.from_boundary),
+                (tables.cell_pair, fresh.cell_pair),
+            ):
+                assert all(a <= b for a, b in zip(got, tight))
+
+            # And A* stays exact.
+            bounded = IntAllFastestPaths(network, estimator)
+            naive = IntAllFastestPaths(network, NaiveEstimator(network))
+            for source, target in queries:
+                assert _canonical(
+                    bounded.all_fastest_paths(source, target, interval)
+                ) == _canonical(naive.all_fastest_paths(source, target, interval))
 
 
 class TestSnapshot:

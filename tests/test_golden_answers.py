@@ -95,7 +95,8 @@ KNN_QUERIES = [
 OVERLAY_BUILD = {"nx": 4, "fanout": 2, "horizon": TimeInterval(0.0, 1440.0)}
 
 #: The pinned refresh batch: (index into ``network.edges()``, speed factor);
-#: slow-downs and speed-ups, so the estimator's slack correction runs too.
+#: slow-downs, which leave the time-metric tables as built, and speed-ups,
+#: which make them precompute again over each edge's fastest-ever weight.
 REFRESH_BATCH = [(3, 0.5), (57, 2.0), (140, 0.25), (188, 1.5)]
 
 #: (overlay levels, source, target, from, to) on ``metro_tiny``

