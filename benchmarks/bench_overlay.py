@@ -131,7 +131,7 @@ def snapshot_roundtrip(network, overlay, estimator_grid, pair, interval):
         map_seconds = time.perf_counter() - t0
 
         config = ServiceConfig(
-            workers=2, coalesce=False, cache_results=False
+            coalesce=False, cache_results=False
         )
         service = AllFPService(network, config=config, overlay=mapped)
         try:

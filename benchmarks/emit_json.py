@@ -1,20 +1,20 @@
 """Machine-readable benchmark artifacts — ``BENCH_<name>.json`` at repo root.
 
-Every standalone benchmark driver (``bench_func_ops.py``'s ``main()`` mode,
-``bench_profile.py``, ``bench_batch.py``, ...) funnels its results through
+Every standalone benchmark driver (``bench_profile.py``, ``bench_batch.py``,
+``bench_overlay.py``) funnels its results through
 :func:`emit_bench_json`, so every artifact shares one schema:
 
 .. code-block:: json
 
     {
-      "benchmark": "func_ops",
+      "benchmark": "profile",
       "schema_version": 1,
       "python": "3.11.7",
       "scale": "small",
       "quick": false,
       "meta": {"...": "free-form driver context"},
       "results": [
-        {"name": "compose/n32", "ns_per_op": 12345.6, "...": "..."}
+        {"name": "profile_sweep", "seconds": 0.0299, "...": "..."}
       ]
     }
 
@@ -41,7 +41,6 @@ SCHEMA_VERSION = 1
 #: so ``python benchmarks/emit_json.py`` (no arguments) validates the whole
 #: set and CI catches a driver that silently stopped emitting.
 KNOWN_BENCHMARKS = (
-    "func_ops",
     "profile",
     "batch",
     "overlay",

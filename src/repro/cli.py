@@ -540,7 +540,6 @@ def _build_service(args: argparse.Namespace):
     sources = _customized(network, args)
     _note_hits(sources)  # a service maps them leniently: bad file = degraded
     config = ServiceConfig(
-        workers=args.workers,
         max_pending=args.max_pending,
         default_deadline=args.deadline if args.deadline > 0 else None,
         coalesce=not args.no_coalesce,
@@ -864,7 +863,6 @@ def _add_service(p) -> None:
     """Everything :func:`_build_service` reads."""
     _add_network(p)
     _add_customization(p)
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument(
         "--max-pending",
         type=int,

@@ -91,9 +91,11 @@ class EdgeFunctionCache:
     before, on LRU eviction, or on which process answers.
 
     LRU-bounded, so a long-lived engine's memory follows its working set,
-    and locked, so a service's concurrent engine runs can share one; the
-    lock is held across the (occasionally slow) build on purpose:
-    concurrent runs never build the same function twice.  ``hits`` / ``misses`` count
+    and locked, so engines on several threads may share one
+    :class:`SearchContext` (it is public; callers may run their own
+    threads); the lock is held across the (occasionally slow) build on
+    purpose: concurrent runs never build the same function twice.
+    ``hits`` / ``misses`` count
     ``(edge, day)`` lookups and feed ``SearchStats.edge_cache_*``.
     """
 

@@ -1,8 +1,8 @@
-"""repro.serve — the concurrent allFP query service (system S13).
+"""repro.serve — the allFP query service (system S13).
 
 Wraps :class:`~repro.core.engine.IntAllFastestPaths` in a production-shaped
-service: a bounded number of concurrent engine runs over one warm shared
-edge-function cache, one admissible lower bound per network version,
+service: one engine run at a time over one warm shared edge-function
+cache, one admissible lower bound per network version,
 request coalescing and TTL+LRU result caching, admission control with
 deadlines, a Prometheus-style ``/metrics`` endpoint, and a stdlib-only
 JSON/HTTP API.  See ``docs/serving.md``.
@@ -22,7 +22,6 @@ from .service import (
     QueryResponse,
     ServiceConfig,
     ServiceSurface,
-    clone_estimator,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "ServiceConfig",
     "QueryRequest",
     "QueryResponse",
-    "clone_estimator",
     "AdmissionController",
     "Deadline",
     "ResultCache",

@@ -1,14 +1,14 @@
 """Admission control: bounded pending work and per-query deadlines.
 
-The service admits at most ``max_pending`` requests at a time (in a worker,
-queued for one, or waiting on a coalesced leader).  Beyond that it
+The service admits at most ``max_pending`` requests at a time (running the
+engine, waiting for its lock, or waiting on a coalesced leader).  Beyond that it
 **fast-fails** with :class:`~repro.exceptions.ServiceOverloaded` instead of
 queueing unboundedly — an overloaded service that answers "retry later" in
 microseconds degrades gracefully; one that buffers every request melts.
 
 :class:`Deadline` carries a wall-clock budget from the moment of admission
-through queueing into the engine, so time spent waiting for a worker counts
-against the query, not just time spent searching.
+through queueing into the engine, so time spent waiting for the engine lock
+counts against the query, not just time spent searching.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Deadline:
 
 
 class AdmissionController:
-    """Counting gate in front of the engine slots.
+    """Counting gate in front of the engine lock.
 
     ``try_acquire`` / ``release`` bracket each admitted request;
     ``pending`` is the live depth exported as the queue-depth gauge.

@@ -189,7 +189,7 @@ def _version_baselines(
     it."""
     reference = AllFPService(
         copy.deepcopy(network) if trace else network,
-        config=ServiceConfig(workers=2),
+        config=ServiceConfig(),
     )
     try:
         baselines = [_baseline_row(reference, queries, deadline)]

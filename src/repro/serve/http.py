@@ -85,10 +85,10 @@ exceeded → 503 (with ``Retry-After``), deadline → 504.  Every error body
 is ``{"error": <class>, "message": <str>}``.
 
 Built on :class:`http.server.ThreadingHTTPServer`: one thread per
-connection, so slow queries never block ``/healthz`` or ``/metrics`` —
-each request's engine runs on its connection's thread, and compute
-concurrency stays bounded by the service's ``workers`` engine slots and
-admission control, not by socket count.
+connection, so slow queries never block ``/healthz``, ``/metrics`` or a
+cache hit — each request's engine runs on its connection's thread, one
+at a time under the service's engine lock, and admission control bounds
+how many wait for it, not socket count.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""`AllFPService` — the embeddable concurrent query service.
+"""`AllFPService` — the embeddable query service.
 
 Turns :class:`~repro.core.engine.IntAllFastestPaths` from a library call
 into a system component:
@@ -9,11 +9,10 @@ into a system component:
 * **one lower bound per network version** — the customized boundary
   estimator while its tables match the network, otherwise a naive bound
   read off the current version — picked again under the update write lock
-  after every batch.  Each request builds its engine on a cheap clone of
-  it (``prepare(target)`` mutates a per-query cursor; the precomputed
-  tables are shared),
-* at most ``config.workers`` engine runs at once, each on its caller's
-  thread,
+  after every batch,
+* **one engine run at a time**, under one lock, on its caller's thread:
+  the run owns the bound's ``prepare(target)`` cursor while it holds the
+  lock,
 * **request coalescing** (single-flight) and a **TTL+LRU result cache**
   keyed on the query plus the service's version stamp,
 * **admission control** with fast-fail rejection and wall-clock deadlines
@@ -21,15 +20,16 @@ into a system component:
 * a :class:`~repro.serve.metrics.MetricsRegistry` that every layer reports
   into, rendered by ``GET /metrics``.
 
-The engine is pure-Python compute, so concurrent runs add no CPU
-parallelism under the GIL — the HTTP layer's thread per connection keeps
-``/healthz`` and fast queries from queueing behind a slow one, and gives
-coalescing concurrent duplicates to merge.
+The engine is pure-Python compute: interleaved runs on one interpreter
+add no CPU parallelism under the GIL, only hand-offs, so a process runs
+one and more cores come from more processes (``--shards``).  The HTTP
+layer's thread per connection still keeps ``/healthz``, ``/metrics`` and
+cache hits from queueing behind a run, and gives coalescing concurrent
+duplicates to merge.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from dataclasses import dataclass
@@ -200,7 +200,6 @@ class QueryResponse:
 class ServiceConfig:
     """Tuning knobs for :class:`AllFPService` (see ``docs/serving.md``)."""
 
-    workers: int = 4
     max_pending: int = 64
     default_deadline: float | None = 30.0
     coalesce: bool = True
@@ -218,8 +217,6 @@ class ServiceConfig:
     shard_count: int | None = None
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_pending < 1:
             raise ValueError(
                 f"max_pending must be >= 1, got {self.max_pending}"
@@ -302,24 +299,8 @@ class SurfaceBase:
         }
 
 
-def clone_estimator(estimator: LowerBoundEstimator) -> LowerBoundEstimator:
-    """A per-request clone sharing the heavy precomputed state.
-
-    Estimators are re-targeted per query via ``prepare(target)``, which
-    mutates a small cursor (target id/location/cell) — sharing one instance
-    across concurrent queries would race.  A shallow copy duplicates that
-    cursor while aliasing the read-only precomputed tables (grid, cell-pair
-    matrix, boundary distances); the boundary estimator's nested naive
-    estimator gets its cursor copied too.
-    """
-    clone = copy.copy(estimator)
-    if isinstance(clone, BoundaryNodeEstimator):
-        clone._naive = copy.copy(clone._naive)
-    return clone
-
-
 class AllFPService(SurfaceBase):
-    """Concurrent allFP/singleFP query service over one network.
+    """allFP/singleFP query service over one network.
 
     Parameters
     ----------
@@ -365,7 +346,7 @@ class AllFPService(SurfaceBase):
         self._estimator = (
             estimator if isinstance(estimator, BoundaryNodeEstimator) else None
         )
-        # The one bound every engine run clones: the customization while its
+        # The one bound every engine run uses: the customization while its
         # tables match the network version, else a naive estimator built for
         # that version (see _rebound).
         self._bound: LowerBoundEstimator = (
@@ -374,8 +355,7 @@ class AllFPService(SurfaceBase):
         self._overlay = overlay
         # Boot errors, or the estimator or overlay set aside since.
         self._degraded = degraded
-        # One shared runtime for every engine and every one-to-many search:
-        # its edge-function store is locked, so concurrent runs share it.
+        # One shared runtime for every engine and every one-to-many search.
         self._context = SearchContext(network)
         self._edge_cache = self._context.edge_cache
         self._admission = AdmissionController(self.config.max_pending)
@@ -401,8 +381,9 @@ class AllFPService(SurfaceBase):
         # starve the mutation feed.
         self._update_rw = ReadWriteLock()
         self._closed = False
-        # Caps concurrent engine runs; each runs on its caller's thread.
-        self._slots = threading.BoundedSemaphore(self.config.workers)
+        # One engine run at a time, on its caller's thread: the run owns
+        # the bound's prepare(target) cursor while it holds the lock.
+        self._engine_lock = threading.Lock()
         self.metrics.set_gauge(
             "pending_requests",
             lambda: self._admission.pending,
@@ -559,10 +540,7 @@ class AllFPService(SurfaceBase):
         return customize is not None
 
     def apply_updates(
-        self,
-        batch: MutationBatch,
-        version: int | None = None,
-        workers: int | None = None,
+        self, batch: MutationBatch, version: int | None = None
     ) -> int:
         """Apply one live-update batch and delta re-customize; returns the
         new network version.
@@ -578,8 +556,10 @@ class AllFPService(SurfaceBase):
         and the edge-function and result caches drop so no pre-update
         function survives.  A typed failure of either refresh never fails
         the batch: the service continues on a naive bound / the flat
-        engine, flagged degraded.  ``version`` lets the shard tier impose its
-        monotonic version instead of the local counter.
+        engine, flagged degraded.  The estimator refresh fans out over the
+        estimator's own ``workers``; the overlay refresh runs serially.
+        ``version`` lets the shard tier impose its monotonic version
+        instead of the local counter.
         """
         if self._closed:
             raise ServiceClosed("service is shut down")
@@ -589,7 +569,7 @@ class AllFPService(SurfaceBase):
             with self._updates.accepted():
                 self._update_rw.acquire_write()
                 try:
-                    return self._apply_validated(batch, version, workers)
+                    return self._apply_validated(batch, version)
                 finally:
                     self._update_rw.release_write()
         finally:
@@ -599,21 +579,17 @@ class AllFPService(SurfaceBase):
                 help="Accept-to-applied latency per update batch",
             )
 
-    def _apply_validated(
-        self, batch: MutationBatch, version: int | None, workers: int | None
-    ) -> int:
+    def _apply_validated(self, batch: MutationBatch, version: int | None) -> int:
         """The write-locked half of :meth:`apply_updates`."""
         applied = apply_batch(self._network, batch)
         self._rebound(
-            (lambda: self._estimator.refresh_delta(applied, workers=workers))
+            (lambda: self._estimator.refresh_delta(applied))
             if self._bound is self._estimator
             else None
         )
         if self._overlay is not None:
             try:
-                self._overlay.refresh_delta(
-                    applied, workers=workers if workers is not None else 1
-                )
+                self._overlay.refresh_delta(applied, workers=1)
             except ReproError:
                 # The pass adopts every level or none, so the overlay is
                 # still customized for the previous version and must not
@@ -736,7 +712,7 @@ class AllFPService(SurfaceBase):
             self.metrics.inc("result_cache_misses_total", help="Result cache misses")
 
         def compute():
-            with self._slots:
+            with self._engine_lock:
                 return self._run_engine(request, deadline)
 
         try:
@@ -777,21 +753,20 @@ class AllFPService(SurfaceBase):
         return QueryResponse(result=hit, cached=True, degraded=True, stale=True)
 
     def _engine(self):
-        """A fresh engine on the shared context, bounded by a clone of the
-        current bound: the overlay's when there is one (answers equal the
-        flat engine's exactly), the flat one otherwise."""
-        estimator = clone_estimator(self._bound)
+        """A fresh engine on the shared context, bounded by the current
+        bound: the overlay's when there is one (answers equal the flat
+        engine's exactly), the flat one otherwise."""
         if self._overlay is not None:
             return OverlayEngine(
-                self._overlay, estimator, context=self._context
+                self._overlay, self._bound, context=self._context
             )
         return IntAllFastestPaths(
-            self._network, estimator, context=self._context
+            self._network, self._bound, context=self._context
         )
 
     def _run_engine(self, request: QueryRequest, deadline: Deadline | None):
-        """Run ``request`` on the caller's thread, in one of the
-        ``config.workers`` slots; enforces the remaining deadline.
+        """Run ``request`` on the caller's thread, holding the engine lock;
+        enforces the remaining deadline.
 
         An *unexpected* (non-Repro) error is treated as a worker crash: the
         task retries on a fresh engine within the deadline up to
@@ -804,11 +779,11 @@ class AllFPService(SurfaceBase):
             if deadline is not None:
                 remaining = deadline.remaining()
                 if remaining <= 0.0:
-                    # The request aged out while waiting for a slot.
+                    # The request aged out while waiting for the lock.
                     stats = SearchStats(timed_out=True)
                     self.metrics.inc(
                         "queue_timeouts_total",
-                        help="Requests whose deadline expired before an engine slot freed up",
+                        help="Requests whose deadline expired before the engine lock freed up",
                     )
                     raise QueryTimeout(deadline.budget, stats)
             try:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .. import reliability
@@ -253,10 +252,6 @@ def run_worker(boot: WorkerBoot, conn, inherited=()) -> None:
         except BaseException as exc:  # noqa: BLE001 — descriptors, not pickles
             reply("err", req_id, describe_error(exc))
 
-    pool = ThreadPoolExecutor(
-        max_workers=max(2, service.config.workers),
-        thread_name_prefix=f"repro-shard-{boot.shard_id}",
-    )
     while True:
         try:
             message = conn.recv()
@@ -267,8 +262,16 @@ def run_worker(boot: WorkerBoot, conn, inherited=()) -> None:
         except BaseException:  # noqa: BLE001 — any injected error = crash
             os._exit(1)
         if message[0] == "query":
+            # One thread per query, as ThreadingHTTPServer does per
+            # connection: the service's admission sees every request the
+            # moment it arrives and its deadline clock starts then.
             _, req_id, doc = message
-            pool.submit(handle_query, req_id, doc)
+            threading.Thread(
+                target=handle_query,
+                args=(req_id, doc),
+                name=f"repro-shard-{boot.shard_id}-q{req_id}",
+                daemon=True,
+            ).start()
             continue
         _, req_id, op, args = message
         if op == "close":
@@ -280,7 +283,6 @@ def run_worker(boot: WorkerBoot, conn, inherited=()) -> None:
             reply("ok", req_id, getattr(service, op)(*args))
         except BaseException as exc:  # noqa: BLE001
             reply("err", req_id, describe_error(exc))
-    pool.shutdown(wait=False, cancel_futures=True)
     try:
         service.close()
     except Exception:

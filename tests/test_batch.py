@@ -46,14 +46,14 @@ def _batch(pairs, interval):
 
 @pytest.fixture
 def service(metro_tiny):
-    svc = AllFPService(metro_tiny, config=ServiceConfig(workers=2))
+    svc = AllFPService(metro_tiny, config=ServiceConfig())
     yield svc
     svc.close()
 
 
 @pytest.fixture
 def http_service(metro_tiny):
-    svc = AllFPService(metro_tiny, config=ServiceConfig(workers=2))
+    svc = AllFPService(metro_tiny, config=ServiceConfig())
     server = make_server(svc, port=0)
     start_in_thread(server)
     host, port = server.server_address[:2]

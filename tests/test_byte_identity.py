@@ -153,7 +153,7 @@ def test_answers_do_not_depend_on_the_serving_path(net_name):
         IntAllFastestPaths(build()).all_fastest_paths(source, target, window)
     )
     request = QueryRequest(source, target, window)
-    config = ServiceConfig(workers=2, cache_results=False)
+    config = ServiceConfig(cache_results=False)
 
     def served(service) -> str:
         return _wire_doc(service.query(request).result)

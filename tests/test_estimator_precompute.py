@@ -517,7 +517,7 @@ class TestServeWarmStart:
         from repro.serve import AllFPService, ServiceConfig
 
         return AllFPService(
-            network, estimator, ServiceConfig(workers=2, max_pending=8)
+            network, estimator, ServiceConfig(max_pending=8)
         )
 
     def test_snapshot_boot_counts_hit(self, metro_tiny, tmp_path):

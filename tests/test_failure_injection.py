@@ -443,7 +443,7 @@ def _answer(response) -> str:
 
 @pytest.fixture
 def grid_service():
-    """workers=1 so one engine run at a time: the counters are exact."""
+    """A service runs one engine at a time, so the counters are exact."""
     from repro.estimators.boundary import BoundaryNodeEstimator
     from repro.network.generator import make_grid_network
     from repro.serve import AllFPService, ServiceConfig
@@ -453,7 +453,7 @@ def grid_service():
     network = make_grid_network(5, 5)
     estimator = BoundaryNodeEstimator(network, 2, 2)
     service = AllFPService(
-        network, estimator, ServiceConfig(workers=1, serve_stale=True)
+        network, estimator, ServiceConfig(serve_stale=True)
     )
     request = QueryRequest(0, 24, TimeInterval(420.0, 540.0), "allfp", None)
     yield service, request
@@ -503,7 +503,7 @@ def _fresh_answers(*batches):
     network = _metro10()
     for batch in batches:
         apply_batch(network, batch)
-    with AllFPService(network, config=ServiceConfig(workers=1)) as fresh:
+    with AllFPService(network, config=ServiceConfig()) as fresh:
         return [_answer(fresh.query(_speedup_request(p))) for p in SPEEDUP_PAIRS]
 
 
@@ -586,7 +586,7 @@ class TestServeDegradation:
         network = _metro10()
         first, second = _speedup(network), _speedup(network, 120, 40)
         service = AllFPService(
-            network, BoundaryNodeEstimator(network, 4, 4), ServiceConfig(workers=2)
+            network, BoundaryNodeEstimator(network, 4, 4), ServiceConfig()
         )
         try:
             reliability.install(CELL_FAULT)
@@ -616,7 +616,7 @@ class TestServeDegradation:
             with AllFPService(
                 reference_net,
                 BoundaryNodeEstimator(reference_net, 4, 4),
-                ServiceConfig(workers=1),
+                ServiceConfig(),
             ) as reference:
                 assert [r.result.stats.expanded_paths for r in restored] == [
                     reference.query(_speedup_request(p)).result.stats.expanded_paths
@@ -632,7 +632,7 @@ class TestServeDegradation:
         network = _metro10()
         batch = _speedup(network)
         service, info = open_service(
-            network, NaiveEstimator(network), ServiceConfig(workers=2)
+            network, NaiveEstimator(network), ServiceConfig()
         )
         try:
             assert info["tables_mode"] == "naive"
@@ -649,7 +649,7 @@ class TestServeDegradation:
         corrupt = tmp_path / "corrupt.snap"
         corrupt.write_bytes(b"RPRESNAP" + bytes(56))
         service, info = open_service(
-            network, config=ServiceConfig(workers=2), snapshot_path=corrupt
+            network, config=ServiceConfig(), snapshot_path=corrupt
         )
         try:
             assert info["tables_mode"] == "fallback"
@@ -668,7 +668,7 @@ class TestServeDegradation:
         tier = ShardedService(
             network,
             BoundaryNodeEstimator(network, 4, 4),
-            ServiceConfig(workers=1),
+            ServiceConfig(),
             shards=2,
         )
         try:
@@ -688,7 +688,7 @@ class TestServeDegradation:
 
         network = make_grid_network(4, 4)
         service = AllFPService(
-            network, None, ServiceConfig(workers=1), degraded=True
+            network, None, ServiceConfig(), degraded=True
         )
         try:
             response = service.query(
@@ -713,7 +713,7 @@ class TestChaosHarness:
         service = AllFPService(
             network,
             BoundaryNodeEstimator(network, 2, 2),
-            ServiceConfig(workers=2, serve_stale=True),
+            ServiceConfig(serve_stale=True),
         )
         queries = random_queries(network, 12, morning_rush_interval(), seed=4)
         try:
@@ -743,7 +743,7 @@ class TestChaosHarness:
             QuerySpec(s, t, SPEEDUP_INTERVAL, 0.0) for s, t in SPEEDUP_PAIRS[::3]
         ]
         service = AllFPService(
-            network, BoundaryNodeEstimator(network, 4, 4), ServiceConfig(workers=2)
+            network, BoundaryNodeEstimator(network, 4, 4), ServiceConfig()
         )
         try:
             report = run_chaos(
@@ -772,7 +772,7 @@ class TestChaosHarness:
         path = tmp_path / "net.ccam"
         CCAMStore.build(network, path).close()
         store = CCAMStore(path, buffer_pages=32)
-        service = AllFPService(store, config=ServiceConfig(workers=2))
+        service = AllFPService(store, config=ServiceConfig())
         queries = random_queries(store, 10, morning_rush_interval(), seed=9)
         plan = FaultPlan(
             seed=2,

@@ -73,7 +73,7 @@ def _network():
 def _single():
     network = _network()
     return AllFPService(
-        network, BoundaryNodeEstimator(network, 4, 4), ServiceConfig(workers=2)
+        network, BoundaryNodeEstimator(network, 4, 4), ServiceConfig()
     )
 
 
@@ -82,7 +82,7 @@ def _tier():
     return ShardedService(
         network,
         BoundaryNodeEstimator(network, 4, 4),
-        ServiceConfig(workers=2),
+        ServiceConfig(),
         shards=2,
     )
 

@@ -361,13 +361,13 @@ class TestServing:
         from repro.serve import AllFPService, QueryRequest, ServiceConfig
 
         request = QueryRequest(0, 99, WINDOW)
-        flat = AllFPService(metro_tiny, config=ServiceConfig(workers=1))
+        flat = AllFPService(metro_tiny, config=ServiceConfig())
         try:
             expect = flat.query(request).result
         finally:
             flat.close()
         service = AllFPService(
-            metro_tiny, config=ServiceConfig(workers=1), overlay=overlay_tiny
+            metro_tiny, config=ServiceConfig(), overlay=overlay_tiny
         )
         try:
             assert service.stats()["overlay_levels"] == 2
@@ -398,7 +398,7 @@ class TestServing:
         tier = ShardedService(
             metro_tiny,
             None,
-            ServiceConfig(workers=1),
+            ServiceConfig(),
             shards=1,
             snapshot_path=str(path),
             overlay_path=str(path),
@@ -422,7 +422,7 @@ class TestServing:
         tier = ShardedService(
             metro_tiny,
             None,
-            ServiceConfig(workers=1),
+            ServiceConfig(),
             shards=1,
             overlay_path=str(tmp_path / "missing.ovl"),
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import sys
 import threading
 import time
 import urllib.request
@@ -78,7 +79,7 @@ def interval():
 
 @pytest.fixture
 def service(metro_tiny):
-    svc = AllFPService(metro_tiny, config=ServiceConfig(workers=2))
+    svc = AllFPService(metro_tiny, config=ServiceConfig())
     yield svc
     svc.close()
 
@@ -267,7 +268,7 @@ class TestServiceBasics:
             QueryRequest(0, 99, interval, mode="frobnicate")
 
     def test_closed_service_raises(self, metro_tiny, interval):
-        svc = AllFPService(metro_tiny, config=ServiceConfig(workers=1))
+        svc = AllFPService(metro_tiny, config=ServiceConfig())
         svc.close()
         with pytest.raises(ServiceClosed):
             svc.query(QueryRequest(0, 99, interval))
@@ -280,7 +281,7 @@ class TestCoalescing:
         gated = GatedNetwork(metro_tiny)
         svc = AllFPService(
             gated,
-            config=ServiceConfig(workers=2, cache_results=False),
+            config=ServiceConfig(cache_results=False),
         )
         try:
             gated.gate.clear()
@@ -319,7 +320,7 @@ class TestCoalescing:
         """The same over the socket: N clients POST one query while the
         leader is held mid-search, and one engine run answers all N."""
         gated = GatedNetwork(metro_tiny)
-        svc = AllFPService(gated, config=ServiceConfig(workers=2))
+        svc = AllFPService(gated, config=ServiceConfig())
         server = make_server(svc, port=0)
         start_in_thread(server)
         host, port = server.server_address[:2]
@@ -354,9 +355,7 @@ class TestCoalescing:
     def test_coalescing_off_runs_engine_per_request(self, metro_tiny, interval):
         svc = AllFPService(
             metro_tiny,
-            config=ServiceConfig(
-                workers=2, coalesce=False, cache_results=False
-            ),
+            config=ServiceConfig(coalesce=False, cache_results=False),
         )
         try:
             svc.query(QueryRequest(0, 99, interval))
@@ -405,7 +404,6 @@ class TestAdmissionIntegration:
         svc = AllFPService(
             gated,
             config=ServiceConfig(
-                workers=1,
                 max_pending=2,
                 coalesce=False,
                 cache_results=False,
@@ -441,6 +439,98 @@ class TestAdmissionIntegration:
             svc.close()
 
 
+class CountingNetwork(GraphView):
+    """A view that counts the threads inside ``outgoing`` at once.
+
+    Each call sleeps briefly, which releases the GIL, so two engine runs
+    on different threads would overlap inside it."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self._lock = threading.Lock()
+        self.inside = 0
+        self.peak = 0
+
+    def outgoing(self, node_id):
+        with self._lock:
+            self.inside += 1
+            self.peak = max(self.peak, self.inside)
+        try:
+            time.sleep(0.0002)
+            return self._graph.outgoing(node_id)
+        finally:
+            with self._lock:
+                self.inside -= 1
+
+
+class TestEngineLock:
+    def test_one_engine_run_at_a_time(self, metro_tiny, interval):
+        counting = CountingNetwork(metro_tiny)
+        svc = AllFPService(
+            counting,
+            config=ServiceConfig(coalesce=False, cache_results=False),
+        )
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = []
+
+            def call(target):
+                try:
+                    svc.query(QueryRequest(0, target, interval))
+                except Exception as exc:  # noqa: BLE001
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=call, args=(target,))
+                for target in (99, 88, 77, 66)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert svc.stats()["engine_runs"] == 4
+            assert counting.peak == 1
+        finally:
+            sys.setswitchinterval(switch_interval)
+            svc.close()
+
+    def test_cache_hits_and_healthz_skip_the_lock(self, metro_tiny, interval):
+        """A run held mid-search owns the engine lock; a cached answer and
+        ``/healthz`` still come back at once."""
+        gated = GatedNetwork(metro_tiny)
+        svc = AllFPService(gated)
+        server = make_server(svc, port=0)
+        start_in_thread(server)
+        host, port = server.server_address[:2]
+        client = HTTPClient(f"http://{host}:{port}")
+        try:
+            status, _ = client.query(QueryRequest(0, 99, interval))
+            assert status == 200
+            gated.gate.clear()
+            held = threading.Thread(
+                target=svc.query, args=(QueryRequest(5, 77, interval),)
+            )
+            held.start()
+            wait_until(lambda: svc.stats()["engine_runs"] == 2)
+            started = time.monotonic()
+            assert client.healthz()["status"] == "ok"
+            status, body = client.query(QueryRequest(0, 99, interval))
+            assert status == 200 and body["cached"] is True
+            assert svc.query(QueryRequest(0, 99, interval)).cached
+            assert time.monotonic() - started < 1.0
+            gated.gate.set()
+            held.join(timeout=30.0)
+            assert not held.is_alive()
+        finally:
+            gated.gate.set()
+            server.shutdown()
+            server.server_close()
+            svc.close()
+
+
 class TestEngineHooks:
     def test_edge_cache_snapshot(self, metro_tiny, interval):
         engine = IntAllFastestPaths(metro_tiny)
@@ -466,7 +556,7 @@ class TestEngineHooks:
 
 @pytest.fixture
 def http_service(metro_tiny):
-    svc = AllFPService(metro_tiny, config=ServiceConfig(workers=2))
+    svc = AllFPService(metro_tiny, config=ServiceConfig())
     server = make_server(svc, port=0)
     start_in_thread(server)
     host, port = server.server_address[:2]

@@ -40,7 +40,7 @@ UPDATES_KEYS = {
 def _open(kind: str):
     network = make_metro_network(MetroConfig(width=8, height=8, seed=23))
     estimator = BoundaryNodeEstimator(network, 3, 3)
-    config = ServiceConfig(workers=2)
+    config = ServiceConfig()
     if kind == "single":
         return AllFPService(network, estimator, config)
     return ShardedService(network, estimator, config, shards=int(kind[-1]))

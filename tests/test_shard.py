@@ -8,11 +8,13 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro import reliability
 from repro.cli import main
 from repro.core.results import SearchStats
 from repro.core.runtime import QueryTimeout
@@ -74,7 +76,7 @@ def tier(metro_tiny):
     service = ShardedService(
         metro_tiny,
         estimator,
-        ServiceConfig(workers=2),
+        ServiceConfig(),
         shards=2,
         breaker_reset=0.5,
     )
@@ -87,7 +89,7 @@ def single(metro_tiny):
     """The single-process reference the tier must agree with."""
     service = AllFPService(
         metro_tiny, BoundaryNodeEstimator(metro_tiny, 4, 4),
-        ServiceConfig(workers=2),
+        ServiceConfig(),
     )
     yield service
     service.close()
@@ -359,14 +361,14 @@ class TestShardedService:
         tier = ShardedService(
             metro_tiny,
             estimator,
-            ServiceConfig(workers=2),
+            ServiceConfig(),
             shards=2,
             breaker_reset=0.2,
         )
         single = AllFPService(
             metro_tiny,
             BoundaryNodeEstimator(metro_tiny, 4, 4),
-            ServiceConfig(workers=2),
+            ServiceConfig(),
         )
         try:
             request = None
@@ -410,7 +412,7 @@ class TestShardedService:
         tier = ShardedService(
             metro_tiny,
             None,
-            ServiceConfig(workers=1),
+            ServiceConfig(),
             shards=1,
             restart_limit=0,
         )
@@ -427,8 +429,64 @@ class TestShardedService:
         finally:
             tier.close()
 
+    def test_worker_answers_inside_the_deadline(self, metro_tiny, interval):
+        """A worker admits each query the moment it arrives, so its deadline
+        clock starts then: under a slow engine run no answer comes back
+        later than its deadline plus the one run already under way."""
+        delay, deadline, slack = 0.5, 0.2, 0.25
+        tier = ShardedService(
+            metro_tiny,
+            None,
+            ServiceConfig(coalesce=False, cache_results=False),
+            shards=1,
+        )
+        try:
+            tier.query(QueryRequest(0, 99, interval))  # warm the edge cache
+            tier.install_faults(
+                reliability.FaultPlan(
+                    specs=(
+                        reliability.FaultSpec(
+                            "repro.serve.service.task",
+                            mode="delay",
+                            delay_seconds=delay,
+                        ),
+                    )
+                )
+            )
+            late, errors = [], []
+
+            def call(target):
+                sent = time.monotonic()
+                try:
+                    tier.query(
+                        QueryRequest(0, target, interval, deadline=deadline)
+                    )
+                except QueryTimeout:
+                    return
+                except Exception as exc:  # noqa: BLE001
+                    errors.append(exc)
+                    return
+                elapsed = time.monotonic() - sent
+                if elapsed > deadline + delay + slack:
+                    late.append((target, elapsed))
+
+            threads = [
+                threading.Thread(target=call, args=(target,))
+                for target in (99, 88, 77, 66, 55, 44, 33, 22)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            tier.uninstall_faults()
+            assert errors == []
+            assert late == []
+        finally:
+            tier.close()
+
     def test_close_is_idempotent(self, metro_tiny):
-        tier = ShardedService(metro_tiny, None, ServiceConfig(workers=1), shards=1)
+        tier = ShardedService(metro_tiny, None, ServiceConfig(), shards=1)
         tier.close()
         tier.close()
 
@@ -439,7 +497,7 @@ class TestShardedService:
         every worker mmaps that file, a cold answer equals the cold
         single-process service's byte for byte, and close() removes the
         file."""
-        config = ServiceConfig(workers=1)
+        config = ServiceConfig()
         tier = ShardedService(
             metro_tiny, BoundaryNodeEstimator(metro_tiny, 4, 4), config, shards=2
         )
@@ -474,7 +532,7 @@ class TestShardedService:
             "from repro.serve import ServiceConfig\n"
             "from repro.shard import ShardedService\n"
             "net = make_metro_network(MetroConfig(width=6, height=6, seed=5))\n"
-            "tier = ShardedService(net, None, ServiceConfig(workers=1), shards=2)\n"
+            "tier = ShardedService(net, None, ServiceConfig(), shards=2)\n"
             "print(*[h['pid'] for h in tier.shard_health()], flush=True)\n"
             "time.sleep(60)\n"
         )
@@ -508,7 +566,7 @@ class TestShardChaos:
         tier = ShardedService(
             metro_tiny,
             BoundaryNodeEstimator(metro_tiny, 4, 4),
-            ServiceConfig(workers=2),
+            ServiceConfig(),
             shards=2,
             breaker_reset=0.2,
         )
@@ -540,7 +598,7 @@ def _tier_over_http(network, estimator=None):
     tier = ShardedService(
         network,
         estimator,
-        ServiceConfig(workers=2, cache_results=False, coalesce=False),
+        ServiceConfig(cache_results=False, coalesce=False),
         shards=2,
     )
     server = make_server(tier, port=0)
@@ -594,7 +652,7 @@ class TestTierOverHTTP:
             for event in events:
                 apply_batch(mutated, event.batch)
             first = events[0].batch.mutations[0]
-            with AllFPService(mutated, config=ServiceConfig(workers=1)) as fresh:
+            with AllFPService(mutated, config=ServiceConfig()) as fresh:
                 for pair in ((first.source, first.target), (0, 99)):
                     request = QueryRequest(*pair, TimeInterval(420.0, 480.0))
                     status, body = client.query(request)

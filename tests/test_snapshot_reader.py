@@ -292,7 +292,7 @@ class TestOneOpenPerBoot:
         path.write_bytes(images["v2"])
         service, info = open_service(
             metro_tiny,
-            config=ServiceConfig(workers=1),
+            config=ServiceConfig(),
             snapshot_path=path,
             overlay_path=str(path),
         )
@@ -312,7 +312,7 @@ class TestOneOpenPerBoot:
         overlay.write_bytes(images["v2"])
         service, info = open_service(
             metro_tiny,
-            config=ServiceConfig(workers=1),
+            config=ServiceConfig(),
             snapshot_path=tables,
             overlay_path=overlay,
         )
@@ -336,7 +336,7 @@ class TestOneOpenPerBoot:
         path.write_bytes(poke(data, start, "q", src[-1]))
         service, info = open_service(
             metro_tiny,
-            config=ServiceConfig(workers=1),
+            config=ServiceConfig(),
             snapshot_path=path,
             overlay_path=path,
         )

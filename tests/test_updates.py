@@ -334,7 +334,7 @@ class TestOverlayRefreshFailure:
         network, overlay, batch, flat = self._case()
         before = [(bytes(lv.off), bytes(lv.xs), bytes(lv.ys)) for lv in overlay.levels]
         service = AllFPService(
-            network, config=ServiceConfig(workers=1), overlay=overlay
+            network, config=ServiceConfig(), overlay=overlay
         )
         try:
             assert service.query(_request(0, 99)).version == 0
@@ -368,7 +368,7 @@ class TestOverlayRefreshFailure:
         tier = ShardedService(
             network,
             None,
-            ServiceConfig(workers=1),
+            ServiceConfig(),
             shards=2,
             snapshot_path=str(path),
             overlay_path=str(path),
@@ -420,13 +420,13 @@ class TestRestartAfterUpdates:
         # scratch for the mutated network.
         reference = AllFPService(
             reference_net,
-            config=ServiceConfig(workers=1),
+            config=ServiceConfig(),
             overlay=MultiLevelOverlay.build(reference_net, levels=1, nx=5),
         )
         tier = ShardedService(
             network,
             estimator,
-            ServiceConfig(workers=1),
+            ServiceConfig(),
             shards=2,
             overlay_path=str(overlay_file),
             breaker_reset=0.1,
@@ -466,7 +466,7 @@ class TestRestartAfterUpdates:
 class TestServiceUpdates:
     def test_versioned_apply_matches_fresh_service(self, network):
         reference_net = copy.deepcopy(network)
-        service = AllFPService(network, config=ServiceConfig(workers=2))
+        service = AllFPService(network, config=ServiceConfig())
         try:
             mutation = mutation_for(network, 0, 0.2)
             pairs = [
@@ -482,7 +482,7 @@ class TestServiceUpdates:
 
             apply_batch(reference_net, MutationBatch((mutation,)))
             reference = AllFPService(
-                reference_net, config=ServiceConfig(workers=2)
+                reference_net, config=ServiceConfig()
             )
             try:
                 for source, target in pairs:
@@ -496,7 +496,7 @@ class TestServiceUpdates:
             service.close()
 
     def test_caches_invalidated_by_update(self, network):
-        service = AllFPService(network, config=ServiceConfig(workers=2))
+        service = AllFPService(network, config=ServiceConfig())
         try:
             mutation = mutation_for(network, 0, 0.05)
             request = _request(mutation.source, mutation.target)
@@ -511,7 +511,7 @@ class TestServiceUpdates:
             service.close()
 
     def test_rejected_batch_leaves_version_alone(self, network):
-        service = AllFPService(network, config=ServiceConfig(workers=2))
+        service = AllFPService(network, config=ServiceConfig())
         try:
             good = mutation_for(network)
             bad = EdgeMutation(good.source, good.source + 999999, good.pattern)
@@ -524,7 +524,7 @@ class TestServiceUpdates:
             service.close()
 
     def test_max_staleness_rejection_is_typed(self, network):
-        service = AllFPService(network, config=ServiceConfig(workers=2))
+        service = AllFPService(network, config=ServiceConfig())
         try:
             # Simulate a long-pending batch without racing a real apply.
             import time as _time
@@ -550,7 +550,7 @@ class TestInvalidateRace:
         estimator = BoundaryNodeEstimator(network, 4, 4)
         estimator.precompute()
         service = AllFPService(
-            network, estimator, config=ServiceConfig(workers=2)
+            network, estimator, config=ServiceConfig()
         )
         mutation = mutation_for(network, 0, 0.2)
 
@@ -561,7 +561,7 @@ class TestInvalidateRace:
         pairs = [(mutation.source, mutation.target), (0, network.node_count - 1)]
         baselines = []
         for net in baseline_nets:
-            ref = AllFPService(net, config=ServiceConfig(workers=2))
+            ref = AllFPService(net, config=ServiceConfig())
             try:
                 baselines.append(
                     [_canonical(ref.query(_request(*p)).result) for p in pairs]
@@ -656,7 +656,7 @@ def _chaos_fixture(seed: int):
 class TestMutationChaos:
     def test_invariant_holds_without_faults(self):
         network, trace, queries = _chaos_fixture(23)
-        service = AllFPService(network, config=ServiceConfig(workers=2))
+        service = AllFPService(network, config=ServiceConfig())
         try:
             report = run_chaos(service, queries, trace=trace, clients=2)
         finally:
@@ -668,7 +668,7 @@ class TestMutationChaos:
 
     def test_invariant_holds_under_faults(self):
         network, trace, queries = _chaos_fixture(31)
-        service = AllFPService(network, config=ServiceConfig(workers=2))
+        service = AllFPService(network, config=ServiceConfig())
         try:
             report = run_chaos(
                 service, queries, default_fault_plan(7), trace=trace, clients=2
@@ -680,7 +680,7 @@ class TestMutationChaos:
 
     def test_report_dict_carries_mutation_fields(self):
         network, trace, queries = _chaos_fixture(5)
-        service = AllFPService(network, config=ServiceConfig(workers=2))
+        service = AllFPService(network, config=ServiceConfig())
         try:
             report = run_chaos(service, queries, trace=trace, clients=1)
         finally:
