@@ -215,9 +215,17 @@ def save_tables(
     With ``overlay`` (a :class:`~repro.hierarchy.overlay.MultiLevelOverlay`)
     the file is written as version 2 with the overlay section appended;
     without it the output is byte-identical to the historical version 1.
+    An overlay with stale cells is refused: a live update changed edges
+    inside them, so its rows no longer match the network the fingerprint
+    names.
     """
     if len(fingerprint) != 32:
         raise EstimatorError("network fingerprint must be a 32-byte sha256")
+    if overlay is not None and any(overlay.stale):
+        raise EstimatorError(
+            "overlay has stale cells (edges changed since its build); "
+            "rebuild it before saving"
+        )
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:

@@ -12,13 +12,14 @@ of levels:
 * for every cell of every level, exact earliest-arrival **shortcut
   functions** between its boundary nodes are customized bottom-up with
   profile search restricted to the cell (:class:`MultiLevelOverlay`,
-  ``overlay.py``) and kept in flat arrays; a live update re-runs the same
-  customization on the touched cells only,
+  ``overlay.py``) and kept in flat arrays; a live update recomputes no
+  row, it marks the cells holding a changed edge stale,
 * a query runs the ordinary IntAllFastestPaths engine over a *hybrid query
   graph* (:class:`OverlayEngine`, ``engine.py``): the source and target
-  base cells at full detail, everything else collapsed — at the coarsest
-  level that contains neither endpoint — to boundary nodes connected by
-  crossing edges and :class:`ShortcutEdge` shortcuts.
+  base cells and the stale cells at full detail, everything else
+  collapsed — at the coarsest level that contains neither an endpoint nor
+  a changed edge — to boundary nodes connected by crossing edges and
+  :class:`ShortcutEdge` shortcuts.
 
 ``MultiLevelOverlay.build(network, levels=1)`` is the paper's two-level
 case (fragments plus one top-level search); more levels let the search

@@ -1,9 +1,10 @@
 """Query execution over the overlay's hybrid query graph.
 
 For a query (s, e, I) the hybrid graph keeps the source and target base
-cells at street level and represents every other cell — at the coarsest
-level whose cell contains neither endpoint — by its boundary nodes, its
-crossing edges, and the overlay's precomputed shortcut functions.  The
+cells, and every cell a live update made stale, at street level and
+represents every other cell — at the coarsest level whose cell contains
+neither endpoint nor a changed edge — by its boundary nodes, its crossing
+edges, and the overlay's precomputed shortcut functions.  The
 ordinary IntAllFastestPaths engine runs unchanged on this graph — the
 paper's "apply our algorithm … once at the top level" — because the graph
 is a :class:`~repro.core.graph.GraphView` of the street network that
@@ -28,30 +29,37 @@ from .overlay import MultiLevelOverlay, ShortcutEdge
 
 class _OverlayQueryGraph(GraphView):
     """Multi-level hybrid view: the search climbs to the coarsest level
-    whose cell contains neither endpoint.
+    whose cell is *open* — holds neither endpoint nor is stale.
 
-    A node in the source or target *base* cell exposes all its street
-    edges.  Any other node is seen at its *effective level* — the highest
-    level ``k`` whose cell around the node contains neither the source nor
-    the target — and exposes exactly its street edges that cross the
-    level-``k`` cell border plus its level-``k`` shortcuts.  Nesting makes
-    this exact: every node the search reaches at effective level ``k`` got
-    there over an edge crossing a level-``k`` border (or a level-``k``
-    shortcut), hence is a level-``k`` boundary node and has shortcuts.
-    Only ``outgoing_from`` sees the hierarchy; ``outgoing`` reads the
-    street graph.
+    A stale cell (``overlay.stale``: its rows predate a live update) is
+    treated like one holding a query endpoint.  A node whose *base* cell is
+    not open exposes all its street edges, read live.  Any other node is
+    seen at its *effective level* — the highest level ``k`` whose cell
+    around the node is open — and exposes exactly its street edges that
+    cross the level-``k`` cell border plus its level-``k`` shortcuts, whose
+    rows hold because the cell is not stale.  Both closed properties nest
+    (a level-``k`` cell holding an endpoint or a changed intra-cell edge
+    makes its level-``k+1`` cell do the same), so every node of an open
+    level-``k`` cell has effective level ``k``, and nesting makes this
+    exact: every node the search reaches at effective level ``k`` got there
+    over an edge crossing a level-``k`` border (or a level-``k`` shortcut),
+    hence is a level-``k`` boundary node and has shortcuts.  Only
+    ``outgoing_from`` sees the hierarchy; ``outgoing`` reads the street
+    graph.
     """
 
-    __slots__ = ("_overlay", "_endpoint_cells")
+    __slots__ = ("_overlay", "_closed")
 
     def __init__(
         self, overlay: MultiLevelOverlay, source: int, target: int
     ) -> None:
         super().__init__(overlay.network)
         self._overlay = overlay
-        self._endpoint_cells = [
-            {overlay.cell_at(source, k), overlay.cell_at(target, k)}
-            for k in range(overlay.level_count)
+        # Per level, the closed cells: those holding an endpoint, and the
+        # stale ones.
+        self._closed = [
+            {overlay.cell_at(source, k), overlay.cell_at(target, k)} | stale
+            for k, stale in enumerate(overlay.stale)
         ]
 
     def outgoing_from(self, node: int, prev: int | None):
@@ -60,15 +68,15 @@ class _OverlayQueryGraph(GraphView):
         Suppresses the level-``k`` clique when the label entered the
         level-``k`` cell over one of its shortcuts — detected as ``prev``
         sharing the cell, since crossing street edges by construction
-        leave it (and nodes of an endpoint cell never share a
-        non-endpoint effective-level cell).  Exactness: chaining two
+        leave it (and nodes of a closed base cell never share an open
+        effective-level cell).  Exactness: chaining two
         exact intra-cell earliest-arrival functions is pointwise >= the
         direct shortcut, which the cell's entry node relaxed when it was
         expanded, so every suppressed label is dominated by a generated
         one.
         """
         overlay = self._overlay
-        cells = self._endpoint_cells
+        cells = self._closed
         if overlay.cell_at(node, 0) in cells[0]:
             return self._graph.outgoing(node)
         level = 0
@@ -86,8 +94,9 @@ class _OverlayQueryGraph(GraphView):
 class OverlayEngine:
     """allFP/singleFP queries climbing a :class:`MultiLevelOverlay`.
 
-    Travel times equal the flat engine's exactly (see the exactness
-    argument in ``overlay.py``); reported paths may take shortcut hops —
+    Travel times equal the flat engine's exactly at every network version
+    (see the exactness argument in ``overlay.py``; stale cells are searched
+    on live street edges); reported paths may take shortcut hops —
     :meth:`expand_path` materialises street-level hops for a departure
     instant.  Every per-query hybrid graph runs on one
     :class:`~repro.core.runtime.SearchContext`: pass a service's to share

@@ -17,11 +17,14 @@ Simple and Efficient Time-Dependent Routing", PAPERS.md):
   searches the raw street graph inside each base cell, level ``k`` searches
   the level-``k-1`` overlay graph (previous shortcuts plus edges crossing
   level-``k-1`` borders) inside each super-cell, so each level's work
-  shrinks with the boundary count instead of the street count.  A full
-  :meth:`~MultiLevelOverlay.build` customizes every cell of empty levels; a
-  live update (:meth:`~MultiLevelOverlay.refresh_delta`) customizes the
-  touched cells — the same routine, and new levels are adopted only when
-  every level succeeded;
+  shrinks with the boundary count instead of the street count.
+  :meth:`~MultiLevelOverlay.build` is the only customization pass;
+* **live updates** re-customize nothing
+  (:meth:`~MultiLevelOverlay.refresh_delta`): a cell holding an edge whose
+  pattern differs from the build's is marked *stale*, and the query graph
+  searches it at street level until that edge is restored (the
+  hierarchy-fixed, search-absorbs-the-change scheme of Nannicini et al.,
+  PAPERS.md);
 * shortcut functions live in five flat ``array`` stores per level
   (``src``/``dst``/breakpoint offsets/``xs``/``ys``) — snapshot-friendly,
   ``mmap``-able, and materialised into edge objects lazily per queried node;
@@ -34,7 +37,10 @@ within one level-``k`` cell, any street path between two level-``k``
 boundary nodes decomposes at level-``k-1`` borders; every intra-cell segment
 is dominated by a level-``k-1`` shortcut and every border crossing is an
 original edge, both present in the level-``k-1`` overlay graph — so the
-level-``k`` profile search returns the true street-level minimum.
+level-``k`` profile search returns the true street-level minimum.  A row
+reads only the edges with both endpoints inside its cell, so it stays true
+while none of them changes: that is what makes a non-stale cell's rows
+usable at any network version.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from ..estimators.grid import GridPartition
 from ..estimators.precompute import run_cell_jobs
 from ..exceptions import QueryError
 from ..func.monotone import MonotonePiecewiseLinear
+from ..patterns.speed import CapeCodPattern
 from ..timeutil import TimeInterval, days
 
 #: array typecodes of the flat shortcut stores (shared with the snapshot
@@ -267,8 +274,6 @@ class _LevelGraph(GraphView):
     def __init__(self, overlay: "MultiLevelOverlay", level: OverlayLevel) -> None:
         super().__init__(overlay.network)
         self._overlay = overlay
-        # One of the customization pass's working levels, not (yet) one the
-        # overlay serves.
         self._level = level
 
     def outgoing(self, node: int):
@@ -288,7 +293,7 @@ def _cell_job(state: dict, boundary: Sequence[int], members: frozenset):
     """
     overlay: MultiLevelOverlay = state["overlay"]
     level: int = state["level"]
-    below = state["levels"][level - 1] if level else None
+    below = overlay.levels[level - 1] if level else None
     graph = restrict(
         overlay.network if below is None else _LevelGraph(overlay, below), members
     )
@@ -337,7 +342,8 @@ class MultiLevelOverlay:
     """Nested partitions plus per-level flat-array shortcut functions.
 
     Build with :meth:`build`; follow live updates with
-    :meth:`refresh_delta`; persist inside an RPRESNAP v2 snapshot via
+    :meth:`refresh_delta`, which keeps ``stale`` (per level, the cells
+    whose rows no longer hold); persist inside an RPRESNAP v2 snapshot via
     :func:`repro.estimators.snapshot.save_tables` and re-attach with
     ``map_overlay``.  Queries go through
     :class:`~repro.hierarchy.engine.OverlayEngine`.
@@ -366,6 +372,10 @@ class MultiLevelOverlay:
         # Per-level divisors: base cell (cx, cy) -> super-cell (cx//f^k, cy//f^k).
         self._divisors = [fanout**k for k in range(len(levels))]
         self._dims = [_level_dims(nx0, ny0, fanout, k) for k in range(len(levels))]
+        # Build-time pattern of every edge whose pattern differs from it now,
+        # and per level the cells holding such an edge (see refresh_delta).
+        self._base: dict[tuple[int, int], CapeCodPattern] = {}
+        self.stale: list[set[int]] = [set() for _ in levels]
 
     # ------------------------------------------------------------------
     @property
@@ -488,83 +498,68 @@ class MultiLevelOverlay:
         )
         overlay.stats.workers_used = max(1, workers)
         # ... then customization of every cell.
-        overlay._customize(
-            None, workers=workers, max_pops=max_pops, deadline=deadline
-        )
+        overlay._customize(workers=workers, max_pops=max_pops, deadline=deadline)
         return overlay
 
     # ------------------------------------------------------------------
-    def refresh_delta(
-        self,
-        mutations,
-        *,
-        workers: int = 1,
-        max_pops: int | None = None,
-        deadline: float | None = None,
-    ) -> int:
-        """Re-customize only the cells an edge-pattern mutation can reach.
+    def refresh_delta(self, mutations) -> int:
+        """Follow a live update by marking the cells it made stale; no row
+        is recomputed, so this returns 0.
 
-        ``mutations`` is any sequence of objects with ``source``/``target``
-        attributes (``AppliedMutation`` records from the live-update path).
-        Because the profile search of a cell skips every edge whose target
-        lies outside the cell, a mutated edge ``(u, v)`` influences a
-        level-``k`` cell's shortcut rows **iff** both endpoints share that
-        cell — and nested partitions make the set of touched cells per
-        level exactly ``{cell_k(u) : cell_k(u) == cell_k(v)}``, which also
-        covers the lift of every touched lower-level cell.  The result is
-        byte-identical to a from-scratch rebuild; an exception leaves the
-        overlay exactly as it was.  Returns the number of recomputed cells.
+        ``mutations`` is any sequence of ``AppliedMutation``-like records
+        (``source``/``target``/``old_pattern``/``new_pattern``).  A level-
+        ``k`` row is a function of the patterns of the edges with both
+        endpoints inside its cell, so it stays true exactly while every such
+        edge has its build-time pattern.  ``_base`` keeps the build-time
+        pattern of each edge whose pattern differs from it now (a restore
+        drops the entry), and ``stale[k]`` is every level-``k`` cell holding
+        one of those edges.  The query graph searches a stale cell at street
+        level, as it does a cell holding a query endpoint.
 
         Topology must be unchanged — only speed patterns may differ from
         the build-time network — so grids and boundary sets stay valid.
         """
-        touched: list[set[int]] = [set() for _ in self.levels]
+        base = self._base
         for m in mutations:
-            for k, cells in enumerate(touched):
-                cu = self.cell_at(m.source, k)
-                if cu == self.cell_at(m.target, k):
-                    cells.add(cu)
-        if not any(touched):
-            return 0
-        return self._customize(
-            touched, workers=workers, max_pops=max_pops, deadline=deadline
-        )
+            key = (m.source, m.target)
+            if key in base:
+                if m.new_pattern == base[key]:
+                    del base[key]
+            elif m.new_pattern != m.old_pattern:
+                base[key] = m.old_pattern
+        cell_at = self.cell_at
+        self.stale = [
+            {
+                cell_at(u, k)
+                for u, v in base
+                if cell_at(u, k) == cell_at(v, k)
+            }
+            for k in range(self.level_count)
+        ]
+        return 0
 
     def _customize(
         self,
-        touched: list[set[int]] | None,
         *,
         workers: int,
         max_pops: int | None,
         deadline: float | None,
-    ) -> int:
-        """The one customization pass: recompute the shortcut rows of
-        ``touched[k]`` at every level ``k`` (``None`` = every cell).
-
-        Cells are recomputed bottom-up, each level against the rows the
-        pass just produced for the level below, and spliced into fresh flat
-        arrays (cells are contiguous in sorted order by construction).  The
-        new levels are built aside and adopted only once every level
-        succeeded, so a budget, deadline or shortcut-window failure midway
-        leaves ``self.levels`` untouched.  Returns the recomputed-cell count.
-        """
+    ) -> None:
+        """The one customization pass: compute the shortcut rows of every
+        cell at every level, bottom-up, each level against the rows the
+        pass just produced for the level below (cells are contiguous in
+        sorted order by construction)."""
         started = time.monotonic()
         deadline_at = None if deadline is None else started + deadline
         count = len(self.levels)
-        working = list(self.levels)
-        recomputed = 0
         for level in range(count):
             level_started = time.monotonic()
             by_cell = self._boundaries(level)
-            cells = set(by_cell) if touched is None else touched[level]
             members = self._members(level)
-            order = [cell for cell in sorted(cells) if by_cell.get(cell)]
+            order = sorted(by_cell)
             tasks = [(tuple(sorted(by_cell[c])), members[c]) for c in order]
-            if not tasks:
-                continue
             state = {
                 "overlay": self,
-                "levels": working,
                 "level": level,
                 "horizon": TimeInterval(
                     self._horizon.start,
@@ -575,10 +570,14 @@ class MultiLevelOverlay:
                 "deadline_at": deadline_at,
             }
             outcomes, _ = run_cell_jobs(_cell_job, state, tasks, workers)
-            fresh_rows: dict[int, list] = {}
+            src = array(NODE_TYPECODE)
+            dst = array(NODE_TYPECODE)
+            off = array(OFFSET_TYPECODE, [0])
+            xs = array(VALUE_TYPECODE)
+            ys = array(VALUE_TYPECODE)
             searches = 0
             expanded = 0
-            for cell, outcome in zip(order, outcomes):
+            for outcome in outcomes:
                 kind = outcome[0]
                 if kind == "timeout":
                     raise QueryTimeout(outcome[1], SearchStats(timed_out=True))
@@ -586,88 +585,31 @@ class MultiLevelOverlay:
                     raise SearchBudgetExceeded(
                         outcome[1], SearchStats(), what=outcome[2]
                     )
-                _, fresh_rows[cell], cell_searches, cell_expanded = outcome
-                searches += cell_searches
-                expanded += cell_expanded
-            replaced = working[level]
-            working[level] = self._splice_level(
-                replaced, level, cells, fresh_rows
-            )
-            # The replaced level stays whole in ``self.levels`` until the
-            # pass succeeds, but its materialised-edge memo is only a cache:
-            # drop it so it never coexists with the new level's memo (which
-            # fills while the next level up is customized).
-            replaced._edges.clear()
-            stats = working[level].stats
-            stats.cells = sum(1 for nodes in by_cell.values() if nodes)
-            stats.boundary_nodes = sum(len(nodes) for nodes in by_cell.values())
-            stats.profile_searches += searches
-            stats.expanded_paths += expanded
-            stats.build_seconds += time.monotonic() - level_started
-            recomputed += len(tasks)
-        self.levels = working
-        self.stats.levels = [lv.stats for lv in working]
-        self.stats.build_seconds += time.monotonic() - started
-        return recomputed
-
-    def _splice_level(
-        self,
-        old: OverlayLevel,
-        level: int,
-        touched: set[int],
-        fresh_rows: dict[int, list],
-    ) -> OverlayLevel:
-        """A new :class:`OverlayLevel` with touched cells' rows replaced.
-
-        Works for ``array`` and ``mmap``-backed stores alike: untouched
-        cells' rows are copied out of the old views, touched cells get the
-        freshly computed rows, offsets are rebuilt as the splice runs.
-        """
-        cell_of = lambda node: self.cell_at(node, level)  # noqa: E731
-        old_spans: dict[int, tuple[int, int]] = {}
-        current: int | None = None
-        start = 0
-        for i in range(len(old.src)):
-            cell = cell_of(old.src[i])
-            if cell != current:
-                if current is not None:
-                    old_spans[current] = (start, i)
-                if cell in old_spans:
-                    raise QueryError(
-                        f"overlay level {level}: rows of cell {cell} are not "
-                        "contiguous; cannot splice a delta refresh"
-                    )
-                current, start = cell, i
-        if current is not None:
-            old_spans[current] = (start, len(old.src))
-
-        src = array(NODE_TYPECODE)
-        dst = array(NODE_TYPECODE)
-        off = array(OFFSET_TYPECODE, [0])
-        xs = array(VALUE_TYPECODE)
-        ys = array(VALUE_TYPECODE)
-        for cell in sorted(set(old_spans) | set(fresh_rows)):
-            if cell in touched:
-                for s, t, row_xs, row_ys in fresh_rows.get(cell, ()):
+                _, rows, cell_searches, cell_expanded = outcome
+                for s, t, row_xs, row_ys in rows:
                     src.append(s)
                     dst.append(t)
                     xs.extend(row_xs)
                     ys.extend(row_ys)
                     off.append(len(xs))
-            else:
-                lo, hi = old_spans[cell]
-                src.extend(old.src[lo:hi])
-                dst.extend(old.dst[lo:hi])
-                for row in range(lo, hi):
-                    a, b = old.off[row], old.off[row + 1]
-                    xs.extend(old.xs[a:b])
-                    ys.extend(old.ys[a:b])
-                    off.append(len(xs))
-
-        stats = replace(old.stats, shortcuts=len(src), breakpoints=len(xs))
-        return OverlayLevel(
-            level, old.nx, old.ny, src, dst, off, xs, ys, stats
-        )
+                searches += cell_searches
+                expanded += cell_expanded
+            empty = self.levels[level]
+            stats = replace(
+                empty.stats,
+                cells=len(order),
+                boundary_nodes=sum(len(nodes) for nodes in by_cell.values()),
+                shortcuts=len(src),
+                breakpoints=len(xs),
+                profile_searches=searches,
+                expanded_paths=expanded,
+                build_seconds=time.monotonic() - level_started,
+            )
+            self.levels[level] = OverlayLevel(
+                level, empty.nx, empty.ny, src, dst, off, xs, ys, stats
+            )
+        self.stats.levels = [lv.stats for lv in self.levels]
+        self.stats.build_seconds = time.monotonic() - started
 
 
 def _empty_level(level: int, nx: int, ny: int) -> OverlayLevel:

@@ -171,9 +171,9 @@ class QueryResponse:
     """A result plus how the service produced it.
 
     ``degraded`` flags answers computed in a degraded mode — a boot artifact
-    failed to load, or the customized estimator or the overlay was set
-    aside after a failed re-customization (the naive bound and the flat
-    engine that stand in are exact, only slower) — or ``stale`` is set and
+    failed to load, or the customized estimator was set aside after a
+    failed re-customization (the naive bound and the flat engine that stand
+    in are exact, only slower) — or ``stale`` is set and
     the result was served from the version-stamped cache after a deadline
     tripped mid-recompute (possibly predating the latest network update).
 
@@ -329,7 +329,8 @@ class AllFPService(SurfaceBase):
         ``allfp``/``singlefp`` requests run on
         :class:`~repro.hierarchy.engine.OverlayEngine` — climbing levels
         instead of flooding the flat graph — with identical answers; the
-        one-to-many modes are unaffected.
+        one-to-many modes are unaffected.  Live updates leave its rows as
+        built and mark stale cells instead.
     """
 
     def __init__(
@@ -353,7 +354,7 @@ class AllFPService(SurfaceBase):
             NaiveEstimator(network) if self._estimator is None else self._estimator
         )
         self._overlay = overlay
-        # Boot errors, or the estimator or overlay set aside since.
+        # Boot errors, or the estimator set aside since.
         self._degraded = degraded
         # One shared runtime for every engine and every one-to-many search.
         self._context = SearchContext(network)
@@ -408,7 +409,16 @@ class AllFPService(SurfaceBase):
             "service_degraded",
             lambda: 1.0 if self.degraded else 0.0,
             help="1 when the service is serving degraded answers "
-            "(boot-time fallback, or estimator or overlay set aside)",
+            "(boot-time fallback, or estimator set aside)",
+        )
+        self.metrics.set_gauge(
+            "overlay_stale_cells",
+            lambda: float(
+                0 if self._overlay is None
+                else sum(len(cells) for cells in self._overlay.stale)
+            ),
+            help="Overlay cells, summed over levels, searched at street "
+            "level because they hold an edge changed since the build",
         )
         self.metrics.set_gauge(
             "fault_injections_total",
@@ -542,8 +552,7 @@ class AllFPService(SurfaceBase):
     def apply_updates(
         self, batch: MutationBatch, version: int | None = None
     ) -> int:
-        """Apply one live-update batch and delta re-customize; returns the
-        new network version.
+        """Apply one live-update batch; returns the new network version.
 
         The batch is validated up front (typed errors, nothing applied on
         failure), counted as *pending* while it waits for in-flight queries
@@ -551,15 +560,15 @@ class AllFPService(SurfaceBase):
         edge patterns mutate, the boundary tables are kept unless an edge
         got faster than it has ever been
         (:func:`~repro.estimators.precompute.refresh_tables_delta`), the
-        overlay refreshes only the cells that contain a mutated edge
-        (:meth:`~repro.hierarchy.overlay.MultiLevelOverlay.refresh_delta`),
-        and the edge-function and result caches drop so no pre-update
-        function survives.  A typed failure of either refresh never fails
-        the batch: the service continues on a naive bound / the flat
-        engine, flagged degraded.  The estimator refresh fans out over the
-        estimator's own ``workers``; the overlay refresh runs serially.
-        ``version`` lets the shard tier impose its monotonic version
-        instead of the local counter.
+        overlay recomputes nothing and marks stale the cells that hold an
+        edge changed since its build
+        (:meth:`~repro.hierarchy.overlay.MultiLevelOverlay.refresh_delta`;
+        queries search those at street level), and the edge-function and
+        result caches drop so no pre-update function survives.  A typed
+        failure of the estimator refresh never fails the batch: the service
+        continues on a naive bound, flagged degraded; the refresh fans out
+        over the estimator's own ``workers``.  ``version`` lets the shard
+        tier impose its monotonic version instead of the local counter.
         """
         if self._closed:
             raise ServiceClosed("service is shut down")
@@ -588,21 +597,7 @@ class AllFPService(SurfaceBase):
             else None
         )
         if self._overlay is not None:
-            try:
-                self._overlay.refresh_delta(applied, workers=1)
-            except ReproError:
-                # The pass adopts every level or none, so the overlay is
-                # still customized for the previous version and must not
-                # serve this one.  Same policy as a failed overlay load at
-                # boot: keep the update, answer on the flat engine (still
-                # exact, only slower), flag degraded.
-                self._overlay = None
-                self._degraded = True
-                self.metrics.inc(
-                    "overlay_refresh_failures_total",
-                    help="Update batches whose overlay re-customization "
-                    "failed (service dropped to the flat engine)",
-                )
+            self._overlay.refresh_delta(applied)
         self._version += 1
         self._result_cache.clear()
         self._edge_cache.clear()

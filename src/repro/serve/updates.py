@@ -5,7 +5,7 @@ shard broadcast) moves batches of **edge-pattern mutations**: an existing
 edge gets a new CapeCod speed pattern.  Topology never changes on this
 path — endpoints, distances, and road classes stay fixed — so the grid
 partitions, boundary-node sets, and overlay cell structure built at boot
-remain valid and only travel-time functions need re-customization.
+remain valid and only travel-time functions change.
 
 Wire format (one mutation)::
 

@@ -306,9 +306,10 @@ class ShardedService(SurfaceBase):
         # A restarted worker booted on the boot-time network and files;
         # replay the ordered mutation log before it serves queries at a
         # version it never applied.  It sees every batch against the
-        # patterns a live worker saw, so its delta re-customization (whose
-        # first assumed weight per edge is read from the old pattern)
-        # converges on the same tables, overlay and version.  Holding the
+        # patterns a live worker saw, so its estimator delta (whose first
+        # assumed weight per edge is read from the old pattern) and its
+        # overlay's stale cells (whose build-time pattern per edge is too)
+        # converge on the same tables, stale cells and version.  Holding the
         # update lock keeps a concurrent apply_updates from interleaving
         # mid-replay.
         with self._update_lock:
@@ -510,8 +511,8 @@ class ShardedService(SurfaceBase):
         monotonic version, applied to the router copy (so later batches
         validate against current patterns; the boot-time pattern of each
         edge is kept for restart forks to rewind to), appended to the
-        replay log, then sent to each live worker, which
-        delta re-customizes under its own update lock.  A shard that is
+        replay log, then sent to each live worker, which applies it under
+        its own update lock (estimator delta, overlay stale cells).  A shard that is
         down catches up from the log when it restarts; a shard whose apply
         *fails* is killed so the restart-and-replay path resynchronises it
         rather than leaving it silently serving a diverged network.

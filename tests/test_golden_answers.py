@@ -11,7 +11,9 @@ breakpoint, or reorders a tie fails here.
 same way: sha256 digests of the five flat arrays of every level of a 1-level
 and a 2-level ``MultiLevelOverlay`` on ``metro_tiny`` and of the five
 ``EstimatorTables`` stores (3x3, both metrics), each as built and again
-after one pinned ``refresh_delta`` batch, plus four ``OverlayEngine`` allFP
+after one pinned mutation batch (the tables through ``refresh_delta``, the
+overlay rebuilt on the mutated network, with the per-level count of cells
+its ``refresh_delta`` marked stale), plus four ``OverlayEngine`` allFP
 answers.  ``REPRO_PRECOMPUTE_WORKERS`` (the CI parallel leg sets it to 2)
 picks the worker count of every build and refresh; the digests are the same
 at any count.
@@ -224,13 +226,14 @@ def compute_structures(workers: int = 1) -> dict:
                 ],
             })
         built = _overlay_digests(overlay)
-        recomputed = overlay.refresh_delta(
-            _apply_refresh_batch(network), workers=workers
+        overlay.refresh_delta(_apply_refresh_batch(network))
+        rebuilt = MultiLevelOverlay.build(
+            network, levels=levels, workers=workers, **OVERLAY_BUILD
         )
         out["overlay"][str(levels)] = {
             "built": built,
-            "cells_recomputed": recomputed,
-            "refreshed": _overlay_digests(overlay),
+            "stale_cells": [len(cells) for cells in overlay.stale],
+            "refreshed": _overlay_digests(rebuilt),
         }
     for metric in ("time", "distance"):
         network = NETWORKS["metro_tiny"]()

@@ -27,6 +27,12 @@ from repro.estimators.boundary import BoundaryNodeEstimator
 from repro.exceptions import EstimatorError, QueryError
 from repro.hierarchy import MultiLevelOverlay, OverlayEngine, ShortcutEdge
 from repro.network.generator import MetroConfig, make_metro_network
+from repro.serve.updates import (
+    EdgeMutation,
+    MutationBatch,
+    apply_batch,
+    slowdown_pattern,
+)
 from repro.timeutil import TimeInterval, parse_clock
 
 WINDOW = TimeInterval(parse_clock("6:30"), parse_clock("9:30"))
@@ -354,6 +360,40 @@ class TestSnapshotRoundTrip:
         header = snap.Snapshot(path).describe()
         assert header["version"] == snap.SNAPSHOT_VERSION
         assert header.get("overlay") is None
+
+    def test_stale_overlay_is_refused(self, tmp_path):
+        # A live update inside a cell leaves its rows untrue for the
+        # network the fingerprint names; saving them would pass them off
+        # as current.  The restore makes the overlay savable again.
+        network = make_metro_network(MetroConfig(width=10, height=10, seed=23))
+        overlay = _build(network, levels=2, nx=4)
+        tables = BoundaryNodeEstimator(network, 4, 4).tables
+        edge = next(
+            e
+            for e in network.edges()
+            if overlay.cell_at(e.source, 0) == overlay.cell_at(e.target, 0)
+        )
+        path = tmp_path / "stale.ovl"
+
+        def update(pattern):
+            overlay.refresh_delta(
+                apply_batch(
+                    network,
+                    MutationBatch((EdgeMutation(edge.source, edge.target, pattern),)),
+                )
+            )
+
+        update(slowdown_pattern(edge.pattern, 0.5))
+        with pytest.raises(EstimatorError, match="stale cells"):
+            snap.save_tables(
+                tables, path, snap.network_fingerprint(network), overlay=overlay
+            )
+        assert not path.exists()
+        update(edge.pattern)
+        snap.save_tables(
+            tables, path, snap.network_fingerprint(network), overlay=overlay
+        )
+        self._assert_same(overlay, snap.map_overlay(path, network))
 
 
 class TestServing:

@@ -2,11 +2,11 @@
 
 Covers the update pipeline end to end — mutation/batch/trace parsing and
 its typed failures, the admissibility-preserving estimator delta refresh,
-the overlay shortcut splice, the service-level versioned apply (caches
-invalidated, answers byte-identical to a from-scratch service on the
-mutated network), the ``max_staleness`` contract, the
-``invalidate(refresh_estimator=True)``-racing-queries invariant, and the
-chaos harness under a mutation trace.
+the overlay's stale cells (rows kept as built, answers still exact), the
+service-level versioned apply (caches invalidated, answers byte-identical
+to a from-scratch service on the mutated network), the ``max_staleness``
+contract, the ``invalidate(refresh_estimator=True)``-racing-queries
+invariant, and the chaos harness under a mutation trace.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import os
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import IntAllFastestPaths
 from repro.estimators.boundary import BoundaryNodeEstimator
@@ -26,7 +28,7 @@ from repro.exceptions import (
     QueryError,
     StalenessExceeded,
 )
-from repro.hierarchy import MultiLevelOverlay
+from repro.hierarchy import MultiLevelOverlay, OverlayEngine
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.serve.chaos import _canonical, default_fault_plan, run_chaos
 from repro.serve.service import AllFPService, QueryRequest, ServiceConfig
@@ -250,13 +252,51 @@ class TestEstimatorDelta:
         assert _answers(network, estimator, pairs) == exact
 
 
+def _level_bytes(overlay):
+    return [
+        (bytes(lv.src), bytes(lv.dst), bytes(lv.off), bytes(lv.xs), bytes(lv.ys))
+        for lv in overlay.levels
+    ]
+
+
+def _assert_matches_flat(network, overlay, pairs):
+    """``OverlayEngine`` answers equal the flat engine's on the live
+    network to 1e-6, at every breakpoint of either border."""
+    flat = IntAllFastestPaths(network)
+    fast = OverlayEngine(overlay)
+    for source, target in pairs:
+        want = flat.all_fastest_paths(source, target, INTERVAL)
+        got = fast.all_fastest_paths(source, target, INTERVAL)
+        instants = {
+            x for x, _ in got.border.breakpoints + want.border.breakpoints
+        } | set(INTERVAL.sample(5))
+        for instant in sorted(instants):
+            assert got.travel_time_at(instant) == pytest.approx(
+                want.travel_time_at(instant), abs=1e-6
+            ), (source, target, instant)
+
+
+def _expected_stale(network, overlay, boot_patterns):
+    """Per level, the cells holding an intra-cell edge whose pattern differs
+    from the build's — recomputed from scratch."""
+    stale = [set() for _ in overlay.levels]
+    for e in network.edges():
+        if e.pattern == boot_patterns[(e.source, e.target)]:
+            continue
+        for k, cells in enumerate(stale):
+            if overlay.cell_at(e.source, k) == overlay.cell_at(e.target, k):
+                cells.add(overlay.cell_at(e.source, k))
+    return stale
+
+
 class TestOverlayDelta:
-    def test_splice_matches_full_rebuild(self):
+    def test_intra_cell_edge_marks_cell_stale(self):
         network = make_metro_network(MetroConfig(width=10, height=10, seed=23))
         horizon = TimeInterval(0.0, 48 * 60.0)
         overlay = MultiLevelOverlay.build(
-            network, levels=2, nx=4, horizon=horizon
+            network, levels=2, nx=4, horizon=horizon, workers=ENV_WORKERS
         )
+        before = _level_bytes(overlay)
         # An intra-cell edge at level 0 (same cell for both endpoints).
         mutation = next(
             m
@@ -267,18 +307,16 @@ class TestOverlayDelta:
             if overlay.cell_at(m.source, 0) == overlay.cell_at(m.target, 0)
         )
         applied = apply_batch(network, MutationBatch((mutation,)))
-        recomputed = overlay.refresh_delta(applied, workers=ENV_WORKERS)
-        assert recomputed >= 1
-
-        rebuilt = MultiLevelOverlay.build(
-            network, levels=2, nx=4, horizon=horizon
+        assert overlay.refresh_delta(applied) == 0
+        assert _level_bytes(overlay) == before
+        assert overlay.stale == [
+            {overlay.cell_at(mutation.source, k)} for k in range(2)
+        ]
+        _assert_matches_flat(
+            network,
+            overlay,
+            [(mutation.source, mutation.target), (0, 99), (3, 95)],
         )
-        for level, fresh in zip(overlay.levels, rebuilt.levels):
-            assert bytes(level.src) == bytes(fresh.src)
-            assert bytes(level.dst) == bytes(fresh.dst)
-            assert bytes(level.off) == bytes(fresh.off)
-            assert bytes(level.xs) == bytes(fresh.xs)
-            assert bytes(level.ys) == bytes(fresh.ys)
 
     def test_cross_cell_edge_needs_no_recompute(self):
         network = make_metro_network(MetroConfig(width=10, height=10, seed=23))
@@ -297,6 +335,84 @@ class TestOverlayDelta:
         applied = apply_batch(network, MutationBatch((mutation,)))
         assert overlay.refresh_delta(applied) == 0
         assert bytes(overlay.levels[0].xs) == before
+        assert overlay.stale == [set()]
+
+
+STALE_PAIRS = [(0, 99), (22, 77), (3, 95)]
+
+
+def _stale_case():
+    """The 10x10 seed-23 metro with a 2-level ``nx=4`` overlay, a pool of
+    edges (intra-cell at level 0, crossing level 0 inside a level-1 cell,
+    crossing level 1) and the boot answers to ``STALE_PAIRS``."""
+    network = make_metro_network(MetroConfig(width=10, height=10, seed=23))
+    overlay = MultiLevelOverlay.build(
+        network, levels=2, nx=4, horizon=TimeInterval(0.0, 48 * 60.0)
+    )
+    edges = list(network.edges())
+
+    def span(e):
+        return [
+            overlay.cell_at(e.source, k) == overlay.cell_at(e.target, k)
+            for k in range(2)
+        ]
+
+    pool = (
+        [e for e in edges if span(e) == [True, True]][:4]
+        + [e for e in edges if span(e) == [False, True]][:3]
+        + [e for e in edges if span(e) == [False, False]][:2]
+    )
+    engine = OverlayEngine(overlay)
+    boot = [
+        _canonical(engine.all_fastest_paths(s, t, INTERVAL))
+        for s, t in STALE_PAIRS
+    ]
+    return network, overlay, pool, boot
+
+
+_BATCH = st.lists(
+    st.tuples(
+        st.integers(0, 8), st.sampled_from(["slow", "restore", "speedup"])
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestStaleCells:
+    @settings(max_examples=12, deadline=None)
+    @given(batches=st.lists(_BATCH, min_size=1, max_size=4))
+    def test_stale_cells_track_changed_edges(self, batches):
+        network, overlay, pool, boot = _stale_case()
+        built = _level_bytes(overlay)
+        boot_patterns = {(e.source, e.target): e.pattern for e in network.edges()}
+
+        def pattern(edge, kind):
+            original = boot_patterns[(edge.source, edge.target)]
+            factor = {"slow": 0.3, "speedup": 2.0}.get(kind)
+            return original if factor is None else slowdown_pattern(original, factor)
+
+        restore_all = [(i, "restore") for i in range(len(pool))]
+        for batch in [*batches, restore_all]:
+            mutations = tuple(
+                EdgeMutation(
+                    pool[i].source, pool[i].target, pattern(pool[i], kind)
+                )
+                for i, kind in batch
+            )
+            applied = apply_batch(network, MutationBatch(mutations))
+            assert overlay.refresh_delta(applied) == 0
+            assert _level_bytes(overlay) == built
+            assert overlay.stale == _expected_stale(
+                network, overlay, boot_patterns
+            )
+            _assert_matches_flat(network, overlay, STALE_PAIRS)
+        assert overlay.stale == [set(), set()]
+        engine = OverlayEngine(overlay)
+        assert [
+            _canonical(engine.all_fastest_paths(s, t, INTERVAL))
+            for s, t in STALE_PAIRS
+        ] == boot
 
 
 # ----------------------------------------------------------------------
@@ -306,11 +422,12 @@ def _request(source, target, **kw):
     return QueryRequest(source, target, INTERVAL, "allfp", **kw)
 
 
-class TestOverlayRefreshFailure:
-    """A batch ``validate_batch`` accepts can still fail re-customization:
-    with every edge slowed x1e-3, level-0 shortcuts are slower than the 12 h
-    horizon pad and the level-1 search runs off their window.  The overlay
-    must stay whole and the service must keep answering at the new version.
+class TestBatchBeyondHorizonPad:
+    """With every edge slowed x1e-3, level-0 shortcuts would be slower than
+    the 12 h horizon pad, so a re-customization would run the level-1
+    search off their window.  No update re-customizes: every cell goes
+    stale, the overlay stays as built, and the service keeps answering on
+    it, exactly, at the new version.
     """
 
     @staticmethod
@@ -330,9 +447,9 @@ class TestOverlayRefreshFailure:
         flat = IntAllFastestPaths(reference_net).all_fastest_paths(0, 99, INTERVAL)
         return network, overlay, batch, flat
 
-    def test_service_drops_to_flat_at_new_version(self):
+    def test_service_stays_on_overlay_at_new_version(self):
         network, overlay, batch, flat = self._case()
-        before = [(bytes(lv.off), bytes(lv.xs), bytes(lv.ys)) for lv in overlay.levels]
+        before = _level_bytes(overlay)
         service = AllFPService(
             network, config=ServiceConfig(), overlay=overlay
         )
@@ -340,16 +457,11 @@ class TestOverlayRefreshFailure:
             assert service.query(_request(0, 99)).version == 0
             assert service.apply_updates(batch) == 1
             live = service.query(_request(0, 99))
-            assert (live.version, live.cached, live.degraded) == (1, False, True)
+            assert (live.version, live.cached, live.degraded) == (1, False, False)
+            assert service.degraded is False
             assert live.result.border.breakpoints == flat.border.breakpoints
             assert live.result.entries == flat.entries
-            assert service.metrics.counter_value(
-                "overlay_refresh_failures_total"
-            ) == 1.0
-            # All levels or none: the failed pass left the overlay untouched.
-            assert before == [
-                (bytes(lv.off), bytes(lv.xs), bytes(lv.ys)) for lv in overlay.levels
-            ]
+            assert _level_bytes(overlay) == before
         finally:
             service.close()
 
@@ -413,16 +525,15 @@ class TestRestartAfterUpdates:
         batch = MutationBatch(
             (mutation_for(network, 138, 20.0), mutation_for(network, 0, 0.2))
         )
+        # Bytes are compared like for like: the reference is a service on
+        # the boot overlay that applied the same batch.
         reference_net = copy.deepcopy(network)
-        apply_batch(reference_net, batch)
-        # Bytes are compared like for like: the overlay is another exact
-        # engine, so the reference answers through one customized from
-        # scratch for the mutated network.
         reference = AllFPService(
             reference_net,
             config=ServiceConfig(),
             overlay=MultiLevelOverlay.build(reference_net, levels=1, nx=5),
         )
+        assert reference.apply_updates(batch) == 1
         tier = ShardedService(
             network,
             estimator,
