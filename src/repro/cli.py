@@ -4,7 +4,7 @@ Installed as ``repro-allfp``::
 
     repro-allfp generate --out metro.json --width 48 --height 48
     repro-allfp build-ccam --network metro.json --out metro.ccam
-    repro-allfp precompute --network metro.json --out metro.est --workers 4
+    repro-allfp precompute --network metro.json --out metro.est
     repro-allfp query --network metro.json --source 0 --target 2303 \\
         --from 7:00 --to 9:00 --mode allfp \\
         --estimator boundary --estimator-cache metro.est
@@ -147,12 +147,11 @@ def _customized(network, args: argparse.Namespace) -> dict:
     named cache file exists and, for ``--overlay-cache`` with
     ``--overlay-levels``, has an overlay section — is handed on as its path
     (``snapshot_path`` / ``overlay_path``) for the reader to open; a **miss**
-    is built in-process (``--precompute-workers`` processes), written to the
-    named file for the next boot, and handed on as the object
-    (``estimator`` / ``overlay``).  One file may be named by both flags: an
-    estimator miss writes it as version 1, the overlay miss that follows
-    rewrites it as version 2 leading with the same tables.
-    Misses are noted on stderr here, hits by :func:`_note_hits` (``query``
+    is built in-process, written to the named file for the next boot, and
+    handed on as the object (``estimator`` / ``overlay``).  One file may be
+    named by both flags: an estimator miss writes it as version 1, the
+    overlay miss that follows rewrites it as version 2 leading with the same
+    tables.  Misses are noted on stderr here, hits by :func:`_note_hits` (``query``
     opens the file first, so a bad one is the only line it prints).
     """
     from .estimators import snapshot as snap
@@ -160,14 +159,13 @@ def _customized(network, args: argparse.Namespace) -> dict:
     sources = dict.fromkeys(
         ("estimator", "snapshot_path", "overlay", "overlay_path"), None
     )
-    workers = args.precompute_workers
     cache = args.estimator_cache
     if not _wants_boundary(network, args):
         pass
     elif cache and Path(cache).exists():
         sources["snapshot_path"] = cache
     else:
-        built = BoundaryNodeEstimator(network, args.grid, args.grid, workers=workers)
+        built = BoundaryNodeEstimator(network, args.grid, args.grid)
         sources["estimator"] = built
         if cache:
             built.save_snapshot(cache)
@@ -188,7 +186,7 @@ def _customized(network, args: argparse.Namespace) -> dict:
     elif levels > 0:
         from .hierarchy import MultiLevelOverlay
 
-        overlay = MultiLevelOverlay.build(network, levels=levels, workers=workers)
+        overlay = MultiLevelOverlay.build(network, levels=levels)
         sources["overlay"] = overlay
         took = f"{overlay.level_count} level(s) in {overlay.stats.build_seconds:.2f}s"
         if cache:
@@ -239,19 +237,14 @@ def _cmd_precompute(args: argparse.Namespace) -> int:
             "pass the .json network instead of a .ccam database"
         )
     estimator = BoundaryNodeEstimator(
-        network,
-        args.grid,
-        args.grid,
-        metric=args.metric,
-        workers=args.workers,
+        network, args.grid, args.grid, metric=args.metric
     )
     path = estimator.save_snapshot(args.out)
     size = path.stat().st_size
     print(
         f"wrote {path}: {args.grid}x{args.grid} grid, {args.metric} metric, "
         f"{network.node_count} nodes, {size} bytes "
-        f"(precompute {estimator.precompute_seconds:.2f}s, "
-        f"{args.workers} worker(s))"
+        f"(precompute {estimator.precompute_seconds:.2f}s)"
     )
     return 0
 
@@ -273,9 +266,7 @@ def _cmd_build_overlay(args: argparse.Namespace) -> int:
             "pass the .json network instead of a .ccam database"
         )
     horizon = TimeInterval(0.0, args.horizon_hours * 60.0)
-    estimator = BoundaryNodeEstimator(
-        network, args.grid, args.grid, workers=args.workers
-    )
+    estimator = BoundaryNodeEstimator(network, args.grid, args.grid)
     tables = estimator.tables
     overlay = MultiLevelOverlay.build(
         network,
@@ -283,7 +274,6 @@ def _cmd_build_overlay(args: argparse.Namespace) -> int:
         nx=args.overlay_grid,
         fanout=args.fanout,
         horizon=horizon,
-        workers=args.workers,
     )
     snap.save_tables(
         tables, args.out, snap.network_fingerprint(network), overlay=overlay
@@ -302,8 +292,7 @@ def _cmd_build_overlay(args: argparse.Namespace) -> int:
         )
     print(
         f"build: {overlay.stats.build_seconds:.2f}s "
-        f"({args.workers} worker(s), "
-        f"{sum(lv.profile_searches for lv in overlay.stats.levels)} "
+        f"({sum(lv.profile_searches for lv in overlay.stats.levels)} "
         f"profile searches)"
     )
     return 0
@@ -837,12 +826,6 @@ def _add_customization(p) -> None:
         "(fingerprint-checked), precompute and write it when missing",
     )
     p.add_argument(
-        "--precompute-workers",
-        type=int,
-        default=1,
-        help="process count for the boundary-estimator precompute",
-    )
-    p.add_argument(
         "--overlay-levels",
         type=int,
         default=0,
@@ -974,12 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
     prep.add_argument("--out", required=True, help="output snapshot path")
     prep.add_argument("--grid", type=int, default=6, help="boundary grid size")
     prep.add_argument("--metric", choices=("time", "distance"), default="time")
-    prep.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process count for the per-cell Dijkstra fan-out",
-    )
 
     build_ov = verb(
         "build-overlay",
@@ -1014,8 +991,9 @@ def build_parser() -> argparse.ArgumentParser:
     build_ov.add_argument(
         "--workers",
         type=int,
+        choices=(1,),
         default=1,
-        help="process count for the per-cell profile-search fan-out",
+        help="accepted for its callers: the build runs in one process",
     )
 
     query = verb("query", _cmd_query, "run an allFP or singleFP query")

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..func import kernel
 from ..func.piecewise import PiecewiseLinearFunction
 from ..timeutil import TimeInterval, format_clock, format_duration
 
@@ -31,10 +30,6 @@ class SearchStats:
     ``elapsed_seconds`` is the wall-clock time the search took;
     ``timed_out`` is set when the search was cut short by a query deadline
     (see :class:`~repro.core.engine.QueryTimeout`).
-
-    ``kernel_backend`` names the function algebra the query ran on — always
-    ``array``, the one kernel; the field stays so responses and stored
-    trajectories keep their shape.
     """
 
     expanded_paths: int = 0
@@ -51,7 +46,6 @@ class SearchStats:
     bound_evaluations: int = 0
     elapsed_seconds: float = 0.0
     timed_out: bool = False
-    kernel_backend: str = field(default_factory=kernel.active_backend)
 
     def as_dict(self) -> dict[str, int | float | bool]:
         return {
@@ -69,7 +63,6 @@ class SearchStats:
             "bound_evaluations": self.bound_evaluations,
             "elapsed_seconds": self.elapsed_seconds,
             "timed_out": self.timed_out,
-            "kernel_backend": self.kernel_backend,
         }
 
 

@@ -33,8 +33,8 @@ bounds, so their maximum is a (tighter) lower bound; this also covers the
 same-cell case the paper leaves unspecified.
 
 The tables are :class:`~repro.estimators.precompute.EstimatorTables`:
-dense-indexed Dijkstras, optional ``multiprocessing`` fan-out across cells,
-and flat ``array``-module stores on the hot ``bound()`` path.
+dense-indexed Dijkstras, one cell at a time, and flat ``array``-module
+stores on the hot ``bound()`` path.
 
 Precomputation is **idempotent and lazy-capable**: it runs eagerly in the
 constructor by default (``defer=False``), but calling :meth:`precompute`
@@ -78,8 +78,6 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
     metric:
         ``"time"`` (default, optimistic per-edge travel time) or
         ``"distance"`` (road length, divided by ``v_max`` at query time).
-    workers:
-        Process count for the parallel precompute (``1`` = serial).
     defer:
         When true, skip precomputation until :meth:`precompute` (or the
         first :meth:`prepare`) runs.
@@ -95,18 +93,14 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         ny: int = 4,
         metric: Metric = "time",
         *,
-        workers: int = 1,
         defer: bool = False,
         tables: EstimatorTables | None = None,
     ) -> None:
         super().__init__()
         if metric not in ("time", "distance"):
             raise EstimatorError(f"unknown metric {metric!r}")
-        if workers < 1:
-            raise EstimatorError(f"workers must be >= 1, got {workers}")
         self._network = network
         self._metric: Metric = metric
-        self._workers = workers
         self._naive = NaiveEstimator(network)
         self._grid = GridPartition(network, nx, ny)
         self._v_max = network.max_speed()
@@ -177,18 +171,11 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
             0.0 if tables.loaded_from_snapshot else tables.precompute_seconds
         )
 
-    def precompute(self, workers: int | None = None) -> None:
+    def precompute(self) -> None:
         """Run the per-cell Dijkstras once; repeated calls are no-ops."""
         if self.is_precomputed:
             return
-        self._adopt_tables(
-            compute_tables(
-                self._network,
-                self._grid,
-                self._metric,
-                workers=workers if workers is not None else self._workers,
-            )
-        )
+        self._adopt_tables(compute_tables(self._network, self._grid, self._metric))
 
     def refresh(self) -> None:
         """Drop the tables and precompute again over the current weights
@@ -202,7 +189,7 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         self._v_max = self._network.max_speed()
         self.precompute()
 
-    def refresh_delta(self, mutations, workers: int | None = None) -> None:
+    def refresh_delta(self, mutations) -> None:
         """Bring the tables up to date after edge-pattern mutations (§2.2
         updates): kept as they are unless some edge got faster than it
         has ever been, precomputed again otherwise (see
@@ -216,11 +203,7 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
             self.refresh()
             return
         tables = refresh_tables_delta(
-            self._tables,
-            self._network,
-            self._grid,
-            mutations,
-            workers=workers if workers is not None else self._workers,
+            self._tables, self._network, self._grid, mutations
         )
         self._naive = NaiveEstimator(self._network)
         self._v_max = self._network.max_speed()

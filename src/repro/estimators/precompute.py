@@ -12,15 +12,10 @@ way the customizable-route-planning literature treats preprocessing
   dense cell and node indices, so the hot ``bound()`` path does no
   per-lookup hashing);
 * **customization** — :func:`compute_tables` runs the per-cell job for
-  every cell over one weight per edge.  It is the only pass: a live update
+  every cell, one cell at a time in the caller's process, over one weight
+  per edge.  It is the only pass: a live update
   (:func:`refresh_tables_delta`) either keeps the tables as they are or
-  runs it again over each edge's fastest-ever weight;
-* **the pool runner** — :func:`run_cell_jobs` fans independent per-cell
-  tasks across a ``multiprocessing`` pool (chunked by cell; workers share
-  the immutable state via the pool initializer) with a serial fallback when
-  ``workers <= 1``, no pool can be created, or the pool dies.  The overlay's
-  per-cell profile searches (:mod:`repro.hierarchy.overlay`) run through it
-  too.
+  runs it again over each edge's fastest-ever weight.
 
 :mod:`repro.estimators.snapshot` persists :class:`EstimatorTables` to a
 versioned binary file so later processes can skip the Dijkstras entirely.
@@ -67,7 +62,6 @@ class EstimatorTables:
     from_boundary: array  # typecode 'd', weight from own cell's boundary
     cell_pair: array  # typecode 'd', flat row-major D(C1, C2)
     precompute_seconds: float = 0.0
-    workers_used: int = 1
     loaded_from_snapshot: bool = False
     _index_of: dict[int, int] | None = field(default=None, repr=False)
     #: Keeps the backing buffer (an ``mmap``) alive when the stores are
@@ -190,85 +184,12 @@ def multi_source_dijkstra_indexed(
     return dist
 
 
-# ----------------------------------------------------------------------
-# The per-cell pool runner.  One customization pass = one list of
-# independent per-cell tasks; the estimator's Dijkstras (below) and the
-# overlay's boundary profile searches (repro.hierarchy.overlay) both fan
-# out through here.
-# ----------------------------------------------------------------------
-
-#: ``(job, state)`` installed in each worker process by :func:`_init_worker`
-#: (inherited on fork, pickled once per worker under spawn — never per task)
-_WORKER_STATE: tuple | None = None
-
-
-def _init_worker(worker_state: tuple) -> None:  # pragma: no cover - worker process
-    global _WORKER_STATE
-    _WORKER_STATE = worker_state
-
-
-def _cell_task(task):  # pragma: no cover - executed in worker processes
-    assert _WORKER_STATE is not None, "pool initializer did not run"
-    job, state = _WORKER_STATE
-    return job(state, *task)
-
-
-def _make_pool(workers: int, worker_state: tuple):
-    """A fork-preferring multiprocessing pool, or ``None`` when unavailable."""
-    try:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        return ctx.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(worker_state,),
-        )
-    except Exception:
-        return None
-
-
-def run_cell_jobs(job, state: dict, tasks: Sequence[tuple], workers: int):
-    """``job(state, *task)`` for every task, fanned across a process pool
-    when ``workers > 1``; returns ``(results, workers_used)``.
-
-    ``job`` must be a module-level function and ``state`` read-only shared
-    input (workers see a copy).  ``results`` is an iterable in task order,
-    identical at any worker count.  When no pool can be created, or the
-    parallel run dies, the tasks are (re)computed serially.
-    """
-    workers = min(workers, len(tasks))
-    pool = _make_pool(workers, (job, state)) if workers > 1 else None
-    if pool is not None:
-        chunksize = max(1, len(tasks) // (workers * 4))
-        try:
-            return pool.map(_cell_task, tasks, chunksize=chunksize), workers
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            # A dead worker (or a poisoned task) leaves the parallel run
-            # unusable; recompute serially below rather than failing the
-            # whole pass — a task that fails for a real reason fails again
-            # there, in the caller's process.
-            pass
-        finally:
-            # terminate() (not close()) so workers that died or are stuck
-            # mid-task are reaped — a failed parallel pass must never
-            # leave orphaned worker processes behind.
-            pool.terminate()
-            pool.join()
-    # Lazily: the caller folds one cell's result at a time, so a serial pass
-    # never holds every cell's rows at once.
-    return (job(state, *task) for task in tasks), 1
-
-
 def _cell_job(
     state: dict, cell_index: int, boundary: Sequence[int], members: Sequence[int]
 ) -> tuple[int, list[tuple[int, float, float]], list[float]]:
-    """One cell's Dijkstras: member distances plus the cell-pair row."""
+    """One cell's Dijkstras: member distances plus the cell-pair row.  The
+    two whole-network distance lists die with the call, before the next
+    cell's are allocated."""
     if reliability.is_active():
         reliability.fire("repro.estimators.precompute.cell")
     fwd = state["fwd"]
@@ -294,7 +215,6 @@ def compute_tables(
     network,
     grid: GridPartition,
     metric: str,
-    workers: int = 1,
     assumed: dict[tuple[int, int], float] | None = None,
 ) -> EstimatorTables:
     """Run the §5 precomputation and return flat :class:`EstimatorTables`.
@@ -302,9 +222,8 @@ def compute_tables(
     Topology first (dense node order, each node's cell), then the
     customization pass: every cell's per-cell job over the edge weights of
     :func:`build_weighted_adjacency` (``assumed`` overrides some, and is
-    kept on the result).  ``workers > 1`` fans the per-cell Dijkstras out
-    across a process pool; any failure to create the pool degrades silently
-    to the serial path (the results are identical either way).
+    kept on the result).  The cells run one at a time, each folding its
+    rows into the stores before the next starts.
     """
     started = time.perf_counter()
     assumed = {} if assumed is None else assumed
@@ -333,12 +252,11 @@ def compute_tables(
         "is_boundary": bytes(is_boundary),
         "cell_count": n_cells,
     }
-    results, workers_used = run_cell_jobs(_cell_job, state, tasks, workers)
-
     to_boundary = array(WEIGHT_TYPECODE, [INF]) * n
     from_boundary = array(WEIGHT_TYPECODE, [INF]) * n
     cell_pair = array(WEIGHT_TYPECODE, [INF]) * (n_cells**2)
-    for cell_index, member_rows, row in results:
+    for task in tasks:
+        cell_index, member_rows, row = _cell_job(state, *task)
         for m, d_from, d_to in member_rows:
             from_boundary[m] = d_from
             to_boundary[m] = d_to
@@ -357,7 +275,6 @@ def compute_tables(
         from_boundary=from_boundary,
         cell_pair=cell_pair,
         precompute_seconds=time.perf_counter() - started,
-        workers_used=workers_used,
         assumed=assumed,
     )
 
@@ -367,7 +284,6 @@ def refresh_tables_delta(
     network,
     grid: GridPartition,
     mutations,
-    workers: int = 1,
 ) -> EstimatorTables:
     """The tables for ``network`` after edge-pattern mutations.
 
@@ -403,5 +319,5 @@ def refresh_tables_delta(
         faster = faster or w_new < w_tab
         assumed[key] = min(w_tab, w_new)
     if faster:
-        return compute_tables(network, grid, "time", workers, assumed)
+        return compute_tables(network, grid, "time", assumed)
     return replace(tables, v_max=network.max_speed(), assumed=assumed)

@@ -464,7 +464,6 @@ class Snapshot:
             metric=header["metric"],
             v_max=header["v_max"],
             precompute_seconds=header["precompute_seconds"],
-            workers_used=1,
             loaded_from_snapshot=True,
             _buffer_owner=None if self._swap else self._mapping,
             **self.arrays,

@@ -588,7 +588,8 @@ def envelope_fold(
     (length ``P + 1``) with per-piece ``slope`` / ``icept`` / ``tags``.  An
     empty envelope (``bx`` empty) is +infinity everywhere.  Ties keep the
     incumbent piece (the paper's first-identified-path convention); the
-    ``improved`` flag reports whether the new function won anywhere.
+    ``improved`` flag reports whether the new function owns a piece of the
+    result.  When it owns none, the input arrays come back unchanged.
 
     Two forward-only cursors walk the envelope and the new function, so a
     fold is linear in their piece counts.
@@ -599,19 +600,18 @@ def envelope_fold(
     _guard_size(2 * (np_env + nf + 2), "envelope_fold")
 
     # Merged elementary boundaries: envelope boundaries ∪ clamped fn
-    # breakpoints ∪ {lo, hi}, deduped within XTOL.
+    # breakpoints ∪ {lo, hi}, deduped within XTOL — except that an envelope
+    # boundary always survives the one before it: two that close bound the
+    # envelope's first piece (the one piece ``emit`` keeps at any width),
+    # and snapping it away would extend its neighbour's line over it.
     bounds: list[float] = []
     ie = 0
     if_ = 0
     nb_env = len(bx)
+    last_env = False
     while ie < nb_env or if_ < nf:
-        if if_ >= nf:
-            x = bx[ie]
-            ie += 1
-        elif ie >= nb_env:
-            x = fxs[if_]
-            if_ += 1
-        elif bx[ie] <= fxs[if_]:
+        from_env = if_ >= nf or (ie < nb_env and bx[ie] <= fxs[if_])
+        if from_env:
             x = bx[ie]
             ie += 1
         else:
@@ -620,8 +620,13 @@ def envelope_fold(
         if x < lo - XTOL or x > hi + XTOL:
             continue
         x = lo if x < lo else (hi if x > hi else x)
-        if not bounds or x > bounds[-1] + XTOL:
+        if (
+            not bounds
+            or x > bounds[-1] + XTOL
+            or (from_env and last_env and x > bounds[-1])
+        ):
             bounds.append(x)
+            last_env = from_env
     # Snap the extreme bounds onto the domain edges: a breakpoint within
     # XTOL of lo/hi must not leave the partition starting (or ending) a
     # hair inside the domain.
@@ -640,11 +645,13 @@ def envelope_fold(
     out_slope: list[float] = []
     out_icept: list[float] = []
     out_tags: list[Hashable] = []
-    improved = False
+    improved = False  # a piece of the new function was kept
 
     def emit(x0: float, x1: float, sl: float, ic: float, tg: Hashable) -> None:
+        nonlocal improved
         if x1 - x0 <= XTOL and out_slope:
             return
+        improved = improved or tg is new_tag
         if (
             out_slope
             and out_tags[-1] == tg
@@ -688,7 +695,6 @@ def envelope_fold(
             f_ic = fys[fp] - f_sl * fx0
         if np_env == 0:
             emit(x0, x1, f_sl, f_ic, new_tag)
-            improved = True
             continue
         while ep < np_env - 1 and bx[ep + 1] <= mid:
             ep += 1
@@ -702,7 +708,6 @@ def envelope_fold(
             # somewhere on the interval.
             if d0 < -YTOL or d1 < -YTOL:
                 emit(x0, x1, f_sl, f_ic, new_tag)
-                improved = True
             else:
                 emit(x0, x1, e_sl, e_ic, e_tag)
         else:
@@ -715,9 +720,10 @@ def envelope_fold(
             else:
                 emit(x0, x_cross, e_sl, e_ic, e_tag)
                 emit(x_cross, x1, f_sl, f_ic, new_tag)
-            improved = True
+    if not improved:
+        return list(bx), list(slope), list(icept), list(tags), False
     COUNTERS.breakpoints_allocated += len(out_bx)
-    return out_bx, out_slope, out_icept, out_tags, improved
+    return out_bx, out_slope, out_icept, out_tags, True
 
 
 def lower_envelope(

@@ -188,30 +188,24 @@ class PiecewiseLinearFunction:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _locate(self, x: float) -> int:
-        """Index ``i`` such that x lies in segment [xs[i], xs[i+1]] (clamped)."""
+    def _check_domain(self, x: float) -> None:
         if x < self._xs[0] - XTOL or x > self._xs[-1] + XTOL:
             raise FunctionDomainError(
                 f"x={x} outside domain [{self._xs[0]}, {self._xs[-1]}]"
             )
+
+    def _locate(self, x: float) -> int:
+        """Index ``i`` such that x lies in segment [xs[i], xs[i+1]] (clamped)."""
+        self._check_domain(x)
         i = bisect.bisect_right(self._xs, x) - 1
         return min(max(i, 0), max(len(self._xs) - 2, 0))
 
     def __call__(self, x: float) -> float:
-        """Evaluate the function at ``x`` (must lie in the domain)."""
-        if len(self._xs) == 1:
-            if abs(x - self._xs[0]) > XTOL:
-                raise FunctionDomainError(
-                    f"x={x} outside instant domain {{{self._xs[0]}}}"
-                )
-            return self._ys[0]
-        i = self._locate(x)
-        x0, x1 = self._xs[i], self._xs[i + 1]
-        y0, y1 = self._ys[i], self._ys[i + 1]
-        if x1 - x0 <= XTOL:
-            return y0
-        t = (x - x0) / (x1 - x0)
-        return y0 + t * (y1 - y0)
+        """Evaluate the function at ``x`` (must lie in the domain, to within
+        ``XTOL``) with the kernel's evaluator: a breakpoint gives back its
+        stored ordinate, and ``x`` just outside the domain its end's."""
+        self._check_domain(x)
+        return kernel.eval_at(self._xs, self._ys, x)
 
     def piece_at(self, x: float) -> LinearPiece:
         """The linear piece whose interval contains ``x``.

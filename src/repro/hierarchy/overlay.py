@@ -28,9 +28,7 @@ Simple and Efficient Time-Dependent Routing", PAPERS.md):
 * shortcut functions live in five flat ``array`` stores per level
   (``src``/``dst``/breakpoint offsets/``xs``/``ys``) — snapshot-friendly,
   ``mmap``-able, and materialised into edge objects lazily per queried node;
-* per-cell profile searches fan out through the estimator precompute's
-  process-pool runner (:func:`repro.estimators.precompute.run_cell_jobs`),
-  whose serial fallback produces bitwise-identical arrays.
+* the cells are customized one at a time, in the caller's process.
 
 Exactness argument (used by the engine's level rule, see ``engine.py``):
 within one level-``k`` cell, any street path between two level-``k``
@@ -52,10 +50,8 @@ from typing import Iterable, Sequence
 
 from ..core.graph import GraphView, restrict
 from ..core.profile import profile_search
-from ..core.runtime import QueryTimeout, SearchBudgetExceeded, SearchContext
-from ..core.results import SearchStats
+from ..core.runtime import SearchContext
 from ..estimators.grid import GridPartition
-from ..estimators.precompute import run_cell_jobs
 from ..exceptions import QueryError
 from ..func.monotone import MonotonePiecewiseLinear
 from ..patterns.speed import CapeCodPattern
@@ -134,7 +130,6 @@ class OverlayStats:
     """Whole-build summary (one entry per level plus totals)."""
 
     levels: list[LevelStats] = field(default_factory=list)
-    workers_used: int = 1
     build_seconds: float = 0.0
 
     @property
@@ -282,60 +277,41 @@ class _LevelGraph(GraphView):
         return edges
 
 
-def _cell_job(state: dict, boundary: Sequence[int], members: frozenset):
-    """All boundary profile searches of one cell, on the cell's restriction
-    of the graph one level down.
+def _cell_job(
+    graph: GraphView,
+    boundary: Sequence[int],
+    horizon: TimeInterval,
+    context: SearchContext,
+    deadline_at: float | None,
+) -> tuple[list[tuple[int, int, tuple, tuple]], int]:
+    """All boundary profile searches of one cell on ``graph``, the cell's
+    restriction of the graph one level down.
 
-    Returns ``("ok", rows, searches, expanded)`` with deterministic row
-    order (sorted boundary sources, sorted targets), or a typed failure
-    marker — budget/timeout errors carry unpicklable partial stats, so they
-    cross the pool as tuples and are re-raised in the parent.
+    Returns the cell's rows in deterministic order (sorted boundary sources,
+    sorted targets) and the paths its searches expanded.  A search that
+    runs out of pops or time raises its typed error out of the build.
     """
-    overlay: MultiLevelOverlay = state["overlay"]
-    level: int = state["level"]
-    below = overlay.levels[level - 1] if level else None
-    graph = restrict(
-        overlay.network if below is None else _LevelGraph(overlay, below), members
-    )
-    context: SearchContext = state.setdefault(
-        "context", SearchContext(graph, max_pops=state["max_pops"])
-    )
-    horizon: TimeInterval = state["horizon"]
-    deadline_at = state["deadline_at"]
     targets = frozenset(boundary)
     rows: list[tuple[int, int, tuple, tuple]] = []
-    searches = 0
     expanded = 0
-    try:
-        for b in boundary:
-            budget = (
-                {}
-                if deadline_at is None
-                else {"deadline": max(deadline_at - time.monotonic(), 0.0)}
+    for b in boundary:
+        budget = (
+            {}
+            if deadline_at is None
+            else {"deadline": max(deadline_at - time.monotonic(), 0.0)}
+        )
+        result = profile_search(
+            graph, b, horizon, targets=targets, context=context, **budget
+        )
+        expanded += result.stats.expanded_paths
+        for other in sorted(result.profiles):
+            if other == b:
+                continue
+            points = result.profiles[other].breakpoints
+            rows.append(
+                (b, other, tuple(p[0] for p in points), tuple(p[1] for p in points))
             )
-            result = profile_search(
-                graph, b, horizon, targets=targets, context=context, **budget
-            )
-            searches += 1
-            expanded += result.stats.expanded_paths
-            for other in sorted(result.profiles):
-                if other == b:
-                    continue
-                fn = result.profiles[other]
-                points = fn.breakpoints
-                rows.append(
-                    (
-                        b,
-                        other,
-                        tuple(p[0] for p in points),
-                        tuple(p[1] for p in points),
-                    )
-                )
-    except QueryTimeout as exc:
-        return ("timeout", exc.deadline, searches, expanded)
-    except SearchBudgetExceeded as exc:
-        return ("budget", exc.budget, exc.what, searches)
-    return ("ok", rows, searches, expanded)
+    return rows, expanded
 
 
 class MultiLevelOverlay:
@@ -465,11 +441,9 @@ class MultiLevelOverlay:
 
         ``max_pops`` bounds each boundary profile search, ``deadline`` is a
         wall-clock budget **for the whole build** (each search gets the
-        remaining time; both are enforced through ``SearchContext`` in the
-        serial and the parallel path).  ``workers > 1`` fans the per-cell
-        searches across a fork-preferring process pool, one pool per level
-        (levels are sequential by construction); results are bitwise
-        identical to the serial build.
+        remaining time; both are enforced through ``SearchContext``).  The
+        build runs in the caller's process; ``workers`` is accepted for its
+        callers and must be 1.
 
         ``horizon_pad`` (minutes) widens lower levels' departure windows:
         level ``k`` is built over ``[start, end + pad·(levels-1-k)]``
@@ -483,6 +457,10 @@ class MultiLevelOverlay:
             raise QueryError(f"overlay needs levels >= 1, got {levels}")
         if fanout < 2:
             raise QueryError(f"overlay needs fanout >= 2, got {fanout}")
+        if workers != 1:
+            raise QueryError(
+                f"overlay customization runs in one process, got workers={workers}"
+            )
         ny = nx if ny is None else ny
         # Topology: the nested partition and one empty store per level ...
         overlay = cls(
@@ -496,9 +474,8 @@ class MultiLevelOverlay:
             ],
             horizon_pad=horizon_pad,
         )
-        overlay.stats.workers_used = max(1, workers)
         # ... then customization of every cell.
-        overlay._customize(workers=workers, max_pops=max_pops, deadline=deadline)
+        overlay._customize(max_pops=max_pops, deadline=deadline)
         return overlay
 
     # ------------------------------------------------------------------
@@ -538,17 +515,12 @@ class MultiLevelOverlay:
         ]
         return 0
 
-    def _customize(
-        self,
-        *,
-        workers: int,
-        max_pops: int | None,
-        deadline: float | None,
-    ) -> None:
+    def _customize(self, *, max_pops: int | None, deadline: float | None) -> None:
         """The one customization pass: compute the shortcut rows of every
         cell at every level, bottom-up, each level against the rows the
         pass just produced for the level below (cells are contiguous in
-        sorted order by construction)."""
+        sorted order by construction).  The cells run one at a time, each
+        folding its rows into the level's stores before the next starts."""
         started = time.monotonic()
         deadline_at = None if deadline is None else started + deadline
         count = len(self.levels)
@@ -556,52 +528,46 @@ class MultiLevelOverlay:
             level_started = time.monotonic()
             by_cell = self._boundaries(level)
             members = self._members(level)
-            order = sorted(by_cell)
-            tasks = [(tuple(sorted(by_cell[c])), members[c]) for c in order]
-            state = {
-                "overlay": self,
-                "level": level,
-                "horizon": TimeInterval(
-                    self._horizon.start,
-                    self._horizon.end
-                    + self._horizon_pad * (count - 1 - level),
-                ),
-                "max_pops": max_pops,
-                "deadline_at": deadline_at,
-            }
-            outcomes, _ = run_cell_jobs(_cell_job, state, tasks, workers)
+            below = (
+                self.network
+                if level == 0
+                else _LevelGraph(self, self.levels[level - 1])
+            )
+            horizon = TimeInterval(
+                self._horizon.start,
+                self._horizon.end + self._horizon_pad * (count - 1 - level),
+            )
+            context = SearchContext(self.network, max_pops=max_pops)
             src = array(NODE_TYPECODE)
             dst = array(NODE_TYPECODE)
             off = array(OFFSET_TYPECODE, [0])
             xs = array(VALUE_TYPECODE)
             ys = array(VALUE_TYPECODE)
-            searches = 0
             expanded = 0
-            for outcome in outcomes:
-                kind = outcome[0]
-                if kind == "timeout":
-                    raise QueryTimeout(outcome[1], SearchStats(timed_out=True))
-                if kind == "budget":
-                    raise SearchBudgetExceeded(
-                        outcome[1], SearchStats(), what=outcome[2]
-                    )
-                _, rows, cell_searches, cell_expanded = outcome
+            for cell in sorted(by_cell):
+                rows, cell_expanded = _cell_job(
+                    restrict(below, members[cell]),
+                    sorted(by_cell[cell]),
+                    horizon,
+                    context,
+                    deadline_at,
+                )
                 for s, t, row_xs, row_ys in rows:
                     src.append(s)
                     dst.append(t)
                     xs.extend(row_xs)
                     ys.extend(row_ys)
                     off.append(len(xs))
-                searches += cell_searches
                 expanded += cell_expanded
             empty = self.levels[level]
+            boundary_nodes = sum(len(nodes) for nodes in by_cell.values())
             stats = replace(
                 empty.stats,
-                cells=len(order),
-                boundary_nodes=sum(len(nodes) for nodes in by_cell.values()),
+                cells=len(by_cell),
+                boundary_nodes=boundary_nodes,
                 shortcuts=len(src),
                 breakpoints=len(xs),
-                profile_searches=searches,
+                profile_searches=boundary_nodes,
                 expanded_paths=expanded,
                 build_seconds=time.monotonic() - level_started,
             )

@@ -23,7 +23,7 @@ every storage-layer site at once.  The full list is documented in
 
 Activation is programmatic (:func:`install`) or via the ``REPRO_FAULTS``
 environment variable holding either inline JSON or a path to a JSON file —
-read once at import, so CLI verbs and forked precompute workers inherit the
+read once at import, so CLI verbs and the processes they fork inherit the
 plan without extra wiring.
 """
 

@@ -54,7 +54,6 @@ from ..exceptions import (
     WorkerCrashed,
 )
 from .. import reliability
-from ..func import kernel
 from ..hierarchy.engine import OverlayEngine
 from ..timeutil import TimeInterval
 from .admission import AdmissionController, Deadline
@@ -428,9 +427,9 @@ class AllFPService(SurfaceBase):
         self._register_estimator_metrics()
 
     def _metric_labels(self) -> dict[str, str]:
-        """Const labels every /metrics sample carries: which kernel backend
-        computed the answers, and — under the shard tier — which shard."""
-        labels = {"kernel_backend": kernel.active_backend()}
+        """Const labels every /metrics sample carries under the shard tier:
+        which shard."""
+        labels: dict[str, str] = {}
         if self.config.shard_id is not None:
             labels["shard_id"] = str(self.config.shard_id)
         if self.config.shard_count is not None:
@@ -566,9 +565,8 @@ class AllFPService(SurfaceBase):
         queries search those at street level), and the edge-function and
         result caches drop so no pre-update function survives.  A typed
         failure of the estimator refresh never fails the batch: the service
-        continues on a naive bound, flagged degraded; the refresh fans out
-        over the estimator's own ``workers``.  ``version`` lets the shard
-        tier impose its monotonic version instead of the local counter.
+        continues on a naive bound, flagged degraded.  ``version`` lets the
+        shard tier impose its monotonic version instead of the local counter.
         """
         if self._closed:
             raise ServiceClosed("service is shut down")

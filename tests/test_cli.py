@@ -372,6 +372,29 @@ class TestErrorPaths:
         )
         self._assert_clean_error(code, capsys.readouterr(), "differ")
 
+    def test_build_overlay_workers_other_than_one(
+        self, network_json, tmp_path, capsys
+    ):
+        # The build runs in one process: argparse refuses any other count.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "build-overlay",
+                    "--network",
+                    str(network_json),
+                    "--out",
+                    str(tmp_path / "o.snap"),
+                    "--workers",
+                    "2",
+                ]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert "--workers" in line and "invalid choice" in line
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.snap").exists()
+
     @pytest.mark.parametrize(
         "value, fragment", [("abc", "not an integer"), ("1", ">= 2")]
     )

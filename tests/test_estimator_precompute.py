@@ -1,21 +1,16 @@
-"""Tests for the parallel, persistent, array-backed estimator precompute.
+"""Tests for the persistent, array-backed estimator precompute.
 
 Covers the subsystem end to end: exact agreement of the flat stores with a
 definitional Bellman–Ford oracle (property-based over random networks),
 admissibility of the bounds, snapshot round-trip and corruption handling,
-precompute idempotency, the multiprocessing path, the live-update rule
-(tables over each edge's fastest-ever weight), CLI cache flows (hit, miss,
-fingerprint mismatch → exit 2), and serve-layer warm-start metrics.
-
-The ``REPRO_PRECOMPUTE_WORKERS`` environment variable (used by a CI matrix
-leg) forces the worker count used by the default-worker tests, so the
-multiprocessing path runs under pytest on CI runners.
+precompute idempotency, the live-update rule (tables over each edge's
+fastest-ever weight), CLI cache flows (hit, miss, fingerprint mismatch →
+exit 2), and serve-layer warm-start metrics.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 import random
 import struct
 
@@ -51,10 +46,6 @@ from repro.serve.updates import (
 )
 from repro.timeutil import TimeInterval, parse_clock
 
-#: Worker count for the "default" parallel tests; the CI matrix leg sets
-#: REPRO_PRECOMPUTE_WORKERS=2 so the multiprocessing pool runs under pytest.
-ENV_WORKERS = int(os.environ.get("REPRO_PRECOMPUTE_WORKERS", "1"))
-
 INF = float("inf")
 
 
@@ -73,12 +64,12 @@ def _bellman_ford(edges, source, reverse=False):
     return dist
 
 
-def _assert_matches_oracle(network, nx, ny, metric, targets, workers=1):
+def _assert_matches_oracle(network, nx, ny, metric, targets):
     """The §5 stores, straight from their definitions: ``D(C1, C2)`` is the
     minimum over boundary pairs, ``d(n, ∂C)`` / ``d(∂C, n)`` the minimum over
     the own cell's boundary — one Bellman–Ford per boundary node, no heap,
     no dense index, no multi-source collapse.  Compared exactly."""
-    est = BoundaryNodeEstimator(network, nx, ny, metric=metric, workers=workers)
+    est = BoundaryNodeEstimator(network, nx, ny, metric=metric)
     tables, grid = est.tables, est.grid
     edges = [
         (e.source, e.target,
@@ -116,9 +107,7 @@ def _assert_matches_oracle(network, nx, ny, metric, targets, workers=1):
 
 class TestBackendParity:
     def test_metro_tiny_bitwise(self, metro_tiny):
-        _assert_matches_oracle(
-            metro_tiny, 3, 3, "time", [0, 17, 42], workers=ENV_WORKERS
-        )
+        _assert_matches_oracle(metro_tiny, 3, 3, "time", [0, 17, 42])
 
     def test_distance_metric_bitwise(self, metro_tiny):
         _assert_matches_oracle(metro_tiny, 2, 4, "distance", [0, 99])
@@ -247,10 +236,6 @@ class TestIdempotency:
         est.prepare(0)
         assert est.bound(42) == bound
 
-    def test_rejects_bad_workers(self, metro_tiny):
-        with pytest.raises(EstimatorError):
-            BoundaryNodeEstimator(metro_tiny, 2, 2, workers=0)
-
     def test_rejects_bad_backend(self, metro_tiny):
         # There is one store; the selector argument is gone, not ignored.
         with pytest.raises(TypeError):
@@ -288,29 +273,6 @@ class TestIndexedDijkstra:
         assert dist[1] == 5.0 and dist[2] == 10.0
 
 
-class TestParallelPrecompute:
-    def test_workers2_bitwise_equal_serial(self, metro_tiny):
-        grid = BoundaryNodeEstimator(metro_tiny, 3, 3).grid
-        serial = compute_tables(metro_tiny, grid, "time", workers=1)
-        parallel = compute_tables(metro_tiny, grid, "time", workers=2)
-        assert serial.to_boundary == parallel.to_boundary
-        assert serial.from_boundary == parallel.from_boundary
-        assert serial.cell_pair == parallel.cell_pair
-        assert serial.node_cell == parallel.node_cell
-        assert parallel.workers_used == 2
-
-    def test_pool_failure_falls_back_to_serial(self, metro_tiny, monkeypatch):
-        monkeypatch.setattr(
-            "repro.estimators.precompute._make_pool", lambda *a: None
-        )
-        est = BoundaryNodeEstimator(metro_tiny, 3, 3, workers=4)
-        assert est.tables.workers_used == 1  # degraded gracefully
-        serial = BoundaryNodeEstimator(metro_tiny, 3, 3).tables
-        assert est.tables.cell_pair == serial.cell_pair
-        assert est.tables.to_boundary == serial.to_boundary
-        assert est.tables.from_boundary == serial.from_boundary
-
-
 def _stores(tables) -> tuple[bytes, bytes, bytes]:
     return (
         bytes(tables.to_boundary),
@@ -336,7 +298,7 @@ class TestLiveUpdates:
 
     def test_slow_restore_rounds_return_to_boot(self):
         network = make_metro_network(MetroConfig(width=12, height=12, seed=1))
-        estimator = BoundaryNodeEstimator(network, 4, 4, workers=ENV_WORKERS)
+        estimator = BoundaryNodeEstimator(network, 4, 4)
         interval = TimeInterval(parse_clock("7:00"), parse_clock("9:00"))
         rng = random.Random(1)
         nodes = sorted(network.node_ids())
@@ -358,9 +320,7 @@ class TestLiveUpdates:
                 key: slowdown_pattern(pattern, 0.25) for key, pattern in base.items()
             }
             for patterns in (slowed, base):
-                estimator.refresh_delta(
-                    _set_patterns(network, patterns), workers=ENV_WORKERS
-                )
+                estimator.refresh_delta(_set_patterns(network, patterns))
                 assert _stores(estimator.tables) == boot_stores
         assert expansions() == boot_expansions
 
@@ -386,7 +346,7 @@ class TestLiveUpdates:
         network = make_metro_network(MetroConfig(width=6, height=6, seed=seed))
         boot = {(e.source, e.target): e.pattern for e in network.edges()}
         keys = sorted(boot)
-        estimator = BoundaryNodeEstimator(network, 3, 3, workers=ENV_WORKERS)
+        estimator = BoundaryNodeEstimator(network, 3, 3)
         grid = estimator.grid
         interval = TimeInterval(parse_clock("7:00"), parse_clock("8:00"))
         queries = [
@@ -405,9 +365,7 @@ class TestLiveUpdates:
                 fastest[key] = max(
                     fastest.get(key, boot[key]), pattern, key=lambda p: p.max_speed()
                 )
-            estimator.refresh_delta(
-                _set_patterns(network, patterns), workers=ENV_WORKERS
-            )
+            estimator.refresh_delta(_set_patterns(network, patterns))
             tables = estimator.tables
 
             # Exact over the fastest-ever weights, checked on a network that
@@ -618,8 +576,6 @@ class TestCLI:
                 str(snap),
                 "--grid",
                 "3",
-                "--workers",
-                str(max(ENV_WORKERS, 1)),
             ]
         )
         assert code == 0

@@ -1,10 +1,10 @@
 """Failure-injection tests: corrupted storage must fail loudly, not wrongly.
 
 Extended by the reliability PR with the seeded fault-injection framework
-(:mod:`repro.reliability`), estimator snapshot faults, precompute pool
-shutdown, and the serve layer's graceful degradation (worker replacement,
-one admissible bound per network version, stale serving, retrying HTTP
-client).
+(:mod:`repro.reliability`), estimator snapshot faults, the precompute's
+per-cell fault point, and the serve layer's graceful degradation (worker
+replacement, one admissible bound per network version, stale serving,
+retrying HTTP client).
 """
 
 from __future__ import annotations
@@ -362,53 +362,12 @@ class TestSnapshotFaults:
 
 
 # ======================================================================
-# Precompute pool shutdown and serial fallback
+# The precompute's per-cell fault point
 # ======================================================================
 
 
-class _FakePool:
-    def __init__(self, fail_with: BaseException) -> None:
-        self.fail_with = fail_with
-        self.terminated = False
-        self.joined = False
-
-    def map(self, fn, tasks, chunksize=1):
-        raise self.fail_with
-
-    def terminate(self):
-        self.terminated = True
-
-    def join(self):
-        self.joined = True
-
-
 class TestPrecomputePoolShutdown:
-    def test_dead_pool_is_reaped_and_falls_back_serial(self, network, monkeypatch):
-        from repro.estimators import precompute
-        from repro.estimators.grid import GridPartition
-
-        grid = GridPartition(network, 3, 3)
-        serial = precompute.compute_tables(network, grid, "time", workers=1)
-
-        fake = _FakePool(RuntimeError("worker died"))
-        monkeypatch.setattr(precompute, "_make_pool", lambda w, s: fake)
-        tables = precompute.compute_tables(network, grid, "time", workers=4)
-        assert fake.terminated and fake.joined
-        assert tables.workers_used == 1
-        assert tables.cell_pair == serial.cell_pair
-        assert tables.to_boundary == serial.to_boundary
-        assert tables.from_boundary == serial.from_boundary
-
-    def test_keyboardinterrupt_reraises_after_reaping(self, network, monkeypatch):
-        from repro.estimators import precompute
-        from repro.estimators.grid import GridPartition
-
-        grid = GridPartition(network, 3, 3)
-        fake = _FakePool(KeyboardInterrupt())
-        monkeypatch.setattr(precompute, "_make_pool", lambda w, s: fake)
-        with pytest.raises(KeyboardInterrupt):
-            precompute.compute_tables(network, grid, "time", workers=4)
-        assert fake.terminated and fake.joined
+    """The per-cell fault point fails the pass in the caller's process."""
 
     def test_worker_fault_point_fires_in_cell_job(self, network):
         from repro.estimators import precompute
@@ -427,7 +386,7 @@ class TestPrecomputePoolShutdown:
             )
         )
         with pytest.raises(EstimatorError):
-            precompute.compute_tables(network, grid, "time", workers=1)
+            precompute.compute_tables(network, grid, "time")
 
 
 # ======================================================================

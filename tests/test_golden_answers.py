@@ -14,9 +14,7 @@ and a 2-level ``MultiLevelOverlay`` on ``metro_tiny`` and of the five
 after one pinned mutation batch (the tables through ``refresh_delta``, the
 overlay rebuilt on the mutated network, with the per-level count of cells
 its ``refresh_delta`` marked stale), plus four ``OverlayEngine`` allFP
-answers.  ``REPRO_PRECOMPUTE_WORKERS`` (the CI parallel leg sets it to 2)
-picks the worker count of every build and refresh; the digests are the same
-at any count.
+answers.
 
 Regenerate (only when an answer change is intended and explained):
 
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -53,9 +50,6 @@ from repro.timeutil import TimeInterval
 
 GOLDEN = Path(__file__).parent / "data" / "golden_allfp.json"
 STRUCTURES = Path(__file__).parent / "data" / "golden_structures.json"
-
-#: Worker count of every structure build/refresh below (CI sets 2).
-ENV_WORKERS = int(os.environ.get("REPRO_PRECOMPUTE_WORKERS", "1"))
 
 NETWORKS = {
     "example": paper_example_network,
@@ -203,13 +197,11 @@ def _apply_refresh_batch(network):
     )
 
 
-def compute_structures(workers: int = 1) -> dict:
+def compute_structures() -> dict:
     out: dict = {"overlay": {}, "tables": {}, "overlay_allfp": []}
     for levels in (1, 2):
         network = NETWORKS["metro_tiny"]()
-        overlay = MultiLevelOverlay.build(
-            network, levels=levels, workers=workers, **OVERLAY_BUILD
-        )
+        overlay = MultiLevelOverlay.build(network, levels=levels, **OVERLAY_BUILD)
         engine = OverlayEngine(overlay)
         for lv, source, target, lo, hi in OVERLAY_QUERIES:
             if lv != levels:
@@ -227,9 +219,7 @@ def compute_structures(workers: int = 1) -> dict:
             })
         built = _overlay_digests(overlay)
         overlay.refresh_delta(_apply_refresh_batch(network))
-        rebuilt = MultiLevelOverlay.build(
-            network, levels=levels, workers=workers, **OVERLAY_BUILD
-        )
+        rebuilt = MultiLevelOverlay.build(network, levels=levels, **OVERLAY_BUILD)
         out["overlay"][str(levels)] = {
             "built": built,
             "stale_cells": [len(cells) for cells in overlay.stale],
@@ -237,11 +227,9 @@ def compute_structures(workers: int = 1) -> dict:
         }
     for metric in ("time", "distance"):
         network = NETWORKS["metro_tiny"]()
-        estimator = BoundaryNodeEstimator(
-            network, 3, 3, metric=metric, workers=workers
-        )
+        estimator = BoundaryNodeEstimator(network, 3, 3, metric=metric)
         built = _tables_digests(estimator.tables)
-        estimator.refresh_delta(_apply_refresh_batch(network), workers=workers)
+        estimator.refresh_delta(_apply_refresh_batch(network))
         out["tables"][metric] = {
             "built": built,
             "refreshed": _tables_digests(estimator.tables),
@@ -264,7 +252,7 @@ def test_answers_match_golden_exactly(computed, kind):
 
 def test_structures_match_golden_exactly():
     golden = json.loads(STRUCTURES.read_text())
-    got = compute_structures(ENV_WORKERS)
+    got = compute_structures()
     for kind in ("overlay", "tables", "overlay_allfp"):
         assert got[kind] == golden[kind], f"{kind} drifted"
 

@@ -216,6 +216,10 @@ def test_simplify_preserves_values(f):
     0.0,
     1e-09,
 )
+# A window at the right end: f(10) is the stored ordinate, not one
+# interpolated on the last segment.
+@example(PiecewiseLinearFunction([(0, 10), (10, 1.2605973132663495)]), 10.0, 10.0)
+@example(PiecewiseLinearFunction([(0, 1), (10, 2.08782e-117)]), 10.0, 10.0)
 def test_restrict_matches_legacy(f, p, q):
     lo, hi = min(p, q), max(p, q)
     fused = f.restrict(lo, hi)
@@ -246,6 +250,32 @@ def test_restrict_matches_legacy(f, p, q):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(plf(), min_size=1, max_size=5))
+# Folds whose only change is at XTOL width: a non-improving fold must leave
+# the envelope as it was, an improving one must leave the newcomer a piece.
+@example(
+    [
+        PiecewiseLinearFunction([(0, 0), (1, 9), (10, 0)]),
+        PiecewiseLinearFunction([(0, 0), (2.8125, 0), (10, 1e-9)]),
+        PiecewiseLinearFunction([(0, 0), (10, 0)]),
+    ]
+)
+@example(
+    [
+        PiecewiseLinearFunction([(0, 0), (9.25, 0), (10, 1e-9)]),
+        PiecewiseLinearFunction([(0, 0), (4, 7), (10, 0)]),
+    ]
+)
+# A later fold must not snap away the first-piece sliver a crossing left
+# at lo: f1's steep line extended over it would read 7.3125 at 0.
+@example(
+    [
+        PiecewiseLinearFunction([(0, 7.28125), (10, 0)]),
+        PiecewiseLinearFunction(
+            [(0, 7.3125), (1.19209e-07, 0), (1, 0), (1.5, 0), (2, 0), (10, 1)]
+        ),
+        PiecewiseLinearFunction([(0, 8), (1, 0), (10, 0)]),
+    ]
+)
 def test_envelope_fold_matches_oracle_and_legacy(fns):
     env = AnnotatedEnvelope(LO, HI)
     for k, fn in enumerate(fns):

@@ -10,7 +10,6 @@ the serve tier boots warm from a mapped snapshot.
 from __future__ import annotations
 
 import array
-import os
 
 import pytest
 
@@ -43,14 +42,9 @@ WINDOW = TimeInterval(parse_clock("6:30"), parse_clock("9:30"))
 TINY_PAIRS = [(0, 99), (0, 55), (22, 77), (3, 96)]
 SMALL_PAIRS = [(0, 255), (17, 238), (5, 250)]
 
-#: Default worker count of every build here; the CI parallel leg sets
-#: REPRO_PRECOMPUTE_WORKERS=2 so the customization pool runs under pytest.
-ENV_WORKERS = int(os.environ.get("REPRO_PRECOMPUTE_WORKERS", "1"))
-
 
 def _build(network, levels, **kwargs):
     kwargs.setdefault("nx", 6)
-    kwargs.setdefault("workers", ENV_WORKERS)
     return MultiLevelOverlay.build(network, levels=levels, **kwargs)
 
 
@@ -95,6 +89,8 @@ class TestBuild:
             MultiLevelOverlay.build(metro_tiny, levels=0)
         with pytest.raises(QueryError):
             MultiLevelOverlay.build(metro_tiny, levels=2, fanout=1)
+        with pytest.raises(QueryError, match="one process"):
+            MultiLevelOverlay.build(metro_tiny, workers=2)
 
     def test_level_dims_coarsen_by_fanout(self, overlay_tiny):
         nx0, ny0 = overlay_tiny.level_dims(0)
@@ -133,16 +129,6 @@ class TestBuild:
         assert all(lv.profile_searches > 0 for lv in stats.levels)
         assert stats.build_seconds >= 0.0
 
-    def test_parallel_build_matches_serial(self, metro_tiny):
-        serial = _build(metro_tiny, levels=2, workers=1)
-        parallel = _build(metro_tiny, levels=2, workers=2)
-        for serial_level, parallel_level in zip(serial.levels, parallel.levels):
-            assert serial_level.src == parallel_level.src
-            assert serial_level.dst == parallel_level.dst
-            assert serial_level.off == parallel_level.off
-            assert serial_level.xs == parallel_level.xs
-            assert serial_level.ys == parallel_level.ys
-
 
 class TestBudgets:
     def test_max_pops_budget_trips_during_build(self, metro_tiny):
@@ -152,12 +138,6 @@ class TestBudgets:
     def test_deadline_trips_during_build(self, metro_tiny):
         with pytest.raises(QueryTimeout):
             MultiLevelOverlay.build(metro_tiny, levels=1, deadline=0.0)
-
-    def test_parallel_build_budget_propagates(self, metro_tiny):
-        with pytest.raises(SearchBudgetExceeded):
-            MultiLevelOverlay.build(
-                metro_tiny, levels=1, max_pops=2, workers=2
-            )
 
     def test_query_max_pops_budget(self, overlay_tiny):
         engine = OverlayEngine(overlay_tiny, max_pops=1)

@@ -61,8 +61,7 @@ class TestSearchStats:
         assert d["edge_cache_hits"] == 0
         assert d["timed_out"] is False
         assert d["bound_evaluations"] == 0
-        assert d["kernel_backend"] == "array"
-        assert len(d) == 15
+        assert len(d) == 14
 
     def test_default_zeroed(self):
         assert SearchStats().expanded_paths == 0

@@ -12,7 +12,6 @@ invariant, and the chaos harness under a mutation trace.
 from __future__ import annotations
 
 import copy
-import os
 import threading
 
 import pytest
@@ -47,10 +46,6 @@ from repro.timeutil import TimeInterval
 from repro.workloads.queries import QuerySpec
 
 INTERVAL = TimeInterval(480.0, 540.0)
-
-#: Worker count of the delta refreshes below; the CI parallel leg sets
-#: REPRO_PRECOMPUTE_WORKERS=2 so the customization pool runs under pytest.
-ENV_WORKERS = int(os.environ.get("REPRO_PRECOMPUTE_WORKERS", "1"))
 
 
 @pytest.fixture
@@ -229,7 +224,7 @@ class TestEstimatorDelta:
         estimator.precompute()
         mutation = mutation_for(network, 0, 0.2)
         applied = apply_batch(network, MutationBatch((mutation,)))
-        estimator.refresh_delta(applied, workers=ENV_WORKERS)
+        estimator.refresh_delta(applied)
 
         pairs = [
             (mutation.source, mutation.target),
@@ -246,7 +241,7 @@ class TestEstimatorDelta:
         estimator.precompute()
         mutation = mutation_for(network, 0, 4.0)
         applied = apply_batch(network, MutationBatch((mutation,)))
-        estimator.refresh_delta(applied, workers=ENV_WORKERS)
+        estimator.refresh_delta(applied)
         pairs = [(mutation.source, mutation.target), (0, network.node_count - 1)]
         exact = _answers(network, NaiveEstimator(network), pairs)
         assert _answers(network, estimator, pairs) == exact
@@ -293,9 +288,7 @@ class TestOverlayDelta:
     def test_intra_cell_edge_marks_cell_stale(self):
         network = make_metro_network(MetroConfig(width=10, height=10, seed=23))
         horizon = TimeInterval(0.0, 48 * 60.0)
-        overlay = MultiLevelOverlay.build(
-            network, levels=2, nx=4, horizon=horizon, workers=ENV_WORKERS
-        )
+        overlay = MultiLevelOverlay.build(network, levels=2, nx=4, horizon=horizon)
         before = _level_bytes(overlay)
         # An intra-cell edge at level 0 (same cell for both endpoints).
         mutation = next(
