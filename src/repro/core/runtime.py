@@ -5,8 +5,9 @@ The loop plumbing every query engine needs — edge arrival functions,
 uniform :class:`~repro.core.results.SearchStats` — lives here once:
 
 * :class:`EdgeFunctionCache` — the LRU-bounded, locked store of canonical
-  edge arrival functions, one per ``(edge, calendar day)``; what a query
-  reads from it never depends on what was asked before.
+  edge arrival functions, one per ``(edge, calendar day)``, each checked
+  against the edge's current pattern when read; what a query reads from it
+  never depends on what was asked before.
 * :class:`SearchContext` — the long-lived bundle an engine (or a service)
   owns: the edge store plus default ``max_pops``/``deadline`` policy.
   Contexts are cheap to share; every engine built over the same context
@@ -80,15 +81,21 @@ class EdgeFunctionCache:
     """The store of canonical edge arrival functions, one per ``(edge, day)``.
 
     An edge's arrival function ``A(t) = S⁻¹(S(t) + d)`` (§4.1) is a pure
-    function of its pattern and the calendar day, so the store keeps exactly
-    that: the function built once on the whole day
+    function of its pattern, its length and the calendar day, so the store
+    keeps exactly that: the function built once on the whole day
     ``[1440·day, 1440·(day+1)]``, keyed by ``(source, target, day)`` (node
     ids, because the disk-backed accessor materialises fresh ``Edge``
-    objects per call).  Queries only *read* it — a window inside one day
-    gets the day's function as is, a window spanning days gets the days'
-    functions joined in ascending order — so the floats returned depend on
-    the edge, the calendar and the days touched, never on what was asked
-    before, on LRU eviction, or on which process answers.
+    objects per call) and stored with the pattern and length it was built
+    from.  An entry is served only while the edge still has that pattern
+    object and that length; an edge whose pattern was updated (§2.2) gets
+    its function rebuilt on the next read, so the store never needs
+    clearing.  The identity check is sound because the entry keeps its
+    pattern alive, and the CCAM store interns patterns, so its fresh
+    ``Edge`` objects pass it too.  Queries only *read* the store — a window
+    inside one day gets the day's function as is, a window spanning days
+    gets the days' functions joined in ascending order — so the floats
+    returned depend on the edge, the calendar and the days touched, never
+    on what was asked before, on LRU eviction, or on which process answers.
 
     LRU-bounded, so a long-lived engine's memory follows its working set,
     and locked, so engines on several threads may share one
@@ -109,9 +116,8 @@ class EdgeFunctionCache:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._calendar = calendar
-        self._cache: OrderedDict[
-            tuple[int, int, int], MonotonePiecewiseLinear
-        ] = OrderedDict()
+        # (source, target, day) -> (pattern, distance, function)
+        self._cache: OrderedDict[tuple[int, int, int], tuple] = OrderedDict()
         self._max_entries = max_entries
         self._lock = threading.Lock()
         self.hits = 0
@@ -143,11 +149,15 @@ class EdgeFunctionCache:
 
     def _day_function(self, edge, day: int) -> MonotonePiecewiseLinear:
         key = (edge.source, edge.target, day)
-        fn = self._cache.get(key)
-        if fn is not None:
+        entry = self._cache.get(key)
+        if (
+            entry is not None
+            and entry[0] is edge.pattern
+            and entry[1] == edge.distance
+        ):
             self._cache.move_to_end(key)
             self.hits += 1
-            return fn
+            return entry[2]
         self.misses += 1
         fn = edge_arrival_function(
             edge.distance,
@@ -156,22 +166,14 @@ class EdgeFunctionCache:
             day * MINUTES_PER_DAY,
             (day + 1) * MINUTES_PER_DAY,
         )
-        self._cache[key] = fn
+        self._cache[key] = (edge.pattern, edge.distance, fn)
+        self._cache.move_to_end(key)
         while len(self._cache) > self._max_entries:
             self._cache.popitem(last=False)
         return fn
 
     def __len__(self) -> int:
         return len(self._cache)
-
-    def clear(self) -> int:
-        """Drop every stored function (call after an edge-pattern update:
-        entries are keyed by node ids, so a mutated edge would otherwise
-        keep serving its pre-update arrival function)."""
-        with self._lock:
-            dropped = len(self._cache)
-            self._cache.clear()
-        return dropped
 
     def snapshot(self) -> dict[str, int]:
         """A point-in-time view of the store's counters (for services/metrics)."""

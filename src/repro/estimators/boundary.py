@@ -103,7 +103,6 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         self._metric: Metric = metric
         self._naive = NaiveEstimator(network)
         self._grid = GridPartition(network, nx, ny)
-        self._v_max = network.max_speed()
 
         #: the flat stores (None until precomputed)
         self._tables: EstimatorTables | None = None
@@ -185,8 +184,6 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         self._a_to_boundary = None
         self._a_index_of = None
         self._target_col = None
-        self._naive = NaiveEstimator(self._network)
-        self._v_max = self._network.max_speed()
         self.precompute()
 
     def refresh_delta(self, mutations) -> None:
@@ -194,10 +191,10 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         updates): kept as they are unless some edge got faster than it
         has ever been, precomputed again otherwise (see
         :func:`~repro.estimators.precompute.refresh_tables_delta`).  The
-        naive component is rebuilt too, so a mutation that raises the
-        network-wide ``v_max`` cannot leave an inadmissible Euclidean
-        bound behind.  Falls back to a full :meth:`refresh` when nothing
-        was precomputed yet.
+        naive component and the ``"distance"`` divisor read ``v_max`` at
+        every :meth:`prepare`, so a mutation that raises it cannot leave an
+        inadmissible bound behind.  Falls back to a full :meth:`refresh`
+        when nothing was precomputed yet.
         """
         if self._tables is None:
             self.refresh()
@@ -205,8 +202,6 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         tables = refresh_tables_delta(
             self._tables, self._network, self._grid, mutations
         )
-        self._naive = NaiveEstimator(self._network)
-        self._v_max = self._network.max_speed()
         self._target_col = None
         self._adopt_tables(tables)
 
@@ -256,6 +251,7 @@ class BoundaryNodeEstimator(LowerBoundEstimator):
         super().prepare(target)
         self.precompute()
         self._naive.prepare(target)
+        self._v_max = self._network.max_speed()
         self._target_cell = self._grid.cell_of_node(target)
         tables = self._tables
         self._target_from_boundary = tables.from_boundary[tables.index(target)]

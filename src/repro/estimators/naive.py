@@ -14,22 +14,28 @@ from .base import LowerBoundEstimator
 
 
 class NaiveEstimator(LowerBoundEstimator):
-    """``d_euclidean(n, target) / v_max`` — the paper's naiveLB."""
+    """``d_euclidean(n, target) / v_max`` — the paper's naiveLB.
+
+    ``v_max`` is read off the network at every :meth:`prepare`, so one
+    estimator stays admissible across live updates: an edge that got faster
+    than any before raises it for the next query.
+    """
 
     def __init__(self, network: CapeCodNetwork) -> None:
         super().__init__()
         self._network = network
-        self._v_max = network.max_speed()
+        self._v_max = 0.0
         self._target_loc: tuple[float, float] | None = None
 
     @property
     def v_max(self) -> float:
-        """The network-wide maximum speed (miles per minute)."""
-        return self._v_max
+        """The network-wide maximum speed now (miles per minute)."""
+        return self._network.max_speed()
 
     def prepare(self, target: int) -> None:
         super().prepare(target)
         self._target_loc = self._network.location(target)
+        self._v_max = self._network.max_speed()
 
     def bound(self, node: int) -> float:
         if self._target_loc is None:

@@ -7,9 +7,19 @@ subclasses mirror the subsystems described in ``DESIGN.md``.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class ReproError(Exception):
-    """Base class for all errors raised by the repro library."""
+    """Base class for all errors raised by the repro library.
+
+    Pickles as itself — class, message and attributes (a timeout's partial
+    ``stats`` included) — even where a subclass's ``__init__`` takes other
+    arguments than the message, so an error crosses a process pipe intact.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class FunctionDomainError(ReproError):

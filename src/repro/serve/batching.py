@@ -12,9 +12,9 @@ Two independent layers, both keyed on the full query identity
   repeats that arrive after the leader finished are served without any
   engine work at all.
 
-The version stamp in the key makes invalidation trivial: bumping the
-service version (e.g. after a live pattern update) orphans every old
-entry, and the LRU bound ages them out.
+The network version in the key makes a live update safe by
+construction: an answer cached at one version can never be served at
+another.
 """
 
 from __future__ import annotations
@@ -81,11 +81,10 @@ class SingleFlight:
 class ResultCache:
     """TTL + LRU cache of completed query results.
 
-    ``max_entries`` bounds memory; ``ttl`` (seconds) bounds staleness — a
-    pattern-update-aware service additionally bumps its version stamp out
-    of the key, but the TTL protects even same-version entries from
-    serving forever.  ``clock`` is injectable so tests control expiry
-    deterministically.
+    ``max_entries`` bounds memory; ``ttl`` (seconds) bounds staleness — the
+    service keys entries on the network version, and the TTL protects even
+    same-version entries from serving forever.  ``clock`` is injectable so
+    tests control expiry deterministically.
     """
 
     def __init__(

@@ -69,13 +69,12 @@ def open_service(
             )
             info["tables_mode"] = "mmap"
         except ReproError as exc:
-            estimator, degraded = NaiveEstimator(network), True
+            estimator, degraded = None, True
             info["tables_mode"] = "fallback"
             info["errors"].append(f"boundary estimator unavailable ({exc})")
     elif isinstance(estimator, NaiveEstimator):
-        # Rebuilt rather than inherited: it is one pass over the edges, and a
-        # worker that re-opened a .ccam store must not read its parent's.
-        estimator = NaiveEstimator(network)
+        # The service bounds queries with its own naive estimator over
+        # ``network``, never one read off another network object.
         info["tables_mode"] = "naive"
     elif estimator is not None:
         info["tables_mode"] = "inherited"

@@ -11,9 +11,9 @@ The invariant every run asserts (``docs/reliability.md``):
     (c) a **flagged degraded answer** — ``degraded=True``.  A
         degraded-but-fresh answer must *still* equal the baseline of its
         version, because the naive bound that replaces a set-aside
-        estimator is built for that version, hence admissible, and A* stays
-        exact; a failover answer likewise, because every worker holds the
-        full network.  One served from the stale cache carries
+        estimator reads ``v_max`` at that version, hence is admissible,
+        and A* stays exact; a failover answer likewise, because every
+        worker holds the full network.  One served from the stale cache carries
         ``stale=True`` and version ``-1`` and is exempt from the match —
         it advertises its staleness, which is the contract's other half.
     Never a hang, an untyped crash, or a silently wrong answer.

@@ -53,7 +53,7 @@ Endpoints
     nothing.
 
 ``GET /healthz``
-    ``{"status": "ok", "version": <stamp>, "network_version": <applied>,
+    ``{"status": "ok", "degraded": false, "network_version": <applied>,
     "staleness_seconds": float, "pending_updates": N, "nodes": N}`` —
     cheap liveness plus the bounded-staleness triple.
 

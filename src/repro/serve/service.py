@@ -5,16 +5,17 @@ into a system component:
 
 * one preloaded network and one **shared warm edge-function cache** for
   every request (the dominant per-query cost is materialising edge arrival
-  functions; sharing the cache means any request's work warms all others),
-* **one lower bound per network version** — the customized boundary
-  estimator while its tables match the network, otherwise a naive bound
-  read off the current version — picked again under the update write lock
-  after every batch,
+  functions; sharing the cache means any request's work warms all others,
+  and an entry whose edge was updated is rebuilt when next read),
+* **one lower bound** — the customized boundary estimator while its tables
+  match the network, otherwise the naive bound, which reads ``v_max`` off
+  the live network at every ``prepare`` — picked again under the update
+  write lock after every batch,
 * **one engine run at a time**, under one lock, on its caller's thread:
   the run owns the bound's ``prepare(target)`` cursor while it holds the
   lock,
 * **request coalescing** (single-flight) and a **TTL+LRU result cache**
-  keyed on the query plus the service's version stamp,
+  keyed on the query plus the network version,
 * **admission control** with fast-fail rejection and wall-clock deadlines
   threaded into the engine's pop loop,
 * a :class:`~repro.serve.metrics.MetricsRegistry` that every layer reports
@@ -172,9 +173,9 @@ class QueryResponse:
     ``degraded`` flags answers computed in a degraded mode — a boot artifact
     failed to load, or the customized estimator was set aside after a
     failed re-customization (the naive bound and the flat engine that stand
-    in are exact, only slower) — or ``stale`` is set and
-    the result was served from the version-stamped cache after a deadline
-    tripped mid-recompute (possibly predating the latest network update).
+    in are exact, only slower) — or ``stale`` is set and the result was
+    served from the version-free stale cache after a deadline tripped
+    mid-recompute (possibly predating the latest network update).
 
     ``version`` is the network version this answer was computed against —
     the contract the mutation-chaos harness holds the service to: a
@@ -268,7 +269,7 @@ class ServiceSurface(Protocol):
 
 class SurfaceBase:
     """The part of the surface that is the same code in both front ends:
-    each owns a ``_network``, a cache-generation ``_version`` stamp and an
+    each owns a ``_network`` and an
     :class:`~repro.serve.updates.UpdateLedger` in ``_updates``."""
 
     @property
@@ -290,7 +291,6 @@ class SurfaceBase:
         return {
             "status": "degraded" if degraded else "ok",
             "degraded": degraded,
-            "version": self._version,
             "network_version": self._updates.applied_version,
             "staleness_seconds": self._updates.staleness_seconds(),
             "pending_updates": self._updates.pending,
@@ -311,8 +311,7 @@ class AllFPService(SurfaceBase):
         :class:`~repro.estimators.boundary.BoundaryNodeEstimator`, delta
         re-customized with every update batch.  Anything else (``None``, a
         :class:`~repro.estimators.naive.NaiveEstimator`) counts as none:
-        queries are bounded by a naive estimator the service builds for
-        each network version.
+        queries are bounded by the service's one naive estimator.
     config:
         A :class:`ServiceConfig`; defaults are sized for tests and small
         deployments.
@@ -347,10 +346,11 @@ class AllFPService(SurfaceBase):
             estimator if isinstance(estimator, BoundaryNodeEstimator) else None
         )
         # The one bound every engine run uses: the customization while its
-        # tables match the network version, else a naive estimator built for
-        # that version (see _rebound).
+        # tables match the network version, else the naive bound (see
+        # _rebound).
+        self._naive = NaiveEstimator(network)
         self._bound: LowerBoundEstimator = (
-            NaiveEstimator(network) if self._estimator is None else self._estimator
+            self._naive if self._estimator is None else self._estimator
         )
         self._overlay = overlay
         # Boot errors, or the estimator set aside since.
@@ -363,17 +363,15 @@ class AllFPService(SurfaceBase):
         self._result_cache = ResultCache(
             self.config.result_cache_size, self.config.result_cache_ttl
         )
-        # Last good answers keyed *without* the version stamp; consulted only
-        # when a deadline trips and config.serve_stale is on.  Deliberately
-        # survives invalidate() — staleness is its entire point.
+        # Last good answers keyed *without* the network version; consulted
+        # only when a deadline trips and config.serve_stale is on.
+        # Deliberately survives invalidate() — staleness is its entire point.
         self._stale_cache = ResultCache(
             self.config.result_cache_size, float("inf")
         )
         self.metrics = MetricsRegistry(const_labels=self._metric_labels())
-        # The cache-generation stamp; bumps on invalidate() as well as on
-        # updates.  The version answers *claim* is the ledger's applied
-        # network version (count of applied live-update batches).
-        self._version = 0
+        # The network version (count of applied live-update batches): what
+        # answers claim and what the result cache keys on.
         self._updates = UpdateLedger(self.metrics)
         # Queries hold the read side while computing so every answer is
         # produced against exactly one network version; updates hold the
@@ -398,11 +396,6 @@ class AllFPService(SurfaceBase):
             "result_cache_entries",
             self._result_cache.__len__,
             help="Entries resident in the TTL+LRU result cache",
-        )
-        self.metrics.set_gauge(
-            "service_version",
-            lambda: float(self._version),
-            help="Network/pattern version stamp keyed into the result cache",
         )
         self.metrics.set_gauge(
             "service_degraded",
@@ -482,29 +475,28 @@ class AllFPService(SurfaceBase):
         return fired
 
     def invalidate(self, refresh_estimator: bool = False) -> int:
-        """Bump the version stamp and drop every cached result.
+        """Drop every cached result.
 
-        Call after mutating the network or its speed patterns (e.g. a live
-        traffic update); the write side of the update lock is held, so
-        in-flight queries finish against the old data first and every query
-        admitted afterwards misses the cache and recomputes — no answer is
-        produced against a half-refreshed estimator.
+        Call after mutating the network outside :meth:`apply_updates`; the
+        write side of the update lock is held, so in-flight queries (which
+        hold the read side from cache lookup to cache put) finish first and
+        every query admitted afterwards misses the cache and recomputes —
+        no answer is produced against a half-refreshed estimator.  The edge
+        store and the naive bound need nothing: they check the network
+        they were derived from whenever they are read.
 
         With ``refresh_estimator=True`` the bound is picked again: the
         customization recomputes its tables in full against the network as
         it is now — the one way back for a customization set aside by a
-        failed delta refresh — and a service without one gets a fresh naive
-        bound.  A snapshot loaded for an older network version is
-        considered invalid from here on.
+        failed delta refresh.  A snapshot loaded for an older network
+        version is considered invalid from here on.
         """
         self._update_rw.acquire_write()
         try:
-            self._version += 1
             dropped = self._result_cache.clear()
-            self._edge_cache.clear()
             self.metrics.inc(
                 "invalidations_total",
-                help="Version bumps (network/pattern updates)",
+                help="Explicit invalidations of the result cache",
             )
             if refresh_estimator and self._rebound(
                 None if self._estimator is None else self._estimator.refresh
@@ -525,9 +517,9 @@ class AllFPService(SurfaceBase):
         ``customize`` brings the customized estimator up to this version (a
         delta or a full refresh).  When it succeeds the estimator is the
         bound.  Otherwise — no customization, none still current, or a
-        typed failure now — the bound is a naive estimator built for this
-        version: its ``v_max`` is re-read, so an edge that got faster
-        cannot make it overestimate (paper §4, Theorem 1).  A failure sets
+        typed failure now — the bound is the naive estimator, which reads
+        ``v_max`` at every ``prepare``, so an edge that got faster cannot
+        make it overestimate (paper §4, Theorem 1).  A failure sets
         the customization aside and flags the service degraded until a
         full refresh succeeds.  Returns whether the customization is the
         bound.
@@ -543,9 +535,7 @@ class AllFPService(SurfaceBase):
                     help="Estimator re-customizations that failed "
                     "(service continues on a naive bound, degraded)",
                 )
-        self._bound = (
-            NaiveEstimator(self._network) if customize is None else self._estimator
-        )
+        self._bound = self._naive if customize is None else self._estimator
         return customize is not None
 
     def apply_updates(
@@ -562,8 +552,9 @@ class AllFPService(SurfaceBase):
         overlay recomputes nothing and marks stale the cells that hold an
         edge changed since its build
         (:meth:`~repro.hierarchy.overlay.MultiLevelOverlay.refresh_delta`;
-        queries search those at street level), and the edge-function and
-        result caches drop so no pre-update function survives.  A typed
+        queries search those at street level), and results cached at older
+        versions are dropped; the edge store rebuilds each changed edge's
+        function when it is next read.  A typed
         failure of the estimator refresh never fails the batch: the service
         continues on a naive bound, flagged degraded.  ``version`` lets the
         shard tier impose its monotonic version instead of the local counter.
@@ -596,9 +587,8 @@ class AllFPService(SurfaceBase):
         )
         if self._overlay is not None:
             self._overlay.refresh_delta(applied)
-        self._version += 1
+        # Results keyed on older versions can no longer be hit.
         self._result_cache.clear()
-        self._edge_cache.clear()
         return self._updates.applied(batch, version)
 
     # ------------------------------------------------------------------
@@ -640,7 +630,7 @@ class AllFPService(SurfaceBase):
             self._update_rw.acquire_read()
             try:
                 version = self._updates.applied_version
-                response = self._admitted(request, started)
+                response = self._admitted(request, version)
             finally:
                 self._update_rw.release_read()
         except QueryTimeout:
@@ -687,14 +677,14 @@ class AllFPService(SurfaceBase):
             help="End-to-end request latency",
         )
 
-    def _admitted(self, request: QueryRequest, started: float) -> QueryResponse:
+    def _admitted(self, request: QueryRequest, version: int) -> QueryResponse:
         budget = (
             request.deadline
             if request.deadline is not None
             else self.config.default_deadline
         )
         deadline = None if budget is None else Deadline.after(budget)
-        key = request.key(self._version)
+        key = request.key(version)
 
         if self.config.cache_results:
             hit = self._result_cache.get(key)
@@ -705,8 +695,14 @@ class AllFPService(SurfaceBase):
             self.metrics.inc("result_cache_misses_total", help="Result cache misses")
 
         def compute():
-            with self._engine_lock:
+            # Wait for the engine lock no longer than the deadline allows.
+            wait = -1 if deadline is None else max(deadline.remaining(), 0)
+            if not self._engine_lock.acquire(timeout=wait):
+                raise self._queue_timeout(deadline)
+            try:
                 return self._run_engine(request, deadline)
+            finally:
+                self._engine_lock.release()
 
         try:
             if self.config.coalesce:
@@ -772,13 +768,7 @@ class AllFPService(SurfaceBase):
             if deadline is not None:
                 remaining = deadline.remaining()
                 if remaining <= 0.0:
-                    # The request aged out while waiting for the lock.
-                    stats = SearchStats(timed_out=True)
-                    self.metrics.inc(
-                        "queue_timeouts_total",
-                        help="Requests whose deadline expired before the engine lock freed up",
-                    )
-                    raise QueryTimeout(deadline.budget, stats)
+                    raise self._queue_timeout(deadline)
             try:
                 return self._execute(request, remaining)
             except ReproError:
@@ -800,6 +790,14 @@ class AllFPService(SurfaceBase):
                     "task_retries_total",
                     help="Crashed runs retried on a fresh engine",
                 )
+
+    def _queue_timeout(self, deadline: Deadline) -> QueryTimeout:
+        """The request aged out waiting for the engine lock."""
+        self.metrics.inc(
+            "queue_timeouts_total",
+            help="Requests whose deadline expired before the engine lock freed up",
+        )
+        return QueryTimeout(deadline.budget, SearchStats(timed_out=True))
 
     def _execute(self, request: QueryRequest, remaining: float | None):
         """One engine execution; returns ``(result, degraded)``."""
@@ -886,7 +884,6 @@ class AllFPService(SurfaceBase):
     def stats(self) -> dict:
         """A structured snapshot of every layer (for logs and tests)."""
         return {
-            "version": self._version,
             "degraded": self.degraded,
             "updates": self._updates.snapshot(),
             "overlay_levels": (

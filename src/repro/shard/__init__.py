@@ -7,8 +7,8 @@ in-process consistent-hash router:
 * :mod:`repro.shard.ring` — the hash ring and the per-mode routing-key
   normalisation (cache affinity + minimal movement);
 * :mod:`repro.shard.worker` — the worker process main loop and the
-  pipe wire protocol (requests and answers in their HTTP form, errors as
-  typed descriptors);
+  pipe wire protocol (requests and answers in their HTTP form, typed
+  errors as themselves);
 * :mod:`repro.shard.tier` — :class:`ShardedService`, the router with
   per-shard circuit breakers, ring failover, and worker restart.
 
@@ -19,13 +19,7 @@ transports.
 from ..serve.http import request_from_wire, request_to_wire
 from .ring import DEFAULT_REPLICAS, HashRing, routing_key, stable_hash
 from .tier import ShardedService, WireResult
-from .worker import (
-    KILL_POINT,
-    WorkerBoot,
-    describe_error,
-    rebuild_error,
-    run_worker,
-)
+from .worker import KILL_POINT, WorkerBoot, run_worker
 
 __all__ = [
     "DEFAULT_REPLICAS",
@@ -34,8 +28,6 @@ __all__ = [
     "ShardedService",
     "WireResult",
     "WorkerBoot",
-    "describe_error",
-    "rebuild_error",
     "request_from_wire",
     "request_to_wire",
     "routing_key",

@@ -2,9 +2,9 @@
 
 The memcached-style design — dumb servers, the client owns routing and
 failover — applied in-process: the router hangs every shard on the ring at
-``replicas`` virtual points and sends each query to the first shard at or
-after the key's hash.  Two properties make this the right structure for a
-cache-affine serve tier:
+:data:`DEFAULT_REPLICAS` virtual points and sends each query to the first
+shard at or after the key's hash.  Two properties make this the right
+structure for a cache-affine serve tier:
 
 * **affinity** — a key maps to the same shard on every process and every
   boot (the hash is sha256 over the key text, *not* Python's per-process
@@ -58,17 +58,10 @@ def routing_key(request) -> str:
 class HashRing:
     """Shard ids on a consistent-hash ring with virtual nodes."""
 
-    def __init__(
-        self,
-        shard_ids: Iterable[int],
-        replicas: int = DEFAULT_REPLICAS,
-    ) -> None:
+    def __init__(self, shard_ids: Iterable[int]) -> None:
         ids = list(dict.fromkeys(shard_ids))
         if not ids:
             raise ValueError("a hash ring needs at least one shard")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self._replicas = replicas
         self._ids: list[int] = []
         self._points: list[tuple[int, int]] = []  # (position, shard_id)
         for sid in ids:
@@ -78,7 +71,7 @@ class HashRing:
     def _vnode_points(self, shard_id: int) -> list[tuple[int, int]]:
         return [
             (stable_hash(f"shard:{shard_id}#{r}"), shard_id)
-            for r in range(self._replicas)
+            for r in range(DEFAULT_REPLICAS)
         ]
 
     def add(self, shard_id: int) -> None:
@@ -97,10 +90,6 @@ class HashRing:
     @property
     def shard_ids(self) -> tuple[int, ...]:
         return tuple(self._ids)
-
-    @property
-    def replicas(self) -> int:
-        return self._replicas
 
     # ------------------------------------------------------------------
     def node_for(self, key: str) -> int:

@@ -50,13 +50,13 @@ from ..serve.updates import (
     validate_batch,
 )
 from ..storage.ccam import CCAMStore
-from .ring import DEFAULT_REPLICAS, HashRing, routing_key
-from .worker import WorkerBoot, rebuild_error, run_worker
+from .ring import HashRing, routing_key
+from .worker import WorkerBoot, run_worker
 
 #: Seconds past a query's deadline before the router gives up on a shard
 #: and fails over.  Worker death is detected faster (EOF on the pipe);
 #: the grace window only matters for a hung-but-alive worker.
-DEFAULT_DISPATCH_GRACE = 15.0
+DISPATCH_GRACE = 15.0
 
 #: Fallback dispatch timeout when the service runs without deadlines.
 DEFAULT_DISPATCH_TIMEOUT = 60.0
@@ -162,10 +162,7 @@ class ShardedService(SurfaceBase):
         snapshot_path: str | None = None,
         overlay_path: str | None = None,
         grid: int = 6,
-        replicas: int = DEFAULT_REPLICAS,
         restart_limit: int = 3,
-        dispatch_grace: float = DEFAULT_DISPATCH_GRACE,
-        breaker_failures: int = 3,
         breaker_reset: float = 5.0,
     ) -> None:
         if shards < 1:
@@ -173,12 +170,10 @@ class ShardedService(SurfaceBase):
         self.config = config or ServiceConfig()
         self._network = network
         self._shards = shards
-        self._grace = dispatch_grace
         self._restart_limit = restart_limit
         self._closed = False
         self._close_lock = threading.Lock()
-        self._version = 1
-        self._ring = HashRing(range(shards), replicas)
+        self._ring = HashRing(range(shards))
         self.metrics = MetricsRegistry()
         # Live-update state: the ledger (applied version, pending batches),
         # the ordered log of broadcast batches, and the boot-time pattern of
@@ -223,7 +218,7 @@ class ShardedService(SurfaceBase):
                 handle = _ShardHandle(
                     shard_id=sid,
                     breaker=reliability.CircuitBreaker(
-                        breaker_failures, breaker_reset
+                        reset_timeout=breaker_reset
                     ),
                 )
                 self._handles[sid] = handle
@@ -376,8 +371,8 @@ class ShardedService(SurfaceBase):
         if deadline is None:
             deadline = self.config.default_deadline
         if deadline is None:
-            return DEFAULT_DISPATCH_TIMEOUT + self._grace
-        return deadline + self._grace
+            return DEFAULT_DISPATCH_TIMEOUT + DISPATCH_GRACE
+        return deadline + DISPATCH_GRACE
 
     def _send_query(self, handle: _ShardHandle, request) -> tuple[str, object]:
         """One attempt on one shard; ``("down", reason)`` means failover."""
@@ -434,7 +429,7 @@ class ShardedService(SurfaceBase):
             if kind == "err":
                 # A typed answer ("no path", "timeout", ...) — every
                 # shard would say the same; do not fail over.
-                raise rebuild_error(payload)
+                raise payload
             failed_over = bool(skipped)
             if failed_over:
                 for failed_sid in skipped:
@@ -480,7 +475,7 @@ class ShardedService(SurfaceBase):
             return waiter.payload
         if waiter.kind == "down":
             raise ShardUnavailable(handle.shard_id, str(waiter.payload))
-        raise rebuild_error(waiter.payload)
+        raise waiter.payload
 
     def _broadcast(self, op: str, *args, timeout: float = 10.0) -> dict:
         """``{shard_id: return value}`` of ``op(*args)`` on every live
@@ -542,7 +537,6 @@ class ShardedService(SurfaceBase):
                         labels={"shard_id": str(sid)},
                     )
                     self.kill_shard(sid)
-            self._version += 1
             return version
 
     @property
@@ -581,7 +575,6 @@ class ShardedService(SurfaceBase):
                 entry.update(
                     status=health["status"],
                     degraded=health["degraded"],
-                    version=health["version"],
                     applied_version=health["network_version"],
                     staleness_seconds=health["staleness_seconds"],
                     pending_updates=health["pending_updates"],
@@ -594,7 +587,6 @@ class ShardedService(SurfaceBase):
         return {**super().health(), "shards": self.shard_health()}
 
     def invalidate(self, refresh_estimator: bool = False) -> int:
-        self._version += 1
         return sum(self._broadcast("invalidate", refresh_estimator).values())
 
     def install_faults(self, plan: reliability.FaultPlan) -> None:

@@ -5,7 +5,7 @@ logic, just answers what arrives on its :class:`multiprocessing` pipe.  The
 parent-side router (:mod:`repro.shard.tier`) speaks a tiny tuple protocol:
 
 * ``("query", req_id, wire_request)`` → ``("ok", req_id, wire_response)``
-  or ``("err", req_id, error_descriptor)``
+  or ``("err", req_id, error)``
 * ``("control", req_id, op, args)`` → ``("ok", req_id, return value)``:
   ``op`` is one of :data:`CONTROL_OPS` — method names of the service
   surface (:class:`~repro.serve.service.ServiceSurface`), called with
@@ -14,12 +14,13 @@ parent-side router (:mod:`repro.shard.tier`) speaks a tiny tuple protocol:
 A request crosses the pipe as its HTTP body plus ``"mode"`` and an answer
 as its HTTP 200 body — the one codec in :mod:`repro.serve.http`
 (``request_to_wire`` / ``request_from_wire`` / ``response_to_wire``).
-Errors cross as typed descriptors (class name + salient attributes)
-rather than pickled objects: exception classes with custom ``__init__``
-signatures don't survive unpickling.  The parent rebuilds typed
-:class:`~repro.exceptions.ReproError` subclasses from the descriptors so
-``isinstance`` checks (and the HTTP status mapping) behave identically
-with and without ``--shards``.
+Errors cross as themselves: a :class:`~repro.exceptions.ReproError`
+pickles with its class, message and attributes (a timeout's partial
+``stats`` included), so the router raises exactly what the worker's
+service raised and ``isinstance`` checks (and the HTTP status mapping)
+behave identically with and without ``--shards``.  Anything else is
+wrapped as a :class:`~repro.exceptions.ServiceError` carrying its type
+and text.
 
 A worker boots through :func:`repro.serve.boot.open_service`, the same call
 the CLI makes for ``--shards 0``: estimator tables and the overlay arrive as
@@ -36,18 +37,7 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from .. import reliability
-from ..core.runtime import QueryTimeout, SearchBudgetExceeded
-from ..core.results import SearchStats
-from ..exceptions import (
-    EdgeNotFoundError,
-    NodeNotFoundError,
-    NoPathError,
-    ReproError,
-    ServiceError,
-    ServiceOverloaded,
-    StalenessExceeded,
-    WorkerCrashed,
-)
+from ..exceptions import ReproError, ServiceError
 from ..serve.http import request_from_wire, response_to_wire
 
 #: Fault point fired on every received message; an injected error here
@@ -96,88 +86,12 @@ class WorkerBoot:
 # ----------------------------------------------------------------------
 # Errors across the pipe
 # ----------------------------------------------------------------------
-def describe_error(exc: BaseException) -> dict:
-    """A picklable descriptor the parent rebuilds a typed error from."""
-    attrs: dict = {}
-    if isinstance(exc, QueryTimeout):
-        attrs["deadline"] = exc.deadline
-    elif isinstance(exc, SearchBudgetExceeded):
-        attrs["budget"] = exc.budget
-        attrs["what"] = exc.what
-    elif isinstance(exc, NoPathError):
-        attrs["source"] = exc.source
-        attrs["target"] = exc.target
-    elif isinstance(exc, EdgeNotFoundError):
-        attrs["source"] = exc.source
-        attrs["target"] = exc.target
-    elif isinstance(exc, NodeNotFoundError):
-        attrs["node_id"] = exc.node_id
-    elif isinstance(exc, ServiceOverloaded):
-        attrs["pending"] = exc.pending
-        attrs["max_pending"] = exc.max_pending
-        attrs["retry_after"] = exc.retry_after
-    elif isinstance(exc, StalenessExceeded):
-        attrs["staleness"] = exc.staleness
-        attrs["max_staleness"] = exc.max_staleness
-    elif isinstance(exc, WorkerCrashed):
-        attrs["attempts"] = exc.attempts
-    return {
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "repro": isinstance(exc, ReproError),
-        "attrs": attrs,
-    }
-
-
-def rebuild_error(desc: dict) -> ReproError:
-    """The typed error a descriptor stands for.
-
-    Known classes with structured constructors are rebuilt exactly (so
-    ``isinstance`` and the HTTP status mapping keep working); anything
-    else becomes a :class:`ServiceError` carrying the original text.
-    """
-    from .. import exceptions as exc_mod
-
-    name = desc.get("type", "ReproError")
-    message = desc.get("message", "")
-    attrs = desc.get("attrs", {})
-    if name == "QueryTimeout":
-        return QueryTimeout(
-            attrs.get("deadline", 0.0), SearchStats(timed_out=True)
-        )
-    if name == "SearchBudgetExceeded":
-        return SearchBudgetExceeded(
-            attrs.get("budget", 0), SearchStats(), attrs.get("what", "max_pops")
-        )
-    if name == "NoPathError":
-        return NoPathError(attrs.get("source", -1), attrs.get("target", -1))
-    if name == "EdgeNotFoundError":
-        return EdgeNotFoundError(attrs.get("source", -1), attrs.get("target", -1))
-    if name == "NodeNotFoundError":
-        return NodeNotFoundError(attrs.get("node_id", -1))
-    if name == "ServiceOverloaded":
-        return ServiceOverloaded(
-            attrs.get("pending", 0),
-            attrs.get("max_pending", 0),
-            attrs.get("retry_after", 0.05),
-        )
-    if name == "StalenessExceeded":
-        return StalenessExceeded(
-            attrs.get("staleness", 0.0), attrs.get("max_staleness", 0.0)
-        )
-    if name == "WorkerCrashed":
-        return WorkerCrashed(attrs.get("attempts", 1), message)
-    cls = getattr(exc_mod, name, None)
-    if (
-        isinstance(cls, type)
-        and issubclass(cls, ReproError)
-        and desc.get("repro", False)
-    ):
-        try:
-            return cls(message)
-        except TypeError:
-            pass
-    return ServiceError(f"{name}: {message}")
+def wire_error(exc: BaseException) -> ReproError:
+    """What a failure crosses the pipe as: a typed error as itself,
+    anything else as a :class:`ServiceError` with its type and text."""
+    if isinstance(exc, ReproError):
+        return exc
+    return ServiceError(f"{type(exc).__name__}: {exc}")
 
 
 # ----------------------------------------------------------------------
@@ -249,8 +163,8 @@ def run_worker(boot: WorkerBoot, conn, inherited=()) -> None:
         try:
             response = service.query(request_from_wire(doc))
             reply("ok", req_id, response_to_wire(response))
-        except BaseException as exc:  # noqa: BLE001 — descriptors, not pickles
-            reply("err", req_id, describe_error(exc))
+        except BaseException as exc:  # noqa: BLE001 — typed for the router
+            reply("err", req_id, wire_error(exc))
 
     while True:
         try:
@@ -282,7 +196,7 @@ def run_worker(boot: WorkerBoot, conn, inherited=()) -> None:
                 raise ServiceError(f"unknown control op {op!r}")
             reply("ok", req_id, getattr(service, op)(*args))
         except BaseException as exc:  # noqa: BLE001
-            reply("err", req_id, describe_error(exc))
+            reply("err", req_id, wire_error(exc))
     try:
         service.close()
     except Exception:

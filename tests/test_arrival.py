@@ -217,8 +217,8 @@ class TestSymmetryWithForwardEngine:
 
 @pytest.mark.parametrize("backend", ["memory", "ccam"])
 def test_reused_engine_sees_pattern_updates(backend, tmp_path, request):
-    """After a pattern update and a cleared edge store, a reused engine
-    answers byte for byte what a fresh engine answers."""
+    """After a pattern update a reused engine — its edge store warm with
+    the old functions — answers byte for byte what a fresh engine answers."""
     network = make_metro_network(MetroConfig(width=10, height=10, seed=5))
     if backend == "ccam":
         CCAMStore.build(network, tmp_path / "net.ccam").close()
@@ -230,8 +230,33 @@ def test_reused_engine_sees_pattern_updates(backend, tmp_path, request):
     for u, v in zip(path, path[1:]):
         slowed = slowdown_pattern(network.find_edge(u, v).pattern, 0.2)
         network.update_edge_pattern(u, v, slowed)
-    engine.context.edge_cache.clear()
     reused = engine.all_fastest_paths(0, 99, window)
     fresh = ArrivalIntAllFastestPaths(network).all_fastest_paths(0, 99, window)
     assert reused.border.breakpoints == fresh.border.breakpoints
     assert reused.entries == fresh.entries
+
+
+def test_reused_engine_sees_a_speed_up():
+    """A six-fold speed-up along the best path raises the network's
+    ``v_max``; a naive bound built before it reads the new value, so
+    neither a reused engine nor a fresh engine on the old estimator
+    overestimates and prunes the now-fastest path."""
+    network = make_metro_network(MetroConfig(width=8, height=8, seed=5))
+    window = TimeInterval(parse_clock("7:00"), parse_clock("9:00"))
+    naive = NaiveEstimator(network)
+    engine = IntAllFastestPaths(network, naive)
+    pairs = [(0, 63), (7, 56), (0, 7), (56, 63), (3, 60)]
+    path = engine.all_fastest_paths(0, 63, window).entries[0].path
+    v_max = naive.v_max
+    for u, v in zip(path, path[1:]):
+        faster = slowdown_pattern(network.find_edge(u, v).pattern, 6.0)
+        network.update_edge_pattern(u, v, faster)
+    assert naive.v_max > v_max
+    for source, target in pairs:
+        fresh = IntAllFastestPaths(network).all_fastest_paths(
+            source, target, window
+        )
+        for reused in (engine, IntAllFastestPaths(network, naive)):
+            got = reused.all_fastest_paths(source, target, window)
+            assert got.border.breakpoints == fresh.border.breakpoints
+            assert got.entries == fresh.entries

@@ -150,17 +150,28 @@ class TestEdgeFunctionCache:
         cache.arrival(b, 400.0, 500.0)  # must rebuild
         assert cache.misses == misses_before + 1
 
-    def test_clear_and_snapshot(self, cal, edge):
+    def test_new_pattern_is_rebuilt_not_served(self, cal, edge):
+        """An entry whose edge got a new pattern is rebuilt in place, with
+        no clearing; restoring the old pattern rebuilds again."""
         cache = EdgeFunctionCache(cal, max_entries=8)
-        cache.arrival(edge, 400.0, 500.0)
+        before = cache.arrival(edge, 400.0, 500.0)
         cache.arrival(edge, 1400.0, 1500.0)
         assert cache.snapshot() == {
             "entries": 2, "max_entries": 8, "hits": 1, "misses": 2
         }
-        assert cache.clear() == 2
-        assert len(cache) == 0
-        cache.arrival(edge, 400.0, 500.0)
-        assert cache.misses == 3  # rebuilt, not served from a stale entry
+        slowed = Edge(1, 2, edge.distance, slowdown_pattern(edge.pattern, 0.5))
+        after = cache.arrival(slowed, 400.0, 500.0)
+        assert after is not before and after(450.0) > before(450.0)
+        assert after(450.0) == pytest.approx(
+            traverse(slowed.distance, slowed.pattern, cal, 450.0), abs=1e-9
+        )
+        assert (len(cache), cache.misses) == (2, 3)  # replaced, not added
+        assert cache.arrival(slowed, 410.0, 490.0) is after
+        restored = cache.arrival(edge, 400.0, 500.0)
+        assert restored is not before and restored(450.0) == before(450.0)
+        longer = Edge(1, 2, 2 * edge.distance, edge.pattern)
+        assert cache.arrival(longer, 400.0, 500.0)(450.0) > before(450.0)
+        assert cache.misses == 5
 
     def test_rejects_nonpositive_capacity(self, cal):
         with pytest.raises(ValueError):

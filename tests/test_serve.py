@@ -530,6 +530,44 @@ class TestEngineLock:
             svc.close()
 
 
+    def test_lock_wait_honours_the_deadline(self, metro_tiny, interval):
+        """A query queued behind a held run times out at its own deadline,
+        not when the lock frees up."""
+        gated = GatedNetwork(metro_tiny)
+        svc = AllFPService(gated, config=ServiceConfig(coalesce=False))
+        outcome = {}
+
+        def queued():
+            started = time.monotonic()
+            try:
+                svc.query(QueryRequest(0, 88, interval, deadline=0.2))
+            except QueryTimeout as exc:
+                outcome["error"] = exc
+            outcome["seconds"] = time.monotonic() - started
+
+        held = threading.Thread(
+            target=svc.query, args=(QueryRequest(5, 77, interval),)
+        )
+        waiter = threading.Thread(target=queued)
+        try:
+            gated.gate.clear()
+            held.start()
+            wait_until(lambda: svc.stats()["engine_runs"] == 1)
+            waiter.start()
+            waiter.join(timeout=2.0)
+            assert not waiter.is_alive(), "lock wait ignored the deadline"
+            assert isinstance(outcome["error"], QueryTimeout)
+            assert outcome["seconds"] < 1.0
+            assert svc.metrics.counter_total("queue_timeouts_total") == 1
+            assert svc.stats()["engine_runs"] == 1
+        finally:
+            gated.gate.set()
+            for thread in (held, waiter):
+                if thread.ident is not None:
+                    thread.join(timeout=30.0)
+            svc.close()
+
+
 class TestEngineHooks:
     def test_edge_cache_snapshot(self, metro_tiny, interval):
         engine = IntAllFastestPaths(metro_tiny)

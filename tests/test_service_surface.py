@@ -27,7 +27,7 @@ from repro.timeutil import TimeInterval
 INTERVAL = TimeInterval.from_clock("7:00", "8:00")
 
 HEALTH_KEYS = {
-    "status", "degraded", "version", "network_version",
+    "status", "degraded", "network_version",
     "staleness_seconds", "pending_updates", "nodes",
 }
 STATS_KEYS = {"engine_runs", "result_cache", "single_flight", "updates"}
@@ -116,10 +116,10 @@ class TestServiceSurface:
         request = QueryRequest(0, 63, INTERVAL)
         surface.query(request)
         assert surface.query(request).cached
-        version = surface.health()["version"]
         assert surface.invalidate() == 1
-        assert surface.health()["version"] == version + 1
-        assert not surface.query(request).cached
+        assert surface.health()["network_version"] == 0
+        again = surface.query(request)
+        assert not again.cached and again.version == 0
         assert surface.stats()["engine_runs"] == 2
 
     def test_faults_round_trip_a_fired_count(self, surface):

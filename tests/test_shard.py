@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from repro.exceptions import (
     EstimatorError,
     NodeNotFoundError,
     NoPathError,
+    ServiceError,
     ServiceOverloaded,
     ShardUnavailable,
     WorkerCrashed,
@@ -44,11 +46,10 @@ from repro.shard import (
     DEFAULT_REPLICAS,
     HashRing,
     ShardedService,
-    describe_error,
-    rebuild_error,
     routing_key,
     stable_hash,
 )
+from repro.shard.worker import wire_error
 from repro.timeutil import TimeInterval
 from repro.workloads.queries import morning_rush_interval, random_queries
 
@@ -260,6 +261,10 @@ class TestSnapshotTransports:
 # ----------------------------------------------------------------------
 # Wire protocol: typed errors across the pipe
 # ----------------------------------------------------------------------
+def _across_the_pipe(error):
+    return pickle.loads(pickle.dumps(wire_error(error)))
+
+
 class TestErrorWire:
     @pytest.mark.parametrize(
         "error",
@@ -273,26 +278,28 @@ class TestErrorWire:
         ids=lambda e: type(e).__name__,
     )
     def test_round_trip_preserves_type(self, error):
-        rebuilt = rebuild_error(describe_error(error))
+        rebuilt = _across_the_pipe(error)
         assert type(rebuilt) is type(error)
+        assert str(rebuilt) == str(error)
 
     def test_attributes_survive(self):
-        rebuilt = rebuild_error(describe_error(NodeNotFoundError(42)))
+        rebuilt = _across_the_pipe(NodeNotFoundError(42))
         assert rebuilt.node_id == 42
-        rebuilt = rebuild_error(describe_error(ServiceOverloaded(65, 64, 0.1)))
+        rebuilt = _across_the_pipe(ServiceOverloaded(65, 64, 0.1))
         assert (rebuilt.pending, rebuilt.max_pending) == (65, 64)
-        assert rebuilt.retry_after == pytest.approx(0.1)
-        rebuilt = rebuild_error(describe_error(QueryTimeout(1.5, SearchStats(timed_out=True))))
-        assert rebuilt.deadline == pytest.approx(1.5)
+        assert rebuilt.retry_after == 0.1
+        stats = SearchStats(expanded_paths=37, timed_out=True)
+        rebuilt = _across_the_pipe(QueryTimeout(0.2, stats))
+        assert rebuilt.deadline == 0.2
+        assert rebuilt.stats == stats
+        assert str(rebuilt).endswith("after 37 expansions")
+        rebuilt = _across_the_pipe(NoPathError(3, 9, stats))
+        assert (rebuilt.source, rebuilt.target, rebuilt.stats) == (3, 9, stats)
 
     def test_unknown_type_degrades_to_service_error(self):
-        from repro.exceptions import ServiceError
-
-        rebuilt = rebuild_error(
-            {"type": "SomethingNew", "message": "huh", "attrs": {}}
-        )
-        assert isinstance(rebuilt, ServiceError)
-        assert "SomethingNew" in str(rebuilt)
+        rebuilt = _across_the_pipe(LookupError("huh"))
+        assert type(rebuilt) is ServiceError
+        assert str(rebuilt) == "LookupError: huh"
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Covers the update pipeline end to end — mutation/batch/trace parsing and
 its typed failures, the admissibility-preserving estimator delta refresh,
 the overlay's stale cells (rows kept as built, answers still exact), the
-service-level versioned apply (caches invalidated, answers byte-identical
-to a from-scratch service on the mutated network), the ``max_staleness``
+service-level versioned apply (cached results dropped, the edge store kept
+warm, answers byte-identical to a from-scratch service on the mutated
+network), the ``max_staleness``
 contract, the ``invalidate(refresh_estimator=True)``-racing-queries
 invariant, and the chaos harness under a mutation trace.
 """
@@ -30,6 +31,7 @@ from repro.exceptions import (
 from repro.hierarchy import MultiLevelOverlay, OverlayEngine
 from repro.network.generator import MetroConfig, make_metro_network
 from repro.serve.chaos import _canonical, default_fault_plan, run_chaos
+from repro.serve.metrics import parse_metrics
 from repro.serve.service import AllFPService, QueryRequest, ServiceConfig
 from repro.serve.updates import (
     EdgeMutation,
@@ -596,6 +598,39 @@ class TestServiceUpdates:
                     assert _canonical(live.result) == _canonical(fresh.result)
             finally:
                 reference.close()
+        finally:
+            service.close()
+
+    def test_edge_store_survives_a_batch(self, network):
+        """A batch leaves the warm edge store in place: the next queries
+        rebuild only the changed edge's functions and answer byte for byte
+        what a fresh service at that version answers."""
+        reference_net = copy.deepcopy(network)
+        service = AllFPService(network, config=ServiceConfig())
+        mutation = mutation_for(network, 0, 0.2)
+        pairs = [
+            (mutation.source, mutation.target),
+            (0, network.node_count - 1),
+        ]
+        try:
+            for pair in pairs:
+                service.query(_request(*pair))
+            warm = service.stats()["edge_cache"]
+            service.apply_updates(MutationBatch((mutation,)))
+            gauge = parse_metrics(service.render_metrics())
+            assert gauge["repro_edge_cache_entries"] == warm["entries"] > 0
+            apply_batch(reference_net, MutationBatch((mutation,)))
+            reference = AllFPService(reference_net, config=ServiceConfig())
+            try:
+                for pair in pairs:
+                    live = service.query(_request(*pair))
+                    assert live.version == 1 and not live.cached
+                    fresh = reference.query(_request(*pair))
+                    assert _canonical(live.result) == _canonical(fresh.result)
+            finally:
+                reference.close()
+            rebuilt = service.stats()["edge_cache"]["misses"] - warm["misses"]
+            assert 0 < rebuilt < warm["entries"]
         finally:
             service.close()
 
