@@ -60,6 +60,13 @@ from ..exceptions import FunctionShapeError, NotMonotoneError
 XTOL = 1e-9
 #: Tolerance for comparing ordinates (travel times, in minutes).
 YTOL = 1e-9
+#: Tolerance for deciding that two breakpoints sharing (nearly) the same
+#: abscissa describe the *same* point rather than a jump discontinuity.
+#: Deliberately looser than :data:`YTOL`: merged breakpoints come from
+#: independently-computed operations whose values agree only up to
+#: accumulated rounding, whereas YTOL compares values produced by one
+#: computation.  :mod:`repro.func.piecewise` re-exports it.
+CONTINUITY_TOL = 1e-6
 
 # ----------------------------------------------------------------------
 # Configuration: breakpoint-count guard.
@@ -651,7 +658,6 @@ def envelope_fold(
         nonlocal improved
         if x1 - x0 <= XTOL and out_slope:
             return
-        improved = improved or tg is new_tag
         if (
             out_slope
             and out_tags[-1] == tg
@@ -660,6 +666,26 @@ def envelope_fold(
         ):
             out_bx[-1] = x1
             return
+        if len(out_slope) == 1 and out_bx[1] - out_bx[0] <= XTOL:
+            # The first piece is narrower than XTOL, which a function reads
+            # as one instant.  If its line climbs more than CONTINUITY_TOL
+            # across it (a near-vertical crossing at lo), that instant would
+            # hold two values, so the piece becomes the chord from its value
+            # at lo to this piece's line just past the instant.
+            x_lo = out_bx[0]
+            y_lo = out_slope[0] * x_lo + out_icept[0]
+            if abs(out_slope[0] * out_bx[1] + out_icept[0] - y_lo) > CONTINUITY_TOL:
+                x_b = x_lo + 2 * XTOL
+                if x1 - x_b <= XTOL:
+                    x_b = x1  # no wider-than-XTOL rest: the chord takes it all
+                chord = (sl * x_b + ic - y_lo) / (x_b - x_lo)
+                out_bx[1] = x_b
+                out_slope[0] = chord
+                out_icept[0] = y_lo - chord * x_lo
+                if x_b == x1:
+                    return
+                x0 = x_b
+        improved = improved or tg is new_tag
         if not out_bx:
             out_bx.append(x0)
         out_bx.append(x1)

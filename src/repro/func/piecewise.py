@@ -26,15 +26,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from ..exceptions import FunctionDomainError, FunctionShapeError
 from . import kernel
-from .kernel import XTOL, YTOL  # defined once, in the kernel; public here too
-
-#: Tolerance for deciding that two breakpoints sharing (nearly) the same
-#: abscissa describe the *same* point rather than a jump discontinuity.
-#: Deliberately looser than :data:`YTOL`: merged breakpoints come from
-#: independently-computed operations whose values agree only up to
-#: accumulated rounding, whereas YTOL compares values produced by one
-#: computation.
-CONTINUITY_TOL = 1e-6
+from .kernel import (  # defined once, in the kernel; public here too
+    CONTINUITY_TOL,
+    XTOL,
+    YTOL,
+)
 
 
 @dataclass(frozen=True)

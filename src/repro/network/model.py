@@ -14,6 +14,7 @@ implements, so the same engine runs against memory or disk.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -73,8 +74,11 @@ class CapeCodNetwork:
         self._nodes: dict[int, Node] = {}
         self._out: dict[int, list[Edge]] = {}
         self._in: dict[int, list[Edge]] = {}
-        self._max_speed: float | None = None
-        self._min_speed: float | None = None
+        # How many edges' current patterns peak (bottom out) at each speed:
+        # add_edge and update_edge_pattern keep them, so the extremes are
+        # read off a handful of distinct speeds, never a rescan of all edges.
+        self._max_counts: Counter[float] = Counter()
+        self._min_counts: Counter[float] = Counter()
 
     # ------------------------------------------------------------------
     # Construction
@@ -114,8 +118,7 @@ class CapeCodNetwork:
         edge = Edge(source, target, float(distance), pattern, road_class)
         self._out[source].append(edge)
         self._in[target].append(edge)
-        self._max_speed = None
-        self._min_speed = None
+        self._count_speeds(pattern, +1)
         return edge
 
     def add_bidirectional(
@@ -207,29 +210,38 @@ class CapeCodNetwork:
         self._in[target] = [
             new if e.source == source else e for e in self._in[target]
         ]
-        self._max_speed = None
-        self._min_speed = None
+        self._count_speeds(pattern, +1)
+        self._count_speeds(old.pattern, -1)
         return new
 
+    def _count_speeds(self, pattern: CapeCodPattern, step: int) -> None:
+        """Count one edge's pattern in (``step=+1``) or out (``-1``)."""
+        for counts, speed in (
+            (self._max_counts, pattern.max_speed()),
+            (self._min_counts, pattern.min_speed()),
+        ):
+            counts[speed] += step
+            if not counts[speed]:
+                del counts[speed]
+
     def max_speed(self) -> float:
-        """Fastest speed anywhere, ever — ``v_max`` of the naive estimator."""
-        if self._max_speed is None:
-            if not any(self._out.values()):
-                raise NetworkError("network has no edges")
-            self._max_speed = max(
-                e.pattern.max_speed() for edges in self._out.values() for e in edges
-            )
-        return self._max_speed
+        """Fastest speed of any edge's current pattern — ``v_max`` of the
+        naive estimator.
+
+        Exact at every version: a restore that ends the only speed-up lowers
+        it again.  (:class:`~repro.storage.ccam.CCAMStore` instead keeps the
+        fastest pattern it has ever stored, a monotone ``max``; that is an
+        upper bound, so a bound built on it stays admissible, only looser.)
+        """
+        if not self._max_counts:
+            raise NetworkError("network has no edges")
+        return max(self._max_counts)
 
     def min_speed(self) -> float:
-        """Slowest speed anywhere, ever."""
-        if self._min_speed is None:
-            if not any(self._out.values()):
-                raise NetworkError("network has no edges")
-            self._min_speed = min(
-                e.pattern.min_speed() for edges in self._out.values() for e in edges
-            )
-        return self._min_speed
+        """Slowest speed of any edge's current pattern."""
+        if not self._min_counts:
+            raise NetworkError("network has no edges")
+        return min(self._min_counts)
 
     # ------------------------------------------------------------------
     # Whole-graph views (used by generators, estimator precomputation, IO)

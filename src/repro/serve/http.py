@@ -94,6 +94,7 @@ how many wait for it, not socket count.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -353,12 +354,34 @@ class _Handler(BaseHTTPRequestHandler):
         super().log_message(format, *args)
 
     # ------------------------------------------------------------------
-    def _send_json(
-        self, status: int, payload: dict, extra_headers: dict | None = None
+    # The socket: Nagle's algorithm holds a small segment sent while an
+    # earlier one is unacknowledged, and the client delays that ACK by up to
+    # 40 ms.  Every accepted socket gets TCP_NODELAY, and ``wfile`` buffers a
+    # whole response (status line, headers, body) until
+    # ``handle_one_request`` flushes it, so each response leaves in one write
+    # (a body past the 8 KiB buffer follows in a second, sent at once).
+    wbufsize = -1
+
+    def setup(self) -> None:
+        super().setup()
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 must reach a client waiting for it before the body.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
+
+    def _send(
+        self,
+        status: int,
+        content_type: str,
+        data: bytes,
+        extra_headers: dict | None = None,
     ) -> None:
-        data = json.dumps(payload).encode()
+        """Buffer one whole response; ``handle_one_request`` flushes it."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         if self.close_connection:  # a body was left unread (see _read_body)
             self.send_header("Connection", "close")
@@ -366,6 +389,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+
+    def _send_json(
+        self, status: int, payload: dict, extra_headers: dict | None = None
+    ) -> None:
+        self._send(
+            status, "application/json", json.dumps(payload).encode(), extra_headers
+        )
 
     def _send_error_json(
         self, status: int, exc: BaseException, extra_headers: dict | None = None
@@ -400,12 +430,11 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/healthz":
             self._send_json(200, self.service.health())
         elif self.path == "/metrics":
-            data = self.service.render_metrics().encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
+            self._send(
+                200,
+                "text/plain; version=0.0.4",
+                self.service.render_metrics().encode(),
+            )
         else:
             self._send_json(404, {"error": "NotFound", "message": self.path})
 

@@ -623,14 +623,24 @@ class AllFPService(SurfaceBase):
         except ServiceOverloaded:
             self._finish(request, started, "rejected")
             raise
+        budget = (
+            request.deadline
+            if request.deadline is not None
+            else self.config.default_deadline
+        )
+        # The deadline runs from admission, so it also bounds the wait for
+        # the update lock behind a pending batch.
+        deadline = None if budget is None else Deadline.after(budget)
         try:
             # The read side pins the network version for the whole
             # computation: updates wait for in-flight queries, so the
             # version captured here is the version the answer is made at.
-            self._update_rw.acquire_read()
+            wait = None if deadline is None else max(deadline.remaining(), 0)
+            if not self._update_rw.acquire_read(timeout=wait):
+                raise self._queue_timeout(deadline)
             try:
                 version = self._updates.applied_version
-                response = self._admitted(request, version)
+                response = self._admitted(request, version, deadline)
             finally:
                 self._update_rw.release_read()
         except QueryTimeout:
@@ -677,13 +687,9 @@ class AllFPService(SurfaceBase):
             help="End-to-end request latency",
         )
 
-    def _admitted(self, request: QueryRequest, version: int) -> QueryResponse:
-        budget = (
-            request.deadline
-            if request.deadline is not None
-            else self.config.default_deadline
-        )
-        deadline = None if budget is None else Deadline.after(budget)
+    def _admitted(
+        self, request: QueryRequest, version: int, deadline: Deadline | None
+    ) -> QueryResponse:
         key = request.key(version)
 
         if self.config.cache_results:
@@ -792,10 +798,11 @@ class AllFPService(SurfaceBase):
                 )
 
     def _queue_timeout(self, deadline: Deadline) -> QueryTimeout:
-        """The request aged out waiting for the engine lock."""
+        """The request aged out waiting for the update or the engine lock."""
         self.metrics.inc(
             "queue_timeouts_total",
-            help="Requests whose deadline expired before the engine lock freed up",
+            help="Requests whose deadline expired before the update or "
+            "engine lock freed up",
         )
         return QueryTimeout(deadline.budget, SearchStats(timed_out=True))
 

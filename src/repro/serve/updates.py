@@ -292,11 +292,16 @@ class ReadWriteLock:
         self._writer = False
         self._writers_waiting = 0
 
-    def acquire_read(self) -> None:
+    def acquire_read(self, timeout: float | None = None) -> bool:
+        """Take the read side; ``False`` when ``timeout`` seconds pass first
+        (``None`` waits for as long as it takes)."""
         with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
+            if not self._cond.wait_for(
+                lambda: not (self._writer or self._writers_waiting), timeout
+            ):
+                return False
             self._readers += 1
+            return True
 
     def release_read(self) -> None:
         with self._cond:

@@ -276,6 +276,26 @@ def test_restrict_matches_legacy(f, p, q):
         PiecewiseLinearFunction([(0, 8), (1, 0), (10, 0)]),
     ]
 )
+# A near-vertical newcomer that crosses the incumbent within XTOL of lo
+# leaves a first piece narrower than XTOL whose ends differ by far more
+# than CONTINUITY_TOL; as a function it must stay continuous.
+@example(
+    [
+        PiecewiseLinearFunction([(0, -5), (10, 0)]),
+        PiecewiseLinearFunction([(0, -6), (3.22277e-09, 0), (1, 0), (10, 0)]),
+        PiecewiseLinearFunction([(0, 0), (10, 0)]),
+    ]
+)
+@example(
+    [
+        PiecewiseLinearFunction([(0, 0), (10, 0)]),
+        PiecewiseLinearFunction(
+            [(0, -0.015625), (5.96046e-08, 1), (1, 0), (1.25, 0), (1.5, 0),
+             (2, 0), (10, 0)]
+        ),
+        PiecewiseLinearFunction([(0, 0), (10, 0)]),
+    ]
+)
 def test_envelope_fold_matches_oracle_and_legacy(fns):
     env = AnnotatedEnvelope(LO, HI)
     for k, fn in enumerate(fns):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import (
     EdgeNotFoundError,
@@ -13,7 +15,7 @@ from repro.core.graph import transpose
 from repro.network.model import CapeCodNetwork, Edge, Node
 from repro.patterns.categories import Calendar
 from repro.patterns.schema import RoadClass
-from repro.patterns.speed import CapeCodPattern
+from repro.patterns.speed import CapeCodPattern, DailySpeedPattern
 
 
 @pytest.fixture
@@ -174,6 +176,48 @@ class TestAccessors:
         assert net.max_speed() == 1.0
         net.add_edge(1, 0, 1.0, CapeCodPattern.constant(3.0, cal.categories.names))
         assert net.max_speed() == 3.0
+
+
+#: Speeds drawn from a small set, so that several edges share an extreme.
+_SPEED = st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0])
+
+
+def _rush(cal, off_peak: float, rush: float) -> CapeCodPattern:
+    """``off_peak`` all day except ``rush`` during [7:00, 9:00)."""
+    return CapeCodPattern(
+        {
+            name: DailySpeedPattern([(0.0, off_peak), (420.0, rush), (540.0, off_peak)])
+            for name in cal.categories.names
+        }
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.none() | st.tuples(_SPEED, _SPEED)),
+        max_size=30,
+    )
+)
+def test_speed_extremes_equal_a_full_rescan(steps):
+    """The incrementally kept ``max_speed`` / ``min_speed`` equal a rescan of
+    every edge after each pattern update, restores that lower v_max (or
+    raise v_min) included.  A step is ``(edge, None)`` for a restore of the
+    edge's original pattern, else ``(edge, (off_peak, rush))``."""
+    cal = Calendar.single_category()
+    net = CapeCodNetwork(cal)
+    for node in range(4):
+        net.add_node(node, float(node), 0.0)
+    ring = [(node, (node + 1) % 4) for node in range(4)]
+    for source, target in ring:
+        net.add_edge(source, target, 1.0, _rush(cal, 1.0, 0.5))
+    original = {edge: net.find_edge(*edge).pattern for edge in ring}
+    for index, speeds in steps:
+        edge = ring[index]
+        pattern = original[edge] if speeds is None else _rush(cal, *speeds)
+        net.update_edge_pattern(*edge, pattern)
+        assert net.max_speed() == max(e.pattern.max_speed() for e in net.edges())
+        assert net.min_speed() == min(e.pattern.min_speed() for e in net.edges())
 
 
 class TestGraphViews:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import pickle
+import statistics
 import sys
 import threading
 import time
@@ -33,12 +35,14 @@ from repro.serve import (
     parse_metrics,
     start_in_thread,
 )
+from repro.network.generator import MetroConfig, make_metro_network
 from repro.serve.http import (
     parse_request,
     request_from_wire,
     request_to_wire,
     response_to_wire,
 )
+from repro.serve.updates import EdgeMutation, MutationBatch, slowdown_pattern
 from repro.timeutil import TimeInterval
 from repro.workloads.queries import morning_rush_interval, random_queries
 
@@ -568,6 +572,60 @@ class TestEngineLock:
             svc.close()
 
 
+    def test_update_lock_wait_honours_the_deadline(self, interval):
+        """A query queued behind a pending update batch (which itself waits
+        for a held run) times out at its own deadline, not when the batch
+        has gone through."""
+        class GatedUpdatableNetwork(GatedNetwork):
+            def find_edge(self, source, target):
+                return self._graph.find_edge(source, target)
+
+            def update_edge_pattern(self, source, target, pattern):
+                return self._graph.update_edge_pattern(source, target, pattern)
+
+        gated = GatedUpdatableNetwork(
+            make_metro_network(MetroConfig(10, 10, seed=5))
+        )
+        svc = AllFPService(gated, config=ServiceConfig(coalesce=False))
+        edge = next(gated.edges())
+        batch = MutationBatch((EdgeMutation(edge.source, edge.target, edge.pattern),))
+        outcome = {}
+
+        def queued():
+            started = time.monotonic()
+            try:
+                svc.query(QueryRequest(0, 88, interval, deadline=0.2))
+            except QueryTimeout as exc:
+                outcome["error"] = exc
+            outcome["seconds"] = time.monotonic() - started
+
+        held = threading.Thread(
+            target=svc.query, args=(QueryRequest(5, 77, interval),)
+        )
+        writer = threading.Thread(target=svc.apply_updates, args=(batch,))
+        waiter = threading.Thread(target=queued)
+        try:
+            gated.gate.clear()
+            held.start()
+            wait_until(lambda: svc.stats()["engine_runs"] == 1)
+            writer.start()
+            wait_until(lambda: svc._update_rw._writers_waiting == 1)
+            waiter.start()
+            waiter.join(timeout=2.0)
+            assert not waiter.is_alive(), "update-lock wait ignored the deadline"
+            assert isinstance(outcome["error"], QueryTimeout)
+            assert outcome["seconds"] < 1.0
+            assert svc.metrics.counter_total("queue_timeouts_total") == 1
+            assert svc.stats()["engine_runs"] == 1
+        finally:
+            gated.gate.set()
+            for thread in (held, writer, waiter):
+                if thread.ident is not None:
+                    thread.join(timeout=30.0)
+            svc.close()
+        assert svc.stats()["updates"]["batches_applied"] == 1
+
+
 class TestEngineHooks:
     def test_edge_cache_snapshot(self, metro_tiny, interval):
         engine = IntAllFastestPaths(metro_tiny)
@@ -855,6 +913,111 @@ class TestHTTPFraming:
         assert closed  # the unread bytes were never parsed as a request
         [reply], _ = self._exchange(address, self.HEALTHZ, 1)
         self._assert_healthy(*reply)
+
+    def test_expect_100_continue_is_not_buffered(self, address):
+        """A client that waits for ``100 Continue`` before its body gets it
+        at once, though the rest of a response is buffered until done."""
+        import socket
+
+        body = b'{"source": 0, "target": 99, "from": "7:00", "to": "8:00"}'
+        head = (
+            b"POST /v1/allfp HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        )
+        with socket.create_connection(address, timeout=2.0) as sock:
+            sock.sendall(head)
+            stream = sock.makefile("rb")
+            assert stream.readline().startswith(b"HTTP/1.1 100 ")
+            assert stream.readline() == b"\r\n"
+            sock.sendall(body)
+            status, headers, payload = _read_response(stream)
+        assert status == 200
+        assert json.loads(payload)["result"]["entries"]
+
+
+class TestKeepAliveLatency:
+    """Round trips over one ``http.client`` keep-alive connection.  A
+    response written as headers and then body in two small segments is held
+    about 40 ms by Nagle's algorithm and the client's delayed ACK; each of
+    these stays far below that."""
+
+    ROUND_TRIPS = 20
+    P50_MS = 5.0
+
+    @pytest.fixture
+    def connection(self):
+        svc = AllFPService(make_metro_network(MetroConfig(10, 10, seed=5)))
+        server = make_server(svc, port=0)
+        start_in_thread(server)
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        yield svc, conn
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        svc.close()
+
+    @staticmethod
+    def _round_trip(conn, method, path, body=None):
+        """``(milliseconds, status, body)`` of one request on ``conn``."""
+        data = None if body is None else json.dumps(body).encode()
+        started = time.perf_counter()
+        conn.request(method, path, body=data)
+        response = conn.getresponse()
+        payload = response.read()
+        elapsed = (time.perf_counter() - started) * 1e3
+        assert not response.will_close
+        return elapsed, response.status, payload
+
+    def _p50(self, conn, method, path, body=None, status=200):
+        times = []
+        for _ in range(self.ROUND_TRIPS):
+            ms, got, _ = self._round_trip(conn, method, path, body)
+            assert got == status
+            times.append(ms)
+        return statistics.median(times)
+
+    def test_cache_hit_round_trip(self, connection):
+        svc, conn = connection
+        query = {"source": 0, "target": 99, "from": "7:00", "to": "8:00"}
+        _, status, payload = self._round_trip(conn, "POST", "/v1/allfp", query)
+        assert status == 200 and json.loads(payload)["cached"] is False
+        assert self._p50(conn, "POST", "/v1/allfp", query) < self.P50_MS
+        assert svc.stats()["engine_runs"] == 1
+
+    @pytest.mark.parametrize("path", ["/healthz", "/metrics"])
+    def test_get_round_trip(self, connection, path):
+        _, conn = connection
+        assert self._p50(conn, "GET", path) < self.P50_MS
+
+    def test_update_round_trip(self, connection):
+        svc, conn = connection
+        edge = next(svc.network.edges())
+        times = []
+        for _ in range(self.ROUND_TRIPS // 2):
+            for pattern in (slowdown_pattern(edge.pattern, 0.5), edge.pattern):
+                batch = MutationBatch((EdgeMutation(edge.source, edge.target, pattern),))
+                ms, status, _ = self._round_trip(
+                    conn, "POST", "/v1/updates", batch.to_wire()
+                )
+                assert status == 200
+                times.append(ms)
+        assert statistics.median(times) < self.P50_MS
+        assert svc.network.find_edge(edge.source, edge.target).pattern == edge.pattern
+
+    def test_bad_content_length_still_closes(self, connection):
+        _, conn = connection
+        conn.putrequest("POST", "/v1/allfp")
+        conn.putheader("Content-Length", "nope")
+        conn.endheaders()
+        response = conn.getresponse()
+        assert response.status == 400
+        assert json.loads(response.read())["error"] == "BadRequest"
+        assert response.getheader("Connection") == "close"
+        assert response.will_close
+        # The client reconnects; the server answers the next request.
+        _, status, _ = self._round_trip(conn, "GET", "/healthz")
+        assert status == 200
 
 
 # ----------------------------------------------------------------------
